@@ -1,0 +1,26 @@
+"""Confinement-escape toolkit: deterministic 2-D arena, lidar-style sensing,
+shaped rewards, a potential-field planner, an actor-critic evader with
+planner-scaffolded training, and a Monte-Carlo evaluation harness."""
+
+from .config import RunConfig, desk_profile, load_config, paper_profile, save_config
+from .env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
+                  PursuerMode, PursuerState, WorldState, init_world,
+                  objective_value, step_evader, step_pursuer, step_world)
+from .harness import (ActorPolicy, EpisodeLog, EvalReport, PfmPolicy,
+                      RandomWalkPolicy, evaluate_monte_carlo, replay, sweep,
+                      train)
+from .neural import (Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
+                     TrainingDiverged, forward_actor, forward_critic,
+                     load_checkpoint, save_checkpoint, soft_update)
+from .pfm import PfmGains, net_force, pfm_action
+from .rewards import (compose_reward, pursuer_weight, reward_boundary,
+                      reward_pursuers)
+from .sensing import (Detection, LidarScan, SenseFrame, SensingConfig,
+                      StateVector, boundary_scan, cast_rays, encode_boundary,
+                      encode_lidar, encode_state, nearest_boundary_distance,
+                      sense, time_factor)
+from .sr2l import (Branch, EpisodeStepper, ExperienceTuple, ScaffoldConfig,
+                   ScaffoldDecision, predict_next_state, reward_gap,
+                   scaffold_select)
+
+__version__ = "0.1.0"

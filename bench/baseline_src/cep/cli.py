@@ -1,0 +1,135 @@
+"""Command-line entry point: train, eval, sweep, and replay subcommands."""
+
+from __future__ import annotations
+
+import argparse
+from dataclasses import replace
+from pathlib import Path
+
+from . import config as cfgmod
+from . import harness
+from .neural import load_checkpoint
+
+
+def _load_run_config(path: str | None) -> cfgmod.RunConfig:
+    if path is None:
+        return cfgmod.desk_profile()
+    return cfgmod.load_config(path)
+
+
+def _cmd_train(args) -> int:
+    cfg = _load_run_config(args.config)
+    overrides = {"mode": args.mode}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out is not None:
+        overrides["out_dir"] = args.out
+    if args.episodes is not None:
+        overrides["episodes"] = args.episodes
+    cfg = replace(cfg, **overrides)
+
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfgmod.save_config(cfg, out_dir / "config.txt")
+    _, logs = harness.train(cfg, out_dir)
+    escaped = sum(1 for log in logs if log.outcome == "escaped")
+    print(f"trained {len(logs)} episodes ({cfg.mode}), "
+          f"{escaped} escapes, outputs in {out_dir}")
+    return 0
+
+
+def _cmd_eval(args) -> int:
+    cfg = _load_run_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    bundle = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    policy = harness.make_policy(args.policy, cfg, bundle)
+    report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
+
+    out = Path(args.out) if args.out else Path("eval")
+    out.mkdir(parents=True, exist_ok=True)
+    harness.write_eval_episodes(out / "eval_episodes.csv", report)
+    harness.write_eval_summary(out / "eval_summary.csv", report)
+    print(f"escape%={report.escape_pct:.9g} "
+          f"mean_escape_steps={report.mean_escape_steps:.9g} "
+          f"mean_reward={report.mean_reward:.9g} ({len(report.episodes)} episodes)")
+    print(f"wrote {out / 'eval_episodes.csv'} and {out / 'eval_summary.csv'}")
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _load_run_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    bundle = load_checkpoint(args.checkpoint)
+    grid = harness.load_grid(args.grid)
+    cells = harness.sweep(bundle, cfg, grid, episodes=args.episodes)
+    out = Path(args.out) if args.out else Path("sweep.csv")
+    harness.write_sweep_csv(out, cells)
+    for c in cells:
+        print(f"n={c.n_pursuers} V'={c.v_ratio:g} R'={c.r_ratio:g} "
+              f"escape%={c.escape_pct:.9g} mean_steps={c.mean_escape_steps:.9g}")
+    print(f"wrote {out}")
+    return 0
+
+
+def _cmd_replay(args) -> int:
+    cfg = _load_run_config(args.config)
+    bundle = load_checkpoint(args.checkpoint)
+    out = Path(args.out) if args.out else Path(f"trajectory_seed{args.seed}.csv")
+    rows = harness.replay(bundle, args.seed, cfg, out)
+    print(f"wrote {rows} rows to {out}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cep",
+        description="Confinement-escape simulator and evader training toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_train = sub.add_parser("train", help="train an evader policy")
+    p_train.add_argument("--mode", choices=("iac", "sr2l"), required=True)
+    p_train.add_argument("--config", help="key-value config file")
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--episodes", type=int)
+    p_train.set_defaults(func=_cmd_train)
+
+    p_eval = sub.add_parser("eval", help="Monte-Carlo evaluation")
+    p_eval.add_argument("--checkpoint")
+    p_eval.add_argument("--episodes", type=int, required=True)
+    p_eval.add_argument("--config")
+    p_eval.add_argument("--policy", default="checkpoint",
+                        choices=("checkpoint", "pfm", "random"))
+    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--out")
+    p_eval.set_defaults(func=_cmd_eval)
+
+    p_sweep = sub.add_parser("sweep", help="environment parameter sweep")
+    p_sweep.add_argument("--checkpoint", required=True)
+    p_sweep.add_argument("--grid", required=True,
+                         help="CSV with n_pursuers,v_ratio,r_ratio")
+    p_sweep.add_argument("--config")
+    p_sweep.add_argument("--episodes", type=int)
+    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--out")
+    p_sweep.set_defaults(func=_cmd_sweep)
+
+    p_replay = sub.add_parser("replay", help="write one episode trajectory")
+    p_replay.add_argument("--checkpoint", required=True)
+    p_replay.add_argument("--seed", type=int, required=True)
+    p_replay.add_argument("--config")
+    p_replay.add_argument("--out")
+    p_replay.set_defaults(func=_cmd_replay)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,168 @@
+"""Run configuration: nested dataclasses plus a flat key-value file format.
+
+Config files are plain text, one ``key = value`` per line, ``#`` comments.
+Keys mirror the RunConfig field names exactly; nested sections use dotted
+keys (``arena.half_width``, ``train.lr_actor``, ...).  Values are coerced by
+the type of the field they replace; the ``train.hidden`` tuple is written as
+comma-separated integers.
+
+Two profiles ship: ``desk`` (100x100 arena, 10 pursuers, t_max=100, 36 rays)
+for fast training and the acceptance suite, and ``paper`` (200x200 arena,
+30 pursuers, t_max=300, 72 rays) matching the published experiment scale.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
+
+from .env import ArenaConfig
+from .neural import TrainConfig
+from .pfm import PfmGains
+from .sensing import SensingConfig
+from .sr2l import ScaffoldConfig
+
+__all__ = [
+    "RunConfig",
+    "desk_profile",
+    "paper_profile",
+    "load_config",
+    "save_config",
+    "config_to_text",
+]
+
+MODES = ("iac", "sr2l", "pfm", "random")
+
+_SECTIONS = ("arena", "sensing", "train", "scaffold", "pfm")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    arena: ArenaConfig
+    sensing: SensingConfig
+    train: TrainConfig
+    scaffold: ScaffoldConfig
+    pfm: PfmGains
+    mode: str = "sr2l"
+    episodes: int = 150
+    eval_episodes: int = 200
+    seed: int = 0
+    out_dir: str = "runs/out"
+    reward_sign: float = -1.0
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        if self.reward_sign not in (-1.0, 1.0):
+            raise ValueError("reward_sign must be -1 or +1")
+
+
+def desk_profile(**overrides) -> RunConfig:
+    """Small fast profile; the shipped defaults and the acceptance scale."""
+    cfg = RunConfig(
+        arena=ArenaConfig(half_width=50.0, half_height=50.0,
+                          spawn_half_extent=10.0, n_pursuers=10,
+                          t_max=100.0),
+        sensing=SensingConfig(n_s=36, r_b_norm=100.0),
+        train=TrainConfig(),
+        scaffold=ScaffoldConfig(),
+        pfm=PfmGains(),
+        episodes=150,
+        eval_episodes=200,
+    )
+    return replace(cfg, **overrides) if overrides else cfg
+
+
+def paper_profile(**overrides) -> RunConfig:
+    """Published experiment scale: 200x200 arena, 30 pursuers, t_max=300."""
+    cfg = RunConfig(
+        arena=ArenaConfig(half_width=100.0, half_height=100.0,
+                          spawn_half_extent=10.0, n_pursuers=30,
+                          t_max=300.0),
+        sensing=SensingConfig(n_s=72, r_b_norm=200.0),
+        train=TrainConfig(),
+        scaffold=ScaffoldConfig(),
+        pfm=PfmGains(),
+        episodes=1000,
+        eval_episodes=1000,
+    )
+    return replace(cfg, **overrides) if overrides else cfg
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _coerce(current, raw: str):
+    raw = raw.strip()
+    if isinstance(current, bool):
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"cannot parse boolean from {raw!r}")
+    if isinstance(current, int):
+        return int(raw)
+    if isinstance(current, float):
+        return float(raw)
+    if isinstance(current, tuple):
+        return tuple(int(v) for v in raw.split(",") if v.strip())
+    return raw
+
+
+def config_to_text(cfg: RunConfig) -> str:
+    lines = []
+    for f in fields(cfg):
+        if f.name in _SECTIONS:
+            continue
+        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
+    for section in _SECTIONS:
+        lines.append("")
+        obj = getattr(cfg, section)
+        for f in fields(obj):
+            lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
+    return "\n".join(lines) + "\n"
+
+
+def save_config(cfg: RunConfig, path) -> None:
+    Path(path).write_text(config_to_text(cfg))
+
+
+def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    """Parse a key-value file on top of ``base`` (desk profile by default)."""
+    cfg = base if base is not None else desk_profile()
+    top: dict = {}
+    nested: dict[str, dict] = {s: {} for s in _SECTIONS}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if "." in key:
+            section, field_name = key.split(".", 1)
+            if section not in _SECTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown section {section!r}")
+            obj = getattr(cfg, section)
+            if not hasattr(obj, field_name):
+                raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
+            nested[section][field_name] = _coerce(getattr(obj, field_name), raw)
+        else:
+            if not hasattr(cfg, key) or key in _SECTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
+            top[key] = _coerce(getattr(cfg, key), raw)
+    for section, values in nested.items():
+        if values:
+            top[section] = replace(getattr(cfg, section), **values)
+    return replace(cfg, **top) if top else cfg

@@ -1,0 +1,493 @@
+"""Training loops, Monte-Carlo evaluation, the parameter sweep, and replay.
+
+Seeding: every run derives independent deterministic streams from
+``(run seed, purpose)`` seed sequences, so identical config + seed reproduces
+every output byte.  Training consumes three streams (network init, action and
+update noise, buffer sampling) plus one world-init seed per episode;
+evaluation derives its episode seeds from a separate purpose tag, so training
+and evaluation never share draws.
+
+All CSV output uses 9-significant-digit floats and LF newlines.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from .config import RunConfig
+from .env import ArenaConfig, OutcomeKind, init_world, max_steps
+from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
+                     actor_mean_action, actor_update, critic_update,
+                     load_checkpoint, save_checkpoint, soft_update)
+from .pfm import PfmGains, net_force, pfm_action
+from .sensing import SenseFrame
+from .sr2l import Branch, EpisodeStepper
+
+__all__ = [
+    "EpisodeLog",
+    "EvalEpisode",
+    "EvalBucket",
+    "EvalReport",
+    "SweepCell",
+    "ActorPolicy",
+    "PfmPolicy",
+    "RandomWalkPolicy",
+    "make_policy",
+    "train",
+    "evaluate_monte_carlo",
+    "sweep",
+    "replay",
+    "load_grid",
+    "write_train_log",
+    "write_eval_episodes",
+    "write_eval_summary",
+    "write_sweep_csv",
+]
+
+_TRAIN_TAG = 1
+_EVAL_TAG = 2
+_REPLAY_TAG = 3
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _episode_seed(run_seed: int, tag: int, episode: int) -> int:
+    ss = np.random.SeedSequence((run_seed, tag, episode))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# -- policies -----------------------------------------------------------------
+
+
+class ActorPolicy:
+    """Deterministic evaluation policy: squashed mean action, full scale."""
+
+    def __init__(self, bundle: PolicyBundle):
+        self.bundle = bundle
+
+    def reset(self, episode_seed: int) -> None:
+        pass
+
+    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
+        a = actor_mean_action(self.bundle.actor, frame.state.values)
+        return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
+
+
+class PfmPolicy:
+    """Potential-field baseline evader."""
+
+    def __init__(self, gains: PfmGains):
+        self.gains = gains
+
+    def reset(self, episode_seed: int) -> None:
+        pass
+
+    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
+        force = net_force(frame.detections, (frame.d_b, frame.boundary_dir),
+                          self.gains)
+        return pfm_action(force, arena)
+
+
+class RandomWalkPolicy:
+    """Uniform random commands in the unit box, scaled to full speed."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+
+    def reset(self, episode_seed: int) -> None:
+        self.rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 77)))
+
+    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
+        a = self.rng.uniform(-1.0, 1.0, size=2)
+        return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
+
+
+def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
+    if kind in ("iac", "sr2l", "actor", "checkpoint"):
+        if bundle is None:
+            raise ValueError(f"policy {kind!r} needs a checkpoint")
+        return ActorPolicy(bundle)
+    if kind == "pfm":
+        return PfmPolicy(cfg.pfm)
+    if kind == "random":
+        return RandomWalkPolicy()
+    raise ValueError(f"unknown policy kind {kind!r}")
+
+
+# -- training -----------------------------------------------------------------
+
+
+@dataclass
+class EpisodeLog:
+    episode: int
+    outcome: str
+    steps: int
+    cum_reward: float
+    mean_reward: float
+    actor_fraction: float
+    neg_coeff_steps: int
+    mean_critic_loss: float
+    mean_actor_loss: float
+    updates: int
+
+
+def train(cfg: RunConfig, out_dir: str | Path | None = None
+          ) -> tuple[PolicyBundle, list[EpisodeLog]]:
+    """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
+
+    Per environment step: one stored transition, then (once the buffer holds a
+    batch) one critic update, one actor update, and a target soft update.
+    Checkpoints are written every ``train.checkpoint_every`` episodes and at
+    the end; a non-finite loss halts training and the bundle rolls back to the
+    last completed episode.  Returns the trained bundle and per-episode logs.
+    """
+    if cfg.mode not in ("iac", "sr2l"):
+        raise ValueError(f"train requires mode iac or sr2l, got {cfg.mode!r}")
+    scaffolded = cfg.mode == "sr2l"
+
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+
+    net_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 10)))
+    step_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 11)))
+    buffer_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 12)))
+
+    state_dim = cfg.sensing.n_s
+    bundle = PolicyBundle.create(state_dim, cfg.train, net_rng)
+    buffer = ReplayBuffer(cfg.train.buffer_capacity, state_dim)
+
+    logs: list[EpisodeLog] = []
+    log_file = None
+    writer = None
+    if out_path is not None:
+        log_file = open(out_path / "train_log.csv", "w", newline="")
+        writer = csv.writer(log_file, lineterminator="\n")
+        writer.writerow(["episode", "outcome", "steps", "cum_reward",
+                         "mean_reward", "actor_fraction", "neg_coeff_steps",
+                         "mean_critic_loss", "mean_actor_loss", "updates"])
+
+    last_good = bundle.copy()
+    diverged = False
+    try:
+        for episode in range(cfg.episodes):
+            arena = replace(cfg.arena,
+                            seed=_episode_seed(cfg.seed, _TRAIN_TAG, episode))
+            stepper = EpisodeStepper(init_world(arena), arena, cfg.sensing,
+                                     cfg.scaffold if scaffolded else None,
+                                     cfg.pfm, cfg.reward_sign)
+            cum_reward = 0.0
+            actor_steps = 0
+            neg_coeff = 0
+            closs_sum = aloss_sum = 0.0
+            updates = 0
+            steps = 0
+            outcome = stepper.initial_outcome
+            try:
+                while outcome is None:
+                    res = stepper.step(bundle, step_rng)
+                    exp = res.experience
+                    buffer.push(exp.state.values, exp.action, exp.reward,
+                                exp.next_state.values, exp.terminal)
+                    cum_reward += exp.reward
+                    steps += 1
+                    if exp.branch is Branch.ACTOR:
+                        actor_steps += 1
+                    if res.realized_breakdown.sum_w > 1.0:
+                        neg_coeff += 1
+                    if buffer.size >= cfg.train.batch_size:
+                        batch = buffer.sample(cfg.train.batch_size, buffer_rng)
+                        closs_sum += critic_update(batch, bundle, cfg.train, step_rng)
+                        aloss_sum += actor_update(batch, bundle, cfg.train, step_rng)
+                        soft_update(bundle.target_critic, bundle.critic,
+                                    cfg.train.tau)
+                        updates += 1
+                    outcome = res.outcome
+            except TrainingDiverged:
+                bundle = last_good
+                diverged = True
+                break
+
+            logs.append(EpisodeLog(
+                episode, outcome.kind.value, steps, cum_reward,
+                cum_reward / steps if steps else 0.0,
+                actor_steps / steps if steps else 1.0,
+                neg_coeff,
+                closs_sum / updates if updates else 0.0,
+                aloss_sum / updates if updates else 0.0,
+                updates))
+            if writer is not None:
+                log = logs[-1]
+                writer.writerow([_fmt(v) for v in (
+                    log.episode, log.outcome, log.steps, log.cum_reward,
+                    log.mean_reward, log.actor_fraction, log.neg_coeff_steps,
+                    log.mean_critic_loss, log.mean_actor_loss, log.updates)])
+                log_file.flush()
+            last_good = bundle.copy()
+
+            if out_path is not None and \
+                    (episode + 1) % cfg.train.checkpoint_every == 0:
+                save_checkpoint(out_path / f"checkpoint_ep{episode + 1:05d}.cepn",
+                                bundle)
+    finally:
+        if log_file is not None:
+            log_file.close()
+
+    if out_path is not None:
+        save_checkpoint(out_path / "policy_final.cepn", bundle)
+        if diverged:
+            (out_path / "DIVERGED").write_text(
+                "training halted on non-finite loss; policy_final.cepn is the "
+                "last completed episode\n")
+    return bundle, logs
+
+
+# -- evaluation ---------------------------------------------------------------
+
+
+@dataclass
+class EvalEpisode:
+    episode: int
+    outcome: str
+    steps: int
+    cum_reward: float
+    mean_reward: float
+
+
+@dataclass
+class EvalBucket:
+    bucket: int
+    episodes: int
+    escape_pct: float
+    mean_escape_steps: float
+    mean_reward: float
+
+
+@dataclass
+class EvalReport:
+    episodes: list[EvalEpisode]
+    escape_pct: float
+    mean_escape_steps: float
+    mean_reward: float
+    buckets: list[EvalBucket]
+
+
+def _bucketize(episodes: list[EvalEpisode], width: int = 100) -> list[EvalBucket]:
+    buckets = []
+    for start in range(0, len(episodes), width):
+        chunk = episodes[start:start + width]
+        escaped = [e for e in chunk if e.outcome == OutcomeKind.ESCAPED.value]
+        buckets.append(EvalBucket(
+            start // width, len(chunk),
+            100.0 * len(escaped) / len(chunk),
+            float(np.mean([e.steps for e in escaped])) if escaped else float("nan"),
+            float(np.mean([e.mean_reward for e in chunk]))))
+    return buckets
+
+
+def evaluate_monte_carlo(policy, cfg: RunConfig,
+                         arena: ArenaConfig | None = None,
+                         episodes: int | None = None) -> EvalReport:
+    """Deterministic (noise-free) Monte-Carlo evaluation of one evader.
+
+    Reports escape percentage, mean steps over escaped episodes, the mean of
+    per-episode mean rewards (realized, signed), and per-100-episode buckets.
+    """
+    base = arena if arena is not None else cfg.arena
+    n_episodes = episodes if episodes is not None else cfg.eval_episodes
+    records: list[EvalEpisode] = []
+    for episode in range(n_episodes):
+        seed = _episode_seed(cfg.seed, _EVAL_TAG, episode)
+        ep_arena = replace(base, seed=seed)
+        stepper = EpisodeStepper(init_world(ep_arena), ep_arena, cfg.sensing,
+                                 None, cfg.pfm, cfg.reward_sign)
+        policy.reset(seed)
+        cum = 0.0
+        steps = 0
+        outcome = stepper.initial_outcome
+        while outcome is None:
+            action = policy.act(stepper.frame, ep_arena)
+            outcome, reward, _ = stepper.step_action(action)
+            cum += reward
+            steps += 1
+        records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
+                                   cum / steps if steps else 0.0))
+
+    escaped = [e for e in records if e.outcome == OutcomeKind.ESCAPED.value]
+    return EvalReport(
+        records,
+        100.0 * len(escaped) / len(records),
+        float(np.mean([e.steps for e in escaped])) if escaped else float("nan"),
+        float(np.mean([e.mean_reward for e in records])),
+        _bucketize(records))
+
+
+# -- sweep --------------------------------------------------------------------
+
+
+@dataclass
+class SweepCell:
+    n_pursuers: int
+    v_ratio: float
+    r_ratio: float
+    escape_pct: float
+    mean_escape_steps: float
+    episodes: int
+
+
+def sweep_arena(base: ArenaConfig, n_pursuers: int, v_ratio: float,
+                r_ratio: float) -> ArenaConfig:
+    """Arena for one sweep cell: pursuer speed and sensor range are set from
+    the evader's via the requested ratios."""
+    v_p_max = base.v_e_max / v_ratio
+    r_p = base.r_e / r_ratio
+    return replace(base, n_pursuers=n_pursuers, v_p_max=v_p_max,
+                   v_p_min=min(base.v_p_min, v_p_max), r_p=r_p)
+
+
+def sweep(bundle: PolicyBundle, cfg: RunConfig,
+          grid: list[tuple[int, float, float]],
+          episodes: int | None = None) -> list[SweepCell]:
+    """Evaluate a trained policy over (pursuer count, speed ratio, range
+    ratio) cells."""
+    policy = ActorPolicy(bundle)
+    cells = []
+    n_eval = episodes if episodes is not None else cfg.eval_episodes
+    for n_pursuers, v_ratio, r_ratio in grid:
+        arena = sweep_arena(cfg.arena, n_pursuers, v_ratio, r_ratio)
+        report = evaluate_monte_carlo(policy, cfg, arena=arena,
+                                      episodes=n_eval)
+        cells.append(SweepCell(n_pursuers, v_ratio, r_ratio,
+                               report.escape_pct, report.mean_escape_steps,
+                               n_eval))
+    return cells
+
+
+def load_grid(path) -> list[tuple[int, float, float]]:
+    """Grid CSV with header ``n_pursuers,v_ratio,r_ratio``."""
+    grid = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            grid.append((int(row["n_pursuers"]), float(row["v_ratio"]),
+                         float(row["r_ratio"])))
+    if not grid:
+        raise ValueError(f"empty sweep grid: {path}")
+    return grid
+
+
+# -- replay -------------------------------------------------------------------
+
+
+def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
+    """Run one deterministic episode and write a per-step trajectory CSV.
+
+    Columns: step, t, evader pose/velocity, lidar minimum, detection count,
+    reward breakdown (verbatim parts plus the signed reward), the running
+    outcome tag, then every pursuer position.  Row 0 is the initial state.
+    Returns the number of data rows written.
+    """
+    arena = replace(cfg.arena, seed=seed)
+    stepper = EpisodeStepper(init_world(arena), arena, cfg.sensing, None,
+                             cfg.pfm, cfg.reward_sign)
+    policy = ActorPolicy(bundle)
+    policy.reset(seed)
+
+    header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",
+              "n_detected", "sum_w", "r_d", "r_b", "reward", "objective",
+              "outcome"]
+    for i in range(arena.n_pursuers):
+        header += [f"p{i}_x", f"p{i}_y"]
+
+    def row(step: int, reward_parts, outcome_tag: str) -> list[str]:
+        w = stepper.world
+        f = stepper.frame
+        r_d, r_b, sum_w, reward = reward_parts
+        from .env import objective_value
+        obj = objective_value(w, [d.distance for d in f.detections], arena,
+                              cfg.sensing.r_b_norm)
+        values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
+                  float(np.min(f.scan.ranges)), len(f.detections), sum_w,
+                  r_d, r_b, reward, obj, outcome_tag]
+        for p in w.pursuers:
+            values += [p.x, p.y]
+        return [_fmt(v) for v in values]
+
+    rows = 0
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        outcome = stepper.initial_outcome
+        tag0 = outcome.kind.value if outcome is not None else ""
+        writer.writerow(row(0, (0.0, 0.0, 0.0, 0.0), tag0))
+        rows += 1
+        step = 0
+        while outcome is None:
+            action = policy.act(stepper.frame, arena)
+            outcome, reward, bd = stepper.step_action(action)
+            step += 1
+            tag = outcome.kind.value if outcome is not None else ""
+            writer.writerow(row(step, (bd.r_d, bd.r_b, bd.sum_w, reward), tag))
+            rows += 1
+    assert rows <= max_steps(arena) + 1
+    return rows
+
+
+# -- CSV writers ---------------------------------------------------------------
+
+
+def write_train_log(path, logs: list[EpisodeLog]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["episode", "outcome", "steps", "cum_reward",
+                         "mean_reward", "actor_fraction", "neg_coeff_steps",
+                         "mean_critic_loss", "mean_actor_loss", "updates"])
+        for log in logs:
+            writer.writerow([_fmt(v) for v in (
+                log.episode, log.outcome, log.steps, log.cum_reward,
+                log.mean_reward, log.actor_fraction, log.neg_coeff_steps,
+                log.mean_critic_loss, log.mean_actor_loss, log.updates)])
+
+
+def write_eval_episodes(path, report: EvalReport) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["episode", "outcome", "steps", "cum_reward",
+                         "mean_reward"])
+        for e in report.episodes:
+            writer.writerow([_fmt(v) for v in (
+                e.episode, e.outcome, e.steps, e.cum_reward, e.mean_reward)])
+
+
+def write_eval_summary(path, report: EvalReport) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scope", "episodes", "escape_pct",
+                         "mean_escape_steps", "mean_reward"])
+        writer.writerow(["all", len(report.episodes), _fmt(report.escape_pct),
+                         _fmt(report.mean_escape_steps), _fmt(report.mean_reward)])
+        for b in report.buckets:
+            writer.writerow([f"bucket_{b.bucket}", b.episodes,
+                             _fmt(b.escape_pct), _fmt(b.mean_escape_steps),
+                             _fmt(b.mean_reward)])
+
+
+def write_sweep_csv(path, cells: list[SweepCell]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["n_pursuers", "v_ratio", "r_ratio", "escape_pct",
+                         "mean_escape_steps", "episodes"])
+        for c in cells:
+            writer.writerow([_fmt(v) for v in (
+                c.n_pursuers, c.v_ratio, c.r_ratio, c.escape_pct,
+                c.mean_escape_steps, c.episodes)])

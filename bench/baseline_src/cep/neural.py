@@ -1,0 +1,482 @@
+"""Small MLP actor/critic with manual backpropagation and soft-AC losses.
+
+All math is float64 numpy; no autodiff framework.  Networks are stacks of
+dense layers with tanh hidden activations and a linear output layer.
+
+Actor head: ``2*action_dim`` outputs split into a mean and a raw log-std
+(clamped to [-5, 2]).  Actions are tanh-squashed Gaussian samples with the
+exact squash correction in the log-density::
+
+    a = tanh(mu + sigma * xi),  xi ~ N(0, I)
+    log pi(a|s) = sum_k [ -xi_k^2/2 - log sigma_k - log(2 pi)/2
+                          - log(1 - a_k^2 + 1e-6) ]
+
+Updates (one critic step then one actor step per environment step):
+
+* critic: minimize mean squared (Q(s,a) - y) with
+  ``y = r + gamma * (Q_target(s', a') - alpha * log pi(a'|s'))`` and the
+  bootstrap masked on terminal transitions; a' is freshly sampled.
+* actor: ascend ``E[Q(s, a_theta) - alpha * log pi(a_theta|s)]`` through the
+  reparameterized sample.  The baseline (batch-mean Q) is a detached constant,
+  so it shifts reported advantages but never the gradient.
+
+Both use plain SGD with global gradient-norm clipping; the target critic
+tracks the online critic by Polyak averaging.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "Mlp",
+    "ActorOutput",
+    "ReplayBuffer",
+    "Batch",
+    "TrainConfig",
+    "PolicyBundle",
+    "TrainingDiverged",
+    "forward_actor",
+    "forward_critic",
+    "actor_sample_batch",
+    "action_log_density",
+    "critic_target",
+    "critic_loss_and_grads",
+    "actor_loss_and_grads",
+    "critic_update",
+    "actor_update",
+    "soft_update",
+    "save_checkpoint",
+    "load_checkpoint",
+    "CHECKPOINT_MAGIC",
+]
+
+LOG_STD_MIN = -5.0
+LOG_STD_MAX = 2.0
+SQUASH_EPS = 1e-6
+_LOG_2PI = math.log(2.0 * math.pi)
+
+CHECKPOINT_MAGIC = b"CEPN1"
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when an update produces a non-finite loss or parameters."""
+
+
+class Mlp:
+    """Dense stack: tanh on hidden layers, linear output."""
+
+    def __init__(self, widths: list[int], weights: list[np.ndarray],
+                 biases: list[np.ndarray]):
+        self.widths = list(widths)
+        self.weights = weights
+        self.biases = biases
+
+    @classmethod
+    def create(cls, widths: list[int], rng: np.random.Generator) -> "Mlp":
+        """Glorot-uniform weights, zero biases."""
+        weights, biases = [], []
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        return cls(widths, weights, biases)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.weights)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Returns the output and the per-layer activations (inputs first);
+        the caches feed :meth:`backward`."""
+        acts = [x]
+        for i in range(self.n_layers):
+            z = acts[-1] @ self.weights[i] + self.biases[i]
+            acts.append(np.tanh(z) if i < self.n_layers - 1 else z)
+        return acts[-1], acts
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[0]
+
+    def backward(self, d_out: np.ndarray, acts: list[np.ndarray]
+                 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Backprop ``d(objective)/d(output)`` through cached activations.
+
+        Returns per-layer (dW, db) plus the gradient w.r.t. the input
+        (needed to push critic gradients into the actor's action).
+        """
+        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers
+        dz = d_out
+        for i in range(self.n_layers - 1, -1, -1):
+            if i < self.n_layers - 1:
+                dz = dz * (1.0 - acts[i + 1] ** 2)
+            grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+            dz = dz @ self.weights[i].T
+        return grads, dz
+
+    def params_flat(self) -> np.ndarray:
+        chunks = []
+        for w, b in zip(self.weights, self.biases):
+            chunks.append(w.ravel())
+            chunks.append(b)
+        return np.concatenate(chunks)
+
+    def set_params_flat(self, vec: np.ndarray) -> None:
+        pos = 0
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            self.weights[i] = vec[pos:pos + w.size].reshape(w.shape).copy()
+            pos += w.size
+            self.biases[i] = vec[pos:pos + b.size].copy()
+            pos += b.size
+        if pos != len(vec):
+            raise ValueError("parameter vector size mismatch")
+
+    def copy(self) -> "Mlp":
+        return Mlp(self.widths, [w.copy() for w in self.weights],
+                   [b.copy() for b in self.biases])
+
+    def is_finite(self) -> bool:
+        return all(np.all(np.isfinite(w)) for w in self.weights) and \
+            all(np.all(np.isfinite(b)) for b in self.biases)
+
+
+@dataclass
+class ActorOutput:
+    mean: np.ndarray
+    log_std: np.ndarray
+    action: np.ndarray
+    log_prob: float
+
+
+@dataclass
+class Batch:
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
+class ReplayBuffer:
+    """Fixed-capacity ring of transitions with seeded uniform sampling."""
+
+    def __init__(self, capacity: int, state_dim: int, action_dim: int = 2):
+        self.capacity = capacity
+        self.states = np.zeros((capacity, state_dim))
+        self.actions = np.zeros((capacity, action_dim))
+        self.rewards = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, state_dim))
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self.size = 0
+        self.cursor = 0
+
+    def push(self, s: np.ndarray, a: np.ndarray, r: float, s2: np.ndarray,
+             terminal: bool) -> None:
+        i = self.cursor
+        self.states[i] = s
+        self.actions[i] = a
+        self.rewards[i] = r
+        self.next_states[i] = s2
+        self.terminals[i] = terminal
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        if self.size < batch_size:
+            raise ValueError("buffer smaller than batch size")
+        idx = rng.integers(0, self.size, size=batch_size)
+        return Batch(self.states[idx].copy(), self.actions[idx].copy(),
+                     self.rewards[idx].copy(), self.next_states[idx].copy(),
+                     self.terminals[idx].copy())
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    gamma: float = 0.99
+    alpha: float = 0.2
+    lr_actor: float = 1e-3
+    lr_critic: float = 1e-3
+    tau: float = 0.01
+    batch_size: int = 64
+    buffer_capacity: int = 100_000
+    seed: int = 0
+    hidden: tuple[int, ...] = (64, 64)
+    grad_clip: float = 1.0
+    checkpoint_every: int = 50
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.gamma <= 1.0):
+            raise ValueError("gamma must be in (0, 1]")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        if not (0.0 < self.tau <= 1.0):
+            raise ValueError("tau must be in (0, 1]")
+        for name in ("lr_actor", "lr_critic", "batch_size",
+                     "buffer_capacity", "grad_clip", "checkpoint_every"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
+
+@dataclass
+class PolicyBundle:
+    """Actor, critic, and target critic (SGD keeps no optimizer state)."""
+
+    actor: Mlp
+    critic: Mlp
+    target_critic: Mlp
+
+    @classmethod
+    def create(cls, state_dim: int, cfg: TrainConfig,
+               rng: np.random.Generator, action_dim: int = 2) -> "PolicyBundle":
+        actor = Mlp.create([state_dim, *cfg.hidden, 2 * action_dim], rng)
+        # Small head: the initial policy is near-zero mean with unit std,
+        # i.e. isotropic exploration rather than a heading bias.
+        actor.weights[-1] = actor.weights[-1] * 0.01
+        critic = Mlp.create([state_dim + action_dim, *cfg.hidden, 1], rng)
+        return cls(actor, critic, critic.copy())
+
+    def copy(self) -> "PolicyBundle":
+        return PolicyBundle(self.actor.copy(), self.critic.copy(),
+                            self.target_critic.copy())
+
+
+def _split_actor_head(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dim = out.shape[1] // 2
+    mean = out[:, :dim]
+    raw = out[:, dim:]
+    log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+    return mean, raw, log_std
+
+
+def actor_sample_batch(net: Mlp, states: np.ndarray, noise: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Squashed-Gaussian samples for a batch given explicit noise.
+
+    Returns (actions, per-sample log-probs, cache dict for backprop).
+    """
+    out, acts = net.forward(states)
+    mean, raw, log_std = _split_actor_head(out)
+    std = np.exp(log_std)
+    pre = mean + std * noise
+    action = np.tanh(pre)
+    log_prob = (-0.5 * noise ** 2 - log_std - 0.5 * _LOG_2PI
+                - np.log(1.0 - action ** 2 + SQUASH_EPS)).sum(axis=1)
+    cache = {"acts": acts, "raw": raw, "log_std": log_std, "std": std,
+             "noise": noise, "action": action}
+    return action, log_prob, cache
+
+
+def forward_actor(net: Mlp, state: np.ndarray,
+                  rng: np.random.Generator) -> ActorOutput:
+    """Sample one action; deterministic given (net, state, rng state)."""
+    s = np.asarray(state, dtype=float).reshape(1, -1)
+    if s.shape[1] != net.widths[0]:
+        raise ValueError(f"state width {s.shape[1]} != input width {net.widths[0]}")
+    dim = net.widths[-1] // 2
+    noise = rng.standard_normal((1, dim))
+    action, log_prob, cache = actor_sample_batch(net, s, noise)
+    out = cache["acts"][-1]
+    mean, _, log_std = _split_actor_head(out)
+    return ActorOutput(mean[0], log_std[0], action[0], float(log_prob[0]))
+
+
+def actor_mean_action(net: Mlp, state: np.ndarray) -> np.ndarray:
+    """Deterministic evaluation action: squashed mean, no noise."""
+    s = np.asarray(state, dtype=float).reshape(1, -1)
+    out = net(s)
+    mean, _, _ = _split_actor_head(out)
+    return np.tanh(mean[0])
+
+
+def forward_critic(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
+    x = np.concatenate([np.asarray(state, dtype=float).ravel(),
+                        np.asarray(action, dtype=float).ravel()]).reshape(1, -1)
+    if x.shape[1] != net.widths[0]:
+        raise ValueError(f"input width {x.shape[1]} != critic width {net.widths[0]}")
+    return float(net(x)[0, 0])
+
+
+def action_log_density(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
+    """log pi(a|s) at an arbitrary squashed action with |a_k| < 1."""
+    s = np.asarray(state, dtype=float).reshape(1, -1)
+    a = np.asarray(action, dtype=float).reshape(1, -1)
+    out = net(s)
+    mean, _, log_std = _split_actor_head(out)
+    std = np.exp(log_std)
+    pre = np.arctanh(a)
+    z = (pre - mean) / std
+    log_prob = (-0.5 * z ** 2 - log_std - 0.5 * _LOG_2PI
+                - np.log(1.0 - a ** 2 + SQUASH_EPS)).sum(axis=1)
+    return float(log_prob[0])
+
+
+def critic_target(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
+                  noise: np.ndarray) -> np.ndarray:
+    """Per-sample regression target; bootstrap masked on terminals."""
+    a2, log_p2, _ = actor_sample_batch(nets.actor, batch.next_states, noise)
+    q2 = nets.target_critic(np.concatenate([batch.next_states, a2], axis=1))[:, 0]
+    boot = q2 - cfg.alpha * log_p2
+    return batch.rewards + cfg.gamma * boot * (~batch.terminals)
+
+
+def critic_loss_and_grads(critic: Mlp, states: np.ndarray, actions: np.ndarray,
+                          y: np.ndarray) -> tuple[float, list]:
+    x = np.concatenate([states, actions], axis=1)
+    q, acts = critic.forward(x)
+    diff = q[:, 0] - y
+    loss = float(np.mean(diff ** 2))
+    d_q = (2.0 * diff / len(diff)).reshape(-1, 1)
+    grads, _ = critic.backward(d_q, acts)
+    return loss, grads
+
+
+def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
+                         noise: np.ndarray, alpha: float
+                         ) -> tuple[float, list, dict]:
+    """Loss mean(alpha*logpi - Q) and its actor gradients (critic frozen).
+
+    The gradient flows through the squashed sample into the critic's action
+    input and through the explicit mean/log-std dependence of the density.
+    """
+    n = len(states)
+    action, log_prob, cache = actor_sample_batch(actor, states, noise)
+    x = np.concatenate([states, action], axis=1)
+    q, q_acts = critic.forward(x)
+    q = q[:, 0]
+    loss = float(np.mean(alpha * log_prob - q))
+
+    # d(loss)/dQ = -1/n per sample -> gradient w.r.t. the critic's input
+    _, d_input = critic.backward(np.full((n, 1), -1.0 / n), q_acts)
+    d_a = d_input[:, states.shape[1]:]
+
+    a = cache["action"]
+    # squash-correction term of log pi differentiates to 2a/(1-a^2+eps)
+    d_a = d_a + (alpha / n) * 2.0 * a / (1.0 - a ** 2 + SQUASH_EPS)
+    d_pre = d_a * (1.0 - a ** 2)
+    d_mean = d_pre
+    d_log_std = d_pre * cache["std"] * cache["noise"] - (alpha / n)
+    clip_mask = ((cache["raw"] > LOG_STD_MIN) & (cache["raw"] < LOG_STD_MAX))
+    d_raw = d_log_std * clip_mask
+    d_out = np.concatenate([d_mean, d_raw], axis=1)
+    grads, _ = actor.backward(d_out, cache["acts"])
+
+    info = {"mean_q": float(np.mean(q)), "mean_log_prob": float(np.mean(log_prob)),
+            "advantages": q - float(np.mean(q))}
+    return loss, grads, info
+
+
+def _clip_global_norm(grads: list, clip: float) -> list:
+    total = math.sqrt(sum(float(np.sum(dw ** 2) + np.sum(db ** 2))
+                          for dw, db in grads))
+    if total > clip:
+        scale = clip / total
+        grads = [(dw * scale, db * scale) for dw, db in grads]
+    return grads
+
+
+def _sgd_step(net: Mlp, grads: list, lr: float) -> None:
+    for i, (dw, db) in enumerate(grads):
+        net.weights[i] = net.weights[i] - lr * dw
+        net.biases[i] = net.biases[i] - lr * db
+
+
+def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
+                  rng: np.random.Generator) -> float:
+    """One SGD step on the critic regression loss; returns the pre-step loss."""
+    dim = nets.actor.widths[-1] // 2
+    noise = rng.standard_normal((len(batch), dim))
+    y = critic_target(batch, nets, cfg, noise)
+    loss, grads = critic_loss_and_grads(nets.critic, batch.states,
+                                        batch.actions, y)
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"critic loss diverged: {loss}")
+    grads = _clip_global_norm(grads, cfg.grad_clip)
+    _sgd_step(nets.critic, grads, cfg.lr_critic)
+    if not nets.critic.is_finite():
+        raise TrainingDiverged("critic parameters became non-finite")
+    return loss
+
+
+def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
+                 rng: np.random.Generator) -> float:
+    """One SGD step ascending the reparameterized objective; returns the
+    pre-step loss."""
+    dim = nets.actor.widths[-1] // 2
+    noise = rng.standard_normal((len(batch), dim))
+    loss, grads, _ = actor_loss_and_grads(nets.actor, nets.critic,
+                                          batch.states, noise, cfg.alpha)
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"actor loss diverged: {loss}")
+    grads = _clip_global_norm(grads, cfg.grad_clip)
+    _sgd_step(nets.actor, grads, cfg.lr_actor)
+    if not nets.actor.is_finite():
+        raise TrainingDiverged("actor parameters became non-finite")
+    return loss
+
+
+def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
+    """Polyak update: target <- (1 - tau) * target + tau * online."""
+    if target.widths != online.widths:
+        raise ValueError("shape mismatch between target and online networks")
+    for i in range(target.n_layers):
+        target.weights[i] = (1.0 - tau) * target.weights[i] + tau * online.weights[i]
+        target.biases[i] = (1.0 - tau) * target.biases[i] + tau * online.biases[i]
+
+
+# -- checkpoint serialization -------------------------------------------------
+#
+# Layout: magic "CEPN1", u32 network count, then per network a u32 width count,
+# the widths as u32, and the parameters as little-endian float64 in layer
+# order (each layer's weight matrix row-major, then its bias vector).
+# Networks are written actor, critic, target critic.
+
+
+def save_checkpoint(path, bundle: PolicyBundle) -> None:
+    blobs = [CHECKPOINT_MAGIC,
+             struct.pack("<I", 3)]
+    for net in (bundle.actor, bundle.critic, bundle.target_critic):
+        blobs.append(struct.pack("<I", len(net.widths)))
+        blobs.append(struct.pack(f"<{len(net.widths)}I", *net.widths))
+        blobs.append(net.params_flat().astype("<f8").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(b"".join(blobs))
+
+
+def _param_count(widths: list[int]) -> int:
+    return sum((i + 1) * o for i, o in zip(widths[:-1], widths[1:]))
+
+
+def load_checkpoint(path) -> PolicyBundle:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ValueError("bad checkpoint magic")
+    pos = len(CHECKPOINT_MAGIC)
+    (n_nets,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    nets = []
+    for _ in range(n_nets):
+        (n_widths,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        widths = list(struct.unpack_from(f"<{n_widths}I", data, pos))
+        pos += 4 * n_widths
+        count = _param_count(widths)
+        params = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+        pos += 8 * count
+        net = Mlp(widths, [], [])
+        net.weights = [np.zeros((i, o)) for i, o in zip(widths[:-1], widths[1:])]
+        net.biases = [np.zeros(o) for o in widths[1:]]
+        net.set_params_flat(params)
+        nets.append(net)
+    if pos != len(data):
+        raise ValueError("trailing bytes in checkpoint")
+    if len(nets) != 3:
+        raise ValueError(f"expected 3 networks in checkpoint, got {len(nets)}")
+    return PolicyBundle(*nets)

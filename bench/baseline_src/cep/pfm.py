@@ -1,0 +1,67 @@
+"""Potential-field motion planner: inverse-square repulsion from detected
+pursuers plus inverse-square attraction toward the nearest boundary point.
+
+Used both as a standalone baseline evader and as the training scaffold.  The
+force only sets a direction; the commanded velocity is always full speed (or
+zero on a vanishing net force).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .env import ArenaConfig
+from .sensing import Detection
+
+__all__ = ["PfmGains", "net_force", "pfm_action"]
+
+_FORCE_EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class PfmGains:
+    """Force gains; ``singularity_floor`` caps the 1/d^2 blow-up at contact."""
+
+    k_p: float = 1.0
+    k_b: float = 1.0
+    singularity_floor: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not (self.k_p > 0 and self.k_b > 0):
+            raise ValueError("gains must be > 0")
+        if not self.singularity_floor > 0:
+            raise ValueError("singularity_floor must be > 0")
+
+
+def net_force(detections: list[Detection],
+              nearest_boundary: tuple[float, tuple[float, float]],
+              gains: PfmGains) -> tuple[float, float]:
+    """Sum of per-pursuer repulsions and the boundary attraction.
+
+    ``nearest_boundary`` is (distance, unit direction toward the wall).
+    Distances are floored at ``singularity_floor`` before squaring.
+    """
+    fx = fy = 0.0
+    for det in detections:
+        d = max(det.distance, gains.singularity_floor)
+        mag = gains.k_p / (d * d)
+        # bearing points evader -> pursuer; repulsion points the other way
+        fx -= mag * math.cos(det.bearing)
+        fy -= mag * math.sin(det.bearing)
+    d_b, (bx, by) = nearest_boundary
+    d = max(d_b, gains.singularity_floor)
+    mag = gains.k_b / (d * d)
+    fx += mag * bx
+    fy += mag * by
+    return fx, fy
+
+
+def pfm_action(force: tuple[float, float], cfg: ArenaConfig) -> tuple[float, float]:
+    """Full-speed command along the net force; zero command on a null force."""
+    fx, fy = force
+    norm = math.hypot(fx, fy)
+    if norm < _FORCE_EPS:
+        return 0.0, 0.0
+    scale = cfg.v_e_max / norm
+    return fx * scale, fy * scale

@@ -1,0 +1,239 @@
+"""Simulated lidar, boundary-distance scan, time factor, and state encoding.
+
+Rays are cast in the evader frame, which is evader-centered and axis-aligned
+(the evader localizes itself, so directions are absolute): ray ``k`` points
+at angle ``2*pi*k/n_s`` from the +x axis.  Rotating the whole scene about the
+evader by one ray step therefore shifts the scan indices cyclically.
+Pursuers are modeled as discs of radius ``capture_radius / 2``; each lidar
+ray reports the nearest intersection distance, or the sensor range ``r_e``
+on a miss.  The boundary scan measures the distance along each ray to the
+confinement rectangle.
+
+Encoded observation (element-wise, ``i = 0..n_s-1``)::
+
+    lidar      D_l[i] = k_s * z_i / r_e
+    boundary   D_b[i] = k_s * (1 - b_i / r_b_norm)
+    state      s[i]   = t_f * (w_l * D_l[i] + w_b * D_b[i]) / (w_l + w_b)
+
+with the time factor ``t_f = (1 - t/t_max) / 2`` decaying linearly from 0.5
+to 0 over the episode.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .env import ArenaConfig, WorldState, nearest_wall
+
+__all__ = [
+    "SensingConfig",
+    "LidarScan",
+    "Detection",
+    "BoundaryScan",
+    "StateVector",
+    "SenseFrame",
+    "cast_rays",
+    "encode_lidar",
+    "boundary_scan",
+    "encode_boundary",
+    "time_factor",
+    "encode_state",
+    "nearest_boundary_distance",
+    "sense",
+]
+
+
+@dataclass(frozen=True)
+class SensingConfig:
+    """Ray count, encoding amplitude, source weights, and the boundary
+    normalization constant (must dominate the largest possible ray length)."""
+
+    n_s: int = 72
+    k_s: float = 1.0
+    w_l: float = 1.0
+    w_b: float = 1.0
+    r_b_norm: float = 200.0
+
+    def __post_init__(self) -> None:
+        if self.n_s < 4:
+            raise ValueError("n_s must be >= 4")
+        if not self.k_s > 0:
+            raise ValueError("k_s must be > 0")
+        if self.w_l < 0 or self.w_b < 0 or not (self.w_l + self.w_b) > 0:
+            raise ValueError("weights must be >= 0 with a positive sum")
+        if not self.r_b_norm > 0:
+            raise ValueError("r_b_norm must be > 0")
+
+
+@dataclass
+class LidarScan:
+    """Per-ray ranges in meters, 0 < z_i <= r_e; angles are evader-frame."""
+
+    ranges: np.ndarray
+    angles: np.ndarray
+
+    @property
+    def n_s(self) -> int:
+        return len(self.ranges)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One pursuer within the evader's sensor range.
+
+    ``bearing`` is the world-frame angle of the evader->pursuer line;
+    ``theta`` the angle between the pursuer's heading and the
+    pursuer->evader line (0 means head-on approach).
+    """
+
+    pursuer_id: int
+    distance: float
+    bearing: float
+    speed: float
+    theta: float
+
+
+@dataclass
+class BoundaryScan:
+    distances: np.ndarray
+
+
+@dataclass
+class StateVector:
+    """The encoded observation: ``n_s`` scalars plus the time factor that
+    already multiplies them (kept alongside for reward bookkeeping)."""
+
+    values: np.ndarray
+    t_f: float
+
+
+@dataclass
+class SenseFrame:
+    """Everything the policies and reward functions need at one instant."""
+
+    scan: LidarScan
+    detections: list[Detection]
+    boundary: BoundaryScan
+    d_b: float
+    boundary_dir: tuple[float, float]
+    state: StateVector
+
+
+def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    angles = 2.0 * math.pi * np.arange(n_s) / n_s
+    return np.cos(angles), np.sin(angles)
+
+
+def cast_rays(w: WorldState, arena: ArenaConfig,
+              cfg: SensingConfig) -> tuple[LidarScan, list[Detection]]:
+    """Lidar over the pursuer discs plus the detection list.
+
+    A ray's range is the nearest positive disc intersection within ``r_e``,
+    else ``r_e``.  Detections list every pursuer whose center distance is
+    within ``r_e``, ordered by pursuer id.
+    """
+    e = w.evader
+    n_s = cfg.n_s
+    cx, sx = _ray_directions(n_s)
+    ranges = np.full(n_s, arena.r_e)
+
+    detections: list[Detection] = []
+    if w.pursuers:
+        rel = np.array([[p.x - e.x, p.y - e.y] for p in w.pursuers])
+        dists = np.hypot(rel[:, 0], rel[:, 1])
+
+        radius = arena.capture_radius / 2.0
+        # t_c: projection of each center onto each ray, shape (n_pursuers, n_s)
+        t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
+        perp_sq = (dists ** 2)[:, None] - t_c ** 2
+        disc = radius ** 2 - perp_sq
+        hit = disc >= 0.0
+        h = np.sqrt(np.maximum(disc, 0.0))
+        t0 = t_c - h
+        t1 = t_c + h
+        t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
+        t = np.where(hit, t, np.inf)
+        if len(w.pursuers) > 0:
+            nearest = t.min(axis=0)
+            ranges = np.minimum(nearest, arena.r_e)
+
+        for i, p in enumerate(w.pursuers):
+            d = float(dists[i])
+            if d <= arena.r_e:
+                bearing = math.atan2(p.y - e.y, p.x - e.x)
+                if d > 0.0:
+                    cos_theta = (math.cos(p.heading) * (e.x - p.x)
+                                 + math.sin(p.heading) * (e.y - p.y)) / d
+                    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+                else:
+                    theta = 0.0
+                detections.append(Detection(i, d, bearing, p.speed, theta))
+
+    scan = LidarScan(ranges, 2.0 * math.pi * np.arange(n_s) / n_s)
+    return scan, detections
+
+
+def encode_lidar(scan: LidarScan, arena: ArenaConfig,
+                 cfg: SensingConfig) -> np.ndarray:
+    return cfg.k_s * scan.ranges / arena.r_e
+
+
+def boundary_scan(evader_pos: tuple[float, float], arena: ArenaConfig,
+                  cfg: SensingConfig) -> BoundaryScan:
+    """Distance along each evader-frame ray to the confinement rectangle.
+
+    Outside the arena all distances are 0 (the episode is already terminal).
+    """
+    x, y = evader_pos
+    if abs(x) > arena.half_width or abs(y) > arena.half_height:
+        return BoundaryScan(np.zeros(cfg.n_s))
+    cx, sx = _ray_directions(cfg.n_s)
+    with np.errstate(divide="ignore"):
+        tx = np.where(cx > 0.0, (arena.half_width - x) / cx,
+                      np.where(cx < 0.0, (-arena.half_width - x) / cx, np.inf))
+        ty = np.where(sx > 0.0, (arena.half_height - y) / sx,
+                      np.where(sx < 0.0, (-arena.half_height - y) / sx, np.inf))
+    return BoundaryScan(np.minimum(tx, ty))
+
+
+def encode_boundary(scan: BoundaryScan, cfg: SensingConfig) -> np.ndarray:
+    return cfg.k_s * (1.0 - scan.distances / cfg.r_b_norm)
+
+
+def time_factor(t: float, t_max: float) -> float:
+    """Urgency factor (1 - t/t_max)/2, from 0.5 at start to 0 at timeout."""
+    if t > t_max:
+        raise ValueError(f"t={t} exceeds t_max={t_max}")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return (1.0 - t / t_max) / 2.0
+
+
+def encode_state(lidar_enc: np.ndarray, boundary_enc: np.ndarray, t_f: float,
+                 cfg: SensingConfig) -> StateVector:
+    if len(lidar_enc) != len(boundary_enc):
+        raise ValueError("lidar and boundary encodings must have equal length")
+    values = t_f * (cfg.w_l * lidar_enc + cfg.w_b * boundary_enc) / (cfg.w_l + cfg.w_b)
+    return StateVector(values, t_f)
+
+
+def nearest_boundary_distance(evader_pos: tuple[float, float],
+                              arena: ArenaConfig) -> float:
+    """Perpendicular distance to the nearest wall; 0 outside the arena."""
+    return nearest_wall(evader_pos, arena)[0]
+
+
+def sense(w: WorldState, arena: ArenaConfig, cfg: SensingConfig) -> SenseFrame:
+    """Full observation of ``w``: scans, detections, nearest wall, and the
+    encoded state.  ``t`` is clamped to ``t_max`` (the final step can land one
+    float ulp past it)."""
+    scan, detections = cast_rays(w, arena, cfg)
+    bscan = boundary_scan((w.evader.x, w.evader.y), arena, cfg)
+    d_b, b_dir = nearest_wall((w.evader.x, w.evader.y), arena)
+    t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
+    state = encode_state(encode_lidar(scan, arena, cfg),
+                         encode_boundary(bscan, cfg), t_f, cfg)
+    return SenseFrame(scan, detections, bscan, d_b, b_dir, state)

@@ -1,0 +1,235 @@
+"""Scaffolded stepping: a one-step forward model estimates the reward of the
+actor's and the planner's proposals, and a threshold on their percentage gap
+decides which action runs and which reward is stored.
+
+Arbitration for one step (``r_r``/``r_p`` the estimated actor/planner rewards):
+
+    D_f = 100 * (r_r - r_p) / |r_p + eps|
+    actor branch   (D_f >= -beta, or beta >= 100): execute a_r, store r_r
+    planner branch (otherwise):                    execute a_p, store
+                                                   r_r - |r_p - r_r|
+
+``beta >= 100`` forces the actor branch outright so that a fully open
+threshold is exactly the unscaffolded trainer (D_f itself is unbounded below
+when r_p sits near -eps, so the raw inequality alone would not guarantee it).
+
+The forward model advances the evader by the candidate action and every
+pursuer at its current velocity (no mode switches, no wall reflections), then
+runs the ordinary sensing + reward pipeline on a copy of the reward state.
+The independent trainer shares this machinery with scaffolding disabled: it
+executes the actor's action and stores the same one-step reward estimate, so
+a beta=100 scaffolded run is transcript-identical to it by construction.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .env import ArenaConfig, EpisodeOutcome, WorldState, PursuerState, \
+    check_outcome, step_evader, step_world, _advance
+from .neural import Mlp, PolicyBundle, forward_actor
+from .pfm import PfmGains, net_force, pfm_action
+from .rewards import RewardBreakdown, RewardState, transition_reward
+from .sensing import SenseFrame, SensingConfig, StateVector, sense
+
+__all__ = [
+    "ScaffoldConfig",
+    "Branch",
+    "ExperienceTuple",
+    "ScaffoldDecision",
+    "StepResult",
+    "reward_gap",
+    "scaffold_select",
+    "predict_next_state",
+    "EpisodeStepper",
+]
+
+
+@dataclass(frozen=True)
+class ScaffoldConfig:
+    """Threshold (percent), gap-denominator guard, and the choice of which
+    action enters the stored tuple (executed action by default; the
+    always-store-actor variant is kept for ablation)."""
+
+    beta: float = 20.0
+    epsilon: float = 1e-6
+    store_executed_action: bool = True
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.beta <= 100.0):
+            raise ValueError("beta must be in [0, 100]")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
+
+
+class Branch(Enum):
+    ACTOR = "actor"
+    PLANNER = "planner"
+
+
+@dataclass
+class ExperienceTuple:
+    """One stored transition; ``action`` is pre-scaling (unit-box) space."""
+
+    state: StateVector
+    action: np.ndarray
+    reward: float
+    next_state: StateVector
+    terminal: bool
+    branch: Branch
+
+
+@dataclass(frozen=True)
+class ScaffoldDecision:
+    r_r: float
+    r_p: float
+    d_f: float
+    executed: Branch
+
+
+@dataclass
+class StepResult:
+    """Everything one environment step produced, for logging and training."""
+
+    experience: ExperienceTuple
+    outcome: EpisodeOutcome | None
+    decision: ScaffoldDecision | None
+    realized_reward: float
+    realized_breakdown: RewardBreakdown
+
+
+def reward_gap(r_r: float, r_p: float, eps: float) -> float:
+    """Percentage gap between the actor's and planner's expected rewards."""
+    denom = abs(r_p + eps)
+    if denom == 0.0:
+        if r_r == r_p:
+            return 0.0
+        return math.copysign(math.inf, r_r - r_p)
+    return 100.0 * (r_r - r_p) / denom
+
+
+def scaffold_select(r_r: float, r_p: float, d_f: float,
+                    beta: float) -> tuple[Branch, float]:
+    """Pick the branch and the reward the experience tuple stores."""
+    if d_f >= -beta or beta >= 100.0:
+        return Branch.ACTOR, r_r
+    return Branch.PLANNER, r_r - abs(r_p - r_r)
+
+
+def predict_next_state(w: WorldState, action: tuple[float, float],
+                       arena: ArenaConfig, sensing_cfg: SensingConfig,
+                       reward_state: RewardState, reward_sign: float = -1.0
+                       ) -> tuple[WorldState, float, SenseFrame, RewardBreakdown]:
+    """Estimate the next world and reward for a candidate action.
+
+    The evader is advanced by the (clipped) action; pursuers extrapolate at
+    their current velocity.  Sensing and rewards run on the estimate with a
+    copy of the reward state; ``w`` and the real state are never touched.
+    """
+    evader = step_evader(w.evader, action, arena)
+    pursuers = []
+    for p in w.pursuers:
+        nx, ny = _advance(p.x, p.y, p.speed, p.heading, arena.dt)
+        pursuers.append(PursuerState(nx, ny, p.speed, p.heading, p.mode,
+                                     p.patrol_speed))
+    n = w.step_count + 1
+    w_est = WorldState(evader, pursuers, t=n * arena.dt, step_count=n, rng=w.rng)
+    frame = sense(w_est, arena, sensing_cfg)
+    rs = reward_state.copy()
+    breakdown, r_est = transition_reward(frame.detections, frame.d_b,
+                                         frame.state.t_f, rs, arena, reward_sign)
+    return w_est, r_est, frame, breakdown
+
+
+class EpisodeStepper:
+    """Owns one episode: world, cached observation, and reward bookkeeping.
+
+    With ``scaffold`` set the step runs the full arbitration; without it the
+    step is the independent trainer (actor action, estimated reward stored).
+    Evaluation uses :meth:`step_action` instead, which executes an arbitrary
+    action and reports the realized reward.
+    """
+
+    def __init__(self, world: WorldState, arena: ArenaConfig,
+                 sensing_cfg: SensingConfig, scaffold: ScaffoldConfig | None,
+                 gains: PfmGains | None = None, reward_sign: float = -1.0):
+        self.world = world
+        self.arena = arena
+        self.sensing_cfg = sensing_cfg
+        self.scaffold = scaffold
+        self.gains = gains if gains is not None else PfmGains()
+        self.reward_sign = reward_sign
+        self.frame = sense(world, arena, sensing_cfg)
+        self.reward_state = RewardState(d_b_prev=self.frame.d_b)
+        # A spawn can be terminal outright (pursuer just outside the origin
+        # region within capture radius); loops must check before stepping.
+        self.initial_outcome = check_outcome(world, arena)
+
+    def planner_action(self) -> tuple[float, float]:
+        force = net_force(self.frame.detections,
+                          (self.frame.d_b, self.frame.boundary_dir), self.gains)
+        return pfm_action(force, self.arena)
+
+    def actor_to_world(self, a: np.ndarray) -> tuple[float, float]:
+        """Scale a unit-box actor output to a velocity command; the
+        observation frame is axis-aligned, so no rotation is involved."""
+        return float(a[0]) * self.arena.v_e_max, float(a[1]) * self.arena.v_e_max
+
+    def world_to_actor(self, v: tuple[float, float]) -> np.ndarray:
+        """Inverse of :meth:`actor_to_world` (stores planner actions)."""
+        return np.array([v[0] / self.arena.v_e_max, v[1] / self.arena.v_e_max])
+
+    def _advance_world(self, action: tuple[float, float]
+                       ) -> tuple[EpisodeOutcome | None, RewardBreakdown, float]:
+        self.world, outcome = step_world(self.world, action, self.arena)
+        self.frame = sense(self.world, self.arena, self.sensing_cfg)
+        breakdown, realized = transition_reward(
+            self.frame.detections, self.frame.d_b, self.frame.state.t_f,
+            self.reward_state, self.arena, self.reward_sign)
+        return outcome, breakdown, realized
+
+    def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
+        """One training step: sample the actor, arbitrate, act, store."""
+        state = self.frame.state
+        actor_out = forward_actor(nets.actor, state.values, rng)
+        a_r = actor_out.action
+        a_r_env = self.actor_to_world(a_r)
+
+        _, r_r, _, _ = predict_next_state(self.world, a_r_env, self.arena,
+                                          self.sensing_cfg, self.reward_state,
+                                          self.reward_sign)
+        decision = None
+        branch = Branch.ACTOR
+        stored_reward = r_r
+        env_action = a_r_env
+        stored_action = a_r
+        if self.scaffold is not None:
+            a_p_env = self.planner_action()
+            _, r_p, _, _ = predict_next_state(self.world, a_p_env, self.arena,
+                                              self.sensing_cfg,
+                                              self.reward_state,
+                                              self.reward_sign)
+            d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
+            branch, stored_reward = scaffold_select(r_r, r_p, d_f,
+                                                    self.scaffold.beta)
+            decision = ScaffoldDecision(r_r, r_p, d_f, branch)
+            if branch is Branch.PLANNER:
+                env_action = a_p_env
+                if self.scaffold.store_executed_action:
+                    stored_action = self.world_to_actor(a_p_env)
+
+        outcome, breakdown, realized = self._advance_world(env_action)
+        experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),
+                                     stored_reward, self.frame.state,
+                                     outcome is not None, branch)
+        return StepResult(experience, outcome, decision, realized, breakdown)
+
+    def step_action(self, action: tuple[float, float]
+                    ) -> tuple[EpisodeOutcome | None, float, RewardBreakdown]:
+        """Execute an externally chosen action (evaluation/replay path)."""
+        outcome, breakdown, realized = self._advance_world(action)
+        return outcome, realized, breakdown
