@@ -14,7 +14,7 @@ and chase at full speed while the evader is within their sensor range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -109,10 +109,6 @@ class PursuerState:
         if self.patrol_speed == 0.0:
             self.patrol_speed = self.speed
 
-    def copy(self) -> "PursuerState":
-        return PursuerState(self.x, self.y, self.speed, self.heading,
-                            self.mode, self.patrol_speed)
-
 
 @dataclass
 class EvaderState:
@@ -121,9 +117,6 @@ class EvaderState:
     vx: float = 0.0
     vy: float = 0.0
     heading: float = 0.0
-
-    def copy(self) -> "EvaderState":
-        return EvaderState(self.x, self.y, self.vx, self.vy, self.heading)
 
     @property
     def speed(self) -> float:
@@ -145,11 +138,6 @@ class WorldState:
     step_count: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
-
-    def copy(self) -> "WorldState":
-        w = WorldState(self.evader.copy(), [p.copy() for p in self.pursuers],
-                       self.t, self.step_count, self.rng)
-        return w
 
 
 class OutcomeKind(Enum):
@@ -208,9 +196,12 @@ def step_evader(s: EvaderState, action: tuple[float, float],
     """Advance the evader by one step of the commanded velocity.
 
     The command is norm-clipped to ``v_e_max``; the heading follows the
-    applied velocity and is unchanged for a zero command.
+    applied velocity and is unchanged for a zero command.  A NaN or infinite
+    component raises ``ValueError``: it has no direction to clip along.
     """
     vx, vy = float(action[0]), float(action[1])
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        raise ValueError(f"evader action {(vx, vy)} is not finite")
     speed = math.hypot(vx, vy)
     if speed > cfg.v_e_max:
         scale = cfg.v_e_max / speed
@@ -329,8 +320,3 @@ def objective_value(w: WorldState, detection_distances, cfg: ArenaConfig,
         pursuer_term = sum((cfg.r_e - d) / (m * cfg.r_e)
                            for d in detection_distances)
     return pursuer_term + d_b / r_b_norm
-
-
-def with_seed(cfg: ArenaConfig, seed: int) -> ArenaConfig:
-    """Copy of ``cfg`` with a different init seed (episode-level reseeding)."""
-    return replace(cfg, seed=seed)

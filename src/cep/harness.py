@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .env import ArenaConfig, OutcomeKind, init_world, max_steps
+from .env import (ArenaConfig, OutcomeKind, init_world, max_steps,
+                  objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      load_checkpoint, save_checkpoint, soft_update)
@@ -43,7 +44,6 @@ __all__ = [
     "sweep",
     "replay",
     "load_grid",
-    "write_train_log",
     "write_eval_episodes",
     "write_eval_summary",
     "write_sweep_csv",
@@ -60,6 +60,22 @@ def _fmt(value) -> str:
             return "nan"
         return f"{value:.9g}"
     return str(value)
+
+
+def _header(record_type) -> list[str]:
+    """CSV header of a record dataclass: its field names in order."""
+    return [f.name for f in fields(record_type)]
+
+
+def _row(record) -> list[str]:
+    return [_fmt(getattr(record, f.name)) for f in fields(record)]
+
+
+def _write_records(path, record_type, records) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_header(record_type))
+        writer.writerows(_row(r) for r in records)
 
 
 def _episode_seed(run_seed: int, tag: int, episode: int) -> int:
@@ -174,9 +190,7 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     if out_path is not None:
         log_file = open(out_path / "train_log.csv", "w", newline="")
         writer = csv.writer(log_file, lineterminator="\n")
-        writer.writerow(["episode", "outcome", "steps", "cum_reward",
-                         "mean_reward", "actor_fraction", "neg_coeff_steps",
-                         "mean_critic_loss", "mean_actor_loss", "updates"])
+        writer.writerow(_header(EpisodeLog))
 
     last_good = bundle.copy()
     diverged = False
@@ -228,11 +242,7 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                 aloss_sum / updates if updates else 0.0,
                 updates))
             if writer is not None:
-                log = logs[-1]
-                writer.writerow([_fmt(v) for v in (
-                    log.episode, log.outcome, log.steps, log.cum_reward,
-                    log.mean_reward, log.actor_fraction, log.neg_coeff_steps,
-                    log.mean_critic_loss, log.mean_actor_loss, log.updates)])
+                writer.writerow(_row(logs[-1]))
                 log_file.flush()
             last_good = bundle.copy()
 
@@ -413,11 +423,10 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         w = stepper.world
         f = stepper.frame
         r_d, r_b, sum_w, reward = reward_parts
-        from .env import objective_value
         obj = objective_value(w, [d.distance for d in f.detections], arena,
                               cfg.sensing.r_b_norm)
         values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
-                  float(np.min(f.scan.ranges)), len(f.detections), sum_w,
+                  float(np.min(f.lidar)), len(f.detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]
         for p in w.pursuers:
             values += [p.x, p.y]
@@ -446,27 +455,8 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
 # -- CSV writers ---------------------------------------------------------------
 
 
-def write_train_log(path, logs: list[EpisodeLog]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["episode", "outcome", "steps", "cum_reward",
-                         "mean_reward", "actor_fraction", "neg_coeff_steps",
-                         "mean_critic_loss", "mean_actor_loss", "updates"])
-        for log in logs:
-            writer.writerow([_fmt(v) for v in (
-                log.episode, log.outcome, log.steps, log.cum_reward,
-                log.mean_reward, log.actor_fraction, log.neg_coeff_steps,
-                log.mean_critic_loss, log.mean_actor_loss, log.updates)])
-
-
 def write_eval_episodes(path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["episode", "outcome", "steps", "cum_reward",
-                         "mean_reward"])
-        for e in report.episodes:
-            writer.writerow([_fmt(v) for v in (
-                e.episode, e.outcome, e.steps, e.cum_reward, e.mean_reward)])
+    _write_records(path, EvalEpisode, report.episodes)
 
 
 def write_eval_summary(path, report: EvalReport) -> None:
@@ -483,11 +473,4 @@ def write_eval_summary(path, report: EvalReport) -> None:
 
 
 def write_sweep_csv(path, cells: list[SweepCell]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_pursuers", "v_ratio", "r_ratio", "escape_pct",
-                         "mean_escape_steps", "episodes"])
-        for c in cells:
-            writer.writerow([_fmt(v) for v in (
-                c.n_pursuers, c.v_ratio, c.r_ratio, c.escape_pct,
-                c.mean_escape_steps, c.episodes)])
+    _write_records(path, SweepCell, cells)

@@ -196,9 +196,9 @@ class ReplayBuffer:
         if self.size < batch_size:
             raise ValueError("buffer smaller than batch size")
         idx = rng.integers(0, self.size, size=batch_size)
-        return Batch(self.states[idx].copy(), self.actions[idx].copy(),
-                     self.rewards[idx].copy(), self.next_states[idx].copy(),
-                     self.terminals[idx].copy())
+        # Fancy indexing returns copies, so the batch owns its arrays.
+        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.terminals[idx])
 
 
 @dataclass(frozen=True)

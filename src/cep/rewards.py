@@ -45,7 +45,6 @@ class RewardBreakdown:
 
     r_d: float
     r_b: float
-    weights: list[float]
     sum_w: float
     m: int
     t_f: float
@@ -115,9 +114,8 @@ def transition_reward(detections: list[Detection], d_b_now: float, t_f: float,
     Returns the verbatim breakdown and the signed reward the harness trains
     and reports on (``sign * r``).
     """
-    weights = [pursuer_weight(d.distance, cfg.r_e) for d in detections]
     r_d, sum_w, m = reward_pursuers(detections, state.history, cfg)
     r_b = reward_boundary(state.d_b_prev, d_b_now, cfg)
     state.d_b_prev = d_b_now
     r = compose_reward(r_b, r_d, sum_w, m, t_f)
-    return RewardBreakdown(r_d, r_b, weights, sum_w, m, t_f, r), sign * r
+    return RewardBreakdown(r_d, r_b, sum_w, m, t_f, r), sign * r

@@ -26,22 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ArenaConfig, WorldState, nearest_wall
+from .env import ArenaConfig, PursuerState, WorldState, nearest_wall
 
 __all__ = [
     "SensingConfig",
-    "LidarScan",
     "Detection",
-    "BoundaryScan",
     "StateVector",
     "SenseFrame",
+    "detect_pursuers",
     "cast_rays",
     "encode_lidar",
     "boundary_scan",
     "encode_boundary",
     "time_factor",
     "encode_state",
-    "nearest_boundary_distance",
     "sense",
 ]
 
@@ -68,18 +66,6 @@ class SensingConfig:
             raise ValueError("r_b_norm must be > 0")
 
 
-@dataclass
-class LidarScan:
-    """Per-ray ranges in meters, 0 < z_i <= r_e; angles are evader-frame."""
-
-    ranges: np.ndarray
-    angles: np.ndarray
-
-    @property
-    def n_s(self) -> int:
-        return len(self.ranges)
-
-
 @dataclass(frozen=True)
 class Detection:
     """One pursuer within the evader's sensor range.
@@ -97,11 +83,6 @@ class Detection:
 
 
 @dataclass
-class BoundaryScan:
-    distances: np.ndarray
-
-
-@dataclass
 class StateVector:
     """The encoded observation: ``n_s`` scalars plus the time factor that
     already multiplies them (kept alongside for reward bookkeeping)."""
@@ -112,11 +93,14 @@ class StateVector:
 
 @dataclass
 class SenseFrame:
-    """Everything the policies and reward functions need at one instant."""
+    """Everything the policies and reward functions need at one instant.
 
-    scan: LidarScan
+    ``lidar`` holds the per-ray lidar ranges in meters (0 < z_i <= r_e) and
+    ``boundary`` the per-ray distances to the confinement rectangle."""
+
+    lidar: np.ndarray
     detections: list[Detection]
-    boundary: BoundaryScan
+    boundary: np.ndarray
     d_b: float
     boundary_dir: tuple[float, float]
     state: StateVector
@@ -127,80 +111,88 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
+def detect_pursuers(evader_xy: tuple[float, float], pursuer_xy: np.ndarray,
+                    pursuers: list[PursuerState], r_e: float
+                    ) -> tuple[np.ndarray, np.ndarray, list[Detection]]:
+    """Offsets from the evader to the pursuers, their lengths, and the
+    detections.
+
+    ``pursuer_xy`` is an ``(n, 2)`` array of pursuer positions; speeds and
+    headings come from ``pursuers``, in the same order.  Detections list every
+    pursuer whose center distance is within ``r_e``, ordered by pursuer id.
+    """
+    rel = pursuer_xy - evader_xy
+    dists = np.hypot(rel[:, 0], rel[:, 1])
+    detections: list[Detection] = []
+    for i, (d, (rx, ry), p) in enumerate(zip(dists.tolist(), rel.tolist(),
+                                             pursuers)):
+        if d <= r_e:
+            bearing = math.atan2(ry, rx)
+            if d > 0.0:
+                # -rx, -ry: the pursuer->evader line, exactly.
+                cos_theta = (math.cos(p.heading) * -rx
+                             + math.sin(p.heading) * -ry) / d
+                theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+            else:
+                theta = 0.0
+            detections.append(Detection(i, d, bearing, p.speed, theta))
+    return rel, dists, detections
+
+
 def cast_rays(w: WorldState, arena: ArenaConfig,
-              cfg: SensingConfig) -> tuple[LidarScan, list[Detection]]:
-    """Lidar over the pursuer discs plus the detection list.
+              cfg: SensingConfig) -> tuple[np.ndarray, list[Detection]]:
+    """Lidar ranges over the pursuer discs plus the detection list.
 
     A ray's range is the nearest positive disc intersection within ``r_e``,
-    else ``r_e``.  Detections list every pursuer whose center distance is
-    within ``r_e``, ordered by pursuer id.
+    else ``r_e``.
     """
     e = w.evader
-    n_s = cfg.n_s
-    cx, sx = _ray_directions(n_s)
-    ranges = np.full(n_s, arena.r_e)
+    pursuer_xy = np.array([(p.x, p.y) for p in w.pursuers]).reshape(-1, 2)
+    rel, dists, detections = detect_pursuers((e.x, e.y), pursuer_xy,
+                                             w.pursuers, arena.r_e)
+    if not w.pursuers:
+        return np.full(cfg.n_s, arena.r_e), detections
 
-    detections: list[Detection] = []
-    if w.pursuers:
-        rel = np.array([[p.x - e.x, p.y - e.y] for p in w.pursuers])
-        dists = np.hypot(rel[:, 0], rel[:, 1])
-
-        radius = arena.capture_radius / 2.0
-        # t_c: projection of each center onto each ray, shape (n_pursuers, n_s)
-        t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
-        perp_sq = (dists ** 2)[:, None] - t_c ** 2
-        disc = radius ** 2 - perp_sq
-        hit = disc >= 0.0
-        h = np.sqrt(np.maximum(disc, 0.0))
-        t0 = t_c - h
-        t1 = t_c + h
-        t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
-        t = np.where(hit, t, np.inf)
-        if len(w.pursuers) > 0:
-            nearest = t.min(axis=0)
-            ranges = np.minimum(nearest, arena.r_e)
-
-        for i, p in enumerate(w.pursuers):
-            d = float(dists[i])
-            if d <= arena.r_e:
-                bearing = math.atan2(p.y - e.y, p.x - e.x)
-                if d > 0.0:
-                    cos_theta = (math.cos(p.heading) * (e.x - p.x)
-                                 + math.sin(p.heading) * (e.y - p.y)) / d
-                    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-                else:
-                    theta = 0.0
-                detections.append(Detection(i, d, bearing, p.speed, theta))
-
-    scan = LidarScan(ranges, 2.0 * math.pi * np.arange(n_s) / n_s)
-    return scan, detections
+    cx, sx = _ray_directions(cfg.n_s)
+    radius = arena.capture_radius / 2.0
+    # t_c: projection of each center onto each ray, shape (n_pursuers, n_s)
+    t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
+    perp_sq = (dists ** 2)[:, None] - t_c ** 2
+    disc = radius ** 2 - perp_sq
+    hit = disc >= 0.0
+    h = np.sqrt(np.maximum(disc, 0.0))
+    t0 = t_c - h
+    t1 = t_c + h
+    t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
+    t = np.where(hit, t, np.inf)
+    return np.minimum(t.min(axis=0), arena.r_e), detections
 
 
-def encode_lidar(scan: LidarScan, arena: ArenaConfig,
+def encode_lidar(ranges: np.ndarray, arena: ArenaConfig,
                  cfg: SensingConfig) -> np.ndarray:
-    return cfg.k_s * scan.ranges / arena.r_e
+    return cfg.k_s * ranges / arena.r_e
 
 
 def boundary_scan(evader_pos: tuple[float, float], arena: ArenaConfig,
-                  cfg: SensingConfig) -> BoundaryScan:
+                  cfg: SensingConfig) -> np.ndarray:
     """Distance along each evader-frame ray to the confinement rectangle.
 
     Outside the arena all distances are 0 (the episode is already terminal).
     """
     x, y = evader_pos
     if abs(x) > arena.half_width or abs(y) > arena.half_height:
-        return BoundaryScan(np.zeros(cfg.n_s))
+        return np.zeros(cfg.n_s)
     cx, sx = _ray_directions(cfg.n_s)
     with np.errstate(divide="ignore"):
         tx = np.where(cx > 0.0, (arena.half_width - x) / cx,
                       np.where(cx < 0.0, (-arena.half_width - x) / cx, np.inf))
         ty = np.where(sx > 0.0, (arena.half_height - y) / sx,
                       np.where(sx < 0.0, (-arena.half_height - y) / sx, np.inf))
-    return BoundaryScan(np.minimum(tx, ty))
+    return np.minimum(tx, ty)
 
 
-def encode_boundary(scan: BoundaryScan, cfg: SensingConfig) -> np.ndarray:
-    return cfg.k_s * (1.0 - scan.distances / cfg.r_b_norm)
+def encode_boundary(distances: np.ndarray, cfg: SensingConfig) -> np.ndarray:
+    return cfg.k_s * (1.0 - distances / cfg.r_b_norm)
 
 
 def time_factor(t: float, t_max: float) -> float:
@@ -220,20 +212,15 @@ def encode_state(lidar_enc: np.ndarray, boundary_enc: np.ndarray, t_f: float,
     return StateVector(values, t_f)
 
 
-def nearest_boundary_distance(evader_pos: tuple[float, float],
-                              arena: ArenaConfig) -> float:
-    """Perpendicular distance to the nearest wall; 0 outside the arena."""
-    return nearest_wall(evader_pos, arena)[0]
-
-
 def sense(w: WorldState, arena: ArenaConfig, cfg: SensingConfig) -> SenseFrame:
     """Full observation of ``w``: scans, detections, nearest wall, and the
     encoded state.  ``t`` is clamped to ``t_max`` (the final step can land one
     float ulp past it)."""
-    scan, detections = cast_rays(w, arena, cfg)
-    bscan = boundary_scan((w.evader.x, w.evader.y), arena, cfg)
-    d_b, b_dir = nearest_wall((w.evader.x, w.evader.y), arena)
+    lidar, detections = cast_rays(w, arena, cfg)
+    pos = (w.evader.x, w.evader.y)
+    boundary = boundary_scan(pos, arena, cfg)
+    d_b, b_dir = nearest_wall(pos, arena)
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
-    state = encode_state(encode_lidar(scan, arena, cfg),
-                         encode_boundary(bscan, cfg), t_f, cfg)
-    return SenseFrame(scan, detections, bscan, d_b, b_dir, state)
+    state = encode_state(encode_lidar(lidar, arena, cfg),
+                         encode_boundary(boundary, cfg), t_f, cfg)
+    return SenseFrame(lidar, detections, boundary, d_b, b_dir, state)

@@ -15,7 +15,15 @@ when r_p sits near -eps, so the raw inequality alone would not guarantee it).
 
 The forward model advances the evader by the candidate action and every
 pursuer at its current velocity (no mode switches, no wall reflections), then
-runs the ordinary sensing + reward pipeline on a copy of the reward state.
+scores the estimate with :func:`transition_reward` on a copy of the reward
+state.  That reward reads only three parts of an observation: the detections,
+the nearest-wall distance ``d_b`` and the time factor ``t_f``.  The lidar
+ranges, the boundary scan and the encoded state feed only the actor's input,
+which the estimate never needs.  So the model computes just the three, by the
+same arithmetic ``sense`` uses (:func:`detect_pursuers`, the distance half of
+``nearest_wall``, and :func:`time_factor` at ``(step_count + 1) * dt``
+clamped to ``t_max``), and its estimate equals, bit for bit, the reward of
+sensing the extrapolated world in full.
 The independent trainer shares this machinery with scaffolding disabled: it
 executes the actor's action and stores the same one-step reward estimate, so
 a beta=100 scaffolded run is transcript-identical to it by construction.
@@ -29,12 +37,13 @@ from enum import Enum
 
 import numpy as np
 
-from .env import ArenaConfig, EpisodeOutcome, WorldState, PursuerState, \
-    check_outcome, step_evader, step_world, _advance
-from .neural import Mlp, PolicyBundle, forward_actor
+from .env import ArenaConfig, EpisodeOutcome, WorldState, check_outcome, \
+    nearest_wall_distance, step_evader, step_world, _advance
+from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, net_force, pfm_action
 from .rewards import RewardBreakdown, RewardState, transition_reward
-from .sensing import SenseFrame, SensingConfig, StateVector, sense
+from .sensing import SensingConfig, StateVector, detect_pursuers, sense, \
+    time_factor
 
 __all__ = [
     "ScaffoldConfig",
@@ -121,28 +130,24 @@ def scaffold_select(r_r: float, r_p: float, d_f: float,
 
 
 def predict_next_state(w: WorldState, action: tuple[float, float],
-                       arena: ArenaConfig, sensing_cfg: SensingConfig,
-                       reward_state: RewardState, reward_sign: float = -1.0
-                       ) -> tuple[WorldState, float, SenseFrame, RewardBreakdown]:
-    """Estimate the next world and reward for a candidate action.
+                       arena: ArenaConfig, reward_state: RewardState,
+                       reward_sign: float = -1.0) -> float:
+    """Estimate the signed reward of a candidate action.
 
     The evader is advanced by the (clipped) action; pursuers extrapolate at
-    their current velocity.  Sensing and rewards run on the estimate with a
-    copy of the reward state; ``w`` and the real state are never touched.
+    their current velocity.  The reward is scored on a copy of the reward
+    state; ``w`` and ``reward_state`` are never touched.
     """
     evader = step_evader(w.evader, action, arena)
-    pursuers = []
-    for p in w.pursuers:
-        nx, ny = _advance(p.x, p.y, p.speed, p.heading, arena.dt)
-        pursuers.append(PursuerState(nx, ny, p.speed, p.heading, p.mode,
-                                     p.patrol_speed))
-    n = w.step_count + 1
-    w_est = WorldState(evader, pursuers, t=n * arena.dt, step_count=n, rng=w.rng)
-    frame = sense(w_est, arena, sensing_cfg)
-    rs = reward_state.copy()
-    breakdown, r_est = transition_reward(frame.detections, frame.d_b,
-                                         frame.state.t_f, rs, arena, reward_sign)
-    return w_est, r_est, frame, breakdown
+    pos = (evader.x, evader.y)
+    pursuer_xy = np.array([_advance(p.x, p.y, p.speed, p.heading, arena.dt)
+                           for p in w.pursuers]).reshape(-1, 2)
+    _, _, detections = detect_pursuers(pos, pursuer_xy, w.pursuers, arena.r_e)
+    t = min((w.step_count + 1) * arena.dt, arena.t_max)
+    _, r_est = transition_reward(detections, nearest_wall_distance(pos, arena),
+                                 time_factor(t, arena.t_max),
+                                 reward_state.copy(), arena, reward_sign)
+    return r_est
 
 
 class EpisodeStepper:
@@ -199,9 +204,8 @@ class EpisodeStepper:
         a_r = actor_out.action
         a_r_env = self.actor_to_world(a_r)
 
-        _, r_r, _, _ = predict_next_state(self.world, a_r_env, self.arena,
-                                          self.sensing_cfg, self.reward_state,
-                                          self.reward_sign)
+        r_r = predict_next_state(self.world, a_r_env, self.arena,
+                                 self.reward_state, self.reward_sign)
         decision = None
         branch = Branch.ACTOR
         stored_reward = r_r
@@ -209,10 +213,8 @@ class EpisodeStepper:
         stored_action = a_r
         if self.scaffold is not None:
             a_p_env = self.planner_action()
-            _, r_p, _, _ = predict_next_state(self.world, a_p_env, self.arena,
-                                              self.sensing_cfg,
-                                              self.reward_state,
-                                              self.reward_sign)
+            r_p = predict_next_state(self.world, a_p_env, self.arena,
+                                     self.reward_state, self.reward_sign)
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
             branch, stored_reward = scaffold_select(r_r, r_p, d_f,
                                                     self.scaffold.beta)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cep.env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
                      PursuerMode, PursuerState, check_outcome, init_world,
-                     max_steps, nearest_wall, objective_value, step_evader,
-                     step_pursuer, step_world)
+                     max_steps, nearest_wall, nearest_wall_distance,
+                     objective_value, step_evader, step_pursuer, step_world)
 
 TOL = 1e-12
 
@@ -100,6 +100,22 @@ class TestStepEvader:
         cfg = small_arena()
         s = step_evader(EvaderState(0.0, 0.0), (vx, vy), cfg)
         assert s.speed <= cfg.v_e_max + 1e-9
+
+    @pytest.mark.parametrize("action", [(math.nan, 0.0), (math.inf, 0.0),
+                                        (-math.inf, math.inf)])
+    def test_non_finite_action_raises(self, action):
+        # A NaN position would leave the arena test false: scored ESCAPED.
+        cfg = small_arena()
+        with pytest.raises(ValueError, match="not finite"):
+            step_evader(EvaderState(0.0, 0.0), action, cfg)
+        with pytest.raises(ValueError, match="not finite"):
+            step_world(init_world(cfg), action, cfg)
+
+    def test_huge_finite_action_clipped(self):
+        cfg = small_arena()
+        s = step_evader(EvaderState(0.0, 0.0), (1e308, 1e308), cfg)
+        assert abs(s.speed - cfg.v_e_max) < 1e-9
+        assert abs(s.vx - s.vy) < TOL
 
 
 class TestStepPursuer:
@@ -274,3 +290,11 @@ class TestNearestWall:
     def test_outside_clamps_to_zero(self):
         cfg = small_arena()
         assert nearest_wall((101.0, 0.0), cfg)[0] == 0.0
+
+
+class TestNearestWallDistance:
+    def test_examples(self):
+        cfg = small_arena()
+        assert abs(nearest_wall_distance((0.0, 0.0), cfg) - 100.0) < TOL
+        assert abs(nearest_wall_distance((90.0, 0.0), cfg) - 10.0) < TOL
+        assert abs(nearest_wall_distance((99.9, 99.9), cfg) - 0.1) < 1e-9

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cep.env import ArenaConfig, EvaderState, PursuerState, init_world
-from cep.sensing import (BoundaryScan, LidarScan, SensingConfig, boundary_scan,
-                         cast_rays, encode_boundary, encode_lidar,
-                         encode_state, nearest_boundary_distance, sense,
+from cep.env import (ArenaConfig, EvaderState, PursuerState, init_world,
+                     nearest_wall_distance)
+from cep.sensing import (SensingConfig, boundary_scan, cast_rays,
+                         encode_boundary, encode_lidar, encode_state, sense,
                          time_factor)
 
 TOL = 1e-12
@@ -33,7 +33,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
-        assert np.all(scan.ranges == cfg.r_e)
+        assert np.all(scan == cfg.r_e)
         assert detections == []
 
     def test_pursuer_on_ray_zero(self):
@@ -43,9 +43,9 @@ class TestCastRays:
         p = PursuerState(5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
-        assert scan.ranges[0] < 5.0
-        assert abs(scan.ranges[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
-        assert np.all(scan.ranges[1:] == cfg.r_e)
+        assert scan[0] < 5.0
+        assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
+        assert np.all(scan[1:] == cfg.r_e)
         assert len(detections) == 1 and detections[0].distance == 5.0
 
     def test_pursuer_beyond_range_absent(self):
@@ -63,7 +63,7 @@ class TestCastRays:
         far = PursuerState(8.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [far, near], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
-        assert abs(scan.ranges[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
+        assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
         assert len(detections) == 2
 
     def test_detection_theta_head_on(self):
@@ -84,8 +84,8 @@ class TestCastRays:
             p = PursuerState(d, 0.0, 5.0, 0.0)
             w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
             scan, _ = cast_rays(w, cfg, scfg)
-            assert scan.ranges[0] <= prev + 1e-12
-            prev = scan.ranges[0]
+            assert scan[0] <= prev + 1e-12
+            prev = scan[0]
 
     def test_scene_rotation_permutes_ranges(self):
         cfg = arena()
@@ -103,7 +103,7 @@ class TestCastRays:
                    for p in pursuers]
         w2 = world_with(EvaderState(0.0, 0.0, heading=0.0), rotated, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
-        assert np.allclose(np.roll(scan.ranges, 1), scan2.ranges, atol=1e-9)
+        assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
 
     def test_heading_does_not_affect_scan(self):
         # the sensing frame is evader-centered and axis-aligned
@@ -115,16 +115,15 @@ class TestCastRays:
         scan, _ = cast_rays(w, cfg, scfg)
         w2 = world_with(EvaderState(0.0, 0.0, heading=-2.1), pursuers, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
-        assert np.array_equal(scan.ranges, scan2.ranges)
+        assert np.array_equal(scan, scan2)
 
 
 class TestEncodeLidar:
     def test_values(self):
         cfg = arena()
         scfg = SensingConfig(n_s=4, k_s=1.0)
-        scan = LidarScan(np.array([cfg.r_e, cfg.r_e / 2, 1e-9, cfg.r_e]),
-                         np.zeros(4))
-        enc = encode_lidar(scan, cfg, scfg)
+        enc = encode_lidar(np.array([cfg.r_e, cfg.r_e / 2, 1e-9, cfg.r_e]),
+                           cfg, scfg)
         assert abs(enc[0] - 1.0) < TOL
         assert abs(enc[1] - 0.5) < TOL
         assert enc[2] < 1e-9 and enc[2] > 0
@@ -135,24 +134,23 @@ class TestBoundaryScan:
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         scan = boundary_scan((0.0, 0.0), cfg, scfg)
-        assert abs(scan.distances[0] - 100.0) < 1e-9
+        assert abs(scan[0] - 100.0) < 1e-9
 
     def test_center_diagonal_ray(self):
         cfg = arena()
         scfg = SensingConfig(n_s=8)   # ray 1 at 45 degrees
         scan = boundary_scan((0.0, 0.0), cfg, scfg)
-        assert abs(scan.distances[1] - 100.0 * math.sqrt(2)) < 1e-9
+        assert abs(scan[1] - 100.0 * math.sqrt(2)) < 1e-9
 
     def test_outside_is_zero(self):
         cfg = arena()
         scfg = SensingConfig(n_s=8)
         scan = boundary_scan((150.0, 0.0), cfg, scfg)
-        assert np.all(scan.distances == 0.0)
+        assert np.all(scan == 0.0)
 
     def test_encode_far_boundary_zero(self):
         scfg = SensingConfig(n_s=4, r_b_norm=200.0)
-        enc = encode_boundary(BoundaryScan(np.array([200.0, 100.0, 0.0, 50.0])),
-                              scfg)
+        enc = encode_boundary(np.array([200.0, 100.0, 0.0, 50.0]), scfg)
         assert abs(enc[0]) < TOL
         assert abs(enc[1] - 0.5) < TOL
         assert abs(enc[2] - 1.0) < TOL
@@ -164,8 +162,8 @@ class TestBoundaryScan:
         rng = np.random.default_rng(seed)
         pos = (rng.uniform(-99, 99), rng.uniform(-99, 99))
         scan = boundary_scan(pos, cfg, scfg)
-        d_b = nearest_boundary_distance(pos, cfg)
-        m = float(np.min(scan.distances))
+        d_b = nearest_wall_distance(pos, cfg)
+        m = float(np.min(scan))
         assert m >= d_b - 1e-9
         assert m <= d_b + 2 * math.pi * d_b / scfg.n_s + 1e-9
 
@@ -215,11 +213,3 @@ class TestEncodeState:
         frame = sense(w, cfg, scfg)
         assert np.all(frame.state.values >= 0.0)
         assert np.all(frame.state.values <= scfg.k_s / 2 + TOL)
-
-
-class TestNearestBoundaryDistance:
-    def test_examples(self):
-        cfg = arena()
-        assert abs(nearest_boundary_distance((0.0, 0.0), cfg) - 100.0) < TOL
-        assert abs(nearest_boundary_distance((90.0, 0.0), cfg) - 10.0) < TOL
-        assert abs(nearest_boundary_distance((99.9, 99.9), cfg) - 0.1) < 1e-9
