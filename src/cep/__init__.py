@@ -4,8 +4,8 @@ planner-scaffolded training, and a Monte-Carlo evaluation harness."""
 
 from .config import RunConfig, desk_profile, load_config, paper_profile, save_config
 from .env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
-                  PursuerMode, PursuerState, WorldState, init_world,
-                  objective_value, step_evader, step_pursuer, step_world)
+                  Pursuers, WorldState, init_world, objective_value,
+                  step_evader, step_pursuers, step_world)
 from .harness import (ActorPolicy, EpisodeLog, EvalReport, PfmPolicy,
                       RandomWalkPolicy, evaluate_monte_carlo, replay, sweep,
                       train)

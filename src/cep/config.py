@@ -31,7 +31,8 @@ __all__ = [
     "config_to_text",
 ]
 
-MODES = ("iac", "sr2l", "pfm", "random")
+# The training modes; evaluation picks its policy on the command line instead.
+MODES = ("iac", "sr2l")
 
 _SECTIONS = ("arena", "sensing", "train", "scaffold", "pfm")
 

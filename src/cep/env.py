@@ -6,14 +6,22 @@ origin.  The evader spawns inside the smaller square region ``Omega`` of
 half-extent ``spawn_half_extent``; pursuers spawn uniformly in ``A \\ Omega``.
 
 An episode advances in fixed steps of ``dt`` seconds: the evader moves first,
-then every pursuer in list order, then elapsed time and termination are
-updated.  Pursuers patrol on straight lines, reflect specularly off the walls,
-and chase at full speed while the evader is within their sensor range.
+then all pursuers at once (each sees the evader's new position, none sees
+another pursuer), then elapsed time and termination are updated.  Pursuers
+patrol on straight lines, reflect specularly off the walls, and chase at full
+speed while the evader is within their sensor range.
+
+The pursuers of a world are one :class:`Pursuers` struct of parallel arrays,
+row ``i`` being pursuer ``i``.  Besides its heading each row stores the unit
+vector ``unit = (cos heading, sin heading)``, computed with ``math.cos`` and
+``math.sin`` whenever the heading is set, so that a step, the detections and
+the forward model all move along the same, once-computed direction.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,15 +29,14 @@ import numpy as np
 
 __all__ = [
     "ArenaConfig",
-    "PursuerMode",
-    "PursuerState",
+    "Pursuers",
     "EvaderState",
     "WorldState",
     "OutcomeKind",
     "EpisodeOutcome",
     "init_world",
     "step_evader",
-    "step_pursuer",
+    "step_pursuers",
     "step_world",
     "max_steps",
     "nearest_wall_distance",
@@ -88,26 +95,42 @@ class ArenaConfig:
             raise ValueError("t_max must be > dt")
 
 
-class PursuerMode(Enum):
-    PATROL = "patrol"
-    CHASE = "chase"
+@dataclass(eq=False)
+class Pursuers:
+    """All pursuers of one world as parallel arrays, row ``i`` pursuer ``i``.
 
+    ``xy`` is ``(n, 2)`` positions, ``speed`` the current speed, ``heading``
+    the direction of travel and ``unit`` its ``(n, 2)`` unit vector, with
+    ``unit[i] == (math.cos(heading[i]), math.sin(heading[i]))`` exactly.
+    ``patrol_speed`` is the episode-constant cruise speed a pursuer reverts to
+    after losing the evader, and ``chasing`` marks the pursuers that saw the
+    evader on their last step.  A world never writes these arrays in place:
+    a step returns new arrays, or shares the ones it leaves unchanged.
+    """
 
-@dataclass
-class PursuerState:
-    """One pursuer.  ``patrol_speed`` is the episode-constant cruise speed the
-    pursuer reverts to after losing the evader (chase overwrites ``speed``)."""
+    xy: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    unit: np.ndarray
+    patrol_speed: np.ndarray
+    chasing: np.ndarray
 
-    x: float
-    y: float
-    speed: float
-    heading: float
-    mode: PursuerMode = PursuerMode.PATROL
-    patrol_speed: float = 0.0
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]
+                  ) -> "Pursuers":
+        """Patrolling pursuers from ``(x, y, speed, heading)`` rows."""
+        rows = list(rows)
+        n = len(rows)
+        table = np.array(rows, dtype=float).reshape(n, 4)
+        unit = np.array([(math.cos(h), math.sin(h))
+                         for h in table[:, 3].tolist()]).reshape(n, 2)
+        return cls(xy=table[:, :2].copy(), speed=table[:, 2].copy(),
+                   heading=table[:, 3].copy(), unit=unit,
+                   patrol_speed=table[:, 2].copy(),
+                   chasing=np.zeros(n, dtype=bool))
 
-    def __post_init__(self) -> None:
-        if self.patrol_speed == 0.0:
-            self.patrol_speed = self.speed
+    def __len__(self) -> int:
+        return len(self.speed)
 
 
 @dataclass
@@ -123,23 +146,6 @@ class EvaderState:
         return math.hypot(self.vx, self.vy)
 
 
-@dataclass
-class WorldState:
-    """Full mutable game state owned by exactly one episode runner.
-
-    ``t`` is always ``step_count * dt`` (recomputed, never accumulated) so the
-    step bound ceil(t_max/dt) holds without float drift.  The RNG is consumed
-    only by :func:`init_world`; stepping is fully deterministic.
-    """
-
-    evader: EvaderState
-    pursuers: list[PursuerState]
-    t: float = 0.0
-    step_count: int = 0
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
-
-
 class OutcomeKind(Enum):
     ESCAPED = "escaped"
     CAPTURED = "captured"
@@ -151,6 +157,26 @@ class EpisodeOutcome:
     kind: OutcomeKind
     steps: int
     final_t: float
+
+
+@dataclass
+class WorldState:
+    """Full mutable game state owned by exactly one episode runner.
+
+    ``t`` is always ``step_count * dt`` (recomputed, never accumulated) so the
+    step bound ceil(t_max/dt) holds without float drift.  The RNG is consumed
+    only by :func:`init_world`; stepping is fully deterministic.  ``outcome``
+    is set by :func:`init_world` and :func:`step_world` once the world is
+    terminal; such a world is never stepped.
+    """
+
+    evader: EvaderState
+    pursuers: Pursuers
+    t: float = 0.0
+    step_count: int = 0
+    rng: np.random.Generator = field(
+        default_factory=lambda: np.random.default_rng(0))
+    outcome: EpisodeOutcome | None = None
 
 
 def max_steps(cfg: ArenaConfig) -> int:
@@ -168,7 +194,10 @@ def init_world(cfg: ArenaConfig) -> WorldState:
     The evader is uniform in Omega with zero velocity and uniform heading;
     each pursuer is uniform in A \\ Omega (rejection sampling) with speed
     uniform in [v_p_min, v_p_max] and uniform heading.  Draw order is fixed,
-    so identical seeds produce bit-identical worlds.
+    so identical seeds produce bit-identical worlds.  A spawn can be terminal
+    outright (a pursuer just outside Omega within capture radius), so the
+    world's ``outcome`` is set here too; escape and timeout cannot hold at
+    spawn (Omega lies inside the arena and ``t_max > dt``).
     """
     rng = np.random.default_rng(cfg.seed)
     s = cfg.spawn_half_extent
@@ -177,7 +206,7 @@ def init_world(cfg: ArenaConfig) -> WorldState:
     eh = float(rng.uniform(-math.pi, math.pi))
     evader = EvaderState(ex, ey, 0.0, 0.0, eh)
 
-    pursuers = []
+    rows = []
     for _ in range(cfg.n_pursuers):
         while True:
             px = float(rng.uniform(-cfg.half_width, cfg.half_width))
@@ -186,9 +215,13 @@ def init_world(cfg: ArenaConfig) -> WorldState:
                 break
         speed = float(rng.uniform(cfg.v_p_min, cfg.v_p_max))
         heading = float(rng.uniform(-math.pi, math.pi))
-        pursuers.append(PursuerState(px, py, speed, heading))
+        rows.append((px, py, speed, heading))
 
-    return WorldState(evader, pursuers, t=0.0, step_count=0, rng=rng)
+    pursuers = Pursuers.from_rows(rows)
+    outcome = EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0) \
+        if _captured(evader, pursuers, cfg) else None
+    return WorldState(evader, pursuers, t=0.0, step_count=0, rng=rng,
+                      outcome=outcome)
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],
@@ -211,15 +244,10 @@ def step_evader(s: EvaderState, action: tuple[float, float],
     return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy, heading)
 
 
-def _advance(x: float, y: float, speed: float, heading: float,
-             dt: float) -> tuple[float, float]:
-    return x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt
-
-
-def _reflect_heading(heading: float, flip_x: bool, flip_y: bool) -> float:
-    # Specular reflection: a vertical wall flips the x velocity component
-    # (psi -> pi - psi), a horizontal wall flips y (psi -> -psi).
-    c, s = math.cos(heading), math.sin(heading)
+def _reflect_heading(c: float, s: float, flip_x: bool, flip_y: bool) -> float:
+    # Specular reflection of the direction (c, s) = (cos psi, sin psi): a
+    # vertical wall flips the x component (psi -> pi - psi), a horizontal
+    # wall flips y (psi -> -psi).
     if flip_x:
         c = -c
     if flip_y:
@@ -227,34 +255,55 @@ def _reflect_heading(heading: float, flip_x: bool, flip_y: bool) -> float:
     return math.atan2(s, c)
 
 
-def step_pursuer(p: PursuerState, evader_pos: tuple[float, float],
-                 cfg: ArenaConfig) -> PursuerState:
-    """Advance one pursuer by ``dt``.
+def step_pursuers(p: Pursuers, evader_pos: tuple[float, float],
+                  cfg: ArenaConfig) -> Pursuers:
+    """Advance every pursuer by ``dt``.
 
-    Within sensor range the pursuer chases: heading locked on the evader,
-    speed ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
+    Within sensor range a pursuer chases: heading locked on the evader, speed
+    ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
     current heading.  A step that would leave the arena reflects the heading
     specularly off the offending wall(s) and re-integrates, preserving speed.
+    Headings change only on the rows that lock on or reflect, one row at a
+    time with ``math.atan2``; the move itself is one array expression.
     """
     ex, ey = evader_pos
-    dist = math.hypot(ex - p.x, ey - p.y)
-    if dist <= cfg.r_p:
-        mode = PursuerMode.CHASE
-        heading = math.atan2(ey - p.y, ex - p.x)
-        speed = cfg.v_p_max
-    else:
-        mode = PursuerMode.PATROL
-        heading = p.heading
-        speed = p.patrol_speed
+    rel = p.xy - evader_pos
+    chasing = np.hypot(rel[:, 0], rel[:, 1]) <= cfg.r_p
+    heading, unit, speed = p.heading, p.unit, p.patrol_speed
+    lock = chasing.nonzero()[0].tolist()
+    if lock:
+        heading, unit = heading.copy(), unit.copy()
+        speed = np.where(chasing, cfg.v_p_max, speed)
+        for i, (x, y) in zip(lock, p.xy[lock].tolist()):
+            h = math.atan2(ey - y, ex - x)
+            heading[i] = h
+            unit[i] = math.cos(h), math.sin(h)
 
-    nx, ny = _advance(p.x, p.y, speed, heading, cfg.dt)
-    flip_x = abs(nx) > cfg.half_width
-    flip_y = abs(ny) > cfg.half_height
-    if flip_x or flip_y:
-        heading = _reflect_heading(heading, flip_x, flip_y)
-        nx, ny = _advance(p.x, p.y, speed, heading, cfg.dt)
+    xy = p.xy + speed[:, None] * unit * cfg.dt
+    # Per row: crossed a vertical wall (|x| too large), a horizontal one.
+    crossed = np.abs(xy) > (cfg.half_width, cfg.half_height)
+    rows = crossed.nonzero()[0].tolist()
+    if rows:
+        if heading is p.heading:
+            heading, unit = heading.copy(), unit.copy()
+        for i in dict.fromkeys(rows):  # a corner crossing lists its row twice
+            flip_x, flip_y = crossed[i].tolist()
+            c, s = unit[i].tolist()
+            h = _reflect_heading(c, s, flip_x, flip_y)
+            c, s = math.cos(h), math.sin(h)
+            x, y = p.xy[i].tolist()
+            v = float(speed[i])
+            heading[i] = h
+            unit[i] = c, s
+            xy[i] = x + v * c * cfg.dt, y + v * s * cfg.dt
 
-    return PursuerState(nx, ny, speed, heading, mode, p.patrol_speed)
+    return Pursuers(xy, speed, heading, unit, p.patrol_speed, chasing)
+
+
+def _captured(e: EvaderState, p: Pursuers, cfg: ArenaConfig) -> bool:
+    xy = p.xy
+    return bool(np.count_nonzero(np.hypot(xy[:, 0] - e.x, xy[:, 1] - e.y)
+                                 <= cfg.capture_radius))
 
 
 def check_outcome(w: WorldState, cfg: ArenaConfig) -> EpisodeOutcome | None:
@@ -263,9 +312,8 @@ def check_outcome(w: WorldState, cfg: ArenaConfig) -> EpisodeOutcome | None:
     e = w.evader
     if not _inside_arena(e.x, e.y, cfg):
         return EpisodeOutcome(OutcomeKind.ESCAPED, w.step_count, w.t)
-    for p in w.pursuers:
-        if math.hypot(p.x - e.x, p.y - e.y) <= cfg.capture_radius:
-            return EpisodeOutcome(OutcomeKind.CAPTURED, w.step_count, w.t)
+    if _captured(e, w.pursuers, cfg):
+        return EpisodeOutcome(OutcomeKind.CAPTURED, w.step_count, w.t)
     if w.step_count >= max_steps(cfg):
         return EpisodeOutcome(OutcomeKind.TIMEOUT, w.step_count, w.t)
     return None
@@ -275,18 +323,19 @@ def step_world(w: WorldState, evader_action: tuple[float, float],
                cfg: ArenaConfig) -> tuple[WorldState, EpisodeOutcome | None]:
     """One environment transition: evader, then pursuers, then time/termination.
 
-    Returns a new world plus the outcome when the step ends the episode.
-    Stepping an already-terminal world is a usage error.
+    Returns a new world plus the outcome when the step ends the episode (also
+    kept as the new world's ``outcome``).  Stepping a terminal world raises
+    ``RuntimeError``.
     """
-    if check_outcome(w, cfg) is not None:
+    if w.outcome is not None:
         raise RuntimeError("step_world called on a terminal world")
     evader = step_evader(w.evader, evader_action, cfg)
-    epos = (evader.x, evader.y)
-    pursuers = [step_pursuer(p, epos, cfg) for p in w.pursuers]
+    pursuers = step_pursuers(w.pursuers, (evader.x, evader.y), cfg)
     step_count = w.step_count + 1
     out = WorldState(evader, pursuers, t=step_count * cfg.dt,
                      step_count=step_count, rng=w.rng)
-    return out, check_outcome(out, cfg)
+    out.outcome = check_outcome(out, cfg)
+    return out, out.outcome
 
 
 def nearest_wall(pos: tuple[float, float],

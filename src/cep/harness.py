@@ -24,7 +24,7 @@ from .env import (ArenaConfig, OutcomeKind, init_world, max_steps,
                   objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
-                     load_checkpoint, save_checkpoint, soft_update)
+                     save_checkpoint, soft_update)
 from .pfm import PfmGains, net_force, pfm_action
 from .sensing import SenseFrame
 from .sr2l import Branch, EpisodeStepper
@@ -130,9 +130,16 @@ class RandomWalkPolicy:
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
+    """The evaluation policy named ``kind``.  An actor policy needs a bundle
+    whose actor reads ``cfg.sensing.n_s`` inputs, one per sensing ray."""
     if kind in ("iac", "sr2l", "actor", "checkpoint"):
         if bundle is None:
             raise ValueError(f"policy {kind!r} needs a checkpoint")
+        n_in = bundle.actor.widths[0]
+        if n_in != cfg.sensing.n_s:
+            raise ValueError(f"the checkpoint's actor reads {n_in} inputs, but "
+                             f"the config senses {cfg.sensing.n_s} rays "
+                             f"(sensing.n_s)")
         return ActorPolicy(bundle)
     if kind == "pfm":
         return PfmPolicy(cfg.pfm)
@@ -168,8 +175,6 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     the end; a non-finite loss halts training and the bundle rolls back to the
     last completed episode.  Returns the trained bundle and per-episode logs.
     """
-    if cfg.mode not in ("iac", "sr2l"):
-        raise ValueError(f"train requires mode iac or sr2l, got {cfg.mode!r}")
     scaffolded = cfg.mode == "sr2l"
 
     out_path = Path(out_dir) if out_dir is not None else None
@@ -371,7 +376,7 @@ def sweep(bundle: PolicyBundle, cfg: RunConfig,
           episodes: int | None = None) -> list[SweepCell]:
     """Evaluate a trained policy over (pursuer count, speed ratio, range
     ratio) cells."""
-    policy = ActorPolicy(bundle)
+    policy = make_policy("actor", cfg, bundle)
     cells = []
     n_eval = episodes if episodes is not None else cfg.eval_episodes
     for n_pursuers, v_ratio, r_ratio in grid:
@@ -410,7 +415,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     arena = replace(cfg.arena, seed=seed)
     stepper = EpisodeStepper(init_world(arena), arena, cfg.sensing, None,
                              cfg.pfm, cfg.reward_sign)
-    policy = ActorPolicy(bundle)
+    policy = make_policy("actor", cfg, bundle)
     policy.reset(seed)
 
     header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",
@@ -428,8 +433,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
                   float(np.min(f.lidar)), len(f.detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]
-        for p in w.pursuers:
-            values += [p.x, p.y]
+        values += w.pursuers.xy.ravel().tolist()
         return [_fmt(v) for v in values]
 
     rows = 0

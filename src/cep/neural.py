@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -457,21 +457,35 @@ def _param_count(widths: list[int]) -> int:
     return sum((i + 1) * o for i, o in zip(widths[:-1], widths[1:]))
 
 
+def _need(data: bytes, pos: int, size: int, what: str) -> None:
+    if pos + size > len(data):
+        raise ValueError(f"truncated checkpoint: {what} needs {size} bytes at "
+                         f"byte offset {pos}, but the file ends at byte "
+                         f"{len(data)}")
+
+
 def load_checkpoint(path) -> PolicyBundle:
+    """Read a bundle written by :func:`save_checkpoint`.  A file that is
+    truncated, has trailing bytes or a wrong magic raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
+    _need(data, 0, len(CHECKPOINT_MAGIC), "the magic")
     if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)
+    _need(data, pos, 4, "the network count")
     (n_nets,) = struct.unpack_from("<I", data, pos)
     pos += 4
     nets = []
-    for _ in range(n_nets):
+    for k in range(n_nets):
+        _need(data, pos, 4, f"the width count of network {k}")
         (n_widths,) = struct.unpack_from("<I", data, pos)
         pos += 4
+        _need(data, pos, 4 * n_widths, f"the widths of network {k}")
         widths = list(struct.unpack_from(f"<{n_widths}I", data, pos))
         pos += 4 * n_widths
         count = _param_count(widths)
+        _need(data, pos, 8 * count, f"the parameters of network {k}")
         params = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
         pos += 8 * count
         net = Mlp(widths, [], [])

@@ -21,12 +21,13 @@ to 0 over the episode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ArenaConfig, PursuerState, WorldState, nearest_wall
+from .env import ArenaConfig, Pursuers, WorldState, nearest_wall
 
 __all__ = [
     "SensingConfig",
@@ -106,36 +107,43 @@ class SenseFrame:
     state: StateVector
 
 
+@functools.lru_cache(maxsize=16)
 def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of the ``n_s`` ray angles, computed once per ``n_s``;
+    the arrays are shared by every caller, so they are read-only."""
     angles = 2.0 * math.pi * np.arange(n_s) / n_s
-    return np.cos(angles), np.sin(angles)
+    cx, sx = np.cos(angles), np.sin(angles)
+    cx.setflags(write=False)
+    sx.setflags(write=False)
+    return cx, sx
 
 
 def detect_pursuers(evader_xy: tuple[float, float], pursuer_xy: np.ndarray,
-                    pursuers: list[PursuerState], r_e: float
+                    pursuers: Pursuers, r_e: float
                     ) -> tuple[np.ndarray, np.ndarray, list[Detection]]:
     """Offsets from the evader to the pursuers, their lengths, and the
     detections.
 
-    ``pursuer_xy`` is an ``(n, 2)`` array of pursuer positions; speeds and
-    headings come from ``pursuers``, in the same order.  Detections list every
-    pursuer whose center distance is within ``r_e``, ordered by pursuer id.
+    ``pursuer_xy`` is an ``(n, 2)`` array of pursuer positions (the pursuers'
+    own ``xy``, or an extrapolation of it); speeds and heading vectors come
+    from ``pursuers``, row for row.  Detections list every pursuer whose
+    center distance is within ``r_e``, ordered by pursuer id.
     """
     rel = pursuer_xy - evader_xy
     dists = np.hypot(rel[:, 0], rel[:, 1])
     detections: list[Detection] = []
-    for i, (d, (rx, ry), p) in enumerate(zip(dists.tolist(), rel.tolist(),
-                                             pursuers)):
-        if d <= r_e:
-            bearing = math.atan2(ry, rx)
-            if d > 0.0:
-                # -rx, -ry: the pursuer->evader line, exactly.
-                cos_theta = (math.cos(p.heading) * -rx
-                             + math.sin(p.heading) * -ry) / d
-                theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-            else:
-                theta = 0.0
-            detections.append(Detection(i, d, bearing, p.speed, theta))
+    for i in (dists <= r_e).nonzero()[0].tolist():
+        rx, ry = rel[i].tolist()
+        d = float(dists[i])
+        bearing = math.atan2(ry, rx)
+        if d > 0.0:
+            # -rx, -ry: the pursuer->evader line, exactly.
+            c, s = pursuers.unit[i].tolist()
+            theta = math.acos(min(1.0, max(-1.0, (c * -rx + s * -ry) / d)))
+        else:
+            theta = 0.0
+        detections.append(Detection(i, d, bearing, float(pursuers.speed[i]),
+                                    theta))
     return rel, dists, detections
 
 
@@ -147,10 +155,9 @@ def cast_rays(w: WorldState, arena: ArenaConfig,
     else ``r_e``.
     """
     e = w.evader
-    pursuer_xy = np.array([(p.x, p.y) for p in w.pursuers]).reshape(-1, 2)
-    rel, dists, detections = detect_pursuers((e.x, e.y), pursuer_xy,
-                                             w.pursuers, arena.r_e)
-    if not w.pursuers:
+    p = w.pursuers
+    rel, dists, detections = detect_pursuers((e.x, e.y), p.xy, p, arena.r_e)
+    if not len(p):
         return np.full(cfg.n_s, arena.r_e), detections
 
     cx, sx = _ray_directions(cfg.n_s)

@@ -14,16 +14,18 @@ threshold is exactly the unscaffolded trainer (D_f itself is unbounded below
 when r_p sits near -eps, so the raw inequality alone would not guarantee it).
 
 The forward model advances the evader by the candidate action and every
-pursuer at its current velocity (no mode switches, no wall reflections), then
-scores the estimate with :func:`transition_reward` on a copy of the reward
-state.  That reward reads only three parts of an observation: the detections,
-the nearest-wall distance ``d_b`` and the time factor ``t_f``.  The lidar
-ranges, the boundary scan and the encoded state feed only the actor's input,
-which the estimate never needs.  So the model computes just the three, by the
-same arithmetic ``sense`` uses (:func:`detect_pursuers`, the distance half of
-``nearest_wall``, and :func:`time_factor` at ``(step_count + 1) * dt``
-clamped to ``t_max``), and its estimate equals, bit for bit, the reward of
-sensing the extrapolated world in full.
+pursuer at its current velocity, ``xy + speed * unit * dt`` in one array
+expression over the world's :class:`~cep.env.Pursuers` (no mode switches, no
+wall reflections), then scores the estimate with :func:`transition_reward` on
+a copy of the reward state.  That reward reads only three parts of an
+observation: the detections, the nearest-wall distance ``d_b`` and the time
+factor ``t_f``.  The lidar ranges, the boundary scan and the encoded state
+feed only the actor's input, which the estimate never needs.  So the model
+computes just the three, by the same arithmetic ``sense`` uses
+(:func:`detect_pursuers`, the distance half of ``nearest_wall``, and
+:func:`time_factor` at ``(step_count + 1) * dt`` clamped to ``t_max``), and
+its estimate equals, bit for bit, the reward of sensing the extrapolated world
+in full.
 The independent trainer shares this machinery with scaffolding disabled: it
 executes the actor's action and stores the same one-step reward estimate, so
 a beta=100 scaffolded run is transcript-identical to it by construction.
@@ -37,8 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .env import ArenaConfig, EpisodeOutcome, WorldState, check_outcome, \
-    nearest_wall_distance, step_evader, step_world, _advance
+from .env import ArenaConfig, EpisodeOutcome, WorldState, \
+    nearest_wall_distance, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, net_force, pfm_action
 from .rewards import RewardBreakdown, RewardState, transition_reward
@@ -135,14 +137,15 @@ def predict_next_state(w: WorldState, action: tuple[float, float],
     """Estimate the signed reward of a candidate action.
 
     The evader is advanced by the (clipped) action; pursuers extrapolate at
-    their current velocity.  The reward is scored on a copy of the reward
-    state; ``w`` and ``reward_state`` are never touched.
+    their current velocity along their stored heading vectors.  The reward is
+    scored on a copy of the reward state; ``w`` and ``reward_state`` are
+    never touched.
     """
     evader = step_evader(w.evader, action, arena)
     pos = (evader.x, evader.y)
-    pursuer_xy = np.array([_advance(p.x, p.y, p.speed, p.heading, arena.dt)
-                           for p in w.pursuers]).reshape(-1, 2)
-    _, _, detections = detect_pursuers(pos, pursuer_xy, w.pursuers, arena.r_e)
+    p = w.pursuers
+    pursuer_xy = p.xy + p.speed[:, None] * p.unit * arena.dt
+    _, _, detections = detect_pursuers(pos, pursuer_xy, p, arena.r_e)
     t = min((w.step_count + 1) * arena.dt, arena.t_max)
     _, r_est = transition_reward(detections, nearest_wall_distance(pos, arena),
                                  time_factor(t, arena.t_max),
@@ -172,7 +175,7 @@ class EpisodeStepper:
         self.reward_state = RewardState(d_b_prev=self.frame.d_b)
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius); loops must check before stepping.
-        self.initial_outcome = check_outcome(world, arena)
+        self.initial_outcome = world.outcome
 
     def planner_action(self) -> tuple[float, float]:
         force = net_force(self.frame.detections,

@@ -1,0 +1,81 @@
+"""Smoke tests of the ``cep`` subcommands, run in a temporary directory."""
+
+import csv
+from dataclasses import replace
+
+import pytest
+
+from cep import cli
+from cep.config import desk_profile, save_config
+from cep.sensing import SensingConfig
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A two-episode desk SR2L training run: its directory and checkpoint."""
+    out = tmp_path_factory.mktemp("train")
+    assert cli.main(["train", "--mode", "sr2l", "--episodes", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+    return out, out / "policy_final.cepn"
+
+
+def rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_train_writes_log_config_and_checkpoint(trained):
+    out, checkpoint = trained
+    assert len(rows(out / "train_log.csv")) == 2
+    assert (out / "config.txt").exists() and checkpoint.exists()
+
+
+def test_eval_pfm(tmp_path):
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--policy", "pfm", "--episodes", "2",
+                     "--out", str(out)]) == 0
+    assert len(rows(out / "eval_episodes.csv")) == 2
+    assert rows(out / "eval_summary.csv")[0]["scope"] == "all"
+
+
+def test_eval_checkpoint(trained, tmp_path):
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(trained[1]), "--episodes",
+                     "1", "--out", str(out)]) == 0
+    assert len(rows(out / "eval_episodes.csv")) == 1
+
+
+def test_sweep(trained, tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n10,1.0,0.75\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--checkpoint", str(trained[1]), "--grid",
+                     str(grid), "--episodes", "1", "--out", str(out)]) == 0
+    assert [r["n_pursuers"] for r in rows(out)] == ["5", "10"]
+
+
+def test_replay(trained, tmp_path):
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["replay", "--checkpoint", str(trained[1]), "--seed", "3",
+                     "--out", str(out)]) == 0
+    data = rows(out)
+    assert data[0]["step"] == "0" and data[-1]["outcome"] != ""
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--episodes", "1"],
+    ["sweep", "--episodes", "1"],
+    ["replay", "--seed", "3"],
+])
+def test_checkpoint_width_mismatch(trained, tmp_path, command):
+    # The desk checkpoint's actor reads 36 rays; this config senses 8.
+    config = tmp_path / "config.txt"
+    save_config(replace(desk_profile(), sensing=SensingConfig(n_s=8)), config)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
+    extra = {"eval": ["--out", str(tmp_path / "eval")],
+             "sweep": ["--grid", str(grid), "--out", str(tmp_path / "s.csv")],
+             "replay": ["--out", str(tmp_path / "r.csv")]}[command[0]]
+    with pytest.raises(ValueError, match=r"reads 36 inputs.*sensing\.n_s"):
+        cli.main([*command, "--checkpoint", str(trained[1]),
+                  "--config", str(config), *extra])

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cep.env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
-                     PursuerMode, PursuerState, check_outcome, init_world,
-                     max_steps, nearest_wall, nearest_wall_distance,
-                     objective_value, step_evader, step_pursuer, step_world)
+                     Pursuers, check_outcome, init_world, max_steps,
+                     nearest_wall, nearest_wall_distance, objective_value,
+                     step_evader, step_pursuers, step_world)
+from cep.sensing import SensingConfig
+from cep.sr2l import EpisodeStepper
 
 TOL = 1e-12
 
@@ -19,6 +21,97 @@ def small_arena(**kw) -> ArenaConfig:
                 n_pursuers=5, t_max=50.0)
     base.update(kw)
     return ArenaConfig(**base)
+
+
+def pursuer_rows(p: Pursuers) -> list[tuple]:
+    """Each pursuer as ``(x, y, speed, heading, chasing, patrol_speed)``."""
+    return list(zip(p.xy[:, 0].tolist(), p.xy[:, 1].tolist(),
+                    p.speed.tolist(), p.heading.tolist(), p.chasing.tolist(),
+                    p.patrol_speed.tolist()))
+
+
+# The scalar pursuer step that step_pursuers replaced, kept as its reference.
+
+def _advance(x: float, y: float, speed: float, heading: float,
+             dt: float) -> tuple[float, float]:
+    return x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt
+
+
+def _reflect_heading(heading: float, flip_x: bool, flip_y: bool) -> float:
+    c, s = math.cos(heading), math.sin(heading)
+    if flip_x:
+        c = -c
+    if flip_y:
+        s = -s
+    return math.atan2(s, c)
+
+
+def reference_step(row: tuple, evader_pos: tuple[float, float],
+                   cfg: ArenaConfig) -> tuple:
+    x, y, _, heading, _, patrol_speed = row
+    ex, ey = evader_pos
+    dist = math.hypot(ex - x, ey - y)
+    if dist <= cfg.r_p:
+        chasing = True
+        heading = math.atan2(ey - y, ex - x)
+        speed = cfg.v_p_max
+    else:
+        chasing = False
+        speed = patrol_speed
+
+    nx, ny = _advance(x, y, speed, heading, cfg.dt)
+    flip_x = abs(nx) > cfg.half_width
+    flip_y = abs(ny) > cfg.half_height
+    if flip_x or flip_y:
+        heading = _reflect_heading(heading, flip_x, flip_y)
+        nx, ny = _advance(x, y, speed, heading, cfg.dt)
+    return nx, ny, speed, heading, chasing, patrol_speed
+
+
+@st.composite
+def pursuer_scenes(draw):
+    """A small arena, 0-40 pursuers and an evader path of 1-20 steps.
+
+    Each pursuer is, at random, anywhere, within ``r_p`` of the evader's first
+    position (chase), within one step of a wall (single reflection) or of a
+    corner (double reflection); some start out chasing, and their patrol
+    speeds differ from their current speeds.
+    """
+    cfg = small_arena(half_width=25.0, half_height=25.0, spawn_half_extent=5.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hw, hh, reach = cfg.half_width, cfg.half_height, cfg.v_p_max * cfg.dt
+    evader = rng.uniform(-hw, hw), rng.uniform(-hh, hh)
+
+    def near_wall(half: float) -> float:
+        return rng.choice((-1.0, 1.0)) * (half - rng.uniform(0.0, reach))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = rng.integers(4)
+        if kind == 0:
+            x, y = rng.uniform(-hw, hw), rng.uniform(-hh, hh)
+        elif kind == 1:
+            r, a = rng.uniform(0.0, cfg.r_p), rng.uniform(-math.pi, math.pi)
+            x = min(max(evader[0] + r * math.cos(a), -hw), hw)
+            y = min(max(evader[1] + r * math.sin(a), -hh), hh)
+        elif kind == 2:
+            x, y = near_wall(hw), rng.uniform(-hh, hh)
+            if rng.integers(2):
+                x, y = rng.uniform(-hw, hw), near_wall(hh)
+        else:
+            x, y = near_wall(hw), near_wall(hh)
+        rows.append((x, y, rng.uniform(cfg.v_p_min, cfg.v_p_max),
+                     rng.uniform(-math.pi, math.pi)))
+    p = Pursuers.from_rows(rows)
+    p.patrol_speed = rng.uniform(cfg.v_p_min, cfg.v_p_max, len(rows))
+    p.chasing = rng.random(len(rows)) < 0.3
+
+    path = [evader]
+    for _ in range(draw(st.integers(0, 19))):
+        ex, ey = path[-1]
+        path.append((min(max(ex + rng.uniform(-1.5, 1.5), -hw), hw),
+                     min(max(ey + rng.uniform(-1.5, 1.5), -hh), hh)))
+    return cfg, p, path
 
 
 class TestConfigValidation:
@@ -43,7 +136,7 @@ class TestInitWorld:
         cfg = small_arena(seed=42)
         a, b = init_world(cfg), init_world(cfg)
         assert a.evader == b.evader
-        assert a.pursuers == b.pursuers
+        assert pursuer_rows(a.pursuers) == pursuer_rows(b.pursuers)
         assert a.t == b.t == 0.0
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
@@ -51,12 +144,12 @@ class TestInitWorld:
     def test_pursuers_outside_spawn_region(self, seed):
         cfg = small_arena(seed=seed, n_pursuers=20)
         w = init_world(cfg)
-        for p in w.pursuers:
-            assert not (abs(p.x) <= cfg.spawn_half_extent
-                        and abs(p.y) <= cfg.spawn_half_extent)
-            assert abs(p.x) <= cfg.half_width and abs(p.y) <= cfg.half_height
-            assert cfg.v_p_min <= p.speed <= cfg.v_p_max
-            assert p.mode is PursuerMode.PATROL
+        for x, y, speed, _, chasing, _ in pursuer_rows(w.pursuers):
+            assert not (abs(x) <= cfg.spawn_half_extent
+                        and abs(y) <= cfg.spawn_half_extent)
+            assert abs(x) <= cfg.half_width and abs(y) <= cfg.half_height
+            assert cfg.v_p_min <= speed <= cfg.v_p_max
+            assert not chasing
 
     @pytest.mark.parametrize("seed", range(10))
     def test_evader_spawn(self, seed):
@@ -65,6 +158,15 @@ class TestInitWorld:
         assert abs(w.evader.x) <= cfg.spawn_half_extent
         assert abs(w.evader.y) <= cfg.spawn_half_extent
         assert w.evader.vx == 0.0 and w.evader.vy == 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spawn_outcome_matches_check_outcome(self, seed):
+        # A crowded 6x6 arena, where a spawn is often captured outright.
+        cfg = ArenaConfig(half_width=3.0, half_height=3.0,
+                          spawn_half_extent=0.5, n_pursuers=seed % 4,
+                          capture_radius=2.9, r_p=3.0, seed=seed)
+        w = init_world(cfg)
+        assert w.outcome == check_outcome(w, cfg)
 
     def test_pursuer_count(self):
         w = init_world(small_arena(n_pursuers=7))
@@ -118,60 +220,94 @@ class TestStepEvader:
         assert abs(s.vx - s.vy) < TOL
 
 
+def one(x, y, speed, heading) -> Pursuers:
+    return Pursuers.from_rows([(x, y, speed, heading)])
+
+
 class TestStepPursuer:
     def test_patrol_straight(self):
         cfg = small_arena()
-        p = PursuerState(0.0, 0.0, speed=5.0, heading=0.0)
+        p = one(0.0, 0.0, speed=5.0, heading=0.0)
         # evader out of sensor range
-        p2 = step_pursuer(p, (50.0, 50.0), cfg)
-        assert abs(p2.x - 0.5) < TOL and abs(p2.y) < TOL
-        assert p2.mode is PursuerMode.PATROL
-        assert p2.speed == 5.0
+        p2 = step_pursuers(p, (50.0, 50.0), cfg)
+        assert abs(p2.xy[0, 0] - 0.5) < TOL and abs(p2.xy[0, 1]) < TOL
+        assert not p2.chasing[0]
+        assert p2.speed[0] == 5.0
 
     def test_specular_reflection_vertical_wall(self):
         cfg = small_arena()
-        p = PursuerState(99.9, 0.0, speed=5.0, heading=math.radians(30.0))
-        p2 = step_pursuer(p, (-50.0, -50.0), cfg)
-        assert abs(math.degrees(p2.heading) - 150.0) < 1e-9
-        assert p2.speed == 5.0
+        p = one(99.9, 0.0, speed=5.0, heading=math.radians(30.0))
+        p2 = step_pursuers(p, (-50.0, -50.0), cfg)
+        assert abs(math.degrees(p2.heading[0]) - 150.0) < 1e-9
+        assert p2.speed[0] == 5.0
+
+    def test_corner_double_reflection(self):
+        cfg = small_arena()
+        p = one(99.9, 99.9, speed=5.0, heading=math.radians(45.0))
+        p2 = step_pursuers(p, (-50.0, -50.0), cfg)
+        assert abs(math.degrees(p2.heading[0]) + 135.0) < 1e-9
+        assert np.all(np.abs(p2.xy) <= 100.0)
 
     def test_reflection_preserves_speed_and_containment(self):
         cfg = small_arena()
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = rng.uniform(-cfg.half_width, cfg.half_width)
-            y = rng.uniform(-cfg.half_height, cfg.half_height)
-            p = PursuerState(x, y, speed=rng.uniform(5, 10),
-                             heading=rng.uniform(-math.pi, math.pi))
-            p2 = step_pursuer(p, (0.0, 0.0), cfg)
-            assert abs(p2.x) <= cfg.half_width + 1e-9
-            assert abs(p2.y) <= cfg.half_height + 1e-9
-            assert p2.speed == p.speed or p2.mode is PursuerMode.CHASE
+        p = Pursuers.from_rows(
+            (rng.uniform(-cfg.half_width, cfg.half_width),
+             rng.uniform(-cfg.half_height, cfg.half_height),
+             rng.uniform(5, 10), rng.uniform(-math.pi, math.pi))
+            for _ in range(200))
+        p2 = step_pursuers(p, (0.0, 0.0), cfg)
+        for (x, y, speed, _, chasing, _), before in zip(pursuer_rows(p2),
+                                                        p.speed.tolist()):
+            assert abs(x) <= cfg.half_width + 1e-9
+            assert abs(y) <= cfg.half_height + 1e-9
+            assert speed == before or chasing
 
     def test_chase_on_detection(self):
         cfg = small_arena()
-        p = PursuerState(0.0, 0.0, speed=5.0, heading=2.0)
-        p2 = step_pursuer(p, (cfg.r_p - 1e-6, 0.0), cfg)
-        assert p2.mode is PursuerMode.CHASE
-        assert p2.speed == cfg.v_p_max
-        assert abs(p2.heading) < 1e-6  # bearing to evader
+        p = one(0.0, 0.0, speed=5.0, heading=2.0)
+        p2 = step_pursuers(p, (cfg.r_p - 1e-6, 0.0), cfg)
+        assert p2.chasing[0]
+        assert p2.speed[0] == cfg.v_p_max
+        assert abs(p2.heading[0]) < 1e-6  # bearing to evader
 
     def test_no_chase_beyond_range(self):
         cfg = small_arena()
-        p = PursuerState(0.0, 0.0, speed=5.0, heading=0.0)
-        p2 = step_pursuer(p, (cfg.r_p + 1e-3, 0.0), cfg)
-        assert p2.mode is PursuerMode.PATROL
-        assert abs(p2.x - 0.5) < TOL
+        p = one(0.0, 0.0, speed=5.0, heading=0.0)
+        p2 = step_pursuers(p, (cfg.r_p + 1e-3, 0.0), cfg)
+        assert not p2.chasing[0]
+        assert abs(p2.xy[0, 0] - 0.5) < TOL
 
     def test_patrol_speed_restored_after_chase(self):
         cfg = small_arena()
-        p = PursuerState(0.0, 0.0, speed=6.0, heading=0.5)
-        chased = step_pursuer(p, (1.0, 0.0), cfg)
-        assert chased.speed == cfg.v_p_max
-        released = step_pursuer(chased, (80.0, 80.0), cfg)
-        assert released.mode is PursuerMode.PATROL
-        assert released.speed == 6.0
-        assert released.heading == chased.heading
+        p = one(0.0, 0.0, speed=6.0, heading=0.5)
+        chased = step_pursuers(p, (1.0, 0.0), cfg)
+        assert chased.speed[0] == cfg.v_p_max
+        released = step_pursuers(chased, (80.0, 80.0), cfg)
+        assert not released.chasing[0]
+        assert released.speed[0] == 6.0
+        assert released.heading[0] == chased.heading[0]
+
+    @given(scene=pursuer_scenes())
+    @settings(deadline=None, max_examples=120)
+    def test_equals_scalar_reference(self, scene):
+        cfg, p, evader_path = scene
+        rows = pursuer_rows(p)
+        for evader in evader_path:
+            # The step decides chase with np.hypot, as detection does; it may
+            # differ from math.hypot in the last ulp, so a distance that
+            # close to r_p is outside what exact equality can check.
+            assume(all(abs(math.hypot(evader[0] - r[0], evader[1] - r[1])
+                           - cfg.r_p) > 1e-12 for r in rows))
+            before = pursuer_rows(p), p.unit.tolist()
+            rows = [reference_step(r, evader, cfg) for r in rows]
+            q = step_pursuers(p, evader, cfg)
+            assert pursuer_rows(q) == rows
+            assert q.unit.tolist() == [[math.cos(h), math.sin(h)]
+                                       for h in q.heading.tolist()]
+            # The step writes no array of the world it advanced.
+            assert (pursuer_rows(p), p.unit.tolist()) == before
+            p = q
 
 
 class TestStepWorld:
@@ -187,7 +323,7 @@ class TestStepWorld:
         w = init_world(cfg)
         w.evader = EvaderState(0.0, 0.0)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
-        w.pursuers[0] = PursuerState(2.9, 0.0, 5.0, math.pi)
+        w.pursuers = one(2.9, 0.0, 5.0, math.pi)
         _, outcome = step_world(w, (0.0, 0.0), cfg)
         assert outcome is not None and outcome.kind is OutcomeKind.CAPTURED
 
@@ -204,9 +340,35 @@ class TestStepWorld:
         assert steps == max_steps(cfg) == 10
 
     def test_step_terminal_world_raises(self):
+        # Run the evader east across the wall, then step once more.
         cfg = small_arena(n_pursuers=0)
+        w, outcome = init_world(cfg), None
+        while outcome is None:
+            w, outcome = step_world(w, (15.0, 0.0), cfg)
+        assert outcome.kind is OutcomeKind.ESCAPED
+        assert w.outcome is outcome
+        with pytest.raises(RuntimeError):
+            step_world(w, (0.0, 0.0), cfg)
+
+    def test_step_after_capture_raises(self):
+        cfg = small_arena(n_pursuers=1)
         w = init_world(cfg)
-        w.evader = EvaderState(200.0, 0.0)
+        w.evader = EvaderState(0.0, 0.0)
+        w.pursuers = one(2.9, 0.0, 5.0, math.pi)
+        w, outcome = step_world(w, (0.0, 0.0), cfg)
+        assert outcome.kind is OutcomeKind.CAPTURED
+        with pytest.raises(RuntimeError):
+            step_world(w, (0.0, 0.0), cfg)
+
+    def test_terminal_spawn_sets_outcome(self):
+        # A crowded 6x6 arena: some pursuer spawns within capture radius.
+        cfg = ArenaConfig(half_width=3.0, half_height=3.0,
+                          spawn_half_extent=0.5, n_pursuers=20,
+                          capture_radius=2.9, r_p=3.0, seed=0)
+        w = init_world(cfg)
+        assert w.outcome == EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0)
+        stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8), None)
+        assert stepper.initial_outcome is w.outcome
         with pytest.raises(RuntimeError):
             step_world(w, (0.0, 0.0), cfg)
 
@@ -221,7 +383,7 @@ class TestStepWorld:
             for a in actions:
                 w, outcome = step_world(w, tuple(a), cfg)
                 trace.append((w.evader.x, w.evader.y,
-                              tuple((p.x, p.y, p.speed, p.heading) for p in w.pursuers)))
+                               pursuer_rows(w.pursuers)))
                 if outcome is not None:
                     break
             return trace, outcome
@@ -241,9 +403,9 @@ class TestStepWorld:
         while outcome is None:
             w, outcome = step_world(w, tuple(rng.uniform(-15, 15, 2)), cfg)
             steps += 1
-            for p in w.pursuers:
-                assert abs(p.x) <= cfg.half_width + 1e-9
-                assert abs(p.y) <= cfg.half_height + 1e-9
+            for x, y in w.pursuers.xy.tolist():
+                assert abs(x) <= cfg.half_width + 1e-9
+                assert abs(y) <= cfg.half_height + 1e-9
             assert steps <= max_steps(cfg)
         assert outcome.kind in (OutcomeKind.ESCAPED, OutcomeKind.CAPTURED,
                                 OutcomeKind.TIMEOUT)

@@ -461,6 +461,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
 
+    def test_truncated_names_offset(self, tmp_path):
+        bundle = make_bundle(seed=24)
+        full = tmp_path / "full.cepn"
+        save_checkpoint(full, bundle)
+        data = full.read_bytes()
+        # (start, size) of each item in file order: magic, network count,
+        # then per network its width count, widths and parameters.
+        items = [(0, 5), (5, 4)]
+        for net in (bundle.actor, bundle.critic, bundle.target_critic):
+            pos = sum(items[-1])
+            n_params = len(net.params_flat())
+            items += [(pos, 4), (pos + 4, 4 * len(net.widths)),
+                      (pos + 4 + 4 * len(net.widths), 8 * n_params)]
+        assert sum(items[-1]) == len(data)
+        cut_path = tmp_path / "cut.cepn"
+        for start, size in items:
+            for cut in sorted({start, start + 1, start + size - 1}):
+                cut_path.write_bytes(data[:cut])
+                with pytest.raises(ValueError,
+                                   match=rf"truncated .* byte offset {start},"):
+                    load_checkpoint(cut_path)
+
     def test_format_layout(self, tmp_path):
         bundle = make_bundle(seed=22)
         p = tmp_path / "c.cepn"

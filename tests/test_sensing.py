@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cep.env import (ArenaConfig, EvaderState, PursuerState, init_world,
+from cep.env import (ArenaConfig, EvaderState, Pursuers, init_world,
                      nearest_wall_distance)
-from cep.sensing import (SensingConfig, boundary_scan, cast_rays,
-                         encode_boundary, encode_lidar, encode_state, sense,
-                         time_factor)
+from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
+                         cast_rays, encode_boundary, encode_lidar,
+                         encode_state, sense, time_factor)
 
 TOL = 1e-12
 
@@ -20,10 +20,12 @@ def arena(**kw) -> ArenaConfig:
     return ArenaConfig(**base)
 
 
-def world_with(evader, pursuers, cfg):
+def world_with(evader, rows, cfg):
+    """A world holding ``evader`` and one pursuer per ``(x, y, speed,
+    heading)`` row."""
     w = init_world(cfg)
     w.evader = evader
-    w.pursuers = pursuers
+    w.pursuers = Pursuers.from_rows(rows)
     return w
 
 
@@ -40,7 +42,7 @@ class TestCastRays:
         # disc small enough that only ray 0 intersects it
         cfg = arena(capture_radius=0.5)
         scfg = SensingConfig(n_s=36)
-        p = PursuerState(5.0, 0.0, 5.0, 0.0)
+        p = (5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
         assert scan[0] < 5.0
@@ -51,7 +53,7 @@ class TestCastRays:
     def test_pursuer_beyond_range_absent(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
-        p = PursuerState(cfg.r_e + 1.0, 0.0, 5.0, 0.0)
+        p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
         _, detections = cast_rays(w, cfg, scfg)
         assert detections == []
@@ -59,8 +61,8 @@ class TestCastRays:
     def test_occlusion_nearest_hit(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
-        near = PursuerState(4.0, 0.0, 5.0, 0.0)
-        far = PursuerState(8.0, 0.0, 5.0, 0.0)
+        near = (4.0, 0.0, 5.0, 0.0)
+        far = (8.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [far, near], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
@@ -70,7 +72,7 @@ class TestCastRays:
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         # pursuer at (5, 0) heading west, straight at the evader
-        p = PursuerState(5.0, 0.0, 5.0, math.pi)
+        p = (5.0, 0.0, 5.0, math.pi)
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
         _, detections = cast_rays(w, cfg, scfg)
         assert abs(detections[0].theta) < 1e-9
@@ -81,7 +83,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         prev = math.inf
         for d in np.linspace(14.0, 2.0, 30):
-            p = PursuerState(d, 0.0, 5.0, 0.0)
+            p = (d, 0.0, 5.0, 0.0)
             w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
             scan, _ = cast_rays(w, cfg, scfg)
             assert scan[0] <= prev + 1e-12
@@ -92,15 +94,15 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-12, 12, size=(6, 2))
-        pursuers = [PursuerState(x, y, 5.0, 0.0) for x, y in pts
+        pursuers = [(x, y, 5.0, 0.0) for x, y in pts
                     if math.hypot(x, y) > 3.0]
         w = world_with(EvaderState(0.0, 0.0, heading=0.0), pursuers, cfg)
         scan, _ = cast_rays(w, cfg, scfg)
 
         step = 2 * math.pi / scfg.n_s
         c, s = math.cos(step), math.sin(step)
-        rotated = [PursuerState(c * p.x - s * p.y, s * p.x + c * p.y, 5.0, 0.0)
-                   for p in pursuers]
+        rotated = [(c * x - s * y, s * x + c * y, 5.0, 0.0)
+                   for x, y, _, _ in pursuers]
         w2 = world_with(EvaderState(0.0, 0.0, heading=0.0), rotated, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
         assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
@@ -109,13 +111,23 @@ class TestCastRays:
         # the sensing frame is evader-centered and axis-aligned
         cfg = arena()
         scfg = SensingConfig(n_s=36)
-        pursuers = [PursuerState(6.0, 2.0, 5.0, 0.0),
-                    PursuerState(-4.0, -7.0, 5.0, 0.0)]
+        pursuers = [(6.0, 2.0, 5.0, 0.0),
+                    (-4.0, -7.0, 5.0, 0.0)]
         w = world_with(EvaderState(0.0, 0.0, heading=0.3), pursuers, cfg)
         scan, _ = cast_rays(w, cfg, scfg)
         w2 = world_with(EvaderState(0.0, 0.0, heading=-2.1), pursuers, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
         assert np.array_equal(scan, scan2)
+
+
+class TestRayDirections:
+    def test_computed_once_and_read_only(self):
+        cx, sx = _ray_directions(36)
+        assert _ray_directions(36)[0] is cx
+        assert not cx.flags.writeable and not sx.flags.writeable
+        angles = 2.0 * math.pi * np.arange(36) / 36
+        assert np.array_equal(cx, np.cos(angles))
+        assert np.array_equal(sx, np.sin(angles))
 
 
 class TestEncodeLidar:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cep.env import (ArenaConfig, PursuerState, WorldState, _advance,
-                     init_world, max_steps, step_evader)
+from cep.env import (ArenaConfig, Pursuers, WorldState, init_world,
+                     max_steps, step_evader)
 from cep.rewards import RewardState, transition_reward
 from cep.sensing import SensingConfig, sense
 from cep.sr2l import (Branch, EpisodeStepper, predict_next_state, reward_gap,
@@ -27,9 +27,12 @@ def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
     """The estimate through the full pipeline: extrapolate the world, sense
     it, and score the frame on a copy of the reward state."""
     evader = step_evader(w.evader, action, cfg)
-    pursuers = [PursuerState(*_advance(p.x, p.y, p.speed, p.heading, cfg.dt),
-                             p.speed, p.heading, p.mode, p.patrol_speed)
-                for p in w.pursuers]
+    pursuers = Pursuers.from_rows(
+        (x + speed * math.cos(h) * cfg.dt, y + speed * math.sin(h) * cfg.dt,
+         speed, h)
+        for (x, y), speed, h in zip(w.pursuers.xy.tolist(),
+                                    w.pursuers.speed.tolist(),
+                                    w.pursuers.heading.tolist()))
     n = w.step_count + 1
     w_est = WorldState(evader, pursuers, t=n * cfg.dt, step_count=n, rng=w.rng)
     frame = sense(w_est, cfg, SENSING)
@@ -41,8 +44,10 @@ def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
 def snapshot(w: WorldState, rs: RewardState):
     return ((w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
              w.evader.heading),
-            [(p.x, p.y, p.speed, p.heading, p.mode, p.patrol_speed)
-             for p in w.pursuers],
+            [a.tolist() for a in (w.pursuers.xy, w.pursuers.speed,
+                                  w.pursuers.heading, w.pursuers.unit,
+                                  w.pursuers.patrol_speed,
+                                  w.pursuers.chasing)],
             w.t, w.step_count, dict(rs.history), rs.d_b_prev)
 
 
