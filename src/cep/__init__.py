@@ -15,10 +15,9 @@ from .neural import (Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
 from .pfm import PfmGains, net_force, pfm_action
 from .rewards import (compose_reward, pursuer_weight, reward_boundary,
                       reward_pursuers)
-from .sensing import (Detection, SenseFrame, SensingConfig, StateVector,
-                      boundary_scan, cast_rays, detect_pursuers,
-                      encode_boundary, encode_lidar, encode_state, sense,
-                      time_factor)
+from .sensing import (Detection, SenseFrame, SensingConfig, boundary_scan,
+                      cast_rays, detect_pursuers, encode_boundary,
+                      encode_lidar, encode_state, sense, time_factor)
 from .sr2l import (Branch, EpisodeStepper, ExperienceTuple, ScaffoldConfig,
                    ScaffoldDecision, predict_next_state, reward_gap,
                    scaffold_select)

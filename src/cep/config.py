@@ -95,8 +95,6 @@ def paper_profile(**overrides) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -106,12 +104,6 @@ def _format_value(value) -> str:
 
 def _coerce(current, raw: str):
     raw = raw.strip()
-    if isinstance(current, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -155,14 +147,17 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
             section, field_name = key.split(".", 1)
             if section not in _SECTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown section {section!r}")
-            obj = getattr(cfg, section)
-            if not hasattr(obj, field_name):
-                raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-            nested[section][field_name] = _coerce(getattr(obj, field_name), raw)
+            obj, values = getattr(cfg, section), nested[section]
         else:
-            if not hasattr(cfg, key) or key in _SECTIONS:
+            if key in _SECTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-            top[key] = _coerce(getattr(cfg, key), raw)
+            obj, values, field_name = cfg, top, key
+        if not hasattr(obj, field_name):
+            raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
+        try:
+            values[field_name] = _coerce(getattr(obj, field_name), raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     for section, values in nested.items():
         if values:
             top[section] = replace(getattr(cfg, section), **values)

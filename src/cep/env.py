@@ -12,17 +12,18 @@ patrol on straight lines, reflect specularly off the walls, and chase at full
 speed while the evader is within their sensor range.
 
 The pursuers of a world are one :class:`Pursuers` struct of parallel arrays,
-row ``i`` being pursuer ``i``.  Besides its heading each row stores the unit
-vector ``unit = (cos heading, sin heading)``, computed with ``math.cos`` and
-``math.sin`` whenever the heading is set, so that a step, the detections and
-the forward model all move along the same, once-computed direction.
+row ``i`` being pursuer ``i``.  A pursuer's direction of travel is stored only
+as its unit vector ``unit``: where an angle ``h`` sets it (drawn at spawn,
+aimed at the evader on lock-on, reflected off a wall) it becomes
+``(math.cos(h), math.sin(h))`` once, and a step, the detections and the
+forward model all move along that vector.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,7 +66,6 @@ class ArenaConfig:
     capture_radius: float = 2.0
     dt: float = 0.1
     t_max: float = 300.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         lengths = {
@@ -99,9 +99,8 @@ class ArenaConfig:
 class Pursuers:
     """All pursuers of one world as parallel arrays, row ``i`` pursuer ``i``.
 
-    ``xy`` is ``(n, 2)`` positions, ``speed`` the current speed, ``heading``
-    the direction of travel and ``unit`` its ``(n, 2)`` unit vector, with
-    ``unit[i] == (math.cos(heading[i]), math.sin(heading[i]))`` exactly.
+    ``xy`` is ``(n, 2)`` positions, ``speed`` the current speed and ``unit``
+    the ``(n, 2)`` unit vectors of the directions of travel.
     ``patrol_speed`` is the episode-constant cruise speed a pursuer reverts to
     after losing the evader, and ``chasing`` marks the pursuers that saw the
     evader on their last step.  A world never writes these arrays in place:
@@ -110,7 +109,6 @@ class Pursuers:
 
     xy: np.ndarray
     speed: np.ndarray
-    heading: np.ndarray
     unit: np.ndarray
     patrol_speed: np.ndarray
     chasing: np.ndarray
@@ -125,8 +123,7 @@ class Pursuers:
         unit = np.array([(math.cos(h), math.sin(h))
                          for h in table[:, 3].tolist()]).reshape(n, 2)
         return cls(xy=table[:, :2].copy(), speed=table[:, 2].copy(),
-                   heading=table[:, 3].copy(), unit=unit,
-                   patrol_speed=table[:, 2].copy(),
+                   unit=unit, patrol_speed=table[:, 2].copy(),
                    chasing=np.zeros(n, dtype=bool))
 
     def __len__(self) -> int:
@@ -139,11 +136,6 @@ class EvaderState:
     y: float
     vx: float = 0.0
     vy: float = 0.0
-    heading: float = 0.0
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
 
 
 class OutcomeKind(Enum):
@@ -164,18 +156,16 @@ class WorldState:
     """Full mutable game state owned by exactly one episode runner.
 
     ``t`` is always ``step_count * dt`` (recomputed, never accumulated) so the
-    step bound ceil(t_max/dt) holds without float drift.  The RNG is consumed
-    only by :func:`init_world`; stepping is fully deterministic.  ``outcome``
-    is set by :func:`init_world` and :func:`step_world` once the world is
-    terminal; such a world is never stepped.
+    step bound ceil(t_max/dt) holds without float drift.  Stepping is fully
+    deterministic.  ``outcome`` is set by :func:`init_world` and
+    :func:`step_world` once the world is terminal; such a world is never
+    stepped.
     """
 
     evader: EvaderState
     pursuers: Pursuers
     t: float = 0.0
     step_count: int = 0
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
     outcome: EpisodeOutcome | None = None
 
 
@@ -188,23 +178,26 @@ def _inside_arena(x: float, y: float, cfg: ArenaConfig) -> bool:
     return abs(x) <= cfg.half_width and abs(y) <= cfg.half_height
 
 
-def init_world(cfg: ArenaConfig) -> WorldState:
-    """Deterministically initialize a world from ``cfg.seed``.
+def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
+    """Deterministically initialize a world of arena ``cfg`` from ``seed``.
 
-    The evader is uniform in Omega with zero velocity and uniform heading;
-    each pursuer is uniform in A \\ Omega (rejection sampling) with speed
-    uniform in [v_p_min, v_p_max] and uniform heading.  Draw order is fixed,
-    so identical seeds produce bit-identical worlds.  A spawn can be terminal
+    The evader is uniform in Omega with zero velocity; each pursuer is
+    uniform in A \\ Omega (rejection sampling) with speed uniform in
+    [v_p_min, v_p_max] and a uniform heading angle.  One arena serves every
+    episode of a run; only the seed changes.  Draw order is fixed, so
+    identical seeds produce bit-identical worlds.  A spawn can be terminal
     outright (a pursuer just outside Omega within capture radius), so the
     world's ``outcome`` is set here too; escape and timeout cannot hold at
     spawn (Omega lies inside the arena and ``t_max > dt``).
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     s = cfg.spawn_half_extent
     ex = float(rng.uniform(-s, s))
     ey = float(rng.uniform(-s, s))
-    eh = float(rng.uniform(-math.pi, math.pi))
-    evader = EvaderState(ex, ey, 0.0, 0.0, eh)
+    # Draw and discard an evader heading, which nothing reads: without the
+    # draw every pursuer draw after it would shift and every spawn change.
+    rng.uniform(-math.pi, math.pi)
+    evader = EvaderState(ex, ey)
 
     rows = []
     for _ in range(cfg.n_pursuers):
@@ -220,16 +213,14 @@ def init_world(cfg: ArenaConfig) -> WorldState:
     pursuers = Pursuers.from_rows(rows)
     outcome = EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0) \
         if _captured(evader, pursuers, cfg) else None
-    return WorldState(evader, pursuers, t=0.0, step_count=0, rng=rng,
-                      outcome=outcome)
+    return WorldState(evader, pursuers, outcome=outcome)
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],
                 cfg: ArenaConfig) -> EvaderState:
     """Advance the evader by one step of the commanded velocity.
 
-    The command is norm-clipped to ``v_e_max``; the heading follows the
-    applied velocity and is unchanged for a zero command.  A NaN or infinite
+    The command is norm-clipped to ``v_e_max``.  A NaN or infinite
     component raises ``ValueError``: it has no direction to clip along.
     """
     vx, vy = float(action[0]), float(action[1])
@@ -240,8 +231,7 @@ def step_evader(s: EvaderState, action: tuple[float, float],
         scale = cfg.v_e_max / speed
         vx *= scale
         vy *= scale
-    heading = math.atan2(vy, vx) if (vx != 0.0 or vy != 0.0) else s.heading
-    return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy, heading)
+    return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy)
 
 
 def _reflect_heading(c: float, s: float, flip_x: bool, flip_y: bool) -> float:
@@ -259,24 +249,24 @@ def step_pursuers(p: Pursuers, evader_pos: tuple[float, float],
                   cfg: ArenaConfig) -> Pursuers:
     """Advance every pursuer by ``dt``.
 
-    Within sensor range a pursuer chases: heading locked on the evader, speed
-    ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
-    current heading.  A step that would leave the arena reflects the heading
-    specularly off the offending wall(s) and re-integrates, preserving speed.
-    Headings change only on the rows that lock on or reflect, one row at a
-    time with ``math.atan2``; the move itself is one array expression.
+    Within sensor range a pursuer chases: direction locked on the evader,
+    speed ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
+    current direction.  A step that would leave the arena reflects the
+    direction specularly off the offending wall(s) and re-integrates,
+    preserving speed.  Directions change only on the rows that lock on or
+    reflect, one row at a time through the angle ``h`` from ``math.atan2``;
+    the move itself is one array expression.
     """
     ex, ey = evader_pos
     rel = p.xy - evader_pos
     chasing = np.hypot(rel[:, 0], rel[:, 1]) <= cfg.r_p
-    heading, unit, speed = p.heading, p.unit, p.patrol_speed
+    unit, speed = p.unit, p.patrol_speed
     lock = chasing.nonzero()[0].tolist()
     if lock:
-        heading, unit = heading.copy(), unit.copy()
+        unit = unit.copy()
         speed = np.where(chasing, cfg.v_p_max, speed)
         for i, (x, y) in zip(lock, p.xy[lock].tolist()):
             h = math.atan2(ey - y, ex - x)
-            heading[i] = h
             unit[i] = math.cos(h), math.sin(h)
 
     xy = p.xy + speed[:, None] * unit * cfg.dt
@@ -284,8 +274,8 @@ def step_pursuers(p: Pursuers, evader_pos: tuple[float, float],
     crossed = np.abs(xy) > (cfg.half_width, cfg.half_height)
     rows = crossed.nonzero()[0].tolist()
     if rows:
-        if heading is p.heading:
-            heading, unit = heading.copy(), unit.copy()
+        if unit is p.unit:
+            unit = unit.copy()
         for i in dict.fromkeys(rows):  # a corner crossing lists its row twice
             flip_x, flip_y = crossed[i].tolist()
             c, s = unit[i].tolist()
@@ -293,11 +283,10 @@ def step_pursuers(p: Pursuers, evader_pos: tuple[float, float],
             c, s = math.cos(h), math.sin(h)
             x, y = p.xy[i].tolist()
             v = float(speed[i])
-            heading[i] = h
             unit[i] = c, s
             xy[i] = x + v * c * cfg.dt, y + v * s * cfg.dt
 
-    return Pursuers(xy, speed, heading, unit, p.patrol_speed, chasing)
+    return Pursuers(xy, speed, unit, p.patrol_speed, chasing)
 
 
 def _captured(e: EvaderState, p: Pursuers, cfg: ArenaConfig) -> bool:
@@ -333,7 +322,7 @@ def step_world(w: WorldState, evader_action: tuple[float, float],
     pursuers = step_pursuers(w.pursuers, (evader.x, evader.y), cfg)
     step_count = w.step_count + 1
     out = WorldState(evader, pursuers, t=step_count * cfg.dt,
-                     step_count=step_count, rng=w.rng)
+                     step_count=step_count)
     out.outcome = check_outcome(out, cfg)
     return out, out.outcome
 

@@ -25,9 +25,9 @@ from .env import (ArenaConfig, OutcomeKind, init_world, max_steps,
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      save_checkpoint, soft_update)
-from .pfm import PfmGains, net_force, pfm_action
+from .pfm import PfmPolicy
 from .sensing import SenseFrame
-from .sr2l import Branch, EpisodeStepper
+from .sr2l import Branch, EpisodeStepper, to_velocity
 
 __all__ = [
     "EpisodeLog",
@@ -96,23 +96,8 @@ class ActorPolicy:
         pass
 
     def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        a = actor_mean_action(self.bundle.actor, frame.state.values)
-        return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
-
-
-class PfmPolicy:
-    """Potential-field baseline evader."""
-
-    def __init__(self, gains: PfmGains):
-        self.gains = gains
-
-    def reset(self, episode_seed: int) -> None:
-        pass
-
-    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        force = net_force(frame.detections, (frame.d_b, frame.boundary_dir),
-                          self.gains)
-        return pfm_action(force, arena)
+        return to_velocity(actor_mean_action(self.bundle.actor, frame.state),
+                           arena)
 
 
 class RandomWalkPolicy:
@@ -125,14 +110,13 @@ class RandomWalkPolicy:
         self.rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 77)))
 
     def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        a = self.rng.uniform(-1.0, 1.0, size=2)
-        return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
+        return to_velocity(self.rng.uniform(-1.0, 1.0, size=2), arena)
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
     """The evaluation policy named ``kind``.  An actor policy needs a bundle
     whose actor reads ``cfg.sensing.n_s`` inputs, one per sensing ray."""
-    if kind in ("iac", "sr2l", "actor", "checkpoint"):
+    if kind in ("actor", "checkpoint"):
         if bundle is None:
             raise ValueError(f"policy {kind!r} needs a checkpoint")
         n_in = bundle.actor.widths[0]
@@ -201,9 +185,9 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     diverged = False
     try:
         for episode in range(cfg.episodes):
-            arena = replace(cfg.arena,
-                            seed=_episode_seed(cfg.seed, _TRAIN_TAG, episode))
-            stepper = EpisodeStepper(init_world(arena), arena, cfg.sensing,
+            world = init_world(cfg.arena,
+                               _episode_seed(cfg.seed, _TRAIN_TAG, episode))
+            stepper = EpisodeStepper(world, cfg.arena, cfg.sensing,
                                      cfg.scaffold if scaffolded else None,
                                      cfg.pfm, cfg.reward_sign)
             cum_reward = 0.0
@@ -217,8 +201,8 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                 while outcome is None:
                     res = stepper.step(bundle, step_rng)
                     exp = res.experience
-                    buffer.push(exp.state.values, exp.action, exp.reward,
-                                exp.next_state.values, exp.terminal)
+                    buffer.push(exp.state, exp.action, exp.reward,
+                                exp.next_state, exp.terminal)
                     cum_reward += exp.reward
                     steps += 1
                     if exp.branch is Branch.ACTOR:
@@ -298,17 +282,21 @@ class EvalReport:
     buckets: list[EvalBucket]
 
 
+def _summarize(episodes: list[EvalEpisode]) -> tuple[float, float, float]:
+    """Escape percentage, mean steps over the escaped episodes (NaN if none
+    escaped) and the mean of the per-episode mean rewards."""
+    escaped = [e.steps for e in episodes
+               if e.outcome == OutcomeKind.ESCAPED.value]
+    return (100.0 * len(escaped) / len(episodes),
+            float(np.mean(escaped)) if escaped else float("nan"),
+            float(np.mean([e.mean_reward for e in episodes])))
+
+
 def _bucketize(episodes: list[EvalEpisode], width: int = 100) -> list[EvalBucket]:
-    buckets = []
-    for start in range(0, len(episodes), width):
-        chunk = episodes[start:start + width]
-        escaped = [e for e in chunk if e.outcome == OutcomeKind.ESCAPED.value]
-        buckets.append(EvalBucket(
-            start // width, len(chunk),
-            100.0 * len(escaped) / len(chunk),
-            float(np.mean([e.steps for e in escaped])) if escaped else float("nan"),
-            float(np.mean([e.mean_reward for e in chunk]))))
-    return buckets
+    chunks = [episodes[start:start + width]
+              for start in range(0, len(episodes), width)]
+    return [EvalBucket(i, len(chunk), *_summarize(chunk))
+            for i, chunk in enumerate(chunks)]
 
 
 def evaluate_monte_carlo(policy, cfg: RunConfig,
@@ -318,34 +306,30 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
 
     Reports escape percentage, mean steps over escaped episodes, the mean of
     per-episode mean rewards (realized, signed), and per-100-episode buckets.
+    Fewer than one episode raises ``ValueError``.
     """
-    base = arena if arena is not None else cfg.arena
+    arena = arena if arena is not None else cfg.arena
     n_episodes = episodes if episodes is not None else cfg.eval_episodes
+    if n_episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {n_episodes}")
     records: list[EvalEpisode] = []
     for episode in range(n_episodes):
         seed = _episode_seed(cfg.seed, _EVAL_TAG, episode)
-        ep_arena = replace(base, seed=seed)
-        stepper = EpisodeStepper(init_world(ep_arena), ep_arena, cfg.sensing,
+        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing,
                                  None, cfg.pfm, cfg.reward_sign)
         policy.reset(seed)
         cum = 0.0
         steps = 0
         outcome = stepper.initial_outcome
         while outcome is None:
-            action = policy.act(stepper.frame, ep_arena)
+            action = policy.act(stepper.frame, arena)
             outcome, reward, _ = stepper.step_action(action)
             cum += reward
             steps += 1
         records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
                                    cum / steps if steps else 0.0))
 
-    escaped = [e for e in records if e.outcome == OutcomeKind.ESCAPED.value]
-    return EvalReport(
-        records,
-        100.0 * len(escaped) / len(records),
-        float(np.mean([e.steps for e in escaped])) if escaped else float("nan"),
-        float(np.mean([e.mean_reward for e in records])),
-        _bucketize(records))
+    return EvalReport(records, *_summarize(records), _bucketize(records))
 
 
 # -- sweep --------------------------------------------------------------------
@@ -389,13 +373,32 @@ def sweep(bundle: PolicyBundle, cfg: RunConfig,
     return cells
 
 
+_GRID_COLUMNS = ("n_pursuers", "v_ratio", "r_ratio")
+
+
 def load_grid(path) -> list[tuple[int, float, float]]:
-    """Grid CSV with header ``n_pursuers,v_ratio,r_ratio``."""
+    """Grid CSV with header ``n_pursuers,v_ratio,r_ratio``: per row an
+    integer pursuer count >= 0 and two finite ratios > 0.  A missing column
+    or a bad row raises ``ValueError`` naming the file and the line."""
     grid = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            grid.append((int(row["n_pursuers"]), float(row["v_ratio"]),
-                         float(row["r_ratio"])))
+        reader = csv.DictReader(fh)
+        for name in _GRID_COLUMNS:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}:1: sweep grid has no column {name!r}")
+        for row in reader:
+            raw = [row[name] for name in _GRID_COLUMNS]
+            try:
+                n, v_ratio, r_ratio = int(raw[0]), float(raw[1]), float(raw[2])
+                valid = n >= 0 and all(math.isfinite(r) and r > 0
+                                       for r in (v_ratio, r_ratio))
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: bad sweep cell {raw}: need an "
+                    f"integer n_pursuers >= 0 and finite ratios > 0")
+            grid.append((n, v_ratio, r_ratio))
     if not grid:
         raise ValueError(f"empty sweep grid: {path}")
     return grid
@@ -412,8 +415,8 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     outcome tag, then every pursuer position.  Row 0 is the initial state.
     Returns the number of data rows written.
     """
-    arena = replace(cfg.arena, seed=seed)
-    stepper = EpisodeStepper(init_world(arena), arena, cfg.sensing, None,
+    arena = cfg.arena
+    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing, None,
                              cfg.pfm, cfg.reward_sign)
     policy = make_policy("actor", cfg, bundle)
     policy.reset(seed)

@@ -21,8 +21,7 @@ Updates (one critic step then one actor step per environment step):
   ``y = r + gamma * (Q_target(s', a') - alpha * log pi(a'|s'))`` and the
   bootstrap masked on terminal transitions; a' is freshly sampled.
 * actor: ascend ``E[Q(s, a_theta) - alpha * log pi(a_theta|s)]`` through the
-  reparameterized sample.  The baseline (batch-mean Q) is a detached constant,
-  so it shifts reported advantages but never the gradient.
+  reparameterized sample.
 
 Both use plain SGD with global gradient-norm clipping; the target critic
 tracks the online critic by Polyak averaging.
@@ -210,7 +209,6 @@ class TrainConfig:
     tau: float = 0.01
     batch_size: int = 64
     buffer_capacity: int = 100_000
-    seed: int = 0
     hidden: tuple[int, ...] = (64, 64)
     grad_clip: float = 1.0
     checkpoint_every: int = 50
@@ -226,6 +224,8 @@ class TrainConfig:
                      "buffer_capacity", "grad_clip", "checkpoint_every"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if not all(width >= 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -343,7 +343,7 @@ def critic_loss_and_grads(critic: Mlp, states: np.ndarray, actions: np.ndarray,
 
 def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
                          noise: np.ndarray, alpha: float
-                         ) -> tuple[float, list, dict]:
+                         ) -> tuple[float, list]:
     """Loss mean(alpha*logpi - Q) and its actor gradients (critic frozen).
 
     The gradient flows through the squashed sample into the critic's action
@@ -370,10 +370,7 @@ def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
     d_raw = d_log_std * clip_mask
     d_out = np.concatenate([d_mean, d_raw], axis=1)
     grads, _ = actor.backward(d_out, cache["acts"])
-
-    info = {"mean_q": float(np.mean(q)), "mean_log_prob": float(np.mean(log_prob)),
-            "advantages": q - float(np.mean(q))}
-    return loss, grads, info
+    return loss, grads
 
 
 def _clip_global_norm(grads: list, clip: float) -> list:
@@ -414,8 +411,8 @@ def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
     pre-step loss."""
     dim = nets.actor.widths[-1] // 2
     noise = rng.standard_normal((len(batch), dim))
-    loss, grads, _ = actor_loss_and_grads(nets.actor, nets.critic,
-                                          batch.states, noise, cfg.alpha)
+    loss, grads = actor_loss_and_grads(nets.actor, nets.critic, batch.states,
+                                       noise, cfg.alpha)
     if not math.isfinite(loss):
         raise TrainingDiverged(f"actor loss diverged: {loss}")
     grads = _clip_global_norm(grads, cfg.grad_clip)

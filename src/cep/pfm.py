@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .env import ArenaConfig
-from .sensing import Detection
+from .sensing import Detection, SenseFrame
 
-__all__ = ["PfmGains", "net_force", "pfm_action"]
+__all__ = ["PfmGains", "PfmPolicy", "net_force", "pfm_action"]
 
 _FORCE_EPS = 1e-12
 
@@ -65,3 +65,19 @@ def pfm_action(force: tuple[float, float], cfg: ArenaConfig) -> tuple[float, flo
         return 0.0, 0.0
     scale = cfg.v_e_max / norm
     return fx * scale, fy * scale
+
+
+class PfmPolicy:
+    """Potential-field evader: the baseline policy, and the scaffold's
+    planner during training."""
+
+    def __init__(self, gains: PfmGains):
+        self.gains = gains
+
+    def reset(self, episode_seed: int) -> None:
+        pass
+
+    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
+        force = net_force(frame.detections, (frame.d_b, frame.boundary_dir),
+                          self.gains)
+        return pfm_action(force, arena)

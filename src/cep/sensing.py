@@ -32,7 +32,6 @@ from .env import ArenaConfig, Pursuers, WorldState, nearest_wall
 __all__ = [
     "SensingConfig",
     "Detection",
-    "StateVector",
     "SenseFrame",
     "detect_pursuers",
     "cast_rays",
@@ -72,7 +71,7 @@ class Detection:
     """One pursuer within the evader's sensor range.
 
     ``bearing`` is the world-frame angle of the evader->pursuer line;
-    ``theta`` the angle between the pursuer's heading and the
+    ``theta`` the angle between the pursuer's direction of travel and the
     pursuer->evader line (0 means head-on approach).
     """
 
@@ -84,27 +83,19 @@ class Detection:
 
 
 @dataclass
-class StateVector:
-    """The encoded observation: ``n_s`` scalars plus the time factor that
-    already multiplies them (kept alongside for reward bookkeeping)."""
-
-    values: np.ndarray
-    t_f: float
-
-
-@dataclass
 class SenseFrame:
     """Everything the policies and reward functions need at one instant.
 
-    ``lidar`` holds the per-ray lidar ranges in meters (0 < z_i <= r_e) and
-    ``boundary`` the per-ray distances to the confinement rectangle."""
+    ``lidar`` holds the per-ray lidar ranges in meters (0 < z_i <= r_e),
+    ``state`` the encoded observation of ``n_s`` scalars and ``t_f`` the time
+    factor that already multiplies them (kept alongside for the reward)."""
 
     lidar: np.ndarray
     detections: list[Detection]
-    boundary: np.ndarray
     d_b: float
     boundary_dir: tuple[float, float]
-    state: StateVector
+    state: np.ndarray
+    t_f: float
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,7 +116,7 @@ def detect_pursuers(evader_xy: tuple[float, float], pursuer_xy: np.ndarray,
     detections.
 
     ``pursuer_xy`` is an ``(n, 2)`` array of pursuer positions (the pursuers'
-    own ``xy``, or an extrapolation of it); speeds and heading vectors come
+    own ``xy``, or an extrapolation of it); speeds and direction vectors come
     from ``pursuers``, row for row.  Detections list every pursuer whose
     center distance is within ``r_e``, ordered by pursuer id.
     """
@@ -212,11 +203,10 @@ def time_factor(t: float, t_max: float) -> float:
 
 
 def encode_state(lidar_enc: np.ndarray, boundary_enc: np.ndarray, t_f: float,
-                 cfg: SensingConfig) -> StateVector:
+                 cfg: SensingConfig) -> np.ndarray:
     if len(lidar_enc) != len(boundary_enc):
         raise ValueError("lidar and boundary encodings must have equal length")
-    values = t_f * (cfg.w_l * lidar_enc + cfg.w_b * boundary_enc) / (cfg.w_l + cfg.w_b)
-    return StateVector(values, t_f)
+    return t_f * (cfg.w_l * lidar_enc + cfg.w_b * boundary_enc) / (cfg.w_l + cfg.w_b)
 
 
 def sense(w: WorldState, arena: ArenaConfig, cfg: SensingConfig) -> SenseFrame:
@@ -230,4 +220,4 @@ def sense(w: WorldState, arena: ArenaConfig, cfg: SensingConfig) -> SenseFrame:
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
     state = encode_state(encode_lidar(lidar, arena, cfg),
                          encode_boundary(boundary, cfg), t_f, cfg)
-    return SenseFrame(lidar, detections, boundary, d_b, b_dir, state)
+    return SenseFrame(lidar, detections, d_b, b_dir, state, t_f)

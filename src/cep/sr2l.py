@@ -42,10 +42,9 @@ import numpy as np
 from .env import ArenaConfig, EpisodeOutcome, WorldState, \
     nearest_wall_distance, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
-from .pfm import PfmGains, net_force, pfm_action
+from .pfm import PfmGains, PfmPolicy
 from .rewards import RewardBreakdown, RewardState, transition_reward
-from .sensing import SensingConfig, StateVector, detect_pursuers, sense, \
-    time_factor
+from .sensing import SensingConfig, detect_pursuers, sense, time_factor
 
 __all__ = [
     "ScaffoldConfig",
@@ -53,6 +52,7 @@ __all__ = [
     "ExperienceTuple",
     "ScaffoldDecision",
     "StepResult",
+    "to_velocity",
     "reward_gap",
     "scaffold_select",
     "predict_next_state",
@@ -62,13 +62,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaffoldConfig:
-    """Threshold (percent), gap-denominator guard, and the choice of which
-    action enters the stored tuple (executed action by default; the
-    always-store-actor variant is kept for ablation)."""
+    """Threshold ``beta`` (percent) and the gap-denominator guard
+    ``epsilon``.  The stored tuple always holds the executed action."""
 
     beta: float = 20.0
     epsilon: float = 1e-6
-    store_executed_action: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta <= 100.0):
@@ -86,10 +84,10 @@ class Branch(Enum):
 class ExperienceTuple:
     """One stored transition; ``action`` is pre-scaling (unit-box) space."""
 
-    state: StateVector
+    state: np.ndarray
     action: np.ndarray
     reward: float
-    next_state: StateVector
+    next_state: np.ndarray
     terminal: bool
     branch: Branch
 
@@ -111,6 +109,12 @@ class StepResult:
     decision: ScaffoldDecision | None
     realized_reward: float
     realized_breakdown: RewardBreakdown
+
+
+def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
+    """Scale a unit-box action to a velocity command; the observation frame
+    is axis-aligned, so no rotation is involved."""
+    return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
 
 
 def reward_gap(r_r: float, r_p: float, eps: float) -> float:
@@ -137,7 +141,7 @@ def predict_next_state(w: WorldState, action: tuple[float, float],
     """Estimate the signed reward of a candidate action.
 
     The evader is advanced by the (clipped) action; pursuers extrapolate at
-    their current velocity along their stored heading vectors.  The reward is
+    their current speed along their unit direction vectors.  The reward is
     scored on a copy of the reward state; ``w`` and ``reward_state`` are
     never touched.
     """
@@ -156,8 +160,9 @@ def predict_next_state(w: WorldState, action: tuple[float, float],
 class EpisodeStepper:
     """Owns one episode: world, cached observation, and reward bookkeeping.
 
-    With ``scaffold`` set the step runs the full arbitration; without it the
-    step is the independent trainer (actor action, estimated reward stored).
+    With ``scaffold`` set the step runs the full arbitration against
+    ``planner``, the PFM policy with ``gains``; without it the step is the
+    independent trainer (actor action, estimated reward stored).
     Evaluation uses :meth:`step_action` instead, which executes an arbitrary
     action and reports the realized reward.
     """
@@ -169,7 +174,7 @@ class EpisodeStepper:
         self.arena = arena
         self.sensing_cfg = sensing_cfg
         self.scaffold = scaffold
-        self.gains = gains if gains is not None else PfmGains()
+        self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.reward_sign = reward_sign
         self.frame = sense(world, arena, sensing_cfg)
         self.reward_state = RewardState(d_b_prev=self.frame.d_b)
@@ -177,35 +182,20 @@ class EpisodeStepper:
         # region within capture radius); loops must check before stepping.
         self.initial_outcome = world.outcome
 
-    def planner_action(self) -> tuple[float, float]:
-        force = net_force(self.frame.detections,
-                          (self.frame.d_b, self.frame.boundary_dir), self.gains)
-        return pfm_action(force, self.arena)
-
-    def actor_to_world(self, a: np.ndarray) -> tuple[float, float]:
-        """Scale a unit-box actor output to a velocity command; the
-        observation frame is axis-aligned, so no rotation is involved."""
-        return float(a[0]) * self.arena.v_e_max, float(a[1]) * self.arena.v_e_max
-
-    def world_to_actor(self, v: tuple[float, float]) -> np.ndarray:
-        """Inverse of :meth:`actor_to_world` (stores planner actions)."""
-        return np.array([v[0] / self.arena.v_e_max, v[1] / self.arena.v_e_max])
-
     def _advance_world(self, action: tuple[float, float]
                        ) -> tuple[EpisodeOutcome | None, RewardBreakdown, float]:
         self.world, outcome = step_world(self.world, action, self.arena)
         self.frame = sense(self.world, self.arena, self.sensing_cfg)
         breakdown, realized = transition_reward(
-            self.frame.detections, self.frame.d_b, self.frame.state.t_f,
+            self.frame.detections, self.frame.d_b, self.frame.t_f,
             self.reward_state, self.arena, self.reward_sign)
         return outcome, breakdown, realized
 
     def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
         """One training step: sample the actor, arbitrate, act, store."""
         state = self.frame.state
-        actor_out = forward_actor(nets.actor, state.values, rng)
-        a_r = actor_out.action
-        a_r_env = self.actor_to_world(a_r)
+        a_r = forward_actor(nets.actor, state, rng).action
+        a_r_env = to_velocity(a_r, self.arena)
 
         r_r = predict_next_state(self.world, a_r_env, self.arena,
                                  self.reward_state, self.reward_sign)
@@ -215,7 +205,7 @@ class EpisodeStepper:
         env_action = a_r_env
         stored_action = a_r
         if self.scaffold is not None:
-            a_p_env = self.planner_action()
+            a_p_env = self.planner.act(self.frame, self.arena)
             r_p = predict_next_state(self.world, a_p_env, self.arena,
                                      self.reward_state, self.reward_sign)
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
@@ -224,8 +214,7 @@ class EpisodeStepper:
             decision = ScaffoldDecision(r_r, r_p, d_f, branch)
             if branch is Branch.PLANNER:
                 env_action = a_p_env
-                if self.scaffold.store_executed_action:
-                    stored_action = self.world_to_actor(a_p_env)
+                stored_action = np.array(a_p_env) / self.arena.v_e_max
 
         outcome, breakdown, realized = self._advance_world(env_action)
         experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),

@@ -79,3 +79,14 @@ def test_checkpoint_width_mismatch(trained, tmp_path, command):
     with pytest.raises(ValueError, match=r"reads 36 inputs.*sensing\.n_s"):
         cli.main([*command, "--checkpoint", str(trained[1]),
                   "--config", str(config), *extra])
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_zero_episodes_rejected(trained, tmp_path, command):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
+    extra = {"eval": ["--out", str(tmp_path / "eval")],
+             "sweep": ["--grid", str(grid), "--out", str(tmp_path / "s.csv")]}
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        cli.main([command, "--checkpoint", str(trained[1]), "--episodes", "0",
+                  *extra[command]])

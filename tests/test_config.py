@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cep.config import (MODES, RunConfig, desk_profile, load_config,
-                        paper_profile, save_config)
+from cep.config import (MODES, RunConfig, config_to_text, desk_profile,
+                        load_config, paper_profile, save_config)
+from cep.neural import TrainConfig
 
 finite = st.floats(0.01, 1e6)
 
@@ -13,15 +14,14 @@ finite = st.floats(0.01, 1e6)
 @st.composite
 def run_configs(draw):
     """Valid run configs: a shipped profile with fields of every section and
-    of every type (int, float, bool, str, the hidden-width tuple) redrawn."""
+    of every type (int, float, str, the hidden-width tuple) redrawn."""
     base = draw(st.sampled_from([desk_profile(), paper_profile()]))
     arena = replace(base.arena,
                     half_width=draw(st.floats(20.0, 1e4)),
                     half_height=draw(st.floats(20.0, 1e4)),
                     n_pursuers=draw(st.integers(0, 500)),
                     v_e_max=draw(finite), r_e=draw(finite),
-                    dt=draw(st.floats(1e-3, 1.0)),
-                    seed=draw(st.integers(0, 2**63 - 1)))
+                    dt=draw(st.floats(1e-3, 1.0)))
     sensing = replace(base.sensing, n_s=draw(st.integers(4, 720)),
                       k_s=draw(finite), w_l=draw(finite),
                       r_b_norm=draw(finite))
@@ -30,8 +30,7 @@ def run_configs(draw):
                     batch_size=draw(st.integers(1, 4096)),
                     hidden=tuple(draw(st.lists(st.integers(1, 1024),
                                                max_size=4))))
-    scaffold = replace(base.scaffold, beta=draw(st.floats(0.0, 100.0)),
-                       store_executed_action=draw(st.booleans()))
+    scaffold = replace(base.scaffold, beta=draw(st.floats(0.0, 100.0)))
     pfm = replace(base.pfm, k_p=draw(finite))
     return replace(base, arena=arena, sensing=sensing, train=train,
                    scaffold=scaffold, pfm=pfm,
@@ -61,3 +60,48 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("arena.no_such_field = 1\n")
     with pytest.raises(ValueError, match="unknown field"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key", ["arena.seed", "train.seed",
+                                 "scaffold.store_executed_action"])
+def test_removed_key_rejected(tmp_path, key):
+    # A key that nothing reads must fail loudly, not pass silently.
+    path = tmp_path / "old.txt"
+    path.write_text(f"{key} = 5\n")
+    with pytest.raises(ValueError, match=f"old.txt:1: unknown field '{key}'"):
+        load_config(path)
+
+
+def test_shipped_keys():
+    keys = [line.split(" = ")[0]
+            for line in config_to_text(desk_profile()).splitlines() if line]
+    assert len(keys) == len(set(keys)) == 38
+
+
+@pytest.mark.parametrize("line,key", [
+    ("arena.n_pursuers = 1.5", "arena.n_pursuers"),
+    ("train.lr_actor = fast", "train.lr_actor"),
+    ("train.hidden = 64,x", "train.hidden"),
+    ("episodes = ten", "episodes"),
+])
+def test_bad_value_names_file_line_and_key(tmp_path, line, key):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# a comment\n{line}\n")
+    with pytest.raises(ValueError, match=f"bad.txt:2: {key}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("hidden", [(0,), (64, 0), (-3, 8)])
+def test_hidden_width_below_one_rejected(tmp_path, hidden):
+    with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+        TrainConfig(hidden=hidden)
+    path = tmp_path / "config.txt"
+    path.write_text("train.hidden = " + ",".join(map(str, hidden)) + "\n")
+    with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+        load_config(path)
+
+
+def test_no_hidden_layer_is_valid(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("train.hidden =\n")
+    assert load_config(path).train.hidden == ()

@@ -24,13 +24,22 @@ def small_arena(**kw) -> ArenaConfig:
 
 
 def pursuer_rows(p: Pursuers) -> list[tuple]:
-    """Each pursuer as ``(x, y, speed, heading, chasing, patrol_speed)``."""
+    """Each pursuer as ``(x, y, speed, unit_x, unit_y, chasing,
+    patrol_speed)``."""
     return list(zip(p.xy[:, 0].tolist(), p.xy[:, 1].tolist(),
-                    p.speed.tolist(), p.heading.tolist(), p.chasing.tolist(),
+                    p.speed.tolist(), p.unit[:, 0].tolist(),
+                    p.unit[:, 1].tolist(), p.chasing.tolist(),
                     p.patrol_speed.tolist()))
 
 
+def direction_deg(p: Pursuers, i: int = 0) -> float:
+    """The direction of travel of pursuer ``i``, in degrees."""
+    ux, uy = p.unit[i].tolist()
+    return math.degrees(math.atan2(uy, ux))
+
+
 # The scalar pursuer step that step_pursuers replaced, kept as its reference.
+# A reference row is ``(x, y, speed, heading, chasing, patrol_speed)``.
 
 def _advance(x: float, y: float, speed: float, heading: float,
              dt: float) -> tuple[float, float]:
@@ -68,9 +77,18 @@ def reference_step(row: tuple, evader_pos: tuple[float, float],
     return nx, ny, speed, heading, chasing, patrol_speed
 
 
+def as_unit_row(row: tuple) -> tuple:
+    """A reference row in the form of :func:`pursuer_rows`: the heading
+    becomes ``(math.cos(h), math.sin(h))``."""
+    x, y, speed, heading, chasing, patrol_speed = row
+    return (x, y, speed, math.cos(heading), math.sin(heading), chasing,
+            patrol_speed)
+
+
 @st.composite
 def pursuer_scenes(draw):
-    """A small arena, 0-40 pursuers and an evader path of 1-20 steps.
+    """A small arena, 0-40 pursuers, their reference rows and an evader path
+    of 1-20 steps.
 
     Each pursuer is, at random, anywhere, within ``r_p`` of the evader's first
     position (chase), within one step of a wall (single reflection) or of a
@@ -105,13 +123,16 @@ def pursuer_scenes(draw):
     p = Pursuers.from_rows(rows)
     p.patrol_speed = rng.uniform(cfg.v_p_min, cfg.v_p_max, len(rows))
     p.chasing = rng.random(len(rows)) < 0.3
+    reference = [(x, y, speed, h, chasing, patrol_speed)
+                 for (x, y, speed, h), chasing, patrol_speed
+                 in zip(rows, p.chasing.tolist(), p.patrol_speed.tolist())]
 
     path = [evader]
     for _ in range(draw(st.integers(0, 19))):
         ex, ey = path[-1]
         path.append((min(max(ex + rng.uniform(-1.5, 1.5), -hw), hw),
                      min(max(ey + rng.uniform(-1.5, 1.5), -hh), hh)))
-    return cfg, p, path
+    return cfg, p, reference, path
 
 
 class TestConfigValidation:
@@ -133,18 +154,17 @@ class TestConfigValidation:
 
 class TestInitWorld:
     def test_same_seed_bit_identical(self):
-        cfg = small_arena(seed=42)
-        a, b = init_world(cfg), init_world(cfg)
+        cfg = small_arena()
+        a, b = init_world(cfg, 42), init_world(cfg, 42)
         assert a.evader == b.evader
         assert pursuer_rows(a.pursuers) == pursuer_rows(b.pursuers)
         assert a.t == b.t == 0.0
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(25))
     def test_pursuers_outside_spawn_region(self, seed):
-        cfg = small_arena(seed=seed, n_pursuers=20)
-        w = init_world(cfg)
-        for x, y, speed, _, chasing, _ in pursuer_rows(w.pursuers):
+        cfg = small_arena(n_pursuers=20)
+        w = init_world(cfg, seed)
+        for x, y, speed, _, _, chasing, _ in pursuer_rows(w.pursuers):
             assert not (abs(x) <= cfg.spawn_half_extent
                         and abs(y) <= cfg.spawn_half_extent)
             assert abs(x) <= cfg.half_width and abs(y) <= cfg.half_height
@@ -153,8 +173,8 @@ class TestInitWorld:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_evader_spawn(self, seed):
-        cfg = small_arena(seed=seed)
-        w = init_world(cfg)
+        cfg = small_arena()
+        w = init_world(cfg, seed)
         assert abs(w.evader.x) <= cfg.spawn_half_extent
         assert abs(w.evader.y) <= cfg.spawn_half_extent
         assert w.evader.vx == 0.0 and w.evader.vy == 0.0
@@ -164,12 +184,12 @@ class TestInitWorld:
         # A crowded 6x6 arena, where a spawn is often captured outright.
         cfg = ArenaConfig(half_width=3.0, half_height=3.0,
                           spawn_half_extent=0.5, n_pursuers=seed % 4,
-                          capture_radius=2.9, r_p=3.0, seed=seed)
-        w = init_world(cfg)
+                          capture_radius=2.9, r_p=3.0)
+        w = init_world(cfg, seed)
         assert w.outcome == check_outcome(w, cfg)
 
     def test_pursuer_count(self):
-        w = init_world(small_arena(n_pursuers=7))
+        w = init_world(small_arena(n_pursuers=7), 0)
         assert len(w.pursuers) == 7
 
 
@@ -186,22 +206,17 @@ class TestStepEvader:
 
     def test_zero_action_identity(self):
         cfg = small_arena()
-        before = EvaderState(3.0, -4.0, heading=1.2)
+        before = EvaderState(3.0, -4.0, 2.0, 1.0)
         s = step_evader(before, (0.0, 0.0), cfg)
         assert s.x == before.x and s.y == before.y
-        assert s.heading == before.heading
-
-    def test_heading_follows_velocity(self):
-        cfg = small_arena()
-        s = step_evader(EvaderState(0.0, 0.0), (0.0, 5.0), cfg)
-        assert abs(s.heading - math.pi / 2) < TOL
+        assert s.vx == 0.0 and s.vy == 0.0
 
     @given(vx=st.floats(-50, 50), vy=st.floats(-50, 50))
     @settings(deadline=None, max_examples=50)
     def test_speed_bound(self, vx, vy):
         cfg = small_arena()
         s = step_evader(EvaderState(0.0, 0.0), (vx, vy), cfg)
-        assert s.speed <= cfg.v_e_max + 1e-9
+        assert math.hypot(s.vx, s.vy) <= cfg.v_e_max + 1e-9
 
     @pytest.mark.parametrize("action", [(math.nan, 0.0), (math.inf, 0.0),
                                         (-math.inf, math.inf)])
@@ -211,12 +226,12 @@ class TestStepEvader:
         with pytest.raises(ValueError, match="not finite"):
             step_evader(EvaderState(0.0, 0.0), action, cfg)
         with pytest.raises(ValueError, match="not finite"):
-            step_world(init_world(cfg), action, cfg)
+            step_world(init_world(cfg, 0), action, cfg)
 
     def test_huge_finite_action_clipped(self):
         cfg = small_arena()
         s = step_evader(EvaderState(0.0, 0.0), (1e308, 1e308), cfg)
-        assert abs(s.speed - cfg.v_e_max) < 1e-9
+        assert abs(math.hypot(s.vx, s.vy) - cfg.v_e_max) < 1e-9
         assert abs(s.vx - s.vy) < TOL
 
 
@@ -238,14 +253,14 @@ class TestStepPursuer:
         cfg = small_arena()
         p = one(99.9, 0.0, speed=5.0, heading=math.radians(30.0))
         p2 = step_pursuers(p, (-50.0, -50.0), cfg)
-        assert abs(math.degrees(p2.heading[0]) - 150.0) < 1e-9
+        assert abs(direction_deg(p2) - 150.0) < 1e-9
         assert p2.speed[0] == 5.0
 
     def test_corner_double_reflection(self):
         cfg = small_arena()
         p = one(99.9, 99.9, speed=5.0, heading=math.radians(45.0))
         p2 = step_pursuers(p, (-50.0, -50.0), cfg)
-        assert abs(math.degrees(p2.heading[0]) + 135.0) < 1e-9
+        assert abs(direction_deg(p2) + 135.0) < 1e-9
         assert np.all(np.abs(p2.xy) <= 100.0)
 
     def test_reflection_preserves_speed_and_containment(self):
@@ -257,7 +272,7 @@ class TestStepPursuer:
              rng.uniform(5, 10), rng.uniform(-math.pi, math.pi))
             for _ in range(200))
         p2 = step_pursuers(p, (0.0, 0.0), cfg)
-        for (x, y, speed, _, chasing, _), before in zip(pursuer_rows(p2),
+        for (x, y, speed, _, _, chasing, _), before in zip(pursuer_rows(p2),
                                                         p.speed.tolist()):
             assert abs(x) <= cfg.half_width + 1e-9
             assert abs(y) <= cfg.half_height + 1e-9
@@ -269,7 +284,7 @@ class TestStepPursuer:
         p2 = step_pursuers(p, (cfg.r_p - 1e-6, 0.0), cfg)
         assert p2.chasing[0]
         assert p2.speed[0] == cfg.v_p_max
-        assert abs(p2.heading[0]) < 1e-6  # bearing to evader
+        assert abs(direction_deg(p2)) < 1e-6  # bearing to evader
 
     def test_no_chase_beyond_range(self):
         cfg = small_arena()
@@ -286,41 +301,38 @@ class TestStepPursuer:
         released = step_pursuers(chased, (80.0, 80.0), cfg)
         assert not released.chasing[0]
         assert released.speed[0] == 6.0
-        assert released.heading[0] == chased.heading[0]
+        assert released.unit[0].tolist() == chased.unit[0].tolist()
 
     @given(scene=pursuer_scenes())
     @settings(deadline=None, max_examples=120)
     def test_equals_scalar_reference(self, scene):
-        cfg, p, evader_path = scene
-        rows = pursuer_rows(p)
+        cfg, p, rows, evader_path = scene
         for evader in evader_path:
             # The step decides chase with np.hypot, as detection does; it may
             # differ from math.hypot in the last ulp, so a distance that
             # close to r_p is outside what exact equality can check.
             assume(all(abs(math.hypot(evader[0] - r[0], evader[1] - r[1])
                            - cfg.r_p) > 1e-12 for r in rows))
-            before = pursuer_rows(p), p.unit.tolist()
+            before = pursuer_rows(p)
             rows = [reference_step(r, evader, cfg) for r in rows]
             q = step_pursuers(p, evader, cfg)
-            assert pursuer_rows(q) == rows
-            assert q.unit.tolist() == [[math.cos(h), math.sin(h)]
-                                       for h in q.heading.tolist()]
+            assert pursuer_rows(q) == [as_unit_row(r) for r in rows]
             # The step writes no array of the world it advanced.
-            assert (pursuer_rows(p), p.unit.tolist()) == before
+            assert pursuer_rows(p) == before
             p = q
 
 
 class TestStepWorld:
     def test_escape(self):
         cfg = small_arena(n_pursuers=0)
-        w = init_world(cfg)
+        w = init_world(cfg, 0)
         w.evader = EvaderState(99.9, 0.0)
         w2, outcome = step_world(w, (15.0, 0.0), cfg)
         assert outcome is not None and outcome.kind is OutcomeKind.ESCAPED
 
     def test_capture(self):
         cfg = small_arena(n_pursuers=1)
-        w = init_world(cfg)
+        w = init_world(cfg, 0)
         w.evader = EvaderState(0.0, 0.0)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
         w.pursuers = one(2.9, 0.0, 5.0, math.pi)
@@ -329,7 +341,7 @@ class TestStepWorld:
 
     def test_timeout_at_budget(self):
         cfg = small_arena(n_pursuers=0, t_max=1.0, dt=0.1)
-        w = init_world(cfg)
+        w = init_world(cfg, 0)
         w.evader = EvaderState(0.0, 0.0)
         outcome = None
         steps = 0
@@ -342,7 +354,7 @@ class TestStepWorld:
     def test_step_terminal_world_raises(self):
         # Run the evader east across the wall, then step once more.
         cfg = small_arena(n_pursuers=0)
-        w, outcome = init_world(cfg), None
+        w, outcome = init_world(cfg, 0), None
         while outcome is None:
             w, outcome = step_world(w, (15.0, 0.0), cfg)
         assert outcome.kind is OutcomeKind.ESCAPED
@@ -352,7 +364,7 @@ class TestStepWorld:
 
     def test_step_after_capture_raises(self):
         cfg = small_arena(n_pursuers=1)
-        w = init_world(cfg)
+        w = init_world(cfg, 0)
         w.evader = EvaderState(0.0, 0.0)
         w.pursuers = one(2.9, 0.0, 5.0, math.pi)
         w, outcome = step_world(w, (0.0, 0.0), cfg)
@@ -364,8 +376,8 @@ class TestStepWorld:
         # A crowded 6x6 arena: some pursuer spawns within capture radius.
         cfg = ArenaConfig(half_width=3.0, half_height=3.0,
                           spawn_half_extent=0.5, n_pursuers=20,
-                          capture_radius=2.9, r_p=3.0, seed=0)
-        w = init_world(cfg)
+                          capture_radius=2.9, r_p=3.0)
+        w = init_world(cfg, 0)
         assert w.outcome == EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0)
         stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8), None)
         assert stepper.initial_outcome is w.outcome
@@ -373,11 +385,11 @@ class TestStepWorld:
             step_world(w, (0.0, 0.0), cfg)
 
     def test_determinism_full_episode(self):
-        cfg = small_arena(seed=7, n_pursuers=8)
+        cfg = small_arena(n_pursuers=8)
         actions = np.random.default_rng(0).uniform(-15, 15, size=(300, 2))
 
         def run():
-            w = init_world(cfg)
+            w = init_world(cfg, 7)
             trace = []
             outcome = None
             for a in actions:
@@ -395,8 +407,8 @@ class TestStepWorld:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_termination_trichotomy_and_containment(self, seed):
-        cfg = small_arena(seed=seed, t_max=20.0, n_pursuers=6)
-        w = init_world(cfg)
+        cfg = small_arena(t_max=20.0, n_pursuers=6)
+        w = init_world(cfg, seed)
         rng = np.random.default_rng(seed)
         outcome = check_outcome(w, cfg)
         steps = 0
@@ -414,20 +426,20 @@ class TestStepWorld:
 class TestObjectiveValue:
     def test_no_detections_max_boundary(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0))
+        w = init_world(replace(cfg, n_pursuers=0), 0)
         w.evader = EvaderState(0.0, 0.0)
         # d_b = 100 at the center; r_b_norm = 100 -> 1.0
         assert abs(objective_value(w, [], cfg, 100.0) - 1.0) < TOL
 
     def test_at_boundary_zero(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0))
+        w = init_world(replace(cfg, n_pursuers=0), 0)
         w.evader = EvaderState(100.0, 0.0)
         assert abs(objective_value(w, [], cfg, 100.0)) < TOL
 
     def test_single_far_detection(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0))
+        w = init_world(replace(cfg, n_pursuers=0), 0)
         w.evader = EvaderState(50.0, 0.0)  # d_b = 50 = r_b_norm/2
         assert abs(objective_value(w, [cfg.r_e], cfg, 100.0) - 0.5) < TOL
 

@@ -1,0 +1,131 @@
+import math
+
+import numpy as np
+import pytest
+
+from cep.config import desk_profile
+from cep.harness import (EvalEpisode, _bucketize, _summarize,
+                         evaluate_monte_carlo, load_grid, make_policy, sweep)
+from cep.neural import PolicyBundle, TrainConfig
+
+
+def episode(i: int, outcome: str, steps: int, mean_reward: float):
+    return EvalEpisode(i, outcome, steps, mean_reward * steps, mean_reward)
+
+
+def episodes_101() -> list[EvalEpisode]:
+    """Episode i escapes in 10 + i steps when i is even, else times out."""
+    return [episode(i, "escaped" if i % 2 == 0 else "timeout", 10 + i,
+                    0.01 * i) for i in range(101)]
+
+
+def small_bundle() -> PolicyBundle:
+    return PolicyBundle.create(desk_profile().sensing.n_s,
+                               TrainConfig(hidden=(8,)),
+                               np.random.default_rng(0))
+
+
+class TestSummary:
+    def test_101_episodes_fill_buckets_of_100_and_1(self):
+        buckets = _bucketize(episodes_101())
+        assert [(b.bucket, b.episodes) for b in buckets] == [(0, 100), (1, 1)]
+        first, last = buckets
+        assert first.escape_pct == 50.0
+        assert first.mean_escape_steps == np.mean([10 + i
+                                                   for i in range(0, 100, 2)])
+        assert first.mean_reward == np.mean([0.01 * i for i in range(100)])
+        # Episode 100 is even: it escaped in 110 steps.
+        assert (last.escape_pct, last.mean_escape_steps,
+                last.mean_reward) == (100.0, 110.0, 1.0)
+
+    def test_bucket_without_escape_has_nan_escape_steps(self):
+        records = [episode(i, outcome, 5, -1.0)
+                   for i, outcome in enumerate(["timeout", "captured"])]
+        (bucket,) = _bucketize(records)
+        assert bucket.escape_pct == 0.0
+        assert math.isnan(bucket.mean_escape_steps)
+        assert bucket.mean_reward == -1.0
+
+    def test_overall_figures_are_one_summary_of_all_episodes(self):
+        records = episodes_101()
+        escaped = [e.steps for e in records if e.outcome == "escaped"]
+        assert _summarize(records) == (
+            100.0 * 51 / 101, float(np.mean(escaped)),
+            float(np.mean([e.mean_reward for e in records])))
+
+    def test_report_uses_the_summary(self):
+        cfg = desk_profile(seed=2)
+        report = evaluate_monte_carlo(make_policy("pfm", cfg), cfg,
+                                      episodes=3)
+        overall = (report.escape_pct, report.mean_escape_steps,
+                   report.mean_reward)
+        assert overall == _summarize(report.episodes)
+        (bucket,) = report.buckets
+        assert (bucket.escape_pct, bucket.mean_escape_steps,
+                bucket.mean_reward) == overall
+
+
+class TestEpisodeCount:
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_evaluate_needs_an_episode(self, episodes):
+        cfg = desk_profile()
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            evaluate_monte_carlo(make_policy("pfm", cfg), cfg,
+                                 episodes=episodes)
+
+    def test_sweep_needs_an_episode(self):
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            sweep(small_bundle(), desk_profile(), [(5, 1.5, 1.5)], episodes=0)
+
+
+class TestMakePolicy:
+    @pytest.mark.parametrize("kind", ["iac", "sr2l"])
+    def test_training_modes_are_not_policy_kinds(self, kind):
+        with pytest.raises(ValueError, match="unknown policy kind"):
+            make_policy(kind, desk_profile(), small_bundle())
+
+    @pytest.mark.parametrize("kind", ["actor", "checkpoint"])
+    def test_actor_kinds(self, kind):
+        assert make_policy(kind, desk_profile(), small_bundle()) is not None
+
+
+class TestLoadGrid:
+    def write(self, tmp_path, text: str):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        return path
+
+    def test_valid_grid(self, tmp_path):
+        path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n"
+                                    "0,1.5,1.5\n10,1.0,0.75\n")
+        assert load_grid(path) == [(0, 1.5, 1.5), (10, 1.0, 0.75)]
+
+    @pytest.mark.parametrize("header", ["v_ratio,r_ratio",
+                                        "n_pursuers,r_ratio",
+                                        "n_pursuers,v_ratio"])
+    def test_missing_column(self, tmp_path, header):
+        path = self.write(tmp_path, header + "\n1,1\n")
+        with pytest.raises(ValueError, match=r"grid\.csv:1: .*no column"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("row", [
+        "1.5,1.0,1.0",    # non-integer pursuer count
+        "x,1.0,1.0",
+        "-1,1.0,1.0",     # negative pursuer count
+        "5,0,1.0",        # non-positive ratios
+        "5,1.0,0",
+        "5,-2.0,1.0",
+        "5,inf,1.0",      # non-finite ratios
+        "5,1.0,nan",
+        "5,1.0",          # a value missing from the row
+    ])
+    def test_bad_row(self, tmp_path, row):
+        path = self.write(tmp_path,
+                          f"n_pursuers,v_ratio,r_ratio\n5,1.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"grid\.csv:3: bad sweep cell"):
+            load_grid(path)
+
+    def test_empty_grid(self, tmp_path):
+        path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n")
+        with pytest.raises(ValueError, match="empty sweep grid"):
+            load_grid(path)

@@ -257,8 +257,8 @@ class TestGradients:
         bundle = make_bundle(seed=seed)
         states = rng.normal(size=(8, STATE_DIM))
         noise = rng.standard_normal((8, 2))
-        _, grads, _ = actor_loss_and_grads(bundle.actor, bundle.critic,
-                                           states, noise, alpha)
+        _, grads = actor_loss_and_grads(bundle.actor, bundle.critic, states,
+                                        noise, alpha)
         analytic = flat_grads(grads)
 
         def loss_fn():

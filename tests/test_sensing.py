@@ -23,7 +23,7 @@ def arena(**kw) -> ArenaConfig:
 def world_with(evader, rows, cfg):
     """A world holding ``evader`` and one pursuer per ``(x, y, speed,
     heading)`` row."""
-    w = init_world(cfg)
+    w = init_world(cfg, 0)
     w.evader = evader
     w.pursuers = Pursuers.from_rows(rows)
     return w
@@ -33,7 +33,7 @@ class TestCastRays:
     def test_empty_arena_all_max_range(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), [], cfg)
+        w = world_with(EvaderState(0.0, 0.0), [], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
         assert np.all(scan == cfg.r_e)
         assert detections == []
@@ -43,7 +43,7 @@ class TestCastRays:
         cfg = arena(capture_radius=0.5)
         scfg = SensingConfig(n_s=36)
         p = (5.0, 0.0, 5.0, 0.0)
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
+        w = world_with(EvaderState(0.0, 0.0), [p], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
         assert scan[0] < 5.0
         assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
@@ -54,7 +54,7 @@ class TestCastRays:
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
+        w = world_with(EvaderState(0.0, 0.0), [p], cfg)
         _, detections = cast_rays(w, cfg, scfg)
         assert detections == []
 
@@ -63,7 +63,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         near = (4.0, 0.0, 5.0, 0.0)
         far = (8.0, 0.0, 5.0, 0.0)
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), [far, near], cfg)
+        w = world_with(EvaderState(0.0, 0.0), [far, near], cfg)
         scan, detections = cast_rays(w, cfg, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
         assert len(detections) == 2
@@ -73,7 +73,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         # pursuer at (5, 0) heading west, straight at the evader
         p = (5.0, 0.0, 5.0, math.pi)
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
+        w = world_with(EvaderState(0.0, 0.0), [p], cfg)
         _, detections = cast_rays(w, cfg, scfg)
         assert abs(detections[0].theta) < 1e-9
         assert abs(detections[0].bearing) < 1e-9
@@ -84,7 +84,7 @@ class TestCastRays:
         prev = math.inf
         for d in np.linspace(14.0, 2.0, 30):
             p = (d, 0.0, 5.0, 0.0)
-            w = world_with(EvaderState(0.0, 0.0, heading=0.0), [p], cfg)
+            w = world_with(EvaderState(0.0, 0.0), [p], cfg)
             scan, _ = cast_rays(w, cfg, scfg)
             assert scan[0] <= prev + 1e-12
             prev = scan[0]
@@ -96,26 +96,27 @@ class TestCastRays:
         pts = rng.uniform(-12, 12, size=(6, 2))
         pursuers = [(x, y, 5.0, 0.0) for x, y in pts
                     if math.hypot(x, y) > 3.0]
-        w = world_with(EvaderState(0.0, 0.0, heading=0.0), pursuers, cfg)
+        w = world_with(EvaderState(0.0, 0.0), pursuers, cfg)
         scan, _ = cast_rays(w, cfg, scfg)
 
         step = 2 * math.pi / scfg.n_s
         c, s = math.cos(step), math.sin(step)
         rotated = [(c * x - s * y, s * x + c * y, 5.0, 0.0)
                    for x, y, _, _ in pursuers]
-        w2 = world_with(EvaderState(0.0, 0.0, heading=0.0), rotated, cfg)
+        w2 = world_with(EvaderState(0.0, 0.0), rotated, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
         assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
 
     def test_heading_does_not_affect_scan(self):
-        # the sensing frame is evader-centered and axis-aligned
+        # the sensing frame is evader-centered and axis-aligned: the evader's
+        # direction of motion does not rotate it
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         pursuers = [(6.0, 2.0, 5.0, 0.0),
                     (-4.0, -7.0, 5.0, 0.0)]
-        w = world_with(EvaderState(0.0, 0.0, heading=0.3), pursuers, cfg)
+        w = world_with(EvaderState(0.0, 0.0, 3.0, 1.0), pursuers, cfg)
         scan, _ = cast_rays(w, cfg, scfg)
-        w2 = world_with(EvaderState(0.0, 0.0, heading=-2.1), pursuers, cfg)
+        w2 = world_with(EvaderState(0.0, 0.0, -2.0, -7.0), pursuers, cfg)
         scan2, _ = cast_rays(w2, cfg, scfg)
         assert np.array_equal(scan, scan2)
 
@@ -199,18 +200,18 @@ class TestEncodeState:
     def test_weighted_average(self):
         scfg = SensingConfig(n_s=4, w_l=1.0, w_b=1.0)
         sv = encode_state(np.full(4, 1.0), np.full(4, 0.5), 0.5, scfg)
-        assert np.allclose(sv.values, 0.375, atol=TOL)
+        assert np.allclose(sv, 0.375, atol=TOL)
 
     def test_timeout_annihilation(self):
         scfg = SensingConfig(n_s=4)
         sv = encode_state(np.full(4, 1.0), np.full(4, 1.0), 0.0, scfg)
-        assert np.all(sv.values == 0.0)
+        assert np.all(sv == 0.0)
 
     def test_single_source(self):
         scfg = SensingConfig(n_s=4, w_l=1.0, w_b=0.0)
         lidar = np.array([0.2, 0.4, 0.6, 0.8])
         sv = encode_state(lidar, np.full(4, 1.0), 0.5, scfg)
-        assert np.allclose(sv.values, 0.5 * lidar, atol=TOL)
+        assert np.allclose(sv, 0.5 * lidar, atol=TOL)
 
     def test_length_mismatch(self):
         scfg = SensingConfig(n_s=4)
@@ -219,9 +220,9 @@ class TestEncodeState:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_state_bounds_full_pipeline(self, seed):
-        cfg = arena(n_pursuers=10, seed=seed)
+        cfg = arena(n_pursuers=10)
         scfg = SensingConfig(n_s=36, r_b_norm=200.0)
-        w = init_world(cfg)
+        w = init_world(cfg, seed)
         frame = sense(w, cfg, scfg)
-        assert np.all(frame.state.values >= 0.0)
-        assert np.all(frame.state.values <= scfg.k_s / 2 + TOL)
+        assert np.all(frame.state >= 0.0)
+        assert np.all(frame.state <= scfg.k_s / 2 + TOL)

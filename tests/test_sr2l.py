@@ -15,11 +15,11 @@ from cep.sr2l import (Branch, EpisodeStepper, predict_next_state, reward_gap,
 SENSING = SensingConfig(n_s=36, r_b_norm=100.0)
 
 
-def arena(n_pursuers: int, seed: int) -> ArenaConfig:
+def arena(n_pursuers: int) -> ArenaConfig:
     # A small arena so that most worlds have pursuers within sensor range.
     # With t_max = 12.1 the last step lands one ulp past it (121 * 0.1).
     return ArenaConfig(half_width=25.0, half_height=25.0, spawn_half_extent=5.0,
-                       n_pursuers=n_pursuers, t_max=12.1, seed=seed)
+                       n_pursuers=n_pursuers, t_max=12.1)
 
 
 def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
@@ -27,26 +27,24 @@ def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
     """The estimate through the full pipeline: extrapolate the world, sense
     it, and score the frame on a copy of the reward state."""
     evader = step_evader(w.evader, action, cfg)
-    pursuers = Pursuers.from_rows(
-        (x + speed * math.cos(h) * cfg.dt, y + speed * math.sin(h) * cfg.dt,
-         speed, h)
-        for (x, y), speed, h in zip(w.pursuers.xy.tolist(),
-                                    w.pursuers.speed.tolist(),
-                                    w.pursuers.heading.tolist()))
+    p = w.pursuers
+    xy = [(x + speed * ux * cfg.dt, y + speed * uy * cfg.dt)
+          for (x, y), speed, (ux, uy) in zip(p.xy.tolist(), p.speed.tolist(),
+                                             p.unit.tolist())]
+    pursuers = Pursuers(np.array(xy, dtype=float).reshape(len(p), 2),
+                        p.speed, p.unit, p.patrol_speed, p.chasing)
     n = w.step_count + 1
-    w_est = WorldState(evader, pursuers, t=n * cfg.dt, step_count=n, rng=w.rng)
+    w_est = WorldState(evader, pursuers, t=n * cfg.dt, step_count=n)
     frame = sense(w_est, cfg, SENSING)
-    _, r = transition_reward(frame.detections, frame.d_b, frame.state.t_f,
+    _, r = transition_reward(frame.detections, frame.d_b, frame.t_f,
                              reward_state.copy(), cfg, sign)
     return r
 
 
 def snapshot(w: WorldState, rs: RewardState):
-    return ((w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
-             w.evader.heading),
+    return ((w.evader.x, w.evader.y, w.evader.vx, w.evader.vy),
             [a.tolist() for a in (w.pursuers.xy, w.pursuers.speed,
-                                  w.pursuers.heading, w.pursuers.unit,
-                                  w.pursuers.patrol_speed,
+                                  w.pursuers.unit, w.pursuers.patrol_speed,
                                   w.pursuers.chasing)],
             w.t, w.step_count, dict(rs.history), rs.d_b_prev)
 
@@ -55,13 +53,15 @@ def snapshot(w: WorldState, rs: RewardState):
 def scenes(draw):
     """A stepper after a few planner steps (so the reward history is
     populated), optionally moved to the last step before ``t_max``."""
-    cfg = arena(draw(st.integers(0, 30)), draw(st.integers(0, 2**16)))
-    stepper = EpisodeStepper(init_world(cfg), cfg, SENSING, None)
+    cfg = arena(draw(st.integers(0, 30)))
+    stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))),
+                             cfg, SENSING, None)
     outcome = stepper.initial_outcome
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
             break
-        outcome, _, _ = stepper.step_action(stepper.planner_action())
+        outcome, _, _ = stepper.step_action(
+            stepper.planner.act(stepper.frame, cfg))
     if draw(st.booleans()):
         stepper.world.step_count = max_steps(cfg) - 1
         stepper.world.t = stepper.world.step_count * cfg.dt
@@ -90,8 +90,8 @@ class TestPredictNextState:
     @pytest.mark.parametrize("action", [(math.nan, 0.0), (math.inf, 0.0),
                                         (-math.inf, math.inf)])
     def test_non_finite_action_raises(self, action):
-        cfg = arena(5, 0)
-        w = init_world(cfg)
+        cfg = arena(5)
+        w = init_world(cfg, 0)
         with pytest.raises(ValueError, match="not finite"):
             predict_next_state(w, action, cfg, RewardState())
 
