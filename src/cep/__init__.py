@@ -10,14 +10,13 @@ from .harness import (ActorPolicy, EpisodeLog, EvalReport, PfmPolicy,
                       RandomWalkPolicy, evaluate_monte_carlo, replay, sweep,
                       train)
 from .neural import (Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
-                     TrainingDiverged, forward_actor, forward_critic,
-                     load_checkpoint, save_checkpoint, soft_update)
+                     TrainingDiverged, forward_actor, load_checkpoint,
+                     save_checkpoint, soft_update)
 from .pfm import PfmGains, net_force, pfm_action
 from .rewards import (compose_reward, pursuer_weight, reward_boundary,
                       reward_pursuers)
 from .sensing import (Detection, SenseFrame, SensingConfig, boundary_scan,
-                      cast_rays, detect_pursuers, encode_boundary,
-                      encode_lidar, encode_state, sense, time_factor)
+                      cast_rays, observe, sense, time_factor)
 from .sr2l import (Branch, EpisodeStepper, ExperienceTuple, ScaffoldConfig,
                    ScaffoldDecision, predict_next_state, reward_gap,
                    scaffold_select)

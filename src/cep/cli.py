@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,8 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A user error prints one line ``cep: error: ...``
+    to stderr and returns exit status 2, as argparse does for bad arguments."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"cep: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -131,11 +131,22 @@ def save_config(cfg: RunConfig, path) -> None:
     Path(path).write_text(config_to_text(cfg))
 
 
+def _checked(path, keys: list[str], obj, **values):
+    """``replace(obj, **values)``.  When the section's check fails, its
+    message names the file and the ``line: key`` of every key the file set
+    in the section, since a check may span keys (``v_p_min <= v_p_max``)."""
+    try:
+        return replace(obj, **values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {', '.join(keys)}: {exc}") from None
+
+
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     """Parse a key-value file on top of ``base`` (desk profile by default)."""
     cfg = base if base is not None else desk_profile()
     top: dict = {}
     nested: dict[str, dict] = {s: {} for s in _SECTIONS}
+    keys: dict[str, list[str]] = {s: [] for s in ("", *_SECTIONS)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -151,14 +162,16 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
         else:
             if key in _SECTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-            obj, values, field_name = cfg, top, key
+            obj, values, field_name, section = cfg, top, key, ""
         if not hasattr(obj, field_name):
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
         try:
             values[field_name] = _coerce(getattr(obj, field_name), raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        keys[section].append(f"{lineno}: {key}")
     for section, values in nested.items():
         if values:
-            top[section] = replace(getattr(cfg, section), **values)
-    return replace(cfg, **top) if top else cfg
+            top[section] = _checked(path, keys[section], getattr(cfg, section),
+                                    **values)
+    return _checked(path, keys[""], cfg, **top) if top else cfg

@@ -40,7 +40,6 @@ __all__ = [
     "step_pursuers",
     "step_world",
     "max_steps",
-    "nearest_wall_distance",
     "nearest_wall",
     "objective_value",
 ]
@@ -342,16 +341,12 @@ def nearest_wall(pos: tuple[float, float],
     return max(dists[i], 0.0), dirs[i]
 
 
-def nearest_wall_distance(pos: tuple[float, float], cfg: ArenaConfig) -> float:
-    return nearest_wall(pos, cfg)[0]
-
-
 def objective_value(w: WorldState, detection_distances, cfg: ArenaConfig,
                     r_b_norm: float) -> float:
     """Instantaneous objective: pursuer-proximity sum plus normalized boundary
     distance.  Used as an evaluation metric only; the pursuer sum is 0 with no
     detections."""
-    d_b = nearest_wall_distance((w.evader.x, w.evader.y), cfg)
+    d_b = nearest_wall((w.evader.x, w.evader.y), cfg)[0]
     m = len(detection_distances)
     pursuer_term = 0.0
     if m > 0:

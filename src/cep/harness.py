@@ -7,6 +7,11 @@ update noise, buffer sampling) plus one world-init seed per episode;
 evaluation derives its episode seeds from a separate purpose tag, so training
 and evaluation never share draws.
 
+An evaluation policy has ``reset(episode_seed)`` and ``act(stepper)``, which
+returns the velocity command for the :class:`~cep.sr2l.EpisodeStepper`'s
+current world.  It reads what it needs from the stepper: the planner its
+``frame``, the actor its ``observation``, which is built only when read.
+
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
 
@@ -26,7 +31,7 @@ from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      save_checkpoint, soft_update)
 from .pfm import PfmPolicy
-from .sensing import SenseFrame
+from .sensing import cast_rays
 from .sr2l import Branch, EpisodeStepper, to_velocity
 
 __all__ = [
@@ -51,7 +56,6 @@ __all__ = [
 
 _TRAIN_TAG = 1
 _EVAL_TAG = 2
-_REPLAY_TAG = 3
 
 
 def _fmt(value) -> str:
@@ -95,9 +99,9 @@ class ActorPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        return to_velocity(actor_mean_action(self.bundle.actor, frame.state),
-                           arena)
+    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
+        a = actor_mean_action(self.bundle.actor, stepper.observation)
+        return to_velocity(a, stepper.arena)
 
 
 class RandomWalkPolicy:
@@ -109,8 +113,8 @@ class RandomWalkPolicy:
     def reset(self, episode_seed: int) -> None:
         self.rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 77)))
 
-    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        return to_velocity(self.rng.uniform(-1.0, 1.0, size=2), arena)
+    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
+        return to_velocity(self.rng.uniform(-1.0, 1.0, size=2), stepper.arena)
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
@@ -322,7 +326,7 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
         steps = 0
         outcome = stepper.initial_outcome
         while outcome is None:
-            action = policy.act(stepper.frame, arena)
+            action = policy.act(stepper)
             outcome, reward, _ = stepper.step_action(action)
             cum += reward
             steps += 1
@@ -348,28 +352,32 @@ class SweepCell:
 def sweep_arena(base: ArenaConfig, n_pursuers: int, v_ratio: float,
                 r_ratio: float) -> ArenaConfig:
     """Arena for one sweep cell: pursuer speed and sensor range are set from
-    the evader's via the requested ratios."""
+    the evader's via the requested ratios.  A cell that makes no valid arena
+    raises ``ValueError`` naming the cell."""
     v_p_max = base.v_e_max / v_ratio
-    r_p = base.r_e / r_ratio
-    return replace(base, n_pursuers=n_pursuers, v_p_max=v_p_max,
-                   v_p_min=min(base.v_p_min, v_p_max), r_p=r_p)
+    try:
+        return replace(base, n_pursuers=n_pursuers, v_p_max=v_p_max,
+                       v_p_min=min(base.v_p_min, v_p_max),
+                       r_p=base.r_e / r_ratio)
+    except ValueError as exc:
+        raise ValueError(f"sweep cell (n_pursuers, v_ratio, r_ratio) = "
+                         f"{(n_pursuers, v_ratio, r_ratio)}: {exc}") from None
 
 
 def sweep(bundle: PolicyBundle, cfg: RunConfig,
           grid: list[tuple[int, float, float]],
           episodes: int | None = None) -> list[SweepCell]:
     """Evaluate a trained policy over (pursuer count, speed ratio, range
-    ratio) cells."""
+    ratio) cells.  Every cell's arena is built before any is evaluated."""
     policy = make_policy("actor", cfg, bundle)
+    arenas = [sweep_arena(cfg.arena, *cell) for cell in grid]
     cells = []
     n_eval = episodes if episodes is not None else cfg.eval_episodes
-    for n_pursuers, v_ratio, r_ratio in grid:
-        arena = sweep_arena(cfg.arena, n_pursuers, v_ratio, r_ratio)
+    for cell, arena in zip(grid, arenas):
         report = evaluate_monte_carlo(policy, cfg, arena=arena,
                                       episodes=n_eval)
-        cells.append(SweepCell(n_pursuers, v_ratio, r_ratio,
-                               report.escape_pct, report.mean_escape_steps,
-                               n_eval))
+        cells.append(SweepCell(*cell, report.escape_pct,
+                               report.mean_escape_steps, n_eval))
     return cells
 
 
@@ -429,12 +437,13 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
 
     def row(step: int, reward_parts, outcome_tag: str) -> list[str]:
         w = stepper.world
-        f = stepper.frame
+        detections = stepper.frame.detections
         r_d, r_b, sum_w, reward = reward_parts
-        obj = objective_value(w, [d.distance for d in f.detections], arena,
+        obj = objective_value(w, [d.distance for d in detections], arena,
                               cfg.sensing.r_b_norm)
         values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
-                  float(np.min(f.lidar)), len(f.detections), sum_w,
+                  float(np.min(cast_rays(w, arena, cfg.sensing))),
+                  len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]
         values += w.pursuers.xy.ravel().tolist()
         return [_fmt(v) for v in values]
@@ -449,7 +458,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         rows += 1
         step = 0
         while outcome is None:
-            action = policy.act(stepper.frame, arena)
+            action = policy.act(stepper)
             outcome, reward, bd = stepper.step_action(action)
             step += 1
             tag = outcome.kind.value if outcome is not None else ""

@@ -37,16 +37,13 @@ import numpy as np
 
 __all__ = [
     "Mlp",
-    "ActorOutput",
     "ReplayBuffer",
     "Batch",
     "TrainConfig",
     "PolicyBundle",
     "TrainingDiverged",
     "forward_actor",
-    "forward_critic",
     "actor_sample_batch",
-    "action_log_density",
     "critic_target",
     "critic_loss_and_grads",
     "actor_loss_and_grads",
@@ -145,14 +142,6 @@ class Mlp:
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(w)) for w in self.weights) and \
             all(np.all(np.isfinite(b)) for b in self.biases)
-
-
-@dataclass
-class ActorOutput:
-    mean: np.ndarray
-    log_std: np.ndarray
-    action: np.ndarray
-    log_prob: float
 
 
 @dataclass
@@ -278,17 +267,13 @@ def actor_sample_batch(net: Mlp, states: np.ndarray, noise: np.ndarray
 
 
 def forward_actor(net: Mlp, state: np.ndarray,
-                  rng: np.random.Generator) -> ActorOutput:
-    """Sample one action; deterministic given (net, state, rng state)."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sample one squashed action; deterministic given (net, state, rng state)."""
     s = np.asarray(state, dtype=float).reshape(1, -1)
     if s.shape[1] != net.widths[0]:
         raise ValueError(f"state width {s.shape[1]} != input width {net.widths[0]}")
-    dim = net.widths[-1] // 2
-    noise = rng.standard_normal((1, dim))
-    action, log_prob, cache = actor_sample_batch(net, s, noise)
-    out = cache["acts"][-1]
-    mean, _, log_std = _split_actor_head(out)
-    return ActorOutput(mean[0], log_std[0], action[0], float(log_prob[0]))
+    noise = rng.standard_normal((1, net.widths[-1] // 2))
+    return actor_sample_batch(net, s, noise)[0][0]
 
 
 def actor_mean_action(net: Mlp, state: np.ndarray) -> np.ndarray:
@@ -297,28 +282,6 @@ def actor_mean_action(net: Mlp, state: np.ndarray) -> np.ndarray:
     out = net(s)
     mean, _, _ = _split_actor_head(out)
     return np.tanh(mean[0])
-
-
-def forward_critic(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
-    x = np.concatenate([np.asarray(state, dtype=float).ravel(),
-                        np.asarray(action, dtype=float).ravel()]).reshape(1, -1)
-    if x.shape[1] != net.widths[0]:
-        raise ValueError(f"input width {x.shape[1]} != critic width {net.widths[0]}")
-    return float(net(x)[0, 0])
-
-
-def action_log_density(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
-    """log pi(a|s) at an arbitrary squashed action with |a_k| < 1."""
-    s = np.asarray(state, dtype=float).reshape(1, -1)
-    a = np.asarray(action, dtype=float).reshape(1, -1)
-    out = net(s)
-    mean, _, log_std = _split_actor_head(out)
-    std = np.exp(log_std)
-    pre = np.arctanh(a)
-    z = (pre - mean) / std
-    log_prob = (-0.5 * z ** 2 - log_std - 0.5 * _LOG_2PI
-                - np.log(1.0 - a ** 2 + SQUASH_EPS)).sum(axis=1)
-    return float(log_prob[0])
 
 
 def critic_target(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .env import ArenaConfig
-from .sensing import Detection, SenseFrame
+from .sensing import Detection
+
+if TYPE_CHECKING:
+    from .sr2l import EpisodeStepper
 
 __all__ = ["PfmGains", "PfmPolicy", "net_force", "pfm_action"]
 
@@ -77,7 +81,7 @@ class PfmPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def act(self, frame: SenseFrame, arena: ArenaConfig) -> tuple[float, float]:
-        force = net_force(frame.detections, (frame.d_b, frame.boundary_dir),
-                          self.gains)
-        return pfm_action(force, arena)
+    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
+        f = stepper.frame
+        force = net_force(f.detections, (f.d_b, f.boundary_dir), self.gains)
+        return pfm_action(force, stepper.arena)

@@ -1,22 +1,24 @@
-"""Simulated lidar, boundary-distance scan, time factor, and state encoding.
+"""Perception: the frame the reward and the planner read, and the actor's input.
+
+:func:`sense` returns the :class:`SenseFrame`: the detected pursuers, the
+nearest wall's distance and direction, and the time factor
+``t_f = (1 - t/t_max) / 2``.  :func:`observe` builds the actor's input from
+the lidar and boundary scans, which nothing else reads.
 
 Rays are cast in the evader frame, which is evader-centered and axis-aligned
 (the evader localizes itself, so directions are absolute): ray ``k`` points
 at angle ``2*pi*k/n_s`` from the +x axis.  Rotating the whole scene about the
 evader by one ray step therefore shifts the scan indices cyclically.
 Pursuers are modeled as discs of radius ``capture_radius / 2``; each lidar
-ray reports the nearest intersection distance, or the sensor range ``r_e``
-on a miss.  The boundary scan measures the distance along each ray to the
-confinement rectangle.
+ray reports the nearest intersection distance ``z_i``, or the sensor range
+``r_e`` on a miss.  The boundary scan measures the distance ``b_i`` along
+each ray to the confinement rectangle.
 
-Encoded observation (element-wise, ``i = 0..n_s-1``)::
+Observation (element-wise, ``i = 0..n_s-1``)::
 
     lidar      D_l[i] = k_s * z_i / r_e
     boundary   D_b[i] = k_s * (1 - b_i / r_b_norm)
     state      s[i]   = t_f * (w_l * D_l[i] + w_b * D_b[i]) / (w_l + w_b)
-
-with the time factor ``t_f = (1 - t/t_max) / 2`` decaying linearly from 0.5
-to 0 over the episode.
 """
 
 from __future__ import annotations
@@ -27,20 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ArenaConfig, Pursuers, WorldState, nearest_wall
+from .env import ArenaConfig, WorldState, nearest_wall
 
 __all__ = [
     "SensingConfig",
     "Detection",
     "SenseFrame",
-    "detect_pursuers",
-    "cast_rays",
-    "encode_lidar",
-    "boundary_scan",
-    "encode_boundary",
-    "time_factor",
-    "encode_state",
     "sense",
+    "cast_rays",
+    "boundary_scan",
+    "time_factor",
+    "observe",
 ]
 
 
@@ -84,17 +83,13 @@ class Detection:
 
 @dataclass
 class SenseFrame:
-    """Everything the policies and reward functions need at one instant.
+    """What the reward and the planner read at one instant: the detections,
+    the nearest-wall distance ``d_b`` and unit direction, and the time
+    factor ``t_f``."""
 
-    ``lidar`` holds the per-ray lidar ranges in meters (0 < z_i <= r_e),
-    ``state`` the encoded observation of ``n_s`` scalars and ``t_f`` the time
-    factor that already multiplies them (kept alongside for the reward)."""
-
-    lidar: np.ndarray
     detections: list[Detection]
     d_b: float
     boundary_dir: tuple[float, float]
-    state: np.ndarray
     t_f: float
 
 
@@ -109,48 +104,45 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
     return cx, sx
 
 
-def detect_pursuers(evader_xy: tuple[float, float], pursuer_xy: np.ndarray,
-                    pursuers: Pursuers, r_e: float
-                    ) -> tuple[np.ndarray, np.ndarray, list[Detection]]:
-    """Offsets from the evader to the pursuers, their lengths, and the
-    detections.
+def _offsets(w: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets from the evader to each pursuer, and their lengths."""
+    rel = w.pursuers.xy - (w.evader.x, w.evader.y)
+    return rel, np.hypot(rel[:, 0], rel[:, 1])
 
-    ``pursuer_xy`` is an ``(n, 2)`` array of pursuer positions (the pursuers'
-    own ``xy``, or an extrapolation of it); speeds and direction vectors come
-    from ``pursuers``, row for row.  Detections list every pursuer whose
-    center distance is within ``r_e``, ordered by pursuer id.
-    """
-    rel = pursuer_xy - evader_xy
-    dists = np.hypot(rel[:, 0], rel[:, 1])
+
+def sense(w: WorldState, arena: ArenaConfig) -> SenseFrame:
+    """The frame of ``w``.  Detections list every pursuer whose center
+    distance is within ``r_e``, ordered by pursuer id.  ``t`` is clamped to
+    ``t_max`` (the final step can land one float ulp past it)."""
+    p = w.pursuers
+    rel, dists = _offsets(w)
     detections: list[Detection] = []
-    for i in (dists <= r_e).nonzero()[0].tolist():
+    for i in (dists <= arena.r_e).nonzero()[0].tolist():
         rx, ry = rel[i].tolist()
         d = float(dists[i])
         bearing = math.atan2(ry, rx)
         if d > 0.0:
             # -rx, -ry: the pursuer->evader line, exactly.
-            c, s = pursuers.unit[i].tolist()
+            c, s = p.unit[i].tolist()
             theta = math.acos(min(1.0, max(-1.0, (c * -rx + s * -ry) / d)))
         else:
             theta = 0.0
-        detections.append(Detection(i, d, bearing, float(pursuers.speed[i]),
-                                    theta))
-    return rel, dists, detections
+        detections.append(Detection(i, d, bearing, float(p.speed[i]), theta))
+    d_b, b_dir = nearest_wall((w.evader.x, w.evader.y), arena)
+    return SenseFrame(detections, d_b, b_dir,
+                      time_factor(min(w.t, arena.t_max), arena.t_max))
 
 
 def cast_rays(w: WorldState, arena: ArenaConfig,
-              cfg: SensingConfig) -> tuple[np.ndarray, list[Detection]]:
-    """Lidar ranges over the pursuer discs plus the detection list.
+              cfg: SensingConfig) -> np.ndarray:
+    """Lidar ranges over the pursuer discs.
 
     A ray's range is the nearest positive disc intersection within ``r_e``,
     else ``r_e``.
     """
-    e = w.evader
-    p = w.pursuers
-    rel, dists, detections = detect_pursuers((e.x, e.y), p.xy, p, arena.r_e)
-    if not len(p):
-        return np.full(cfg.n_s, arena.r_e), detections
-
+    if not len(w.pursuers):
+        return np.full(cfg.n_s, arena.r_e)
+    rel, dists = _offsets(w)
     cx, sx = _ray_directions(cfg.n_s)
     radius = arena.capture_radius / 2.0
     # t_c: projection of each center onto each ray, shape (n_pursuers, n_s)
@@ -163,12 +155,7 @@ def cast_rays(w: WorldState, arena: ArenaConfig,
     t1 = t_c + h
     t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
     t = np.where(hit, t, np.inf)
-    return np.minimum(t.min(axis=0), arena.r_e), detections
-
-
-def encode_lidar(ranges: np.ndarray, arena: ArenaConfig,
-                 cfg: SensingConfig) -> np.ndarray:
-    return cfg.k_s * ranges / arena.r_e
+    return np.minimum(t.min(axis=0), arena.r_e)
 
 
 def boundary_scan(evader_pos: tuple[float, float], arena: ArenaConfig,
@@ -189,10 +176,6 @@ def boundary_scan(evader_pos: tuple[float, float], arena: ArenaConfig,
     return np.minimum(tx, ty)
 
 
-def encode_boundary(distances: np.ndarray, cfg: SensingConfig) -> np.ndarray:
-    return cfg.k_s * (1.0 - distances / cfg.r_b_norm)
-
-
 def time_factor(t: float, t_max: float) -> float:
     """Urgency factor (1 - t/t_max)/2, from 0.5 at start to 0 at timeout."""
     if t > t_max:
@@ -202,22 +185,13 @@ def time_factor(t: float, t_max: float) -> float:
     return (1.0 - t / t_max) / 2.0
 
 
-def encode_state(lidar_enc: np.ndarray, boundary_enc: np.ndarray, t_f: float,
-                 cfg: SensingConfig) -> np.ndarray:
-    if len(lidar_enc) != len(boundary_enc):
-        raise ValueError("lidar and boundary encodings must have equal length")
-    return t_f * (cfg.w_l * lidar_enc + cfg.w_b * boundary_enc) / (cfg.w_l + cfg.w_b)
-
-
-def sense(w: WorldState, arena: ArenaConfig, cfg: SensingConfig) -> SenseFrame:
-    """Full observation of ``w``: scans, detections, nearest wall, and the
-    encoded state.  ``t`` is clamped to ``t_max`` (the final step can land one
-    float ulp past it)."""
-    lidar, detections = cast_rays(w, arena, cfg)
-    pos = (w.evader.x, w.evader.y)
-    boundary = boundary_scan(pos, arena, cfg)
-    d_b, b_dir = nearest_wall(pos, arena)
+def observe(w: WorldState, arena: ArenaConfig,
+            cfg: SensingConfig) -> np.ndarray:
+    """The actor's input at ``w``: ``n_s`` scalars, each the weighted mean of
+    the encoded lidar and boundary ranges of one ray, times ``t_f``."""
+    lidar = cast_rays(w, arena, cfg)
+    boundary = boundary_scan((w.evader.x, w.evader.y), arena, cfg)
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
-    state = encode_state(encode_lidar(lidar, arena, cfg),
-                         encode_boundary(boundary, cfg), t_f, cfg)
-    return SenseFrame(lidar, detections, d_b, b_dir, state, t_f)
+    return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
+                  + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))
+                  ) / (cfg.w_l + cfg.w_b)

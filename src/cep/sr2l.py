@@ -14,18 +14,9 @@ threshold is exactly the unscaffolded trainer (D_f itself is unbounded below
 when r_p sits near -eps, so the raw inequality alone would not guarantee it).
 
 The forward model advances the evader by the candidate action and every
-pursuer at its current velocity, ``xy + speed * unit * dt`` in one array
-expression over the world's :class:`~cep.env.Pursuers` (no mode switches, no
-wall reflections), then scores the estimate with :func:`transition_reward` on
-a copy of the reward state.  That reward reads only three parts of an
-observation: the detections, the nearest-wall distance ``d_b`` and the time
-factor ``t_f``.  The lidar ranges, the boundary scan and the encoded state
-feed only the actor's input, which the estimate never needs.  So the model
-computes just the three, by the same arithmetic ``sense`` uses
-(:func:`detect_pursuers`, the distance half of ``nearest_wall``, and
-:func:`time_factor` at ``(step_count + 1) * dt`` clamped to ``t_max``), and
-its estimate equals, bit for bit, the reward of sensing the extrapolated world
-in full.
+pursuer at its current velocity (no mode switches, no wall reflections),
+senses the extrapolated world, and scores the frame with
+:func:`transition_reward` on a copy of the reward state.
 The independent trainer shares this machinery with scaffolding disabled: it
 executes the actor's action and stores the same one-step reward estimate, so
 a beta=100 scaffolded run is transcript-identical to it by construction.
@@ -34,17 +25,17 @@ a beta=100 scaffolded run is transcript-identical to it by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .env import ArenaConfig, EpisodeOutcome, WorldState, \
-    nearest_wall_distance, step_evader, step_world
+from .env import ArenaConfig, EpisodeOutcome, WorldState, step_evader, \
+    step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, PfmPolicy
 from .rewards import RewardBreakdown, RewardState, transition_reward
-from .sensing import SensingConfig, detect_pursuers, sense, time_factor
+from .sensing import SensingConfig, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
@@ -138,27 +129,21 @@ def scaffold_select(r_r: float, r_p: float, d_f: float,
 def predict_next_state(w: WorldState, action: tuple[float, float],
                        arena: ArenaConfig, reward_state: RewardState,
                        reward_sign: float = -1.0) -> float:
-    """Estimate the signed reward of a candidate action.
-
-    The evader is advanced by the (clipped) action; pursuers extrapolate at
-    their current speed along their unit direction vectors.  The reward is
-    scored on a copy of the reward state; ``w`` and ``reward_state`` are
-    never touched.
-    """
-    evader = step_evader(w.evader, action, arena)
-    pos = (evader.x, evader.y)
+    """Estimate the signed reward of a candidate action: sense the world
+    extrapolated one step (see the module docstring) and score the frame on
+    a copy of the reward state.  ``w`` and ``reward_state`` are untouched."""
     p = w.pursuers
-    pursuer_xy = p.xy + p.speed[:, None] * p.unit * arena.dt
-    _, _, detections = detect_pursuers(pos, pursuer_xy, p, arena.r_e)
-    t = min((w.step_count + 1) * arena.dt, arena.t_max)
-    _, r_est = transition_reward(detections, nearest_wall_distance(pos, arena),
-                                 time_factor(t, arena.t_max),
+    n = w.step_count + 1
+    ahead = replace(p, xy=p.xy + p.speed[:, None] * p.unit * arena.dt)
+    frame = sense(WorldState(step_evader(w.evader, action, arena), ahead,
+                             t=n * arena.dt, step_count=n), arena)
+    _, r_est = transition_reward(frame.detections, frame.d_b, frame.t_f,
                                  reward_state.copy(), arena, reward_sign)
     return r_est
 
 
 class EpisodeStepper:
-    """Owns one episode: world, cached observation, and reward bookkeeping.
+    """Owns one episode: world, its frame, and reward bookkeeping.
 
     With ``scaffold`` set the step runs the full arbitration against
     ``planner``, the PFM policy with ``gains``; without it the step is the
@@ -176,16 +161,27 @@ class EpisodeStepper:
         self.scaffold = scaffold
         self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.reward_sign = reward_sign
-        self.frame = sense(world, arena, sensing_cfg)
+        self.frame = sense(world, arena)
+        self._observation: np.ndarray | None = None
         self.reward_state = RewardState(d_b_prev=self.frame.d_b)
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius); loops must check before stepping.
         self.initial_outcome = world.outcome
 
+    @property
+    def observation(self) -> np.ndarray:
+        """The actor's input at the current world, built on first read and
+        kept until the next step."""
+        if self._observation is None:
+            self._observation = observe(self.world, self.arena,
+                                        self.sensing_cfg)
+        return self._observation
+
     def _advance_world(self, action: tuple[float, float]
                        ) -> tuple[EpisodeOutcome | None, RewardBreakdown, float]:
         self.world, outcome = step_world(self.world, action, self.arena)
-        self.frame = sense(self.world, self.arena, self.sensing_cfg)
+        self.frame = sense(self.world, self.arena)
+        self._observation = None
         breakdown, realized = transition_reward(
             self.frame.detections, self.frame.d_b, self.frame.t_f,
             self.reward_state, self.arena, self.reward_sign)
@@ -193,8 +189,8 @@ class EpisodeStepper:
 
     def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
         """One training step: sample the actor, arbitrate, act, store."""
-        state = self.frame.state
-        a_r = forward_actor(nets.actor, state, rng).action
+        state = self.observation
+        a_r = forward_actor(nets.actor, state, rng)
         a_r_env = to_velocity(a_r, self.arena)
 
         r_r = predict_next_state(self.world, a_r_env, self.arena,
@@ -205,7 +201,7 @@ class EpisodeStepper:
         env_action = a_r_env
         stored_action = a_r
         if self.scaffold is not None:
-            a_p_env = self.planner.act(self.frame, self.arena)
+            a_p_env = self.planner.act(self)
             r_p = predict_next_state(self.world, a_p_env, self.arena,
                                      self.reward_state, self.reward_sign)
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
@@ -218,7 +214,7 @@ class EpisodeStepper:
 
         outcome, breakdown, realized = self._advance_world(env_action)
         experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),
-                                     stored_reward, self.frame.state,
+                                     stored_reward, self.observation,
                                      outcome is not None, branch)
         return StepResult(experience, outcome, decision, realized, breakdown)
 

@@ -1,6 +1,7 @@
 """Smoke tests of the ``cep`` subcommands, run in a temporary directory."""
 
 import csv
+import re
 from dataclasses import replace
 
 import pytest
@@ -67,7 +68,7 @@ def test_replay(trained, tmp_path):
     ["sweep", "--episodes", "1"],
     ["replay", "--seed", "3"],
 ])
-def test_checkpoint_width_mismatch(trained, tmp_path, command):
+def test_checkpoint_width_mismatch(trained, tmp_path, capsys, command):
     # The desk checkpoint's actor reads 36 rays; this config senses 8.
     config = tmp_path / "config.txt"
     save_config(replace(desk_profile(), sensing=SensingConfig(n_s=8)), config)
@@ -76,17 +77,20 @@ def test_checkpoint_width_mismatch(trained, tmp_path, command):
     extra = {"eval": ["--out", str(tmp_path / "eval")],
              "sweep": ["--grid", str(grid), "--out", str(tmp_path / "s.csv")],
              "replay": ["--out", str(tmp_path / "r.csv")]}[command[0]]
-    with pytest.raises(ValueError, match=r"reads 36 inputs.*sensing\.n_s"):
-        cli.main([*command, "--checkpoint", str(trained[1]),
-                  "--config", str(config), *extra])
+    assert cli.main([*command, "--checkpoint", str(trained[1]),
+                     "--config", str(config), *extra]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"cep: error: .*reads 36 inputs.*sensing\.n_s\)\n",
+                        err)
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
-def test_zero_episodes_rejected(trained, tmp_path, command):
+def test_zero_episodes_rejected(trained, tmp_path, capsys, command):
     grid = tmp_path / "grid.csv"
     grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
     extra = {"eval": ["--out", str(tmp_path / "eval")],
              "sweep": ["--grid", str(grid), "--out", str(tmp_path / "s.csv")]}
-    with pytest.raises(ValueError, match="episodes must be >= 1"):
-        cli.main([command, "--checkpoint", str(trained[1]), "--episodes", "0",
-                  *extra[command]])
+    assert cli.main([command, "--checkpoint", str(trained[1]), "--episodes",
+                     "0", *extra[command]]) == 2
+    assert capsys.readouterr().err == \
+        "cep: error: episodes must be >= 1, got 0\n"

@@ -105,3 +105,31 @@ def test_no_hidden_layer_is_valid(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("train.hidden =\n")
     assert load_config(path).train.hidden == ()
+
+
+@pytest.mark.parametrize("text,where,message", [
+    ("seed = 1\ntrain.hidden = 0\n", "2: train.hidden",
+     "hidden widths must be >= 1"),
+    ("arena.dt = 0\n", "1: arena.dt", "dt must be > 0"),
+    ("episodes = 0\n", "1: episodes", "episodes must be >= 1"),
+    ("scaffold.beta = 101\nscaffold.epsilon = 1e-3\n",
+     "1: scaffold.beta, 2: scaffold.epsilon", "beta must be in"),
+    # Valid only together: each key is named, and the pair is checked once.
+    ("arena.v_p_min = 9\n# comment\narena.v_p_max = 8\n",
+     "1: arena.v_p_min, 3: arena.v_p_max", "v_p_min <= v_p_max"),
+], ids=["hidden", "dt", "episodes", "beta", "v_p_pair"])
+def test_failed_section_check_names_file_lines_and_keys(tmp_path, text, where,
+                                                        message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: {where}: ")
+    assert message in str(info.value)
+
+
+def test_keys_valid_only_together_load(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("arena.v_p_min = 11\narena.v_p_max = 12\n")
+    arena = load_config(path).arena
+    assert (arena.v_p_min, arena.v_p_max) == (11.0, 12.0)

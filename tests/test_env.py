@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cep.env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
                      Pursuers, check_outcome, init_world, max_steps,
-                     nearest_wall, nearest_wall_distance, objective_value,
-                     step_evader, step_pursuers, step_world)
+                     nearest_wall, objective_value, step_evader, step_pursuers,
+                     step_world)
 from cep.sensing import SensingConfig
 from cep.sr2l import EpisodeStepper
 
@@ -469,6 +469,6 @@ class TestNearestWall:
 class TestNearestWallDistance:
     def test_examples(self):
         cfg = small_arena()
-        assert abs(nearest_wall_distance((0.0, 0.0), cfg) - 100.0) < TOL
-        assert abs(nearest_wall_distance((90.0, 0.0), cfg) - 10.0) < TOL
-        assert abs(nearest_wall_distance((99.9, 99.9), cfg) - 0.1) < 1e-9
+        assert abs(nearest_wall((0.0, 0.0), cfg)[0] - 100.0) < TOL
+        assert abs(nearest_wall((90.0, 0.0), cfg)[0] - 10.0) < TOL
+        assert abs(nearest_wall((99.9, 99.9), cfg)[0] - 0.1) < 1e-9

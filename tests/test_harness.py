@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from cep import harness, sensing
 from cep.config import desk_profile
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
-                         evaluate_monte_carlo, load_grid, make_policy, sweep)
+                         evaluate_monte_carlo, load_grid, make_policy, sweep,
+                         train)
 from cep.neural import PolicyBundle, TrainConfig
 
 
@@ -78,6 +81,18 @@ class TestEpisodeCount:
             sweep(small_bundle(), desk_profile(), [(5, 1.5, 1.5)], episodes=0)
 
 
+def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
+    # r_ratio = 10 at the desk profile gives r_p = 1.5 <= capture_radius.
+    calls = []
+    monkeypatch.setattr(harness, "evaluate_monte_carlo",
+                        lambda *args, **kwargs: calls.append(args))
+    grid = [(5, 1.5, 1.5), (10, 1.0, 0.75), (5, 1.0, 10.0)]
+    with pytest.raises(ValueError, match=r"sweep cell .* = \(5, 1\.0, 10\.0\): "
+                                         r"capture_radius must be < r_p"):
+        sweep(small_bundle(), desk_profile(), grid, episodes=1)
+    assert calls == []
+
+
 class TestMakePolicy:
     @pytest.mark.parametrize("kind", ["iac", "sr2l"])
     def test_training_modes_are_not_policy_kinds(self, kind):
@@ -129,3 +144,52 @@ class TestLoadGrid:
         path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n")
         with pytest.raises(ValueError, match="empty sweep grid"):
             load_grid(path)
+
+
+class TestComputedOnlyWhenRead:
+    """The lidar and boundary scans feed only the actor's observation: a
+    policy that never reads it never has one built, and a reader builds one
+    per world it reads."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Calls of ``cast_rays`` and ``boundary_scan``, counted at every
+        module of the package that binds them."""
+        counts = {}
+        for name in ("cast_rays", "boundary_scan"):
+            original = getattr(sensing, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "cep" and \
+                        getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["pfm", "random"])
+    def test_planner_and_random_walk_cast_no_ray(self, scans, kind):
+        cfg = desk_profile(seed=1)
+        report = evaluate_monte_carlo(make_policy(kind, cfg), cfg, episodes=3)
+        assert sum(e.steps for e in report.episodes) > 0
+        assert scans == {"cast_rays": 0, "boundary_scan": 0}
+
+    def test_actor_evaluation_observes_once_per_step(self, scans):
+        # The observation of the final world is never read, so never built.
+        cfg = desk_profile(seed=1)
+        report = evaluate_monte_carlo(make_policy("actor", cfg, small_bundle()),
+                                      cfg, episodes=3)
+        steps = sum(e.steps for e in report.episodes)
+        assert steps > 0
+        assert scans == {"cast_rays": steps, "boundary_scan": steps}
+
+    def test_training_observes_once_per_step_and_episode_start(self, scans):
+        # A step's next state is the following step's state, built once.
+        cfg = desk_profile(mode="sr2l", episodes=2, seed=1)
+        _, logs = train(cfg)
+        assert all(log.steps > 0 for log in logs)
+        expected = sum(log.steps for log in logs) + len(logs)
+        assert scans == {"cast_rays": expected, "boundary_scan": expected}

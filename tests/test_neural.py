@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,14 +7,59 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from cep.neural import (LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, Batch, Mlp,
                         PolicyBundle, ReplayBuffer, TrainConfig,
-                        TrainingDiverged,
-                        action_log_density, actor_loss_and_grads,
-                        actor_mean_action, actor_sample_batch, actor_update,
+                        TrainingDiverged, _split_actor_head,
+                        actor_loss_and_grads, actor_mean_action,
+                        actor_sample_batch, actor_update,
                         critic_loss_and_grads, critic_target, critic_update,
-                        forward_actor, forward_critic, load_checkpoint,
-                        save_checkpoint, soft_update)
+                        forward_actor, load_checkpoint, save_checkpoint,
+                        soft_update)
 
 STATE_DIM = 6
+
+
+# -- oracles: the actor's full sample record, the critic on one pair, and the
+# policy's log-density at an arbitrary action
+
+
+@dataclass
+class ActorOutput:
+    mean: np.ndarray
+    log_std: np.ndarray
+    action: np.ndarray
+    log_prob: float
+
+
+def actor_output(net: Mlp, state: np.ndarray,
+                 rng: np.random.Generator) -> ActorOutput:
+    """The sample ``forward_actor`` draws from the same rng state, with its
+    head's mean and clamped log-std and its log-density."""
+    s = np.asarray(state, dtype=float).reshape(1, -1)
+    noise = rng.standard_normal((1, net.widths[-1] // 2))
+    action, log_prob, cache = actor_sample_batch(net, s, noise)
+    mean, _, log_std = _split_actor_head(cache["acts"][-1])
+    return ActorOutput(mean[0], log_std[0], action[0], float(log_prob[0]))
+
+
+def forward_critic(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
+    x = np.concatenate([np.asarray(state, dtype=float).ravel(),
+                        np.asarray(action, dtype=float).ravel()]).reshape(1, -1)
+    if x.shape[1] != net.widths[0]:
+        raise ValueError(f"input width {x.shape[1]} != critic width {net.widths[0]}")
+    return float(net(x)[0, 0])
+
+
+def action_log_density(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
+    """log pi(a|s) at an arbitrary squashed action with |a_k| < 1."""
+    s = np.asarray(state, dtype=float).reshape(1, -1)
+    a = np.asarray(action, dtype=float).reshape(1, -1)
+    out = net(s)
+    mean, _, log_std = _split_actor_head(out)
+    std = np.exp(log_std)
+    pre = np.arctanh(a)
+    z = (pre - mean) / std
+    log_prob = (-0.5 * z ** 2 - log_std - 0.5 * math.log(2.0 * math.pi)
+                - np.log(1.0 - a ** 2 + SQUASH_EPS)).sum(axis=1)
+    return float(log_prob[0])
 
 
 def make_bundle(seed=0, hidden=(8, 8)) -> PolicyBundle:
@@ -56,7 +102,7 @@ class TestMlp:
 class TestForwardActor:
     def test_zero_net_zero_state(self):
         net = zero_net([STATE_DIM, 8, 4])
-        out = forward_actor(net, np.zeros(STATE_DIM), np.random.default_rng(3))
+        out = actor_output(net, np.zeros(STATE_DIM), np.random.default_rng(3))
         assert np.all(out.mean == 0.0)
         assert np.all(out.log_std == 0.0)
         assert np.all(np.abs(out.action) < 1.0)
@@ -66,16 +112,17 @@ class TestForwardActor:
         s = np.random.default_rng(1).normal(size=STATE_DIM)
         a1 = forward_actor(bundle.actor, s, np.random.default_rng(9))
         a2 = forward_actor(bundle.actor, s, np.random.default_rng(9))
-        assert np.array_equal(a1.action, a2.action)
-        assert a1.log_prob == a2.log_prob
+        assert np.array_equal(a1, a2)
+        oracle = actor_output(bundle.actor, s, np.random.default_rng(9))
+        assert np.array_equal(a1, oracle.action)
 
     def test_log_std_clamped(self):
         net = zero_net([STATE_DIM, 8, 4])
         net.biases[-1][2:] = -20.0
-        out = forward_actor(net, np.zeros(STATE_DIM), np.random.default_rng(0))
+        out = actor_output(net, np.zeros(STATE_DIM), np.random.default_rng(0))
         assert np.all(out.log_std == LOG_STD_MIN)
         net.biases[-1][2:] = 20.0
-        out = forward_actor(net, np.zeros(STATE_DIM), np.random.default_rng(0))
+        out = actor_output(net, np.zeros(STATE_DIM), np.random.default_rng(0))
         assert np.all(out.log_std == LOG_STD_MAX)
 
     def test_width_mismatch_raises(self):
@@ -88,8 +135,8 @@ class TestForwardActor:
         bundle = make_bundle()
         rng = np.random.default_rng(7)
         for _ in range(50):
-            out = forward_actor(bundle.actor, rng.normal(size=STATE_DIM), rng)
-            assert np.all(np.abs(out.action) <= 1.0)
+            action = forward_actor(bundle.actor, rng.normal(size=STATE_DIM), rng)
+            assert np.all(np.abs(action) <= 1.0)
 
 
 class TestForwardCritic:
@@ -138,7 +185,7 @@ class TestSquashedDensity:
         # the log-prob reported at sampling matches the standalone density
         bundle = make_bundle(seed=3)
         s = np.random.default_rng(1).normal(size=STATE_DIM)
-        out = forward_actor(bundle.actor, s, np.random.default_rng(11))
+        out = actor_output(bundle.actor, s, np.random.default_rng(11))
         lp = action_log_density(bundle.actor, s, out.action)
         assert abs(lp - out.log_prob) < 1e-9
 

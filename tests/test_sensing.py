@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cep.env import (ArenaConfig, EvaderState, Pursuers, init_world,
-                     nearest_wall_distance)
+from cep import sensing
+from cep.env import ArenaConfig, EvaderState, Pursuers, init_world, nearest_wall
 from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
-                         cast_rays, encode_boundary, encode_lidar,
-                         encode_state, sense, time_factor)
+                         cast_rays, observe, sense, time_factor)
 
 TOL = 1e-12
 
@@ -29,14 +28,26 @@ def world_with(evader, rows, cfg):
     return w
 
 
+def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
+    """``observe`` of a world at the time whose factor is ``t_f`` (0.5 or 0),
+    with the lidar and boundary scans replaced by the given ranges."""
+    cfg = arena()
+    monkeypatch.setattr(sensing, "cast_rays",
+                        lambda w, a, c: np.asarray(lidar, dtype=float))
+    monkeypatch.setattr(sensing, "boundary_scan",
+                        lambda pos, a, c: np.asarray(boundary, dtype=float))
+    w = init_world(cfg, 0)
+    w.t = (1.0 - 2.0 * t_f) * cfg.t_max
+    return observe(w, cfg, scfg)
+
+
 class TestCastRays:
     def test_empty_arena_all_max_range(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0), [], cfg)
-        scan, detections = cast_rays(w, cfg, scfg)
-        assert np.all(scan == cfg.r_e)
-        assert detections == []
+        assert np.all(cast_rays(w, cfg, scfg) == cfg.r_e)
+        assert sense(w, cfg).detections == []
 
     def test_pursuer_on_ray_zero(self):
         # disc small enough that only ray 0 intersects it
@@ -44,7 +55,8 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         p = (5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        scan, detections = cast_rays(w, cfg, scfg)
+        scan = cast_rays(w, cfg, scfg)
+        detections = sense(w, cfg).detections
         assert scan[0] < 5.0
         assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
         assert np.all(scan[1:] == cfg.r_e)
@@ -52,11 +64,9 @@ class TestCastRays:
 
     def test_pursuer_beyond_range_absent(self):
         cfg = arena()
-        scfg = SensingConfig(n_s=36)
         p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        _, detections = cast_rays(w, cfg, scfg)
-        assert detections == []
+        assert sense(w, cfg).detections == []
 
     def test_occlusion_nearest_hit(self):
         cfg = arena()
@@ -64,17 +74,16 @@ class TestCastRays:
         near = (4.0, 0.0, 5.0, 0.0)
         far = (8.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [far, near], cfg)
-        scan, detections = cast_rays(w, cfg, scfg)
+        scan = cast_rays(w, cfg, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
-        assert len(detections) == 2
+        assert len(sense(w, cfg).detections) == 2
 
     def test_detection_theta_head_on(self):
         cfg = arena()
-        scfg = SensingConfig(n_s=36)
         # pursuer at (5, 0) heading west, straight at the evader
         p = (5.0, 0.0, 5.0, math.pi)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        _, detections = cast_rays(w, cfg, scfg)
+        detections = sense(w, cfg).detections
         assert abs(detections[0].theta) < 1e-9
         assert abs(detections[0].bearing) < 1e-9
 
@@ -85,7 +94,7 @@ class TestCastRays:
         for d in np.linspace(14.0, 2.0, 30):
             p = (d, 0.0, 5.0, 0.0)
             w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-            scan, _ = cast_rays(w, cfg, scfg)
+            scan = cast_rays(w, cfg, scfg)
             assert scan[0] <= prev + 1e-12
             prev = scan[0]
 
@@ -97,14 +106,14 @@ class TestCastRays:
         pursuers = [(x, y, 5.0, 0.0) for x, y in pts
                     if math.hypot(x, y) > 3.0]
         w = world_with(EvaderState(0.0, 0.0), pursuers, cfg)
-        scan, _ = cast_rays(w, cfg, scfg)
+        scan = cast_rays(w, cfg, scfg)
 
         step = 2 * math.pi / scfg.n_s
         c, s = math.cos(step), math.sin(step)
         rotated = [(c * x - s * y, s * x + c * y, 5.0, 0.0)
                    for x, y, _, _ in pursuers]
         w2 = world_with(EvaderState(0.0, 0.0), rotated, cfg)
-        scan2, _ = cast_rays(w2, cfg, scfg)
+        scan2 = cast_rays(w2, cfg, scfg)
         assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
 
     def test_heading_does_not_affect_scan(self):
@@ -115,9 +124,9 @@ class TestCastRays:
         pursuers = [(6.0, 2.0, 5.0, 0.0),
                     (-4.0, -7.0, 5.0, 0.0)]
         w = world_with(EvaderState(0.0, 0.0, 3.0, 1.0), pursuers, cfg)
-        scan, _ = cast_rays(w, cfg, scfg)
+        scan = cast_rays(w, cfg, scfg)
         w2 = world_with(EvaderState(0.0, 0.0, -2.0, -7.0), pursuers, cfg)
-        scan2, _ = cast_rays(w2, cfg, scfg)
+        scan2 = cast_rays(w2, cfg, scfg)
         assert np.array_equal(scan, scan2)
 
 
@@ -132,11 +141,12 @@ class TestRayDirections:
 
 
 class TestEncodeLidar:
-    def test_values(self):
-        cfg = arena()
-        scfg = SensingConfig(n_s=4, k_s=1.0)
-        enc = encode_lidar(np.array([cfg.r_e, cfg.r_e / 2, 1e-9, cfg.r_e]),
-                           cfg, scfg)
+    def test_values(self, monkeypatch):
+        # With w_b = 0 and t_f = 0.5 the observation is half the lidar code.
+        r_e = arena().r_e
+        scfg = SensingConfig(n_s=4, k_s=1.0, w_b=0.0)
+        enc = 2.0 * observe_scans(monkeypatch, [r_e, r_e / 2, 1e-9, r_e],
+                                  np.zeros(4), 0.5, scfg)
         assert abs(enc[0] - 1.0) < TOL
         assert abs(enc[1] - 0.5) < TOL
         assert enc[2] < 1e-9 and enc[2] > 0
@@ -161,9 +171,11 @@ class TestBoundaryScan:
         scan = boundary_scan((150.0, 0.0), cfg, scfg)
         assert np.all(scan == 0.0)
 
-    def test_encode_far_boundary_zero(self):
-        scfg = SensingConfig(n_s=4, r_b_norm=200.0)
-        enc = encode_boundary(np.array([200.0, 100.0, 0.0, 50.0]), scfg)
+    def test_encode_far_boundary_zero(self, monkeypatch):
+        # With w_l = 0 and t_f = 0.5 the observation is half the boundary code.
+        scfg = SensingConfig(n_s=4, r_b_norm=200.0, w_l=0.0)
+        enc = 2.0 * observe_scans(monkeypatch, np.zeros(4),
+                                  [200.0, 100.0, 0.0, 50.0], 0.5, scfg)
         assert abs(enc[0]) < TOL
         assert abs(enc[1] - 0.5) < TOL
         assert abs(enc[2] - 1.0) < TOL
@@ -175,7 +187,7 @@ class TestBoundaryScan:
         rng = np.random.default_rng(seed)
         pos = (rng.uniform(-99, 99), rng.uniform(-99, 99))
         scan = boundary_scan(pos, cfg, scfg)
-        d_b = nearest_wall_distance(pos, cfg)
+        d_b = nearest_wall(pos, cfg)[0]
         m = float(np.min(scan))
         assert m >= d_b - 1e-9
         assert m <= d_b + 2 * math.pi * d_b / scfg.n_s + 1e-9
@@ -197,32 +209,31 @@ class TestTimeFactor:
 
 
 class TestEncodeState:
-    def test_weighted_average(self):
-        scfg = SensingConfig(n_s=4, w_l=1.0, w_b=1.0)
-        sv = encode_state(np.full(4, 1.0), np.full(4, 0.5), 0.5, scfg)
+    # Lidar ranges of r_e and boundary ranges of 0 encode to 1.0, boundary
+    # ranges of r_b_norm / 2 to 0.5.
+    def test_weighted_average(self, monkeypatch):
+        scfg = SensingConfig(n_s=4, w_l=1.0, w_b=1.0, r_b_norm=200.0)
+        sv = observe_scans(monkeypatch, np.full(4, arena().r_e),
+                           np.full(4, 100.0), 0.5, scfg)
         assert np.allclose(sv, 0.375, atol=TOL)
 
-    def test_timeout_annihilation(self):
+    def test_timeout_annihilation(self, monkeypatch):
         scfg = SensingConfig(n_s=4)
-        sv = encode_state(np.full(4, 1.0), np.full(4, 1.0), 0.0, scfg)
+        sv = observe_scans(monkeypatch, np.full(4, arena().r_e), np.zeros(4),
+                           0.0, scfg)
         assert np.all(sv == 0.0)
 
-    def test_single_source(self):
+    def test_single_source(self, monkeypatch):
         scfg = SensingConfig(n_s=4, w_l=1.0, w_b=0.0)
         lidar = np.array([0.2, 0.4, 0.6, 0.8])
-        sv = encode_state(lidar, np.full(4, 1.0), 0.5, scfg)
+        sv = observe_scans(monkeypatch, lidar * arena().r_e, np.zeros(4), 0.5,
+                           scfg)
         assert np.allclose(sv, 0.5 * lidar, atol=TOL)
-
-    def test_length_mismatch(self):
-        scfg = SensingConfig(n_s=4)
-        with pytest.raises(ValueError):
-            encode_state(np.zeros(4), np.zeros(5), 0.5, scfg)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_state_bounds_full_pipeline(self, seed):
         cfg = arena(n_pursuers=10)
         scfg = SensingConfig(n_s=36, r_b_norm=200.0)
-        w = init_world(cfg, seed)
-        frame = sense(w, cfg, scfg)
-        assert np.all(frame.state >= 0.0)
-        assert np.all(frame.state <= scfg.k_s / 2 + TOL)
+        state = observe(init_world(cfg, seed), cfg, scfg)
+        assert np.all(state >= 0.0)
+        assert np.all(state <= scfg.k_s / 2 + TOL)

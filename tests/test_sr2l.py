@@ -35,7 +35,7 @@ def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
                         p.speed, p.unit, p.patrol_speed, p.chasing)
     n = w.step_count + 1
     w_est = WorldState(evader, pursuers, t=n * cfg.dt, step_count=n)
-    frame = sense(w_est, cfg, SENSING)
+    frame = sense(w_est, cfg)
     _, r = transition_reward(frame.detections, frame.d_b, frame.t_f,
                              reward_state.copy(), cfg, sign)
     return r
@@ -60,8 +60,7 @@ def scenes(draw):
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
             break
-        outcome, _, _ = stepper.step_action(
-            stepper.planner.act(stepper.frame, cfg))
+        outcome, _, _ = stepper.step_action(stepper.planner.act(stepper))
     if draw(st.booleans()):
         stepper.world.step_count = max_steps(cfg) - 1
         stepper.world.t = stepper.world.step_count * cfg.dt
