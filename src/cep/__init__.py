@@ -18,7 +18,6 @@ from .rewards import (compose_reward, pursuer_weight, reward_boundary,
 from .sensing import (Detection, SenseFrame, SensingConfig, boundary_scan,
                       cast_rays, observe, sense, time_factor)
 from .sr2l import (Branch, EpisodeStepper, ExperienceTuple, ScaffoldConfig,
-                   ScaffoldDecision, predict_next_state, reward_gap,
-                   scaffold_select)
+                   predict_next_state, reward_gap, scaffold_select)
 
 __version__ = "0.1.0"

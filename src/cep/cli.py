@@ -128,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  A user error prints one line ``cep: error: ...``
-    to stderr and returns exit status 2, as argparse does for bad arguments."""
+    """Run one subcommand.  A user error (a bad value, a missing file) prints
+    ``cep: error: ...`` to stderr and returns 2, as argparse does."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"cep: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ and evaluation never share draws.
 An evaluation policy has ``reset(episode_seed)`` and ``act(stepper)``, which
 returns the velocity command for the :class:`~cep.sr2l.EpisodeStepper`'s
 current world.  It reads what it needs from the stepper: the planner its
-``frame``, the actor its ``observation``, which is built only when read.
+``frame``, the actor its ``observation``, built (from ``lidar``) when read.
 
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
@@ -31,7 +31,6 @@ from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      save_checkpoint, soft_update)
 from .pfm import PfmPolicy
-from .sensing import cast_rays
 from .sr2l import Branch, EpisodeStepper, to_velocity
 
 __all__ = [
@@ -442,7 +441,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         obj = objective_value(w, [d.distance for d in detections], arena,
                               cfg.sensing.r_b_norm)
         values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
-                  float(np.min(cast_rays(w, arena, cfg.sensing))),
+                  float(np.min(stepper.lidar)),
                   len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]
         values += w.pursuers.xy.ravel().tolist()

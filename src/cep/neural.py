@@ -25,6 +25,13 @@ Updates (one critic step then one actor step per environment step):
 
 Both use plain SGD with global gradient-norm clipping; the target critic
 tracks the online critic by Polyak averaging.
+
+An :class:`Mlp`'s parameters are one float64 vector ``params`` in checkpoint
+order, with ``weights[i]``/``biases[i]`` as views; gradients share the layout,
+so SGD, clipping (its norm still summed layer by layer, weights then bias),
+Polyak averaging and checkpoint I/O each touch one array.  :meth:`Mlp.backward`
+skips the layer-0 input gradient; the actor update's critic pass uses
+:meth:`Mlp.input_gradient`, which computes only that.
 """
 
 from __future__ import annotations
@@ -68,115 +75,123 @@ class TrainingDiverged(RuntimeError):
 
 
 class Mlp:
-    """Dense stack: tanh on hidden layers, linear output."""
+    """Dense stack: tanh on hidden layers, linear output.  Holds its own copy
+    of ``params``; write ``weights[i]`` and ``biases[i]`` in place."""
 
-    def __init__(self, widths: list[int], weights: list[np.ndarray],
-                 biases: list[np.ndarray]):
+    def __init__(self, widths: list[int], params: np.ndarray):
         self.widths = list(widths)
-        self.weights = weights
-        self.biases = biases
+        self.params = np.array(params, dtype=float)
+        # Per layer: the weight's slice and shape, and the bias's slice.
+        self.layout, pos = [], 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            w = slice(pos, pos + fan_in * fan_out)
+            pos = w.stop + fan_out
+            self.layout.append((w, (fan_in, fan_out), slice(w.stop, pos)))
+        if self.params.shape != (pos,):
+            raise ValueError("parameter vector size mismatch")
+        self.n_layers = len(self.layout)
+        self.weights = tuple(self.params[w].reshape(shape)
+                             for w, shape, _ in self.layout)
+        self.biases = tuple(self.params[b] for _, _, b in self.layout)
 
     @classmethod
     def create(cls, widths: list[int], rng: np.random.Generator) -> "Mlp":
         """Glorot-uniform weights, zero biases."""
-        weights, biases = [], []
+        chunks = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(widths, weights, biases)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+            chunks.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
+            chunks.append(np.zeros(fan_out))
+        return cls(widths, np.concatenate(chunks))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns the output and the per-layer activations (inputs first);
         the caches feed :meth:`backward`."""
         acts = [x]
         for i in range(self.n_layers):
-            z = acts[-1] @ self.weights[i] + self.biases[i]
-            acts.append(np.tanh(z) if i < self.n_layers - 1 else z)
+            z = acts[-1] @ self.weights[i]
+            z += self.biases[i]
+            if i < self.n_layers - 1:
+                np.tanh(z, out=z)
+            acts.append(z)
         return acts[-1], acts
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, d_out: np.ndarray, acts: list[np.ndarray]
-                 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Backprop ``d(objective)/d(output)`` through cached activations.
-
-        Returns per-layer (dW, db) plus the gradient w.r.t. the input
-        (needed to push critic gradients into the actor's action).
-        """
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers
+    def backward(self, d_out: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
+        """Backprop ``d(objective)/d(output)`` through cached activations
+        into the parameter gradient, a vector laid out as ``params``."""
+        grad = np.empty_like(self.params)
         dz = d_out
         for i in range(self.n_layers - 1, -1, -1):
-            if i < self.n_layers - 1:
-                dz = dz * (1.0 - acts[i + 1] ** 2)
-            grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
-            dz = dz @ self.weights[i].T
-        return grads, dz
+            w, shape, b = self.layout[i]
+            np.matmul(acts[i].T, dz, out=grad[w].reshape(shape))
+            dz.sum(axis=0, out=grad[b])
+            if i:
+                dz = (dz @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+        return grad
+
+    def input_gradient(self, d_out: np.ndarray, acts: list[np.ndarray]
+                       ) -> np.ndarray:
+        """Backprop ``d(objective)/d(output)`` to the gradient w.r.t. the
+        input only (pushes critic gradients into the actor's action)."""
+        dz = d_out
+        for i in range(self.n_layers - 1, 0, -1):
+            dz = (dz @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+        return dz @ self.weights[0].T
 
     def params_flat(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b)
-        return np.concatenate(chunks)
+        return self.params.copy()
 
     def set_params_flat(self, vec: np.ndarray) -> None:
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = vec[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = vec[pos:pos + b.size].copy()
-            pos += b.size
-        if pos != len(vec):
+        if np.shape(vec) != self.params.shape:
             raise ValueError("parameter vector size mismatch")
+        self.params[:] = vec
 
     def copy(self) -> "Mlp":
-        return Mlp(self.widths, [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases])
+        return Mlp(self.widths, self.params)
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and \
-            all(np.all(np.isfinite(b)) for b in self.biases)
+        return bool(np.isfinite(self.params).all())
 
 
 @dataclass
 class Batch:
+    """Sampled transitions; ``terminals`` is 1.0 (or True) where terminal."""
+
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
     terminals: np.ndarray
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, state_dim: int) -> "Batch":
+        """Column views of replay rows laid out as :class:`ReplayBuffer`'s."""
+        a_end = rows.shape[1] - state_dim - 2
+        return cls(rows[:, :state_dim], rows[:, state_dim:a_end],
+                   rows[:, a_end], rows[:, a_end + 1:-1], rows[:, -1])
+
     def __len__(self) -> int:
         return len(self.states)
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with seeded uniform sampling."""
+    """Fixed-capacity ring of transitions with seeded uniform sampling; a
+    ``table`` row is state, action, reward, next state, terminal (1.0/0.0)."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int = 2):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.terminals = np.zeros(capacity, dtype=bool)
+        self.state_dim = state_dim
+        self.table = np.zeros((capacity, 2 * state_dim + action_dim + 2))
         self.size = 0
         self.cursor = 0
 
     def push(self, s: np.ndarray, a: np.ndarray, r: float, s2: np.ndarray,
              terminal: bool) -> None:
         i = self.cursor
-        self.states[i] = s
-        self.actions[i] = a
-        self.rewards[i] = r
-        self.next_states[i] = s2
-        self.terminals[i] = terminal
+        np.concatenate((s, a, (r,), s2, (terminal,)), out=self.table[i])
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -184,9 +199,8 @@ class ReplayBuffer:
         if self.size < batch_size:
             raise ValueError("buffer smaller than batch size")
         idx = rng.integers(0, self.size, size=batch_size)
-        # Fancy indexing returns copies, so the batch owns its arrays.
-        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
-                     self.next_states[idx], self.terminals[idx])
+        # Fancy indexing returns a copy, so the batch owns its rows.
+        return Batch.from_rows(self.table[idx], self.state_dim)
 
 
 @dataclass(frozen=True)
@@ -231,7 +245,7 @@ class PolicyBundle:
         actor = Mlp.create([state_dim, *cfg.hidden, 2 * action_dim], rng)
         # Small head: the initial policy is near-zero mean with unit std,
         # i.e. isotropic exploration rather than a heading bias.
-        actor.weights[-1] = actor.weights[-1] * 0.01
+        actor.weights[-1][...] *= 0.01
         critic = Mlp.create([state_dim + action_dim, *cfg.hidden, 1], rng)
         return cls(actor, critic, critic.copy())
 
@@ -273,7 +287,8 @@ def forward_actor(net: Mlp, state: np.ndarray,
     if s.shape[1] != net.widths[0]:
         raise ValueError(f"state width {s.shape[1]} != input width {net.widths[0]}")
     noise = rng.standard_normal((1, net.widths[-1] // 2))
-    return actor_sample_batch(net, s, noise)[0][0]
+    mean, _, log_std = _split_actor_head(net(s))
+    return np.tanh(mean + np.exp(log_std) * noise)[0]
 
 
 def actor_mean_action(net: Mlp, state: np.ndarray) -> np.ndarray:
@@ -290,23 +305,22 @@ def critic_target(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
     a2, log_p2, _ = actor_sample_batch(nets.actor, batch.next_states, noise)
     q2 = nets.target_critic(np.concatenate([batch.next_states, a2], axis=1))[:, 0]
     boot = q2 - cfg.alpha * log_p2
-    return batch.rewards + cfg.gamma * boot * (~batch.terminals)
+    return batch.rewards + cfg.gamma * boot * (1.0 - batch.terminals)
 
 
 def critic_loss_and_grads(critic: Mlp, states: np.ndarray, actions: np.ndarray,
-                          y: np.ndarray) -> tuple[float, list]:
+                          y: np.ndarray) -> tuple[float, np.ndarray]:
     x = np.concatenate([states, actions], axis=1)
     q, acts = critic.forward(x)
     diff = q[:, 0] - y
     loss = float(np.mean(diff ** 2))
     d_q = (2.0 * diff / len(diff)).reshape(-1, 1)
-    grads, _ = critic.backward(d_q, acts)
-    return loss, grads
+    return loss, critic.backward(d_q, acts)
 
 
 def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
                          noise: np.ndarray, alpha: float
-                         ) -> tuple[float, list]:
+                         ) -> tuple[float, np.ndarray]:
     """Loss mean(alpha*logpi - Q) and its actor gradients (critic frozen).
 
     The gradient flows through the squashed sample into the critic's action
@@ -320,7 +334,7 @@ def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
     loss = float(np.mean(alpha * log_prob - q))
 
     # d(loss)/dQ = -1/n per sample -> gradient w.r.t. the critic's input
-    _, d_input = critic.backward(np.full((n, 1), -1.0 / n), q_acts)
+    d_input = critic.input_gradient(np.full((n, 1), -1.0 / n), q_acts)
     d_a = d_input[:, states.shape[1]:]
 
     a = cache["action"]
@@ -332,23 +346,17 @@ def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
     clip_mask = ((cache["raw"] > LOG_STD_MIN) & (cache["raw"] < LOG_STD_MAX))
     d_raw = d_log_std * clip_mask
     d_out = np.concatenate([d_mean, d_raw], axis=1)
-    grads, _ = actor.backward(d_out, cache["acts"])
-    return loss, grads
+    return loss, actor.backward(d_out, cache["acts"])
 
 
-def _clip_global_norm(grads: list, clip: float) -> list:
-    total = math.sqrt(sum(float(np.sum(dw ** 2) + np.sum(db ** 2))
-                          for dw, db in grads))
+def _clip_global_norm(net: Mlp, grad: np.ndarray, clip: float) -> None:
+    """Scale ``grad`` (laid out as ``net.params``) in place to global norm
+    ``clip`` if it is longer."""
+    sq = grad * grad
+    total = math.sqrt(sum(float(sq[w].sum() + sq[b].sum())
+                          for w, _, b in net.layout))
     if total > clip:
-        scale = clip / total
-        grads = [(dw * scale, db * scale) for dw, db in grads]
-    return grads
-
-
-def _sgd_step(net: Mlp, grads: list, lr: float) -> None:
-    for i, (dw, db) in enumerate(grads):
-        net.weights[i] = net.weights[i] - lr * dw
-        net.biases[i] = net.biases[i] - lr * db
+        grad *= clip / total
 
 
 def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
@@ -361,8 +369,8 @@ def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
                                         batch.actions, y)
     if not math.isfinite(loss):
         raise TrainingDiverged(f"critic loss diverged: {loss}")
-    grads = _clip_global_norm(grads, cfg.grad_clip)
-    _sgd_step(nets.critic, grads, cfg.lr_critic)
+    _clip_global_norm(nets.critic, grads, cfg.grad_clip)
+    nets.critic.params -= cfg.lr_critic * grads
     if not nets.critic.is_finite():
         raise TrainingDiverged("critic parameters became non-finite")
     return loss
@@ -378,8 +386,8 @@ def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
                                        noise, cfg.alpha)
     if not math.isfinite(loss):
         raise TrainingDiverged(f"actor loss diverged: {loss}")
-    grads = _clip_global_norm(grads, cfg.grad_clip)
-    _sgd_step(nets.actor, grads, cfg.lr_actor)
+    _clip_global_norm(nets.actor, grads, cfg.grad_clip)
+    nets.actor.params -= cfg.lr_actor * grads
     if not nets.actor.is_finite():
         raise TrainingDiverged("actor parameters became non-finite")
     return loss
@@ -389,9 +397,8 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
     if target.widths != online.widths:
         raise ValueError("shape mismatch between target and online networks")
-    for i in range(target.n_layers):
-        target.weights[i] = (1.0 - tau) * target.weights[i] + tau * online.weights[i]
-        target.biases[i] = (1.0 - tau) * target.biases[i] + tau * online.biases[i]
+    target.params *= 1.0 - tau
+    target.params += tau * online.params
 
 
 # -- checkpoint serialization -------------------------------------------------
@@ -446,13 +453,9 @@ def load_checkpoint(path) -> PolicyBundle:
         pos += 4 * n_widths
         count = _param_count(widths)
         _need(data, pos, 8 * count, f"the parameters of network {k}")
-        params = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+        nets.append(Mlp(widths, np.frombuffer(data, dtype="<f8", count=count,
+                                              offset=pos)))
         pos += 8 * count
-        net = Mlp(widths, [], [])
-        net.weights = [np.zeros((i, o)) for i, o in zip(widths[:-1], widths[1:])]
-        net.biases = [np.zeros(o) for o in widths[1:]]
-        net.set_params_flat(params)
-        nets.append(net)
     if pos != len(data):
         raise ValueError("trailing bytes in checkpoint")
     if len(nets) != 3:

@@ -3,7 +3,7 @@
 :func:`sense` returns the :class:`SenseFrame`: the detected pursuers, the
 nearest wall's distance and direction, and the time factor
 ``t_f = (1 - t/t_max) / 2``.  :func:`observe` builds the actor's input from
-the lidar and boundary scans, which nothing else reads.
+the lidar and boundary scans; only the replay's ``min_lidar`` also reads one.
 
 Rays are cast in the evader frame, which is evader-centered and axis-aligned
 (the evader localizes itself, so directions are absolute): ray ``k`` points
@@ -138,14 +138,17 @@ def cast_rays(w: WorldState, arena: ArenaConfig,
     """Lidar ranges over the pursuer discs.
 
     A ray's range is the nearest positive disc intersection within ``r_e``,
-    else ``r_e``.
+    else ``r_e``.  Only discs centered within ``r_e`` plus the radius (and a
+    1e-9 relative margin for rounding) can be hit inside ``r_e``.
     """
-    if not len(w.pursuers):
-        return np.full(cfg.n_s, arena.r_e)
     rel, dists = _offsets(w)
-    cx, sx = _ray_directions(cfg.n_s)
     radius = arena.capture_radius / 2.0
-    # t_c: projection of each center onto each ray, shape (n_pursuers, n_s)
+    near = dists <= (arena.r_e + radius) * (1.0 + 1e-9)
+    if not near.any():
+        return np.full(cfg.n_s, arena.r_e)
+    rel, dists = rel[near], dists[near]
+    cx, sx = _ray_directions(cfg.n_s)
+    # t_c: projection of each center onto each ray, shape (n_near, n_s)
     t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
     perp_sq = (dists ** 2)[:, None] - t_c ** 2
     disc = radius ** 2 - perp_sq
@@ -185,11 +188,11 @@ def time_factor(t: float, t_max: float) -> float:
     return (1.0 - t / t_max) / 2.0
 
 
-def observe(w: WorldState, arena: ArenaConfig,
+def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
             cfg: SensingConfig) -> np.ndarray:
-    """The actor's input at ``w``: ``n_s`` scalars, each the weighted mean of
-    the encoded lidar and boundary ranges of one ray, times ``t_f``."""
-    lidar = cast_rays(w, arena, cfg)
+    """The actor's input at ``w`` given its :func:`cast_rays` scan: ``n_s``
+    scalars, each the weighted mean of the encoded lidar and boundary ranges
+    of one ray, times ``t_f``."""
     boundary = boundary_scan((w.evader.x, w.evader.y), arena, cfg)
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)

@@ -35,13 +35,12 @@ from .env import ArenaConfig, EpisodeOutcome, WorldState, step_evader, \
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, PfmPolicy
 from .rewards import RewardBreakdown, RewardState, transition_reward
-from .sensing import SensingConfig, observe, sense
+from .sensing import SensingConfig, cast_rays, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
     "Branch",
     "ExperienceTuple",
-    "ScaffoldDecision",
     "StepResult",
     "to_velocity",
     "reward_gap",
@@ -83,22 +82,12 @@ class ExperienceTuple:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class ScaffoldDecision:
-    r_r: float
-    r_p: float
-    d_f: float
-    executed: Branch
-
-
 @dataclass
 class StepResult:
-    """Everything one environment step produced, for logging and training."""
+    """What training reads of one environment step."""
 
     experience: ExperienceTuple
     outcome: EpisodeOutcome | None
-    decision: ScaffoldDecision | None
-    realized_reward: float
     realized_breakdown: RewardBreakdown
 
 
@@ -162,6 +151,7 @@ class EpisodeStepper:
         self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.reward_sign = reward_sign
         self.frame = sense(world, arena)
+        self._lidar: np.ndarray | None = None
         self._observation: np.ndarray | None = None
         self.reward_state = RewardState(d_b_prev=self.frame.d_b)
         # A spawn can be terminal outright (pursuer just outside the origin
@@ -169,11 +159,19 @@ class EpisodeStepper:
         self.initial_outcome = world.outcome
 
     @property
+    def lidar(self) -> np.ndarray:
+        """The lidar scan of the current world, cast on first read and kept
+        until the next step."""
+        if self._lidar is None:
+            self._lidar = cast_rays(self.world, self.arena, self.sensing_cfg)
+        return self._lidar
+
+    @property
     def observation(self) -> np.ndarray:
-        """The actor's input at the current world, built on first read and
-        kept until the next step."""
+        """The actor's input at the current world, built from :attr:`lidar`
+        on first read and kept until the next step."""
         if self._observation is None:
-            self._observation = observe(self.world, self.arena,
+            self._observation = observe(self.world, self.lidar, self.arena,
                                         self.sensing_cfg)
         return self._observation
 
@@ -181,7 +179,7 @@ class EpisodeStepper:
                        ) -> tuple[EpisodeOutcome | None, RewardBreakdown, float]:
         self.world, outcome = step_world(self.world, action, self.arena)
         self.frame = sense(self.world, self.arena)
-        self._observation = None
+        self._lidar = self._observation = None
         breakdown, realized = transition_reward(
             self.frame.detections, self.frame.d_b, self.frame.t_f,
             self.reward_state, self.arena, self.reward_sign)
@@ -195,7 +193,6 @@ class EpisodeStepper:
 
         r_r = predict_next_state(self.world, a_r_env, self.arena,
                                  self.reward_state, self.reward_sign)
-        decision = None
         branch = Branch.ACTOR
         stored_reward = r_r
         env_action = a_r_env
@@ -207,16 +204,15 @@ class EpisodeStepper:
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
             branch, stored_reward = scaffold_select(r_r, r_p, d_f,
                                                     self.scaffold.beta)
-            decision = ScaffoldDecision(r_r, r_p, d_f, branch)
             if branch is Branch.PLANNER:
                 env_action = a_p_env
                 stored_action = np.array(a_p_env) / self.arena.v_e_max
 
-        outcome, breakdown, realized = self._advance_world(env_action)
+        outcome, breakdown, _ = self._advance_world(env_action)
         experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),
                                      stored_reward, self.observation,
                                      outcome is not None, branch)
-        return StepResult(experience, outcome, decision, realized, breakdown)
+        return StepResult(experience, outcome, breakdown)
 
     def step_action(self, action: tuple[float, float]
                     ) -> tuple[EpisodeOutcome | None, float, RewardBreakdown]:

@@ -1,9 +1,11 @@
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import cep
+from cep import sr2l
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cep.__path__))
 
@@ -13,3 +15,9 @@ def test_exports_resolve(name):
     module = importlib.import_module(f"cep.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_step_result_carries_only_what_training_reads():
+    assert [f.name for f in fields(sr2l.StepResult)] == \
+        ["experience", "outcome", "realized_breakdown"]
+    assert not hasattr(sr2l, "ScaffoldDecision")

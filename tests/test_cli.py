@@ -94,3 +94,19 @@ def test_zero_episodes_rejected(trained, tmp_path, capsys, command):
                      "0", *extra[command]]) == 2
     assert capsys.readouterr().err == \
         "cep: error: episodes must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command,missing", [
+    (["eval", "--episodes", "1", "--checkpoint"], "missing.cepn"),
+    (["train", "--mode", "iac", "--episodes", "1", "--config"], "missing.txt"),
+    (["sweep", "--checkpoint", "CHECKPOINT", "--episodes", "1", "--grid"],
+     "missing.csv"),
+], ids=["checkpoint", "config", "grid"])
+def test_missing_file_is_a_one_line_error(trained, tmp_path, capsys, command,
+                                          missing):
+    path = tmp_path / missing
+    argv = [str(trained[1]) if a == "CHECKPOINT" else a for a in command]
+    assert cli.main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"cep: error: \[Errno 2\] No such file or "
+                        rf"directory: '{re.escape(str(path))}'\n", err)

@@ -7,8 +7,8 @@ import pytest
 from cep import harness, sensing
 from cep.config import desk_profile
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
-                         evaluate_monte_carlo, load_grid, make_policy, sweep,
-                         train)
+                         evaluate_monte_carlo, load_grid, make_policy, replay,
+                         sweep, train)
 from cep.neural import PolicyBundle, TrainConfig
 
 
@@ -147,9 +147,9 @@ class TestLoadGrid:
 
 
 class TestComputedOnlyWhenRead:
-    """The lidar and boundary scans feed only the actor's observation: a
-    policy that never reads it never has one built, and a reader builds one
-    per world it reads."""
+    """The lidar and boundary scans feed only the actor's observation (and
+    the lidar the replay's ``min_lidar`` column): a policy that never reads
+    it never has one built, and a reader builds one per world it reads."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -193,3 +193,11 @@ class TestComputedOnlyWhenRead:
         assert all(log.steps > 0 for log in logs)
         expected = sum(log.steps for log in logs) + len(logs)
         assert scans == {"cast_rays": expected, "boundary_scan": expected}
+
+    def test_replay_casts_once_per_row(self, scans, tmp_path):
+        # Row 0 and every step's row read the lidar; the actor's observation
+        # reuses the same scan, and the final world's is never built.
+        rows = replay(small_bundle(), 11, desk_profile(seed=3),
+                      tmp_path / "trajectory.csv")
+        assert rows > 1
+        assert scans == {"cast_rays": rows, "boundary_scan": rows - 1}

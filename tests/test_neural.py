@@ -7,7 +7,8 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from cep.neural import (LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, Batch, Mlp,
                         PolicyBundle, ReplayBuffer, TrainConfig,
-                        TrainingDiverged, _split_actor_head,
+                        TrainingDiverged, _param_count,
+                        _split_actor_head,
                         actor_loss_and_grads, actor_mean_action,
                         actor_sample_batch, actor_update,
                         critic_loss_and_grads, critic_target, critic_update,
@@ -249,10 +250,6 @@ def run_entropy_dominated_actor(head_log_std):
     return before, stats()
 
 
-def flat_grads(grads):
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-
-
 def fd_check(loss_fn, net, analytic, rng, n_coords=40, h=1e-5, tol=1e-4):
     """Central finite differences on random coordinates vs analytic grads."""
     flat = net.params_flat()
@@ -280,9 +277,8 @@ class TestGradients:
         bundle = make_bundle(seed=seed)
         batch = random_batch(8, rng)
         y = rng.normal(size=8)
-        _, grads = critic_loss_and_grads(bundle.critic, batch.states,
-                                         batch.actions, y)
-        analytic = flat_grads(grads)
+        _, analytic = critic_loss_and_grads(bundle.critic, batch.states,
+                                            batch.actions, y)
 
         def loss_fn():
             return critic_loss_and_grads(bundle.critic, batch.states,
@@ -304,9 +300,8 @@ class TestGradients:
         bundle = make_bundle(seed=seed)
         states = rng.normal(size=(8, STATE_DIM))
         noise = rng.standard_normal((8, 2))
-        _, grads = actor_loss_and_grads(bundle.actor, bundle.critic, states,
-                                        noise, alpha)
-        analytic = flat_grads(grads)
+        _, analytic = actor_loss_and_grads(bundle.actor, bundle.critic,
+                                           states, noise, alpha)
 
         def loss_fn():
             return actor_loss_and_grads(bundle.actor, bundle.critic, states,
@@ -475,7 +470,8 @@ class TestReplayBuffer:
             buf.push(np.array([float(i)]), np.zeros(2), float(i),
                      np.zeros(1), False)
         assert buf.size == 4
-        assert sorted(buf.rewards.tolist()) == [2.0, 3.0, 4.0, 5.0]
+        rewards = Batch.from_rows(buf.table, 1).rewards
+        assert sorted(rewards.tolist()) == [2.0, 3.0, 4.0, 5.0]
 
     def test_seeded_sampling_reproducible(self):
         buf = ReplayBuffer(16, 1)
@@ -551,3 +547,248 @@ class TestCheckpoint:
         s = np.random.default_rng(3).normal(size=STATE_DIM)
         assert np.array_equal(actor_mean_action(bundle.actor, s),
                               actor_mean_action(loaded.actor, s))
+
+
+# -- oracles: the per-layer update path and the five-array replay buffer that
+# the flat parameter vector and the one replay table replaced
+
+
+def layers(net: Mlp) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    return [w.copy() for w in net.weights], [b.copy() for b in net.biases]
+
+
+def flatten(weights, biases) -> np.ndarray:
+    return np.concatenate([np.concatenate([w.ravel(), b])
+                           for w, b in zip(weights, biases)])
+
+
+def per_layer_backward(weights, d_out, acts):
+    """Per-layer (dW, db) and the input gradient, every layer computed."""
+    grads = [None] * len(weights)
+    dz = d_out
+    for i in range(len(weights) - 1, -1, -1):
+        if i < len(weights) - 1:
+            dz = dz * (1.0 - acts[i + 1] ** 2)
+        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+        dz = dz @ weights[i].T
+    return grads, dz
+
+
+def per_layer_clip(grads, clip):
+    total = math.sqrt(sum(float(np.sum(dw ** 2) + np.sum(db ** 2))
+                          for dw, db in grads))
+    if total > clip:
+        scale = clip / total
+        grads = [(dw * scale, db * scale) for dw, db in grads]
+    return grads, total
+
+
+def per_layer_sgd(net: Mlp, grads, lr):
+    weights, biases = layers(net)
+    for i, (dw, db) in enumerate(grads):
+        weights[i] = weights[i] - lr * dw
+        biases[i] = biases[i] - lr * db
+    return flatten(weights, biases)
+
+
+def per_layer_critic_update(batch, nets, cfg, rng):
+    """``critic_update`` on per-layer arrays: (new critic params, pre-clip
+    gradient norm)."""
+    noise = rng.standard_normal((len(batch), nets.actor.widths[-1] // 2))
+    y = critic_target(batch, nets, cfg, noise)
+    q, acts = nets.critic.forward(np.concatenate([batch.states,
+                                                  batch.actions], axis=1))
+    diff = q[:, 0] - y
+    grads, _ = per_layer_backward(nets.critic.weights,
+                                  (2.0 * diff / len(diff)).reshape(-1, 1),
+                                  acts)
+    grads, total = per_layer_clip(grads, cfg.grad_clip)
+    return per_layer_sgd(nets.critic, grads, cfg.lr_critic), total
+
+
+def per_layer_actor_update(batch, nets, cfg, rng):
+    """``actor_update`` on per-layer arrays with a full critic backward:
+    (new actor params, pre-clip gradient norm)."""
+    n, alpha = len(batch), cfg.alpha
+    noise = rng.standard_normal((n, nets.actor.widths[-1] // 2))
+    action, _, cache = actor_sample_batch(nets.actor, batch.states, noise)
+    _, q_acts = nets.critic.forward(np.concatenate([batch.states, action],
+                                                   axis=1))
+    _, d_input = per_layer_backward(nets.critic.weights,
+                                    np.full((n, 1), -1.0 / n), q_acts)
+    d_a = d_input[:, batch.states.shape[1]:]
+    a = cache["action"]
+    d_a = d_a + (alpha / n) * 2.0 * a / (1.0 - a ** 2 + SQUASH_EPS)
+    d_pre = d_a * (1.0 - a ** 2)
+    d_log_std = d_pre * cache["std"] * cache["noise"] - (alpha / n)
+    clip_mask = (cache["raw"] > LOG_STD_MIN) & (cache["raw"] < LOG_STD_MAX)
+    d_out = np.concatenate([d_pre, d_log_std * clip_mask], axis=1)
+    grads, _ = per_layer_backward(nets.actor.weights, d_out, cache["acts"])
+    grads, total = per_layer_clip(grads, cfg.grad_clip)
+    return per_layer_sgd(nets.actor, grads, cfg.lr_actor), total
+
+
+class FiveArrayBuffer:
+    """The replay ring as five parallel arrays, one per field."""
+
+    def __init__(self, capacity, state_dim, action_dim=2):
+        self.capacity = capacity
+        self.states = np.zeros((capacity, state_dim))
+        self.actions = np.zeros((capacity, action_dim))
+        self.rewards = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, state_dim))
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self.size = 0
+        self.cursor = 0
+
+    def push(self, s, a, r, s2, terminal):
+        i = self.cursor
+        self.states[i] = s
+        self.actions[i] = a
+        self.rewards[i] = r
+        self.next_states[i] = s2
+        self.terminals[i] = terminal
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, self.size, size=batch_size)
+        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.terminals[idx])
+
+
+SEEDS = range(6)
+CLIPS = [pytest.param(1e-3, True, id="clipped"),
+         pytest.param(1e6, False, id="unclipped")]
+
+
+class TestFlatParameters:
+    def test_weight_and_bias_writes_change_params(self):
+        net = Mlp.create([3, 4, 2], np.random.default_rng(0))
+        net.weights[1][2, 1] = 7.0
+        net.biases[0][3] = -5.0
+        flat = net.params_flat()
+        assert flat[3 * 4 + 4 + 2 * 2 + 1] == 7.0
+        assert flat[3 * 4 + 3] == -5.0
+
+    def test_params_in_checkpoint_order(self):
+        net = Mlp.create([5, 8, 8, 3], np.random.default_rng(1))
+        assert np.array_equal(net.params_flat(), flatten(*layers(net)))
+
+    def test_layers_cannot_be_rebound(self):
+        net = Mlp.create([3, 4, 2], np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((3, 4))
+
+    def test_copy_shares_no_memory(self):
+        net = Mlp.create([3, 4, 2], np.random.default_rng(0))
+        clone = net.copy()
+        assert not np.shares_memory(clone.params, net.params)
+        for a, b in zip(clone.weights + clone.biases,
+                        net.weights + net.biases):
+            assert not np.shares_memory(a, b)
+        clone.weights[0][0, 0] += 1.0
+        assert not np.array_equal(clone.params_flat(), net.params_flat())
+
+    def test_constructor_copies_its_vector(self):
+        vec = np.arange(float(_param_count([3, 4, 2])))
+        net = Mlp([3, 4, 2], vec)
+        assert not np.shares_memory(net.params, vec)
+        with pytest.raises(ValueError, match="size mismatch"):
+            Mlp([3, 4, 2], vec[:-1])
+
+
+class TestAgainstPerLayerOracle:
+    """The flat-vector update path gives exactly the per-layer results."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_backward(self, seed):
+        rng = np.random.default_rng(seed)
+        net = Mlp.create([STATE_DIM, 8, 5, 3], rng)
+        _, acts = net.forward(rng.normal(size=(16, STATE_DIM)))
+        d_out = rng.normal(size=(16, 3))
+        grads, d_input = per_layer_backward(net.weights, d_out, acts)
+        assert np.array_equal(net.backward(d_out, acts),
+                              flatten(*zip(*grads)))
+        assert np.array_equal(net.input_gradient(d_out, acts), d_input)
+
+    @pytest.mark.parametrize("clip,clipped", CLIPS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_critic_update(self, seed, clip, clipped):
+        bundle = make_bundle(seed=seed)
+        cfg = TrainConfig(hidden=(8, 8), grad_clip=clip)
+        batch = random_batch(16, np.random.default_rng(seed + 50), 0.3)
+        expected, total = per_layer_critic_update(
+            batch, bundle, cfg, np.random.default_rng(seed))
+        assert (total > clip) is clipped
+        critic_update(batch, bundle, cfg, np.random.default_rng(seed))
+        assert np.array_equal(bundle.critic.params_flat(), expected)
+
+    @pytest.mark.parametrize("clip,clipped", CLIPS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_actor_update(self, seed, clip, clipped):
+        bundle = make_bundle(seed=seed)
+        cfg = TrainConfig(hidden=(8, 8), grad_clip=clip)
+        batch = random_batch(16, np.random.default_rng(seed + 50))
+        expected, total = per_layer_actor_update(
+            batch, bundle, cfg, np.random.default_rng(seed))
+        assert (total > clip) is clipped
+        actor_update(batch, bundle, cfg, np.random.default_rng(seed))
+        assert np.array_equal(bundle.actor.params_flat(), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_soft_update(self, seed):
+        target, online = make_bundle(seed=seed).critic, \
+            make_bundle(seed=seed + 100).critic
+        tau = float(np.random.default_rng(seed).uniform(0.001, 1.0))
+        (tw, tb), (ow, ob) = layers(target), layers(online)
+        expected = flatten([(1.0 - tau) * t + tau * o for t, o in zip(tw, ow)],
+                           [(1.0 - tau) * t + tau * o for t, o in zip(tb, ob)])
+        soft_update(target, online, tau)
+        assert np.array_equal(target.params_flat(), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replay_buffer(self, seed):
+        rng = np.random.default_rng(seed)
+        new, old = ReplayBuffer(20, STATE_DIM), FiveArrayBuffer(20, STATE_DIM)
+        for _ in range(int(rng.integers(20, 50))):
+            row = (rng.normal(size=STATE_DIM), rng.uniform(-1, 1, 2),
+                   float(rng.normal()), rng.normal(size=STATE_DIM),
+                   bool(rng.uniform() < 0.3))
+            new.push(*row)
+            old.push(*row)
+        a = new.sample(16, np.random.default_rng(seed))
+        b = old.sample(16, np.random.default_rng(seed))
+        for name in ("states", "actions", "rewards", "next_states",
+                     "terminals"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (new.size, new.cursor) == (old.size, old.cursor)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sequence_of_updates(self, seed):
+        # Twenty steps of the training loop's update triple on both paths.
+        bundle = make_bundle(seed=seed)
+        cfg = TrainConfig(hidden=(8, 8), grad_clip=0.5, lr_actor=0.05,
+                          lr_critic=0.05)
+        rng, batch_rng = np.random.default_rng(seed), \
+            np.random.default_rng(seed + 1)
+        oracle = bundle.copy()
+        oracle_rng = np.random.default_rng(seed)
+        for _ in range(20):
+            batch = random_batch(8, batch_rng, 0.2)
+            critic, _ = per_layer_critic_update(batch, oracle, cfg, oracle_rng)
+            oracle.critic.set_params_flat(critic)
+            actor, _ = per_layer_actor_update(batch, oracle, cfg, oracle_rng)
+            oracle.actor.set_params_flat(actor)
+            (tw, tb), (ow, ob) = layers(oracle.target_critic), \
+                layers(oracle.critic)
+            oracle.target_critic.set_params_flat(flatten(
+                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tw, ow)],
+                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tb, ob)]))
+
+            critic_update(batch, bundle, cfg, rng)
+            actor_update(batch, bundle, cfg, rng)
+            soft_update(bundle.target_critic, bundle.critic, cfg.tau)
+        for name in ("actor", "critic", "target_critic"):
+            assert np.array_equal(getattr(bundle, name).params_flat(),
+                                  getattr(oracle, name).params_flat()), name

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cep import sensing
 from cep.env import ArenaConfig, EvaderState, Pursuers, init_world, nearest_wall
@@ -30,15 +32,34 @@ def world_with(evader, rows, cfg):
 
 def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
     """``observe`` of a world at the time whose factor is ``t_f`` (0.5 or 0),
-    with the lidar and boundary scans replaced by the given ranges."""
+    given the lidar ranges, with the boundary scan replaced by the given
+    ranges."""
     cfg = arena()
-    monkeypatch.setattr(sensing, "cast_rays",
-                        lambda w, a, c: np.asarray(lidar, dtype=float))
     monkeypatch.setattr(sensing, "boundary_scan",
                         lambda pos, a, c: np.asarray(boundary, dtype=float))
     w = init_world(cfg, 0)
     w.t = (1.0 - 2.0 * t_f) * cfg.t_max
-    return observe(w, cfg, scfg)
+    return observe(w, np.asarray(lidar, dtype=float), cfg, scfg)
+
+
+def full_cast(w, arena, cfg):
+    """Reference lidar: every pursuer's disc intersected with every ray."""
+    if not len(w.pursuers):
+        return np.full(cfg.n_s, arena.r_e)
+    rel = w.pursuers.xy - (w.evader.x, w.evader.y)
+    dists = np.hypot(rel[:, 0], rel[:, 1])
+    cx, sx = _ray_directions(cfg.n_s)
+    radius = arena.capture_radius / 2.0
+    t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
+    perp_sq = (dists ** 2)[:, None] - t_c ** 2
+    disc = radius ** 2 - perp_sq
+    hit = disc >= 0.0
+    h = np.sqrt(np.maximum(disc, 0.0))
+    t0 = t_c - h
+    t1 = t_c + h
+    t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
+    t = np.where(hit, t, np.inf)
+    return np.minimum(t.min(axis=0), arena.r_e)
 
 
 class TestCastRays:
@@ -128,6 +149,49 @@ class TestCastRays:
         w2 = world_with(EvaderState(0.0, 0.0, -2.0, -7.0), pursuers, cfg)
         scan2 = cast_rays(w2, cfg, scfg)
         assert np.array_equal(scan, scan2)
+
+
+class TestRestrictedCast:
+    """``cast_rays`` intersects only pursuers within the cut-off
+    ``(r_e + capture_radius / 2) * (1 + 1e-9)``; the scan must equal the
+    full cast exactly."""
+
+    CFG = arena(capture_radius=2.0, r_e=10.0)
+    CUT = (10.0 + 1.0) * (1.0 + 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(evader=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+           pursuers=st.lists(
+               st.tuples(st.floats(0.0, 2.0 * math.pi),
+                         st.one_of(st.floats(0.0, 25.0),
+                                   st.sampled_from([CUT, 11.0, 10.0, 1.0]),
+                                   st.floats(10.9, 11.1))),
+               max_size=40),
+           n_s=st.sampled_from([4, 7, 36, 72]))
+    def test_equals_full_cast(self, evader, pursuers, n_s):
+        ex, ey = evader
+        rows = [(ex + r * math.cos(a), ey + r * math.sin(a), 5.0, 0.0)
+                for a, r in pursuers]
+        w = world_with(EvaderState(ex, ey), rows, self.CFG)
+        scfg = SensingConfig(n_s=n_s)
+        assert np.array_equal(cast_rays(w, self.CFG, scfg),
+                              full_cast(w, self.CFG, scfg))
+
+    def test_pursuer_on_cut_off_along_a_ray(self):
+        # Centers on ray 0 at and around the cut-off: the disc's near edge
+        # sits at about r_e, so ray 0's range is r_e or just below it.
+        scfg = SensingConfig(n_s=36)
+        for r in (11.0 - 1e-12, 11.0, self.CUT, 11.0 + 1e-9, 11.0 + 1e-6):
+            w = world_with(EvaderState(0.0, 0.0), [(r, 0.0, 5.0, 0.0)],
+                           self.CFG)
+            assert np.array_equal(cast_rays(w, self.CFG, scfg),
+                                  full_cast(w, self.CFG, scfg))
+
+    def test_none_near_gives_max_range(self):
+        scfg = SensingConfig(n_s=36)
+        w = world_with(EvaderState(0.0, 0.0), [(0.0, 12.0, 5.0, 0.0)],
+                       self.CFG)
+        assert np.all(cast_rays(w, self.CFG, scfg) == self.CFG.r_e)
 
 
 class TestRayDirections:
@@ -234,6 +298,7 @@ class TestEncodeState:
     def test_state_bounds_full_pipeline(self, seed):
         cfg = arena(n_pursuers=10)
         scfg = SensingConfig(n_s=36, r_b_norm=200.0)
-        state = observe(init_world(cfg, seed), cfg, scfg)
+        w = init_world(cfg, seed)
+        state = observe(w, cast_rays(w, cfg, scfg), cfg, scfg)
         assert np.all(state >= 0.0)
         assert np.all(state <= scfg.k_s / 2 + TOL)
