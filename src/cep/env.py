@@ -11,19 +11,28 @@ another pursuer), then elapsed time and termination are updated.  Pursuers
 patrol on straight lines, reflect specularly off the walls, and chase at full
 speed while the evader is within their sensor range.
 
-The pursuers of a world are one :class:`Pursuers` struct of parallel arrays,
-row ``i`` being pursuer ``i``.  A pursuer's direction of travel is stored only
-as its unit vector ``unit``: where an angle ``h`` sets it (drawn at spawn,
-aimed at the evader on lock-on, reflected off a wall) it becomes
-``(math.cos(h), math.sin(h))`` once, and a step, the detections and the
-forward model all move along that vector.
+A :class:`WorldState` is a batch of ``E`` worlds of one arena stepped in
+lockstep: they share the step count and the time, each has its own evader,
+and the pursuer arrays have a leading episode axis, row ``[e, i]`` being
+pursuer ``i`` of world ``e``.  A single world is the batch ``E = 1``.  The
+pursuer step, the capture test and the evader-to-pursuer distances
+(:attr:`WorldState.offsets`) run once per step for the whole batch; what must
+give a lone world's bits stays per world (the evader's speed clip) or per
+row (the angles of the rows that lock on or reflect).
+:meth:`WorldState.take` keeps some worlds of a batch, so that a runner drops
+the finished episodes and steps only the live ones.
+
+A pursuer's direction of travel is stored only as its unit vector ``unit``:
+where an angle ``h`` sets it (drawn at spawn, aimed at the evader on lock-on,
+reflected off a wall) it becomes ``(math.cos(h), math.sin(h))`` once, and a
+step, the detections and the forward model all move along that vector.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -96,14 +105,16 @@ class ArenaConfig:
 
 @dataclass(eq=False)
 class Pursuers:
-    """All pursuers of one world as parallel arrays, row ``i`` pursuer ``i``.
+    """The pursuers of a batch of worlds as parallel arrays, row ``[e, i]``
+    pursuer ``i`` of world ``e``.
 
-    ``xy`` is ``(n, 2)`` positions, ``speed`` the current speed and ``unit``
-    the ``(n, 2)`` unit vectors of the directions of travel.
-    ``patrol_speed`` is the episode-constant cruise speed a pursuer reverts to
-    after losing the evader, and ``chasing`` marks the pursuers that saw the
-    evader on their last step.  A world never writes these arrays in place:
-    a step returns new arrays, or shares the ones it leaves unchanged.
+    ``xy`` is ``(E, n, 2)`` positions, ``speed`` the ``(E, n)`` current
+    speeds and ``unit`` the ``(E, n, 2)`` unit vectors of the directions of
+    travel.  ``patrol_speed`` is the episode-constant cruise speed a pursuer
+    reverts to after losing the evader, and ``chasing`` marks the pursuers
+    that saw the evader on their last step.  A world never writes these
+    arrays in place: a step returns new arrays, or shares the ones it leaves
+    unchanged.
     """
 
     xy: np.ndarray
@@ -115,18 +126,26 @@ class Pursuers:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]
                   ) -> "Pursuers":
-        """Patrolling pursuers from ``(x, y, speed, heading)`` rows."""
+        """One world's patrolling pursuers from ``(x, y, speed, heading)``
+        rows."""
         rows = list(rows)
         n = len(rows)
-        table = np.array(rows, dtype=float).reshape(n, 4)
+        table = np.array(rows, dtype=float).reshape(1, n, 4)
         unit = np.array([(math.cos(h), math.sin(h))
-                         for h in table[:, 3].tolist()]).reshape(n, 2)
-        return cls(xy=table[:, :2].copy(), speed=table[:, 2].copy(),
-                   unit=unit, patrol_speed=table[:, 2].copy(),
-                   chasing=np.zeros(n, dtype=bool))
+                         for h in table[0, :, 3].tolist()]).reshape(1, n, 2)
+        return cls(xy=table[..., :2].copy(), speed=table[..., 2].copy(),
+                   unit=unit, patrol_speed=table[..., 2].copy(),
+                   chasing=np.zeros((1, n), dtype=bool))
 
-    def __len__(self) -> int:
-        return len(self.speed)
+    @classmethod
+    def stack(cls, batches: Sequence["Pursuers"]) -> "Pursuers":
+        """The worlds of ``batches``, in order, as one batch."""
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches])
+                     for f in fields(cls)))
+
+    def take(self, rows: list[int]) -> "Pursuers":
+        """The worlds ``rows`` of this batch, in that order."""
+        return Pursuers(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -152,20 +171,73 @@ class EpisodeOutcome:
 
 @dataclass
 class WorldState:
-    """Full mutable game state owned by exactly one episode runner.
+    """A batch of worlds of one arena, owned by exactly one episode runner.
 
-    ``t`` is always ``step_count * dt`` (recomputed, never accumulated) so the
-    step bound ceil(t_max/dt) holds without float drift.  Stepping is fully
-    deterministic.  ``outcome`` is set by :func:`init_world` and
-    :func:`step_world` once the world is terminal; such a world is never
-    stepped.
+    World ``e`` is ``evaders[e]`` with row ``e`` of the pursuer arrays, and
+    ``outcomes[e]`` is set by :func:`init_world` and :func:`step_world` once
+    it is terminal; a batch holding a terminal world is never stepped.  The
+    worlds share ``step_count`` and ``t``, which is always
+    ``step_count * dt`` (recomputed, never accumulated) so the step bound
+    ceil(t_max/dt) holds without float drift.  Stepping is fully
+    deterministic.  ``evaders`` and ``pursuers`` are not rebound once built:
+    :attr:`offsets` is computed from them on first read and kept.
     """
 
-    evader: EvaderState
+    evaders: list[EvaderState]
     pursuers: Pursuers
     t: float = 0.0
     step_count: int = 0
-    outcome: EpisodeOutcome | None = None
+    outcomes: list[EpisodeOutcome | None] | None = None
+    _offsets: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.outcomes is None:
+            self.outcomes = [None] * len(self.evaders)
+
+    @property
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(E, n, 2)`` offsets from each world's evader to its
+        pursuers and their ``(E, n)`` lengths, computed on first read: the
+        capture test, the detections and the lidar read this one distance
+        pass."""
+        if self._offsets is None:
+            self._offsets = _evader_offsets(self.pursuers.xy,
+                                     _positions(self.evaders))
+        return self._offsets
+
+    @classmethod
+    def stack(cls, worlds: Sequence["WorldState"]) -> "WorldState":
+        """The worlds of ``worlds``, in order, as one batch; they must be at
+        the same step."""
+        step_count, t = worlds[0].step_count, worlds[0].t
+        if any((w.step_count, w.t) != (step_count, t) for w in worlds):
+            raise ValueError("a batch's worlds must be at the same step")
+        return cls([e for w in worlds for e in w.evaders],
+                   Pursuers.stack([w.pursuers for w in worlds]), t,
+                   step_count, [o for w in worlds for o in w.outcomes])
+
+    def take(self, rows: list[int]) -> "WorldState":
+        """The worlds ``rows`` of this batch, in that order."""
+        return WorldState([self.evaders[k] for k in rows],
+                          self.pursuers.take(rows), self.t, self.step_count,
+                          [self.outcomes[k] for k in rows])
+
+
+def _positions(evaders: Sequence[EvaderState]) -> np.ndarray:
+    """The evader positions as ``(E, 1, 2)``, to broadcast against the
+    pursuer arrays."""
+    xy: list[float] = []
+    for e in evaders:
+        xy += e.x, e.y
+    return np.array(xy, dtype=float).reshape(-1, 1, 2)
+
+
+def _evader_offsets(xy: np.ndarray, evader_xy: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Pursuer positions minus evader positions, and their lengths."""
+    rel = xy - evader_xy
+    return rel, np.hypot(rel[..., 0], rel[..., 1])
 
 
 def max_steps(cfg: ArenaConfig) -> int:
@@ -173,46 +245,53 @@ def max_steps(cfg: ArenaConfig) -> int:
     return int(math.ceil(cfg.t_max / cfg.dt - 1e-9))
 
 
-def _inside_arena(x: float, y: float, cfg: ArenaConfig) -> bool:
-    return abs(x) <= cfg.half_width and abs(y) <= cfg.half_height
+def _doubles(rng: np.random.Generator, block: int) -> Iterator[float]:
+    """The generator's uniform doubles in [0, 1), drawn ``block`` at a time."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
-    """Deterministically initialize a world of arena ``cfg`` from ``seed``.
+    """Deterministically initialize a one-world batch of arena ``cfg`` from
+    ``seed``.
 
     The evader is uniform in Omega with zero velocity; each pursuer is
     uniform in A \\ Omega (rejection sampling) with speed uniform in
     [v_p_min, v_p_max] and a uniform heading angle.  One arena serves every
     episode of a run; only the seed changes.  Draw order is fixed, so
-    identical seeds produce bit-identical worlds.  A spawn can be terminal
-    outright (a pursuer just outside Omega within capture radius), so the
-    world's ``outcome`` is set here too; escape and timeout cannot hold at
-    spawn (Omega lies inside the arena and ``t_max > dt``).
+    identical seeds produce bit-identical worlds.  A uniform draw in
+    ``[low, high)`` is ``low + (high - low) * u`` of the generator's next
+    double ``u``, as ``Generator.uniform`` computes it; the doubles are drawn
+    in blocks.  A spawn can be terminal outright (a pursuer just outside
+    Omega within capture radius), so the world's outcome is set here too;
+    escape and timeout cannot hold at spawn (Omega lies inside the arena and
+    ``t_max > dt``).
     """
-    rng = np.random.default_rng(seed)
+    doubles = _doubles(np.random.default_rng(seed), 8 + 4 * cfg.n_pursuers)
+
+    def uniform(low: float, high: float) -> float:
+        return low + (high - low) * next(doubles)
+
     s = cfg.spawn_half_extent
-    ex = float(rng.uniform(-s, s))
-    ey = float(rng.uniform(-s, s))
+    evader = EvaderState(uniform(-s, s), uniform(-s, s))
     # Draw and discard an evader heading, which nothing reads: without the
     # draw every pursuer draw after it would shift and every spawn change.
-    rng.uniform(-math.pi, math.pi)
-    evader = EvaderState(ex, ey)
+    next(doubles)
 
     rows = []
     for _ in range(cfg.n_pursuers):
         while True:
-            px = float(rng.uniform(-cfg.half_width, cfg.half_width))
-            py = float(rng.uniform(-cfg.half_height, cfg.half_height))
+            px = uniform(-cfg.half_width, cfg.half_width)
+            py = uniform(-cfg.half_height, cfg.half_height)
             if not (abs(px) <= s and abs(py) <= s):
                 break
-        speed = float(rng.uniform(cfg.v_p_min, cfg.v_p_max))
-        heading = float(rng.uniform(-math.pi, math.pi))
+        speed = uniform(cfg.v_p_min, cfg.v_p_max)
+        heading = uniform(-math.pi, math.pi)
         rows.append((px, py, speed, heading))
 
-    pursuers = Pursuers.from_rows(rows)
-    outcome = EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0) \
-        if _captured(evader, pursuers, cfg) else None
-    return WorldState(evader, pursuers, outcome=outcome)
+    world = WorldState([evader], Pursuers.from_rows(rows))
+    world.outcomes = check_outcome(world, cfg)
+    return world
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],
@@ -244,86 +323,106 @@ def _reflect_heading(c: float, s: float, flip_x: bool, flip_y: bool) -> float:
     return math.atan2(s, c)
 
 
-def step_pursuers(p: Pursuers, evader_pos: tuple[float, float],
-                  cfg: ArenaConfig) -> Pursuers:
-    """Advance every pursuer by ``dt``.
+def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
+    """Advance every pursuer of every world by ``dt``.
 
-    Within sensor range a pursuer chases: direction locked on the evader,
-    speed ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
-    current direction.  A step that would leave the arena reflects the
-    direction specularly off the offending wall(s) and re-integrates,
-    preserving speed.  Directions change only on the rows that lock on or
-    reflect, one row at a time through the angle ``h`` from ``math.atan2``;
-    the move itself is one array expression.
+    ``evader_xy`` holds each world's evader position, ``E`` pairs in
+    order; one ``(x, y)`` serves a one-world batch.  Within sensor range a pursuer
+    chases: direction locked on its evader, speed ``v_p_max``.  Otherwise it
+    patrols with its stored cruise speed and current direction.  A step that
+    would leave the arena reflects the direction specularly off the
+    offending wall(s) and re-integrates, preserving speed.  Directions change
+    only on the rows that lock on or reflect, one row at a time through the
+    angle ``h`` from ``math.atan2``; the move itself is one array expression.
     """
-    ex, ey = evader_pos
-    rel = p.xy - evader_pos
-    chasing = np.hypot(rel[:, 0], rel[:, 1]) <= cfg.r_p
+    ev = np.asarray(evader_xy, dtype=float).reshape(-1, 1, 2)
+    n = p.speed.shape[1]
+    rel = p.xy - ev
+    chasing = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
     unit, speed = p.unit, p.patrol_speed
-    lock = chasing.nonzero()[0].tolist()
+    # Rows are addressed by flat index k = e * n + i in (E * n, 2) views.
+    lock = chasing.ravel().nonzero()[0].tolist()
     if lock:
         unit = unit.copy()
         speed = np.where(chasing, cfg.v_p_max, speed)
-        for i, (x, y) in zip(lock, p.xy[lock].tolist()):
+        rows, evs = unit.reshape(-1, 2), ev.tolist()
+        for k, (x, y) in zip(lock, p.xy.reshape(-1, 2)[lock].tolist()):
+            ((ex, ey),) = evs[k // n]
             h = math.atan2(ey - y, ex - x)
-            unit[i] = math.cos(h), math.sin(h)
+            rows[k] = math.cos(h), math.sin(h)
 
-    xy = p.xy + speed[:, None] * unit * cfg.dt
+    xy = p.xy + speed[..., None] * unit * cfg.dt
     # Per row: crossed a vertical wall (|x| too large), a horizontal one.
     crossed = np.abs(xy) > (cfg.half_width, cfg.half_height)
-    rows = crossed.nonzero()[0].tolist()
-    if rows:
+    hits = crossed.ravel().nonzero()[0].tolist()
+    if hits:
         if unit is p.unit:
             unit = unit.copy()
-        for i in dict.fromkeys(rows):  # a corner crossing lists its row twice
-            flip_x, flip_y = crossed[i].tolist()
-            c, s = unit[i].tolist()
+        rows, moved, flips = unit.reshape(-1, 2), xy.reshape(-1, 2), \
+            crossed.reshape(-1, 2)
+        start, speeds = p.xy.reshape(-1, 2), speed.ravel()
+        # A corner crossing lists its row twice.
+        for k in dict.fromkeys(h // 2 for h in hits):
+            flip_x, flip_y = flips[k].tolist()
+            c, s = rows[k].tolist()
             h = _reflect_heading(c, s, flip_x, flip_y)
             c, s = math.cos(h), math.sin(h)
-            x, y = p.xy[i].tolist()
-            v = float(speed[i])
-            unit[i] = c, s
-            xy[i] = x + v * c * cfg.dt, y + v * s * cfg.dt
+            x, y = start[k].tolist()
+            v = float(speeds[k])
+            rows[k] = c, s
+            moved[k] = x + v * c * cfg.dt, y + v * s * cfg.dt
 
     return Pursuers(xy, speed, unit, p.patrol_speed, chasing)
 
 
-def _captured(e: EvaderState, p: Pursuers, cfg: ArenaConfig) -> bool:
-    xy = p.xy
-    return bool(np.count_nonzero(np.hypot(xy[:, 0] - e.x, xy[:, 1] - e.y)
-                                 <= cfg.capture_radius))
+def check_outcome(w: WorldState, cfg: ArenaConfig
+                  ) -> list[EpisodeOutcome | None]:
+    """Each world's terminal test after a completed step; Escaped takes
+    precedence over Captured, which takes precedence over Timeout."""
+    dists = w.offsets[1]
+    hits = (dists <= cfg.capture_radius).ravel().nonzero()[0].tolist()
+    captured = {k // dists.shape[1] for k in hits} if hits else ()
+    timeout = w.step_count >= max_steps(cfg)
+    outcomes: list[EpisodeOutcome | None] = []
+    for j, e in enumerate(w.evaders):
+        if not (abs(e.x) <= cfg.half_width and abs(e.y) <= cfg.half_height):
+            kind = OutcomeKind.ESCAPED
+        elif j in captured:
+            kind = OutcomeKind.CAPTURED
+        elif timeout:
+            kind = OutcomeKind.TIMEOUT
+        else:
+            outcomes.append(None)
+            continue
+        outcomes.append(EpisodeOutcome(kind, w.step_count, w.t))
+    return outcomes
 
 
-def check_outcome(w: WorldState, cfg: ArenaConfig) -> EpisodeOutcome | None:
-    """Terminal test after a completed step; Escaped takes precedence over
-    Captured, which takes precedence over Timeout."""
-    e = w.evader
-    if not _inside_arena(e.x, e.y, cfg):
-        return EpisodeOutcome(OutcomeKind.ESCAPED, w.step_count, w.t)
-    if _captured(e, w.pursuers, cfg):
-        return EpisodeOutcome(OutcomeKind.CAPTURED, w.step_count, w.t)
-    if w.step_count >= max_steps(cfg):
-        return EpisodeOutcome(OutcomeKind.TIMEOUT, w.step_count, w.t)
-    return None
+def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
+               cfg: ArenaConfig
+               ) -> tuple[WorldState, list[EpisodeOutcome | None]]:
+    """One environment transition of every world of the batch: evaders
+    (``actions[e]`` commands world ``e``'s), then pursuers, then
+    time/termination.
 
-
-def step_world(w: WorldState, evader_action: tuple[float, float],
-               cfg: ArenaConfig) -> tuple[WorldState, EpisodeOutcome | None]:
-    """One environment transition: evader, then pursuers, then time/termination.
-
-    Returns a new world plus the outcome when the step ends the episode (also
-    kept as the new world's ``outcome``).  Stepping a terminal world raises
-    ``RuntimeError``.
+    Returns the new batch plus each world's outcome, None while it runs
+    (also kept as the new batch's ``outcomes``).  Stepping a batch that holds
+    a terminal world raises ``RuntimeError``.
     """
-    if w.outcome is not None:
+    if w.outcomes.count(None) != len(w.outcomes):
         raise RuntimeError("step_world called on a terminal world")
-    evader = step_evader(w.evader, evader_action, cfg)
-    pursuers = step_pursuers(w.pursuers, (evader.x, evader.y), cfg)
+    if len(actions) != len(w.evaders):
+        raise ValueError(f"{len(actions)} actions for {len(w.evaders)} worlds")
+    evaders = [step_evader(e, a, cfg) for e, a in zip(w.evaders, actions)]
+    evader_xy = _positions(evaders)
+    pursuers = step_pursuers(w.pursuers, evader_xy, cfg)
     step_count = w.step_count + 1
-    out = WorldState(evader, pursuers, t=step_count * cfg.dt,
+    out = WorldState(evaders, pursuers, t=step_count * cfg.dt,
                      step_count=step_count)
-    out.outcome = check_outcome(out, cfg)
-    return out, out.outcome
+    # The new world's distances, from the positions at hand.
+    out._offsets = _evader_offsets(pursuers.xy, evader_xy)
+    out.outcomes = check_outcome(out, cfg)
+    return out, out.outcomes
 
 
 def nearest_wall(pos: tuple[float, float],
@@ -337,16 +436,16 @@ def nearest_wall(pos: tuple[float, float],
     dists = (cfg.half_width - x, cfg.half_width + x,
              cfg.half_height - y, cfg.half_height + y)
     dirs = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-    i = min(range(4), key=lambda k: dists[k])
+    i = dists.index(min(dists))  # the first minimum
     return max(dists[i], 0.0), dirs[i]
 
 
-def objective_value(w: WorldState, detection_distances, cfg: ArenaConfig,
-                    r_b_norm: float) -> float:
-    """Instantaneous objective: pursuer-proximity sum plus normalized boundary
-    distance.  Used as an evaluation metric only; the pursuer sum is 0 with no
-    detections."""
-    d_b = nearest_wall((w.evader.x, w.evader.y), cfg)[0]
+def objective_value(pos: tuple[float, float], detection_distances,
+                    cfg: ArenaConfig, r_b_norm: float) -> float:
+    """Instantaneous objective at evader position ``pos``: pursuer-proximity
+    sum plus normalized boundary distance.  Used as an evaluation metric
+    only; the pursuer sum is 0 with no detections."""
+    d_b = nearest_wall(pos, cfg)[0]
     m = len(detection_distances)
     pursuer_term = 0.0
     if m > 0:

@@ -7,10 +7,15 @@ update noise, buffer sampling) plus one world-init seed per episode;
 evaluation derives its episode seeds from a separate purpose tag, so training
 and evaluation never share draws.
 
-An evaluation policy has ``reset(episode_seed)`` and ``act(stepper)``, which
-returns the velocity command for the :class:`~cep.sr2l.EpisodeStepper`'s
-current world.  It reads what it needs from the stepper: the planner its
-``frame``, the actor its ``observation``, built (from ``lidar``) when read.
+Monte-Carlo evaluation steps the episodes of a call in lockstep, up to
+``_BLOCK_EPISODES`` at a time, in one :class:`~cep.sr2l.EpisodeStepper`; an
+episode leaves the batch when it ends, and its result is the one it would
+have on its own.  A policy acts on the batch: ``reset(episode_seeds)`` is
+called with the seeds of a batch's episodes, and ``act(stepper)`` returns one
+velocity command per live episode, in the order of ``stepper.live`` (their
+positions in that batch).  It reads what it needs from the stepper: the
+planner the ``frames``, the actor the ``observations``, built (from
+``lidars``) when read; the random walk keeps one generator per episode seed.
 
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
@@ -25,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .env import (ArenaConfig, OutcomeKind, init_world, max_steps,
+from .env import (ArenaConfig, OutcomeKind, WorldState, init_world, max_steps,
                   objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
@@ -55,6 +60,9 @@ __all__ = [
 
 _TRAIN_TAG = 1
 _EVAL_TAG = 2
+# Episodes an evaluation steps together at most: bounds the memory a batch
+# holds, whatever the episode count.
+_BLOCK_EPISODES = 256
 
 
 def _fmt(value) -> str:
@@ -95,25 +103,30 @@ class ActorPolicy:
     def __init__(self, bundle: PolicyBundle):
         self.bundle = bundle
 
-    def reset(self, episode_seed: int) -> None:
+    def reset(self, episode_seeds: list[int]) -> None:
         pass
 
-    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
-        a = actor_mean_action(self.bundle.actor, stepper.observation)
-        return to_velocity(a, stepper.arena)
+    def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
+        # One 1-row forward per episode: a stacked matmul may round the last
+        # bit differently.
+        return [to_velocity(actor_mean_action(self.bundle.actor, obs),
+                            stepper.arena) for obs in stepper.observations]
 
 
 class RandomWalkPolicy:
-    """Uniform random commands in the unit box, scaled to full speed."""
+    """Uniform random commands in the unit box, scaled to full speed, from
+    one generator per episode seed."""
 
     def __init__(self):
-        self.rng = np.random.default_rng(0)
+        self.rngs: list[np.random.Generator] = []
 
-    def reset(self, episode_seed: int) -> None:
-        self.rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 77)))
+    def reset(self, episode_seeds: list[int]) -> None:
+        self.rngs = [np.random.default_rng(np.random.SeedSequence((seed, 77)))
+                     for seed in episode_seeds]
 
-    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
-        return to_velocity(self.rng.uniform(-1.0, 1.0, size=2), stepper.arena)
+    def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
+        return [to_velocity(self.rngs[k].uniform(-1.0, 1.0, size=2),
+                            stepper.arena) for k in stepper.live]
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
@@ -199,7 +212,7 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
             closs_sum = aloss_sum = 0.0
             updates = 0
             steps = 0
-            outcome = stepper.initial_outcome
+            (outcome,) = world.outcomes
             try:
                 while outcome is None:
                     res = stepper.step(bundle, step_rng)
@@ -307,32 +320,42 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
                          episodes: int | None = None) -> EvalReport:
     """Deterministic (noise-free) Monte-Carlo evaluation of one evader.
 
-    Reports escape percentage, mean steps over escaped episodes, the mean of
-    per-episode mean rewards (realized, signed), and per-100-episode buckets.
-    Fewer than one episode raises ``ValueError``.
+    The episodes run in lockstep, ``_BLOCK_EPISODES`` at a time (see the
+    module docstring).  Reports escape percentage, mean steps over escaped
+    episodes, the mean of per-episode mean rewards (realized, signed), and
+    per-100-episode buckets.  Fewer than one episode raises ``ValueError``.
     """
     arena = arena if arena is not None else cfg.arena
     n_episodes = episodes if episodes is not None else cfg.eval_episodes
     if n_episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {n_episodes}")
     records: list[EvalEpisode] = []
-    for episode in range(n_episodes):
-        seed = _episode_seed(cfg.seed, _EVAL_TAG, episode)
-        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing,
-                                 None, cfg.pfm, cfg.reward_sign)
-        policy.reset(seed)
-        cum = 0.0
-        steps = 0
-        outcome = stepper.initial_outcome
-        while outcome is None:
-            action = policy.act(stepper)
-            outcome, reward, _ = stepper.step_action(action)
-            cum += reward
-            steps += 1
-        records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
-                                   cum / steps if steps else 0.0))
-
+    for first in range(0, n_episodes, _BLOCK_EPISODES):
+        block = range(first, min(first + _BLOCK_EPISODES, n_episodes))
+        records += _evaluate_block(policy, cfg, arena, block)
     return EvalReport(records, *_summarize(records), _bucketize(records))
+
+
+def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
+                    episodes: range) -> list[EvalEpisode]:
+    """Run ``episodes`` in lockstep; their records in episode order."""
+    seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in episodes]
+    world = WorldState.stack([init_world(arena, seed) for seed in seeds])
+    stepper = EpisodeStepper(world, arena, cfg.sensing, None, cfg.pfm,
+                             cfg.reward_sign)
+    policy.reset(seeds)
+    cum = [0.0] * len(seeds)
+    records: list[EvalEpisode] = [None] * len(seeds)
+    while True:
+        for k, outcome in stepper.drop_ended():
+            steps = outcome.steps
+            records[k] = EvalEpisode(episodes[k], outcome.kind.value, steps,
+                                     cum[k], cum[k] / steps if steps else 0.0)
+        if not stepper.live:
+            return records
+        _, rewards, _ = stepper.step_action(policy.act(stepper))
+        for k, reward in zip(stepper.live, rewards):
+            cum[k] += reward
 
 
 # -- sweep --------------------------------------------------------------------
@@ -426,7 +449,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing, None,
                              cfg.pfm, cfg.reward_sign)
     policy = make_policy("actor", cfg, bundle)
-    policy.reset(seed)
+    policy.reset([seed])
 
     header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",
               "n_detected", "sum_w", "r_d", "r_b", "reward", "objective",
@@ -436,12 +459,13 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
 
     def row(step: int, reward_parts, outcome_tag: str) -> list[str]:
         w = stepper.world
-        detections = stepper.frame.detections
+        (e,) = w.evaders
+        detections = stepper.frames[0].detections
         r_d, r_b, sum_w, reward = reward_parts
-        obj = objective_value(w, [d.distance for d in detections], arena,
-                              cfg.sensing.r_b_norm)
-        values = [step, w.t, w.evader.x, w.evader.y, w.evader.vx, w.evader.vy,
-                  float(np.min(stepper.lidar)),
+        obj = objective_value((e.x, e.y), [d.distance for d in detections],
+                              arena, cfg.sensing.r_b_norm)
+        values = [step, w.t, e.x, e.y, e.vx, e.vy,
+                  float(np.min(stepper.lidars[0])),
                   len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]
         values += w.pursuers.xy.ravel().tolist()
@@ -451,14 +475,14 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        outcome = stepper.initial_outcome
+        (outcome,) = stepper.world.outcomes
         tag0 = outcome.kind.value if outcome is not None else ""
         writer.writerow(row(0, (0.0, 0.0, 0.0, 0.0), tag0))
         rows += 1
         step = 0
         while outcome is None:
-            action = policy.act(stepper)
-            outcome, reward, bd = stepper.step_action(action)
+            (outcome,), (reward,), (bd,) = \
+                stepper.step_action(policy.act(stepper))
             step += 1
             tag = outcome.kind.value if outcome is not None else ""
             writer.writerow(row(step, (bd.r_d, bd.r_b, bd.sum_w, reward), tag))

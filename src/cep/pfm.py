@@ -78,10 +78,11 @@ class PfmPolicy:
     def __init__(self, gains: PfmGains):
         self.gains = gains
 
-    def reset(self, episode_seed: int) -> None:
+    def reset(self, episode_seeds: list[int]) -> None:
         pass
 
-    def act(self, stepper: EpisodeStepper) -> tuple[float, float]:
-        f = stepper.frame
-        force = net_force(f.detections, (f.d_b, f.boundary_dir), self.gains)
-        return pfm_action(force, stepper.arena)
+    def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
+        """One command per live episode, from its frame."""
+        return [pfm_action(net_force(f.detections, (f.d_b, f.boundary_dir),
+                                     self.gains), stepper.arena)
+                for f in stepper.frames]

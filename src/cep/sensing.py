@@ -1,9 +1,11 @@
 """Perception: the frame the reward and the planner read, and the actor's input.
 
-:func:`sense` returns the :class:`SenseFrame`: the detected pursuers, the
-nearest wall's distance and direction, and the time factor
-``t_f = (1 - t/t_max) / 2``.  :func:`observe` builds the actor's input from
-the lidar and boundary scans; only the replay's ``min_lidar`` also reads one.
+:func:`sense` returns each world's :class:`SenseFrame`: the detected
+pursuers, the nearest wall's distance and direction, and the time factor
+``t_f = (1 - t/t_max) / 2``.  It scans every world of a batch at once; the
+per-detection angles and the nearest wall stay per world.  :func:`observe`
+builds one world's actor input from its lidar and boundary scans; only the
+replay's ``min_lidar`` also reads one.
 
 Rays are cast in the evader frame, which is evader-centered and axis-aligned
 (the evader localizes itself, so directions are absolute): ray ``k`` points
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +68,7 @@ class SensingConfig:
             raise ValueError("r_b_norm must be > 0")
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One pursuer within the evader's sensor range.
 
     ``bearing`` is the world-frame angle of the evader->pursuer line;
@@ -104,44 +106,46 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
     return cx, sx
 
 
-def _offsets(w: WorldState) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets from the evader to each pursuer, and their lengths."""
-    rel = w.pursuers.xy - (w.evader.x, w.evader.y)
-    return rel, np.hypot(rel[:, 0], rel[:, 1])
+def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
+    """The frame of each world of ``w``, from one scan of the whole batch.
+    Detections list every pursuer whose center distance is within ``r_e``,
+    ordered by pursuer id.  ``t`` is clamped to ``t_max`` (the final step
+    can land one float ulp past it)."""
+    rel, dists = w.offsets
+    t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
+    frames = [SenseFrame([], *nearest_wall((e.x, e.y), arena), t_f)
+              for e in w.evaders]
+    # Detections by flat index k = e * n + i: world by world, in id order.
+    near = (dists <= arena.r_e).ravel().nonzero()[0].tolist()
+    if near:
+        n = dists.shape[1]
+        unit, speed = w.pursuers.unit, w.pursuers.speed
+        for k in near:
+            e, i = divmod(k, n)
+            rx, ry = rel[e, i].tolist()
+            d = float(dists[e, i])
+            bearing = math.atan2(ry, rx)
+            if d > 0.0:
+                # -rx, -ry: the pursuer->evader line, exactly.
+                c, s = unit[e, i].tolist()
+                theta = math.acos(min(1.0, max(-1.0, (c * -rx + s * -ry) / d)))
+            else:
+                theta = 0.0
+            frames[e].detections.append(
+                Detection(i, d, bearing, float(speed[e, i]), theta))
+    return frames
 
 
-def sense(w: WorldState, arena: ArenaConfig) -> SenseFrame:
-    """The frame of ``w``.  Detections list every pursuer whose center
-    distance is within ``r_e``, ordered by pursuer id.  ``t`` is clamped to
-    ``t_max`` (the final step can land one float ulp past it)."""
-    p = w.pursuers
-    rel, dists = _offsets(w)
-    detections: list[Detection] = []
-    for i in (dists <= arena.r_e).nonzero()[0].tolist():
-        rx, ry = rel[i].tolist()
-        d = float(dists[i])
-        bearing = math.atan2(ry, rx)
-        if d > 0.0:
-            # -rx, -ry: the pursuer->evader line, exactly.
-            c, s = p.unit[i].tolist()
-            theta = math.acos(min(1.0, max(-1.0, (c * -rx + s * -ry) / d)))
-        else:
-            theta = 0.0
-        detections.append(Detection(i, d, bearing, float(p.speed[i]), theta))
-    d_b, b_dir = nearest_wall((w.evader.x, w.evader.y), arena)
-    return SenseFrame(detections, d_b, b_dir,
-                      time_factor(min(w.t, arena.t_max), arena.t_max))
-
-
-def cast_rays(w: WorldState, arena: ArenaConfig,
-              cfg: SensingConfig) -> np.ndarray:
-    """Lidar ranges over the pursuer discs.
+def cast_rays(w: WorldState, arena: ArenaConfig, cfg: SensingConfig,
+              e: int = 0) -> np.ndarray:
+    """Lidar ranges of world ``e`` of ``w`` over its pursuer discs.
 
     A ray's range is the nearest positive disc intersection within ``r_e``,
     else ``r_e``.  Only discs centered within ``r_e`` plus the radius (and a
     1e-9 relative margin for rounding) can be hit inside ``r_e``.
     """
-    rel, dists = _offsets(w)
+    rel, dists = w.offsets
+    rel, dists = rel[e], dists[e]
     radius = arena.capture_radius / 2.0
     near = dists <= (arena.r_e + radius) * (1.0 + 1e-9)
     if not near.any():
@@ -189,11 +193,12 @@ def time_factor(t: float, t_max: float) -> float:
 
 
 def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
-            cfg: SensingConfig) -> np.ndarray:
-    """The actor's input at ``w`` given its :func:`cast_rays` scan: ``n_s``
-    scalars, each the weighted mean of the encoded lidar and boundary ranges
-    of one ray, times ``t_f``."""
-    boundary = boundary_scan((w.evader.x, w.evader.y), arena, cfg)
+            cfg: SensingConfig, e: int = 0) -> np.ndarray:
+    """The actor's input at world ``e`` of ``w`` given its :func:`cast_rays`
+    scan: ``n_s`` scalars, each the weighted mean of the encoded lidar and
+    boundary ranges of one ray, times ``t_f``."""
+    evader = w.evaders[e]
+    boundary = boundary_scan((evader.x, evader.y), arena, cfg)
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))

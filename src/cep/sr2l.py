@@ -25,13 +25,13 @@ a beta=100 scaffolded run is transcript-identical to it by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .env import ArenaConfig, EpisodeOutcome, WorldState, step_evader, \
-    step_world
+from .env import ArenaConfig, EpisodeOutcome, Pursuers, WorldState, \
+    step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, PfmPolicy
 from .rewards import RewardBreakdown, RewardState, transition_reward
@@ -118,27 +118,34 @@ def scaffold_select(r_r: float, r_p: float, d_f: float,
 def predict_next_state(w: WorldState, action: tuple[float, float],
                        arena: ArenaConfig, reward_state: RewardState,
                        reward_sign: float = -1.0) -> float:
-    """Estimate the signed reward of a candidate action: sense the world
-    extrapolated one step (see the module docstring) and score the frame on
-    a copy of the reward state.  ``w`` and ``reward_state`` are untouched."""
+    """Estimate the signed reward of a candidate action in the one-world
+    batch ``w``: sense the world extrapolated one step (see the module
+    docstring) and score the frame on a copy of the reward state.  ``w`` and
+    ``reward_state`` are untouched."""
     p = w.pursuers
     n = w.step_count + 1
-    ahead = replace(p, xy=p.xy + p.speed[:, None] * p.unit * arena.dt)
-    frame = sense(WorldState(step_evader(w.evader, action, arena), ahead,
-                             t=n * arena.dt, step_count=n), arena)
+    (evader,) = w.evaders
+    ahead = Pursuers(p.xy + p.speed[..., None] * p.unit * arena.dt, p.speed,
+                     p.unit, p.patrol_speed, p.chasing)
+    (frame,) = sense(WorldState([step_evader(evader, action, arena)], ahead,
+                                n * arena.dt, n), arena)
     _, r_est = transition_reward(frame.detections, frame.d_b, frame.t_f,
                                  reward_state.copy(), arena, reward_sign)
     return r_est
 
 
 class EpisodeStepper:
-    """Owns one episode: world, its frame, and reward bookkeeping.
+    """Owns a batch of episodes stepped in lockstep: the worlds, their
+    frames, and their reward bookkeeping, one entry per episode.
 
-    With ``scaffold`` set the step runs the full arbitration against
-    ``planner``, the PFM policy with ``gains``; without it the step is the
-    independent trainer (actor action, estimated reward stored).
-    Evaluation uses :meth:`step_action` instead, which executes an arbitrary
-    action and reports the realized reward.
+    ``live`` holds the batch positions of the episodes still held;
+    :meth:`drop_ended` removes the finished ones from every array, so each
+    step works only on live episodes.  Evaluation and replay use
+    :meth:`step_action`, which executes one chosen action per episode and
+    reports the realized rewards.  Training drives a one-episode stepper
+    through :meth:`step`: with ``scaffold`` set it runs the full arbitration
+    against ``planner``, the PFM policy with ``gains``; without it the step
+    is the independent trainer (actor action, estimated reward stored).
     """
 
     def __init__(self, world: WorldState, arena: ArenaConfig,
@@ -150,57 +157,87 @@ class EpisodeStepper:
         self.scaffold = scaffold
         self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.reward_sign = reward_sign
-        self.frame = sense(world, arena)
-        self._lidar: np.ndarray | None = None
-        self._observation: np.ndarray | None = None
-        self.reward_state = RewardState(d_b_prev=self.frame.d_b)
+        self.frames = sense(world, arena)
+        self._lidars: list[np.ndarray] | None = None
+        self._observations: list[np.ndarray] | None = None
+        self.reward_states = [RewardState(d_b_prev=f.d_b) for f in self.frames]
         # A spawn can be terminal outright (pursuer just outside the origin
-        # region within capture radius); loops must check before stepping.
-        self.initial_outcome = world.outcome
+        # region within capture radius), so a runner reads world.outcomes,
+        # or calls drop_ended, before the first step.
+        self.live = list(range(len(world.evaders)))
 
     @property
-    def lidar(self) -> np.ndarray:
-        """The lidar scan of the current world, cast on first read and kept
-        until the next step."""
-        if self._lidar is None:
-            self._lidar = cast_rays(self.world, self.arena, self.sensing_cfg)
-        return self._lidar
+    def lidars(self) -> list[np.ndarray]:
+        """Each episode's lidar scan of the current world, cast on first read
+        and kept until the next step."""
+        if self._lidars is None:
+            self._lidars = [cast_rays(self.world, self.arena, self.sensing_cfg,
+                                      e) for e in range(len(self.live))]
+        return self._lidars
 
     @property
-    def observation(self) -> np.ndarray:
-        """The actor's input at the current world, built from :attr:`lidar`
-        on first read and kept until the next step."""
-        if self._observation is None:
-            self._observation = observe(self.world, self.lidar, self.arena,
-                                        self.sensing_cfg)
-        return self._observation
+    def observations(self) -> list[np.ndarray]:
+        """Each episode's actor input at the current world, built from
+        :attr:`lidars` on first read and kept until the next step."""
+        if self._observations is None:
+            self._observations = [
+                observe(self.world, lidar, self.arena, self.sensing_cfg, e)
+                for e, lidar in enumerate(self.lidars)]
+        return self._observations
 
-    def _advance_world(self, action: tuple[float, float]
-                       ) -> tuple[EpisodeOutcome | None, RewardBreakdown, float]:
-        self.world, outcome = step_world(self.world, action, self.arena)
-        self.frame = sense(self.world, self.arena)
-        self._lidar = self._observation = None
-        breakdown, realized = transition_reward(
-            self.frame.detections, self.frame.d_b, self.frame.t_f,
-            self.reward_state, self.arena, self.reward_sign)
-        return outcome, breakdown, realized
+    def drop_ended(self) -> list[tuple[int, EpisodeOutcome]]:
+        """Remove the episodes whose world is terminal; return their batch
+        positions and outcomes."""
+        outcomes = self.world.outcomes
+        if outcomes.count(None) == len(outcomes):
+            return []
+        ended = [(k, o) for k, o in zip(self.live, outcomes) if o is not None]
+        keep = [j for j, o in enumerate(outcomes) if o is None]
+
+        def kept(rows):
+            return None if rows is None else [rows[k] for k in keep]
+
+        self.world = self.world.take(keep)
+        self.frames = kept(self.frames)
+        self.reward_states = kept(self.reward_states)
+        self.live = kept(self.live)
+        self._lidars = kept(self._lidars)
+        self._observations = kept(self._observations)
+        return ended
+
+    def _advance_world(self, actions: list[tuple[float, float]]
+                       ) -> tuple[list[EpisodeOutcome | None],
+                                  list[RewardBreakdown], list[float]]:
+        self.world, outcomes = step_world(self.world, actions, self.arena)
+        self.frames = sense(self.world, self.arena)
+        self._lidars = self._observations = None
+        breakdowns, realized = [], []
+        for f, reward_state in zip(self.frames, self.reward_states):
+            breakdown, r = transition_reward(
+                f.detections, f.d_b, f.t_f, reward_state, self.arena,
+                self.reward_sign)
+            breakdowns.append(breakdown)
+            realized.append(r)
+        return outcomes, breakdowns, realized
 
     def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
-        """One training step: sample the actor, arbitrate, act, store."""
-        state = self.observation
+        """One training step of a one-episode stepper: sample the actor,
+        arbitrate, act, store."""
+        (state,) = self.observations
+        (reward_state,) = self.reward_states
         a_r = forward_actor(nets.actor, state, rng)
         a_r_env = to_velocity(a_r, self.arena)
 
         r_r = predict_next_state(self.world, a_r_env, self.arena,
-                                 self.reward_state, self.reward_sign)
+                                 reward_state, self.reward_sign)
         branch = Branch.ACTOR
         stored_reward = r_r
         env_action = a_r_env
         stored_action = a_r
         if self.scaffold is not None:
-            a_p_env = self.planner.act(self)
+            (a_p_env,) = self.planner.act(self)
             r_p = predict_next_state(self.world, a_p_env, self.arena,
-                                     self.reward_state, self.reward_sign)
+                                     reward_state, self.reward_sign)
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
             branch, stored_reward = scaffold_select(r_r, r_p, d_f,
                                                     self.scaffold.beta)
@@ -208,14 +245,17 @@ class EpisodeStepper:
                 env_action = a_p_env
                 stored_action = np.array(a_p_env) / self.arena.v_e_max
 
-        outcome, breakdown, _ = self._advance_world(env_action)
+        (outcome,), (breakdown,), _ = self._advance_world([env_action])
         experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),
-                                     stored_reward, self.observation,
+                                     stored_reward, self.observations[0],
                                      outcome is not None, branch)
         return StepResult(experience, outcome, breakdown)
 
-    def step_action(self, action: tuple[float, float]
-                    ) -> tuple[EpisodeOutcome | None, float, RewardBreakdown]:
-        """Execute an externally chosen action (evaluation/replay path)."""
-        outcome, breakdown, realized = self._advance_world(action)
-        return outcome, realized, breakdown
+    def step_action(self, actions: list[tuple[float, float]]
+                    ) -> tuple[list[EpisodeOutcome | None], list[float],
+                               list[RewardBreakdown]]:
+        """Execute one externally chosen action per episode (evaluation and
+        replay path): each episode's outcome, realized reward and reward
+        breakdown."""
+        outcomes, breakdowns, realized = self._advance_world(actions)
+        return outcomes, realized, breakdowns

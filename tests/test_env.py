@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cep.env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
-                     Pursuers, check_outcome, init_world, max_steps,
-                     nearest_wall, objective_value, step_evader, step_pursuers,
-                     step_world)
+                     Pursuers, WorldState, check_outcome, init_world,
+                     max_steps, nearest_wall, objective_value, step_evader,
+                     step_pursuers, step_world)
 from cep.sensing import SensingConfig
 from cep.sr2l import EpisodeStepper
 
@@ -23,19 +22,45 @@ def small_arena(**kw) -> ArenaConfig:
     return ArenaConfig(**base)
 
 
-def pursuer_rows(p: Pursuers) -> list[tuple]:
-    """Each pursuer as ``(x, y, speed, unit_x, unit_y, chasing,
-    patrol_speed)``."""
-    return list(zip(p.xy[:, 0].tolist(), p.xy[:, 1].tolist(),
-                    p.speed.tolist(), p.unit[:, 0].tolist(),
-                    p.unit[:, 1].tolist(), p.chasing.tolist(),
-                    p.patrol_speed.tolist()))
+def pursuer_rows(p: Pursuers, e: int = 0) -> list[tuple]:
+    """Each pursuer of world ``e`` as ``(x, y, speed, unit_x, unit_y,
+    chasing, patrol_speed)``."""
+    return list(zip(p.xy[e, :, 0].tolist(), p.xy[e, :, 1].tolist(),
+                    p.speed[e].tolist(), p.unit[e, :, 0].tolist(),
+                    p.unit[e, :, 1].tolist(), p.chasing[e].tolist(),
+                    p.patrol_speed[e].tolist()))
 
 
 def direction_deg(p: Pursuers, i: int = 0) -> float:
-    """The direction of travel of pursuer ``i``, in degrees."""
-    ux, uy = p.unit[i].tolist()
+    """The direction of travel of pursuer ``i`` of world 0, in degrees."""
+    ux, uy = p.unit[0, i].tolist()
     return math.degrees(math.atan2(uy, ux))
+
+
+def world_at(evader: EvaderState, pursuers: Pursuers) -> WorldState:
+    return WorldState([evader], pursuers)
+
+
+# The scalar-draw spawn that init_world's block draws replaced, kept as its
+# reference: one Generator.uniform call per value, in the same order.
+
+def reference_spawn(cfg: ArenaConfig, seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    s = cfg.spawn_half_extent
+    ex = float(rng.uniform(-s, s))
+    ey = float(rng.uniform(-s, s))
+    rng.uniform(-math.pi, math.pi)
+    rows = []
+    for _ in range(cfg.n_pursuers):
+        while True:
+            px = float(rng.uniform(-cfg.half_width, cfg.half_width))
+            py = float(rng.uniform(-cfg.half_height, cfg.half_height))
+            if not (abs(px) <= s and abs(py) <= s):
+                break
+        speed = float(rng.uniform(cfg.v_p_min, cfg.v_p_max))
+        heading = float(rng.uniform(-math.pi, math.pi))
+        rows.append((px, py, speed, heading))
+    return EvaderState(ex, ey), pursuer_rows(Pursuers.from_rows(rows))
 
 
 # The scalar pursuer step that step_pursuers replaced, kept as its reference.
@@ -121,11 +146,12 @@ def pursuer_scenes(draw):
         rows.append((x, y, rng.uniform(cfg.v_p_min, cfg.v_p_max),
                      rng.uniform(-math.pi, math.pi)))
     p = Pursuers.from_rows(rows)
-    p.patrol_speed = rng.uniform(cfg.v_p_min, cfg.v_p_max, len(rows))
-    p.chasing = rng.random(len(rows)) < 0.3
+    p.patrol_speed = rng.uniform(cfg.v_p_min, cfg.v_p_max, (1, len(rows)))
+    p.chasing = rng.random((1, len(rows))) < 0.3
     reference = [(x, y, speed, h, chasing, patrol_speed)
                  for (x, y, speed, h), chasing, patrol_speed
-                 in zip(rows, p.chasing.tolist(), p.patrol_speed.tolist())]
+                 in zip(rows, p.chasing[0].tolist(),
+                        p.patrol_speed[0].tolist())]
 
     path = [evader]
     for _ in range(draw(st.integers(0, 19))):
@@ -156,7 +182,7 @@ class TestInitWorld:
     def test_same_seed_bit_identical(self):
         cfg = small_arena()
         a, b = init_world(cfg, 42), init_world(cfg, 42)
-        assert a.evader == b.evader
+        assert a.evaders == b.evaders
         assert pursuer_rows(a.pursuers) == pursuer_rows(b.pursuers)
         assert a.t == b.t == 0.0
 
@@ -175,9 +201,10 @@ class TestInitWorld:
     def test_evader_spawn(self, seed):
         cfg = small_arena()
         w = init_world(cfg, seed)
-        assert abs(w.evader.x) <= cfg.spawn_half_extent
-        assert abs(w.evader.y) <= cfg.spawn_half_extent
-        assert w.evader.vx == 0.0 and w.evader.vy == 0.0
+        (evader,) = w.evaders
+        assert abs(evader.x) <= cfg.spawn_half_extent
+        assert abs(evader.y) <= cfg.spawn_half_extent
+        assert evader.vx == 0.0 and evader.vy == 0.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_spawn_outcome_matches_check_outcome(self, seed):
@@ -186,11 +213,25 @@ class TestInitWorld:
                           spawn_half_extent=0.5, n_pursuers=seed % 4,
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, seed)
-        assert w.outcome == check_outcome(w, cfg)
+        assert w.outcomes == check_outcome(w, cfg)
 
     def test_pursuer_count(self):
         w = init_world(small_arena(n_pursuers=7), 0)
-        assert len(w.pursuers) == 7
+        assert w.pursuers.speed.shape == (1, 7)
+        assert w.pursuers.xy.shape == w.pursuers.unit.shape == (1, 7, 2)
+
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(0, 40),
+           spawn=st.sampled_from([1.0, 10.0, 45.0]))
+    @settings(deadline=None, max_examples=150)
+    def test_equals_scalar_draws(self, seed, n, spawn):
+        # A spawn half-extent of 45 in a 50 m arena rejects most pursuer
+        # draws, so the retries run through several blocks of doubles.
+        cfg = small_arena(half_width=50.0, half_height=50.0,
+                          spawn_half_extent=spawn, n_pursuers=n)
+        w = init_world(cfg, seed)
+        evader, rows = reference_spawn(cfg, seed)
+        assert w.evaders == [evader]
+        assert pursuer_rows(w.pursuers) == rows
 
 
 class TestStepEvader:
@@ -226,7 +267,7 @@ class TestStepEvader:
         with pytest.raises(ValueError, match="not finite"):
             step_evader(EvaderState(0.0, 0.0), action, cfg)
         with pytest.raises(ValueError, match="not finite"):
-            step_world(init_world(cfg, 0), action, cfg)
+            step_world(init_world(cfg, 0), [action], cfg)
 
     def test_huge_finite_action_clipped(self):
         cfg = small_arena()
@@ -245,16 +286,16 @@ class TestStepPursuer:
         p = one(0.0, 0.0, speed=5.0, heading=0.0)
         # evader out of sensor range
         p2 = step_pursuers(p, (50.0, 50.0), cfg)
-        assert abs(p2.xy[0, 0] - 0.5) < TOL and abs(p2.xy[0, 1]) < TOL
-        assert not p2.chasing[0]
-        assert p2.speed[0] == 5.0
+        assert abs(p2.xy[0, 0, 0] - 0.5) < TOL and abs(p2.xy[0, 0, 1]) < TOL
+        assert not p2.chasing[0, 0]
+        assert p2.speed[0, 0] == 5.0
 
     def test_specular_reflection_vertical_wall(self):
         cfg = small_arena()
         p = one(99.9, 0.0, speed=5.0, heading=math.radians(30.0))
         p2 = step_pursuers(p, (-50.0, -50.0), cfg)
         assert abs(direction_deg(p2) - 150.0) < 1e-9
-        assert p2.speed[0] == 5.0
+        assert p2.speed[0, 0] == 5.0
 
     def test_corner_double_reflection(self):
         cfg = small_arena()
@@ -273,7 +314,7 @@ class TestStepPursuer:
             for _ in range(200))
         p2 = step_pursuers(p, (0.0, 0.0), cfg)
         for (x, y, speed, _, _, chasing, _), before in zip(pursuer_rows(p2),
-                                                        p.speed.tolist()):
+                                                        p.speed[0].tolist()):
             assert abs(x) <= cfg.half_width + 1e-9
             assert abs(y) <= cfg.half_height + 1e-9
             assert speed == before or chasing
@@ -282,26 +323,26 @@ class TestStepPursuer:
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=2.0)
         p2 = step_pursuers(p, (cfg.r_p - 1e-6, 0.0), cfg)
-        assert p2.chasing[0]
-        assert p2.speed[0] == cfg.v_p_max
+        assert p2.chasing[0, 0]
+        assert p2.speed[0, 0] == cfg.v_p_max
         assert abs(direction_deg(p2)) < 1e-6  # bearing to evader
 
     def test_no_chase_beyond_range(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=0.0)
         p2 = step_pursuers(p, (cfg.r_p + 1e-3, 0.0), cfg)
-        assert not p2.chasing[0]
-        assert abs(p2.xy[0, 0] - 0.5) < TOL
+        assert not p2.chasing[0, 0]
+        assert abs(p2.xy[0, 0, 0] - 0.5) < TOL
 
     def test_patrol_speed_restored_after_chase(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=6.0, heading=0.5)
         chased = step_pursuers(p, (1.0, 0.0), cfg)
-        assert chased.speed[0] == cfg.v_p_max
+        assert chased.speed[0, 0] == cfg.v_p_max
         released = step_pursuers(chased, (80.0, 80.0), cfg)
-        assert not released.chasing[0]
-        assert released.speed[0] == 6.0
-        assert released.unit[0].tolist() == chased.unit[0].tolist()
+        assert not released.chasing[0, 0]
+        assert released.speed[0, 0] == 6.0
+        assert released.unit[0, 0].tolist() == chased.unit[0, 0].tolist()
 
     @given(scene=pursuer_scenes())
     @settings(deadline=None, max_examples=120)
@@ -321,32 +362,47 @@ class TestStepPursuer:
             assert pursuer_rows(p) == before
             p = q
 
+    @given(scenes=st.lists(pursuer_scenes(), min_size=1, max_size=5))
+    @settings(deadline=None, max_examples=60)
+    def test_batch_equals_each_world(self, scenes):
+        # The worlds of a batch have one pursuer count: the smallest here.
+        cfg = scenes[0][0]
+        n = min(p.speed.shape[1] for _, p, _, _ in scenes)
+        worlds = [Pursuers(*(getattr(p, f)[:, :n] for f in
+                             ("xy", "speed", "unit", "patrol_speed",
+                              "chasing")))
+                  for _, p, _, _ in scenes]
+        for step in range(3):
+            evaders = [path[min(step, len(path) - 1)]
+                       for _, _, _, path in scenes]
+            batch = step_pursuers(Pursuers.stack(worlds), evaders, cfg)
+            worlds = [step_pursuers(p, evader, cfg)
+                      for p, evader in zip(worlds, evaders)]
+            for e, p in enumerate(worlds):
+                assert pursuer_rows(batch, e) == pursuer_rows(p)
+
 
 class TestStepWorld:
     def test_escape(self):
         cfg = small_arena(n_pursuers=0)
-        w = init_world(cfg, 0)
-        w.evader = EvaderState(99.9, 0.0)
-        w2, outcome = step_world(w, (15.0, 0.0), cfg)
+        w = world_at(EvaderState(99.9, 0.0), init_world(cfg, 0).pursuers)
+        w2, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
         assert outcome is not None and outcome.kind is OutcomeKind.ESCAPED
 
     def test_capture(self):
         cfg = small_arena(n_pursuers=1)
-        w = init_world(cfg, 0)
-        w.evader = EvaderState(0.0, 0.0)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
-        w.pursuers = one(2.9, 0.0, 5.0, math.pi)
-        _, outcome = step_world(w, (0.0, 0.0), cfg)
+        w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
+        _, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
         assert outcome is not None and outcome.kind is OutcomeKind.CAPTURED
 
     def test_timeout_at_budget(self):
         cfg = small_arena(n_pursuers=0, t_max=1.0, dt=0.1)
-        w = init_world(cfg, 0)
-        w.evader = EvaderState(0.0, 0.0)
+        w = world_at(EvaderState(0.0, 0.0), init_world(cfg, 0).pursuers)
         outcome = None
         steps = 0
         while outcome is None:
-            w, outcome = step_world(w, (0.0, 0.0), cfg)
+            w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
             steps += 1
         assert outcome.kind is OutcomeKind.TIMEOUT
         assert steps == max_steps(cfg) == 10
@@ -356,21 +412,25 @@ class TestStepWorld:
         cfg = small_arena(n_pursuers=0)
         w, outcome = init_world(cfg, 0), None
         while outcome is None:
-            w, outcome = step_world(w, (15.0, 0.0), cfg)
+            w, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
         assert outcome.kind is OutcomeKind.ESCAPED
-        assert w.outcome is outcome
+        assert w.outcomes[0] is outcome
         with pytest.raises(RuntimeError):
-            step_world(w, (0.0, 0.0), cfg)
+            step_world(w, [(0.0, 0.0)], cfg)
+
+    def test_one_action_per_world(self):
+        cfg = small_arena()
+        w = WorldState.stack([init_world(cfg, 0), init_world(cfg, 1)])
+        with pytest.raises(ValueError, match="1 actions for 2 worlds"):
+            step_world(w, [(0.0, 0.0)], cfg)
 
     def test_step_after_capture_raises(self):
         cfg = small_arena(n_pursuers=1)
-        w = init_world(cfg, 0)
-        w.evader = EvaderState(0.0, 0.0)
-        w.pursuers = one(2.9, 0.0, 5.0, math.pi)
-        w, outcome = step_world(w, (0.0, 0.0), cfg)
+        w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
+        w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
         assert outcome.kind is OutcomeKind.CAPTURED
         with pytest.raises(RuntimeError):
-            step_world(w, (0.0, 0.0), cfg)
+            step_world(w, [(0.0, 0.0)], cfg)
 
     def test_terminal_spawn_sets_outcome(self):
         # A crowded 6x6 arena: some pursuer spawns within capture radius.
@@ -378,11 +438,12 @@ class TestStepWorld:
                           spawn_half_extent=0.5, n_pursuers=20,
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
-        assert w.outcome == EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0)
+        assert w.outcomes == [EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0)]
         stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8), None)
-        assert stepper.initial_outcome is w.outcome
         with pytest.raises(RuntimeError):
-            step_world(w, (0.0, 0.0), cfg)
+            step_world(w, [(0.0, 0.0)], cfg)
+        assert stepper.drop_ended() == [(0, w.outcomes[0])]
+        assert stepper.live == []
 
     def test_determinism_full_episode(self):
         cfg = small_arena(n_pursuers=8)
@@ -393,8 +454,8 @@ class TestStepWorld:
             trace = []
             outcome = None
             for a in actions:
-                w, outcome = step_world(w, tuple(a), cfg)
-                trace.append((w.evader.x, w.evader.y,
+                w, (outcome,) = step_world(w, [tuple(a)], cfg)
+                trace.append((w.evaders[0].x, w.evaders[0].y,
                                pursuer_rows(w.pursuers)))
                 if outcome is not None:
                     break
@@ -410,12 +471,13 @@ class TestStepWorld:
         cfg = small_arena(t_max=20.0, n_pursuers=6)
         w = init_world(cfg, seed)
         rng = np.random.default_rng(seed)
-        outcome = check_outcome(w, cfg)
+        (outcome,) = check_outcome(w, cfg)
         steps = 0
         while outcome is None:
-            w, outcome = step_world(w, tuple(rng.uniform(-15, 15, 2)), cfg)
+            w, (outcome,) = step_world(w, [tuple(rng.uniform(-15, 15, 2))],
+                                       cfg)
             steps += 1
-            for x, y in w.pursuers.xy.tolist():
+            for x, y in w.pursuers.xy[0].tolist():
                 assert abs(x) <= cfg.half_width + 1e-9
                 assert abs(y) <= cfg.half_height + 1e-9
             assert steps <= max_steps(cfg)
@@ -426,22 +488,18 @@ class TestStepWorld:
 class TestObjectiveValue:
     def test_no_detections_max_boundary(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0), 0)
-        w.evader = EvaderState(0.0, 0.0)
         # d_b = 100 at the center; r_b_norm = 100 -> 1.0
-        assert abs(objective_value(w, [], cfg, 100.0) - 1.0) < TOL
+        assert abs(objective_value((0.0, 0.0), [], cfg, 100.0) - 1.0) < TOL
 
     def test_at_boundary_zero(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0), 0)
-        w.evader = EvaderState(100.0, 0.0)
-        assert abs(objective_value(w, [], cfg, 100.0)) < TOL
+        assert abs(objective_value((100.0, 0.0), [], cfg, 100.0)) < TOL
 
     def test_single_far_detection(self):
         cfg = small_arena()
-        w = init_world(replace(cfg, n_pursuers=0), 0)
-        w.evader = EvaderState(50.0, 0.0)  # d_b = 50 = r_b_norm/2
-        assert abs(objective_value(w, [cfg.r_e], cfg, 100.0) - 0.5) < TOL
+        # d_b = 50 = r_b_norm/2
+        assert abs(objective_value((50.0, 0.0), [cfg.r_e], cfg, 100.0)
+                   - 0.5) < TOL
 
 
 class TestNearestWall:

@@ -3,13 +3,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cep import harness, sensing
 from cep.config import desk_profile
+from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
                          sweep, train)
 from cep.neural import PolicyBundle, TrainConfig
+from cep.sr2l import EpisodeStepper
 
 
 def episode(i: int, outcome: str, steps: int, mean_reward: float):
@@ -66,6 +70,80 @@ class TestSummary:
         (bucket,) = report.buckets
         assert (bucket.escape_pct, bucket.mean_escape_steps,
                 bucket.mean_reward) == overall
+
+
+def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
+    """The per-episode evaluation loop that lockstep evaluation replaced,
+    kept as its oracle: each episode runs alone, in a one-world stepper."""
+    records = []
+    for episode in range(episodes):
+        seed = harness._episode_seed(cfg.seed, harness._EVAL_TAG, episode)
+        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing,
+                                 None, cfg.pfm, cfg.reward_sign)
+        policy.reset([seed])
+        cum = 0.0
+        steps = 0
+        (outcome,) = stepper.world.outcomes
+        while outcome is None:
+            (outcome,), (reward,), _ = stepper.step_action(policy.act(stepper))
+            cum += reward
+            steps += 1
+        records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
+                                   cum / steps if steps else 0.0))
+    return records
+
+
+def small_arena(half: float, n_pursuers: int, t_max: float) -> ArenaConfig:
+    """A small arena with a 1 m spawn square, wide capture discs and a short
+    budget: spawns that are captured outright, captures, escapes and
+    timeouts all occur."""
+    return ArenaConfig(half_width=half, half_height=half, spawn_half_extent=1.0,
+                       n_pursuers=n_pursuers, capture_radius=1.5, r_p=3.0,
+                       r_e=6.0, t_max=t_max)
+
+
+def policy_of(kind: str, cfg):
+    return make_policy(kind, cfg, small_bundle() if kind == "actor" else None)
+
+
+class TestLockstepEqualsSequential:
+    """Stepping the episodes of a call together gives each episode the
+    result it has alone: index, outcome, steps and rewards, exactly."""
+
+    @given(kind=st.sampled_from(["pfm", "random", "actor"]),
+           episodes=st.integers(1, 12), n_pursuers=st.integers(0, 40),
+           half=st.sampled_from([6.0, 15.0, 30.0]),
+           t_max=st.sampled_from([0.5, 3.0, 10.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_equals_sequential(self, kind, episodes, n_pursuers, half, t_max,
+                               seed):
+        cfg = desk_profile(seed=seed)
+        arena = small_arena(half, n_pursuers, t_max)
+        report = evaluate_monte_carlo(policy_of(kind, cfg), cfg, arena,
+                                      episodes)
+        assert report.episodes == sequential_episodes(policy_of(kind, cfg), cfg,
+                                                      arena, episodes)
+
+    @pytest.mark.parametrize("kind", ["pfm", "random", "actor"])
+    def test_call_with_spawn_captures_timeouts_and_staggered_ends(self, kind):
+        cfg = desk_profile(seed=0)
+        arena = small_arena(15.0, 6, 3.0)
+        report = evaluate_monte_carlo(policy_of(kind, cfg), cfg, arena, 12)
+        assert report.episodes == sequential_episodes(policy_of(kind, cfg), cfg,
+                                                      arena, 12)
+        steps = [e.steps for e in report.episodes]
+        assert 0 in steps and len(set(steps)) >= 4
+        if kind == "random":
+            assert "timeout" in {e.outcome for e in report.episodes}
+
+    def test_blocks_of_episodes_equal_one_batch(self, monkeypatch):
+        cfg = desk_profile(seed=5)
+        arena = small_arena(15.0, 6, 3.0)
+        whole = evaluate_monte_carlo(make_policy("random", cfg), cfg, arena, 7)
+        monkeypatch.setattr(harness, "_BLOCK_EPISODES", 3)
+        blocks = evaluate_monte_carlo(make_policy("random", cfg), cfg, arena, 7)
+        assert blocks.episodes == whole.episodes
 
 
 class TestEpisodeCount:

@@ -1,4 +1,4 @@
-"""Every import in a ``cep`` module is used in that module.
+"""Every import in a ``cep`` module or a test file is used in that file.
 
 An AST scan: a name an import binds counts as used when the module reads it
 (as a name or as the root of an attribute chain) or lists it in ``__all__``.
@@ -14,6 +14,7 @@ import cep
 
 SOURCES = sorted(p for p in Path(cep.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -54,6 +55,8 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == ["line 3: os"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS,
+    ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cep import sensing
-from cep.env import ArenaConfig, EvaderState, Pursuers, init_world, nearest_wall
+from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
+                     init_world, nearest_wall)
 from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
                          cast_rays, observe, sense, time_factor)
 
@@ -24,10 +24,7 @@ def arena(**kw) -> ArenaConfig:
 def world_with(evader, rows, cfg):
     """A world holding ``evader`` and one pursuer per ``(x, y, speed,
     heading)`` row."""
-    w = init_world(cfg, 0)
-    w.evader = evader
-    w.pursuers = Pursuers.from_rows(rows)
-    return w
+    return WorldState([evader], Pursuers.from_rows(rows))
 
 
 def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
@@ -44,9 +41,9 @@ def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
 
 def full_cast(w, arena, cfg):
     """Reference lidar: every pursuer's disc intersected with every ray."""
-    if not len(w.pursuers):
+    if not w.pursuers.speed.size:
         return np.full(cfg.n_s, arena.r_e)
-    rel = w.pursuers.xy - (w.evader.x, w.evader.y)
+    rel = w.pursuers.xy[0] - (w.evaders[0].x, w.evaders[0].y)
     dists = np.hypot(rel[:, 0], rel[:, 1])
     cx, sx = _ray_directions(cfg.n_s)
     radius = arena.capture_radius / 2.0
@@ -68,7 +65,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0), [], cfg)
         assert np.all(cast_rays(w, cfg, scfg) == cfg.r_e)
-        assert sense(w, cfg).detections == []
+        assert sense(w, cfg)[0].detections == []
 
     def test_pursuer_on_ray_zero(self):
         # disc small enough that only ray 0 intersects it
@@ -77,7 +74,7 @@ class TestCastRays:
         p = (5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
         scan = cast_rays(w, cfg, scfg)
-        detections = sense(w, cfg).detections
+        detections = sense(w, cfg)[0].detections
         assert scan[0] < 5.0
         assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
         assert np.all(scan[1:] == cfg.r_e)
@@ -87,7 +84,7 @@ class TestCastRays:
         cfg = arena()
         p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        assert sense(w, cfg).detections == []
+        assert sense(w, cfg)[0].detections == []
 
     def test_occlusion_nearest_hit(self):
         cfg = arena()
@@ -97,14 +94,14 @@ class TestCastRays:
         w = world_with(EvaderState(0.0, 0.0), [far, near], cfg)
         scan = cast_rays(w, cfg, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
-        assert len(sense(w, cfg).detections) == 2
+        assert len(sense(w, cfg)[0].detections) == 2
 
     def test_detection_theta_head_on(self):
         cfg = arena()
         # pursuer at (5, 0) heading west, straight at the evader
         p = (5.0, 0.0, 5.0, math.pi)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        detections = sense(w, cfg).detections
+        detections = sense(w, cfg)[0].detections
         assert abs(detections[0].theta) < 1e-9
         assert abs(detections[0].bearing) < 1e-9
 
@@ -192,6 +189,45 @@ class TestRestrictedCast:
         w = world_with(EvaderState(0.0, 0.0), [(0.0, 12.0, 5.0, 0.0)],
                        self.CFG)
         assert np.all(cast_rays(w, self.CFG, scfg) == self.CFG.r_e)
+
+
+class TestBatch:
+    """A batch of worlds senses, casts and observes each world exactly as
+    that world alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+           n=st.integers(0, 40), t=st.floats(0.0, 50.0))
+    def test_each_world_as_alone(self, seeds, n, t):
+        cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
+                    n_pursuers=n)
+        scfg = SensingConfig(n_s=36)
+        worlds = [init_world(cfg, seed) for seed in seeds]
+        for w in worlds:
+            w.t = t
+        batch = WorldState.stack(worlds)
+        frames = sense(batch, cfg)
+        for e, w in enumerate(worlds):
+            assert frames[e] == sense(w, cfg)[0]
+            lidar = cast_rays(w, cfg, scfg)
+            assert np.array_equal(cast_rays(batch, cfg, scfg, e), lidar)
+            assert np.array_equal(observe(batch, lidar, cfg, scfg, e),
+                                  observe(w, lidar, cfg, scfg))
+
+    def test_take_keeps_the_chosen_worlds(self):
+        cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
+                    n_pursuers=12)
+        worlds = [init_world(cfg, seed) for seed in range(4)]
+        batch = WorldState.stack(worlds).take([3, 1])
+        assert batch.evaders == [worlds[3].evaders[0], worlds[1].evaders[0]]
+        assert sense(batch, cfg) == sense(worlds[3], cfg) + sense(worlds[1], cfg)
+
+    def test_stack_needs_one_step(self):
+        cfg = arena(n_pursuers=3)
+        later = init_world(cfg, 1)
+        later.step_count, later.t = 1, cfg.dt
+        with pytest.raises(ValueError, match="same step"):
+            WorldState.stack([init_world(cfg, 0), later])
 
 
 class TestRayDirections:

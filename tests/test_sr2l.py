@@ -26,23 +26,25 @@ def reference_estimate(w: WorldState, action, cfg: ArenaConfig,
                        reward_state: RewardState, sign: float) -> float:
     """The estimate through the full pipeline: extrapolate the world, sense
     it, and score the frame on a copy of the reward state."""
-    evader = step_evader(w.evader, action, cfg)
+    evader = step_evader(w.evaders[0], action, cfg)
     p = w.pursuers
     xy = [(x + speed * ux * cfg.dt, y + speed * uy * cfg.dt)
-          for (x, y), speed, (ux, uy) in zip(p.xy.tolist(), p.speed.tolist(),
-                                             p.unit.tolist())]
-    pursuers = Pursuers(np.array(xy, dtype=float).reshape(len(p), 2),
+          for (x, y), speed, (ux, uy) in zip(p.xy[0].tolist(),
+                                             p.speed[0].tolist(),
+                                             p.unit[0].tolist())]
+    pursuers = Pursuers(np.array(xy, dtype=float).reshape(p.xy.shape),
                         p.speed, p.unit, p.patrol_speed, p.chasing)
     n = w.step_count + 1
-    w_est = WorldState(evader, pursuers, t=n * cfg.dt, step_count=n)
-    frame = sense(w_est, cfg)
+    w_est = WorldState([evader], pursuers, t=n * cfg.dt, step_count=n)
+    (frame,) = sense(w_est, cfg)
     _, r = transition_reward(frame.detections, frame.d_b, frame.t_f,
                              reward_state.copy(), cfg, sign)
     return r
 
 
 def snapshot(w: WorldState, rs: RewardState):
-    return ((w.evader.x, w.evader.y, w.evader.vx, w.evader.vy),
+    (e,) = w.evaders
+    return ((e.x, e.y, e.vx, e.vy),
             [a.tolist() for a in (w.pursuers.xy, w.pursuers.speed,
                                   w.pursuers.unit, w.pursuers.patrol_speed,
                                   w.pursuers.chasing)],
@@ -56,11 +58,11 @@ def scenes(draw):
     cfg = arena(draw(st.integers(0, 30)))
     stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))),
                              cfg, SENSING, None)
-    outcome = stepper.initial_outcome
+    (outcome,) = stepper.world.outcomes
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
             break
-        outcome, _, _ = stepper.step_action(stepper.planner.act(stepper))
+        (outcome,), _, _ = stepper.step_action(stepper.planner.act(stepper))
     if draw(st.booleans()):
         stepper.world.step_count = max_steps(cfg) - 1
         stepper.world.t = stepper.world.step_count * cfg.dt
@@ -74,14 +76,14 @@ class TestPredictNextState:
     @given(stepper=scenes(), action=actions, sign=st.sampled_from([-1.0, 1.0]))
     @settings(deadline=None, max_examples=150)
     def test_equals_full_pipeline(self, stepper, action, sign):
-        w, cfg, rs = stepper.world, stepper.arena, stepper.reward_state
+        w, cfg, rs = stepper.world, stepper.arena, stepper.reward_states[0]
         expected = reference_estimate(w, action, cfg, rs, sign)
         assert predict_next_state(w, action, cfg, rs, sign) == expected
 
     @given(stepper=scenes(), action=actions)
     @settings(deadline=None, max_examples=50)
     def test_touches_neither_world_nor_reward_state(self, stepper, action):
-        w, rs = stepper.world, stepper.reward_state
+        w, rs = stepper.world, stepper.reward_states[0]
         before = snapshot(w, rs)
         predict_next_state(w, action, stepper.arena, rs)
         assert snapshot(w, rs) == before
