@@ -17,7 +17,7 @@ from .rewards import (compose_reward, pursuer_weight, reward_boundary,
                       reward_pursuers)
 from .sensing import (Detection, SenseFrame, SensingConfig, boundary_scan,
                       cast_rays, observe, sense, time_factor)
-from .sr2l import (Branch, EpisodeStepper, ExperienceTuple, ScaffoldConfig,
-                   predict_next_state, reward_gap, scaffold_select)
+from .sr2l import (Branch, EpisodeStepper, ScaffoldConfig, predict_next_state,
+                   reward_gap, scaffold_select)
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ class RunConfig:
     eval_episodes: int = 200
     seed: int = 0
     out_dir: str = "runs/out"
-    reward_sign: float = -1.0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -58,8 +57,13 @@ class RunConfig:
             raise ValueError("episodes must be >= 1")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        if self.reward_sign not in (-1.0, 1.0):
-            raise ValueError("reward_sign must be -1 or +1")
+        # What the config file cannot hold: '#' starts a comment, a line
+        # break ends the line, and a value is read back stripped.
+        if "#" in self.out_dir or self.out_dir != self.out_dir.strip() or \
+                len(self.out_dir.splitlines()) > 1:
+            raise ValueError(f"out_dir {self.out_dir!r} must not contain '#' "
+                             f"or a line break, nor start or end with "
+                             f"whitespace")
 
 
 def desk_profile(**overrides) -> RunConfig:

@@ -76,6 +76,10 @@ class ArenaConfig:
     t_max: float = 300.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         lengths = {
             "half_width": self.half_width,
             "half_height": self.half_height,
@@ -111,9 +115,8 @@ class Pursuers:
     ``xy`` is ``(E, n, 2)`` positions, ``speed`` the ``(E, n)`` current
     speeds and ``unit`` the ``(E, n, 2)`` unit vectors of the directions of
     travel.  ``patrol_speed`` is the episode-constant cruise speed a pursuer
-    reverts to after losing the evader, and ``chasing`` marks the pursuers
-    that saw the evader on their last step.  A world never writes these
-    arrays in place: a step returns new arrays, or shares the ones it leaves
+    reverts to after losing the evader.  A world never writes these arrays
+    in place: a step returns new arrays, or shares the ones it leaves
     unchanged.
     """
 
@@ -121,7 +124,6 @@ class Pursuers:
     speed: np.ndarray
     unit: np.ndarray
     patrol_speed: np.ndarray
-    chasing: np.ndarray
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]
@@ -134,8 +136,7 @@ class Pursuers:
         unit = np.array([(math.cos(h), math.sin(h))
                          for h in table[0, :, 3].tolist()]).reshape(1, n, 2)
         return cls(xy=table[..., :2].copy(), speed=table[..., 2].copy(),
-                   unit=unit, patrol_speed=table[..., 2].copy(),
-                   chasing=np.zeros((1, n), dtype=bool))
+                   unit=unit, patrol_speed=table[..., 2].copy())
 
     @classmethod
     def stack(cls, batches: Sequence["Pursuers"]) -> "Pursuers":
@@ -338,13 +339,13 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
     ev = np.asarray(evader_xy, dtype=float).reshape(-1, 1, 2)
     n = p.speed.shape[1]
     rel = p.xy - ev
-    chasing = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
+    in_range = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
     unit, speed = p.unit, p.patrol_speed
     # Rows are addressed by flat index k = e * n + i in (E * n, 2) views.
-    lock = chasing.ravel().nonzero()[0].tolist()
+    lock = in_range.ravel().nonzero()[0].tolist()
     if lock:
         unit = unit.copy()
-        speed = np.where(chasing, cfg.v_p_max, speed)
+        speed = np.where(in_range, cfg.v_p_max, speed)
         rows, evs = unit.reshape(-1, 2), ev.tolist()
         for k, (x, y) in zip(lock, p.xy.reshape(-1, 2)[lock].tolist()):
             ((ex, ey),) = evs[k // n]
@@ -372,7 +373,7 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
             rows[k] = c, s
             moved[k] = x + v * c * cfg.dt, y + v * s * cfg.dt
 
-    return Pursuers(xy, speed, unit, p.patrol_speed, chasing)
+    return Pursuers(xy, speed, unit, p.patrol_speed)
 
 
 def check_outcome(w: WorldState, cfg: ArenaConfig

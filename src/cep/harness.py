@@ -17,6 +17,12 @@ positions in that batch).  It reads what it needs from the stepper: the
 planner the ``frames``, the actor the ``observations``, built (from
 ``lidars``) when read; the random walk keeps one generator per episode seed.
 
+A step's reward is ``RewardBreakdown.reward``, the negated composite of
+:mod:`cep.rewards` (higher is better play), taken over the stepper's frames
+before and after the step (the reset rule is the stepper's
+``reward_frames``).  Training stores the stepper's observations before and
+after each step with the step's action, reward and end flag.
+
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
 
@@ -205,7 +211,7 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
             stepper = EpisodeStepper(world, cfg.arena, cfg.sensing,
                                      cfg.scaffold if scaffolded else None,
-                                     cfg.pfm, cfg.reward_sign)
+                                     cfg.pfm)
             cum_reward = 0.0
             actor_steps = 0
             neg_coeff = 0
@@ -215,15 +221,16 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
             (outcome,) = world.outcomes
             try:
                 while outcome is None:
+                    (state,) = stepper.observations
                     res = stepper.step(bundle, step_rng)
-                    exp = res.experience
-                    buffer.push(exp.state, exp.action, exp.reward,
-                                exp.next_state, exp.terminal)
-                    cum_reward += exp.reward
+                    (next_state,) = stepper.observations
+                    buffer.push(state, res.action, res.reward, next_state,
+                                res.outcome is not None)
+                    cum_reward += res.reward
                     steps += 1
-                    if exp.branch is Branch.ACTOR:
+                    if res.branch is Branch.ACTOR:
                         actor_steps += 1
-                    if res.realized_breakdown.sum_w > 1.0:
+                    if res.realized.sum_w > 1.0:
                         neg_coeff += 1
                     if buffer.size >= cfg.train.batch_size:
                         batch = buffer.sample(cfg.train.batch_size, buffer_rng)
@@ -341,8 +348,7 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
     """Run ``episodes`` in lockstep; their records in episode order."""
     seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in episodes]
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
-    stepper = EpisodeStepper(world, arena, cfg.sensing, None, cfg.pfm,
-                             cfg.reward_sign)
+    stepper = EpisodeStepper(world, arena, cfg.sensing, None, cfg.pfm)
     policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
@@ -353,9 +359,9 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
                                      cum[k], cum[k] / steps if steps else 0.0)
         if not stepper.live:
             return records
-        _, rewards, _ = stepper.step_action(policy.act(stepper))
-        for k, reward in zip(stepper.live, rewards):
-            cum[k] += reward
+        _, breakdowns = stepper.step_action(policy.act(stepper))
+        for k, bd in zip(stepper.live, breakdowns):
+            cum[k] += bd.reward
 
 
 # -- sweep --------------------------------------------------------------------
@@ -447,7 +453,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     """
     arena = cfg.arena
     stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing, None,
-                             cfg.pfm, cfg.reward_sign)
+                             cfg.pfm)
     policy = make_policy("actor", cfg, bundle)
     policy.reset([seed])
 
@@ -481,11 +487,11 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         rows += 1
         step = 0
         while outcome is None:
-            (outcome,), (reward,), (bd,) = \
-                stepper.step_action(policy.act(stepper))
+            (outcome,), (bd,) = stepper.step_action(policy.act(stepper))
             step += 1
             tag = outcome.kind.value if outcome is not None else ""
-            writer.writerow(row(step, (bd.r_d, bd.r_b, bd.sum_w, reward), tag))
+            writer.writerow(row(step, (bd.r_d, bd.r_b, bd.sum_w, bd.reward),
+                                tag))
             rows += 1
     assert rows <= max_steps(arena) + 1
     return rows

@@ -11,32 +11,36 @@ Component formulas (``d_i`` pursuer distances, ``d_b`` nearest-wall distance,
 Each component is a per-step shortfall from the best possible motion: exactly
 0 when the evader recedes from every detected pursuer (or closes on the wall)
 at full speed.  The composite ``r`` is therefore largest for the *worst*
-behavior; the harness flips its sign by default (``reward_sign = -1``) so that
-higher logged reward means better play, while these functions stay exact.
+behavior; :attr:`RewardBreakdown.reward` is ``-r``, the signed reward that
+training stores and evaluation reports, so that higher means better play.
 The ``(1 - sum W_i)`` coefficient is not clamped and goes negative with
 several close pursuers; episode telemetry counts those steps.
+
+The reward of a transition is a function of two frames, the one before and
+the one after it: ``d_i_prev`` is pursuer ``i``'s distance among the earlier
+frame's detections, or ``d_i_now`` (a zero delta) when it was not detected
+there, and ``d_b_prev`` is the earlier frame's ``d_b``.  At an episode's first
+step no pursuer has a previous distance, but ``d_b`` does: the stepper
+applies that reset rule to the frames it hands in
+(:attr:`cep.sr2l.EpisodeStepper.reward_frames`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .env import ArenaConfig
-from .sensing import Detection
+from .sensing import Detection, SenseFrame
 
 __all__ = [
-    "DetectionHistory",
-    "RewardState",
     "RewardBreakdown",
     "pursuer_weight",
     "reward_pursuers",
     "reward_boundary",
     "compose_reward",
+    "transition_reward",
 ]
-
-# Map pursuer_id -> distance at the previous step; cleared at episode reset.
-DetectionHistory = dict[int, float]
 
 
 @dataclass
@@ -50,16 +54,10 @@ class RewardBreakdown:
     t_f: float
     r: float
 
-
-@dataclass
-class RewardState:
-    """Per-episode mutable reward bookkeeping owned by one runner."""
-
-    history: DetectionHistory = field(default_factory=dict)
-    d_b_prev: float = 0.0
-
-    def copy(self) -> "RewardState":
-        return RewardState(dict(self.history), self.d_b_prev)
+    @property
+    def reward(self) -> float:
+        """The signed reward, ``-r``: higher means better play."""
+        return -self.r
 
 
 def pursuer_weight(d_i: float, r_e: float) -> float:
@@ -67,31 +65,28 @@ def pursuer_weight(d_i: float, r_e: float) -> float:
     return 1.0 - d_i / r_e
 
 
-def reward_pursuers(detections: list[Detection], hist: DetectionHistory,
+def reward_pursuers(before: list[Detection], after: list[Detection],
                     cfg: ArenaConfig) -> tuple[float, float, int]:
-    """Pursuer-interaction component; updates ``hist`` in place.
+    """Pursuer-interaction component of the step from detections ``before``
+    to ``after``, summed over ``after`` in its (pursuer-id) order.
 
-    A pursuer first seen this step contributes a zero distance delta
-    (its previous distance is taken to be the current one).  Entries for
-    pursuers no longer detected are dropped, so a disappear/reappear also
-    resets the delta.
+    A pursuer in ``after`` but not in ``before`` (first seen, or seen again
+    after a gap) contributes a zero distance delta: its previous distance is
+    taken to be the current one.
 
     Returns ``(r_d, sum of W_i, m)``.
     """
+    previous = {det.pursuer_id: det.distance for det in before}
     r_d = 0.0
     sum_w = 0.0
-    new_hist: DetectionHistory = {}
-    for det in detections:
+    for det in after:
         d_now = det.distance
-        d_prev = hist.get(det.pursuer_id, d_now)
+        d_prev = previous.get(det.pursuer_id, d_now)
         w_i = pursuer_weight(d_now, cfg.r_e)
         v_rel_max = cfg.v_e_max - det.speed * math.cos(det.theta)
         r_d += w_i * (v_rel_max * cfg.dt - (d_now - d_prev))
         sum_w += w_i
-        new_hist[det.pursuer_id] = d_now
-    hist.clear()
-    hist.update(new_hist)
-    return r_d, sum_w, len(detections)
+    return r_d, sum_w, len(after)
 
 
 def reward_boundary(d_b_prev: float, d_b_now: float, cfg: ArenaConfig) -> float:
@@ -106,16 +101,11 @@ def compose_reward(r_b: float, r_d: float, sum_w: float, m: int,
     return t_f * ((1.0 - sum_w) / (1.0 + m) * r_b + r_d)
 
 
-def transition_reward(detections: list[Detection], d_b_now: float, t_f: float,
-                      state: RewardState, cfg: ArenaConfig,
-                      sign: float = -1.0) -> tuple[RewardBreakdown, float]:
-    """Evaluate one realized or predicted transition and advance ``state``.
-
-    Returns the verbatim breakdown and the signed reward the harness trains
-    and reports on (``sign * r``).
-    """
-    r_d, sum_w, m = reward_pursuers(detections, state.history, cfg)
-    r_b = reward_boundary(state.d_b_prev, d_b_now, cfg)
-    state.d_b_prev = d_b_now
-    r = compose_reward(r_b, r_d, sum_w, m, t_f)
-    return RewardBreakdown(r_d, r_b, sum_w, m, t_f, r), sign * r
+def transition_reward(before: SenseFrame, after: SenseFrame,
+                      cfg: ArenaConfig) -> RewardBreakdown:
+    """The reward of one realized or predicted transition from frame
+    ``before`` to frame ``after``; ``.reward`` is its signed value."""
+    r_d, sum_w, m = reward_pursuers(before.detections, after.detections, cfg)
+    r_b = reward_boundary(before.d_b, after.d_b, cfg)
+    r = compose_reward(r_b, r_d, sum_w, m, after.t_f)
+    return RewardBreakdown(r_d, r_b, sum_w, m, after.t_f, r)

@@ -15,8 +15,12 @@ when r_p sits near -eps, so the raw inequality alone would not guarantee it).
 
 The forward model advances the evader by the candidate action and every
 pursuer at its current velocity (no mode switches, no wall reflections),
-senses the extrapolated world, and scores the frame with
-:func:`transition_reward` on a copy of the reward state.
+senses the extrapolated world, and scores the step from the current frame to
+that one with :func:`transition_reward`, as the realized step is scored.
+Both take their earlier frame from :attr:`EpisodeStepper.reward_frames`,
+where the reset rule lives: at an episode's first step no pursuer has a
+previous distance.  Rewards are signed (``RewardBreakdown.reward = -r``), so
+a larger estimate is a better action.
 The independent trainer shares this machinery with scaffolding disabled: it
 executes the actor's action and stores the same one-step reward estimate, so
 a beta=100 scaffolded run is transcript-identical to it by construction.
@@ -25,7 +29,7 @@ a beta=100 scaffolded run is transcript-identical to it by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -34,13 +38,12 @@ from .env import ArenaConfig, EpisodeOutcome, Pursuers, WorldState, \
     step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, PfmPolicy
-from .rewards import RewardBreakdown, RewardState, transition_reward
-from .sensing import SensingConfig, cast_rays, observe, sense
+from .rewards import RewardBreakdown, transition_reward
+from .sensing import SenseFrame, SensingConfig, cast_rays, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
     "Branch",
-    "ExperienceTuple",
     "StepResult",
     "to_velocity",
     "reward_gap",
@@ -71,24 +74,17 @@ class Branch(Enum):
 
 
 @dataclass
-class ExperienceTuple:
-    """One stored transition; ``action`` is pre-scaling (unit-box) space."""
+class StepResult:
+    """What training reads of one environment step: the stored action (in
+    the unit box) and reward, the branch that ran, the episode's outcome
+    (None while it runs) and the realized reward's breakdown.  The stored
+    states are the stepper's observations before and after the step."""
 
-    state: np.ndarray
     action: np.ndarray
     reward: float
-    next_state: np.ndarray
-    terminal: bool
     branch: Branch
-
-
-@dataclass
-class StepResult:
-    """What training reads of one environment step."""
-
-    experience: ExperienceTuple
     outcome: EpisodeOutcome | None
-    realized_breakdown: RewardBreakdown
+    realized: RewardBreakdown
 
 
 def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
@@ -109,34 +105,32 @@ def reward_gap(r_r: float, r_p: float, eps: float) -> float:
 
 def scaffold_select(r_r: float, r_p: float, d_f: float,
                     beta: float) -> tuple[Branch, float]:
-    """Pick the branch and the reward the experience tuple stores."""
+    """Pick the branch and the reward the stored transition holds."""
     if d_f >= -beta or beta >= 100.0:
         return Branch.ACTOR, r_r
     return Branch.PLANNER, r_r - abs(r_p - r_r)
 
 
-def predict_next_state(w: WorldState, action: tuple[float, float],
-                       arena: ArenaConfig, reward_state: RewardState,
-                       reward_sign: float = -1.0) -> float:
+def predict_next_state(w: WorldState, frame: SenseFrame,
+                       action: tuple[float, float], arena: ArenaConfig
+                       ) -> float:
     """Estimate the signed reward of a candidate action in the one-world
     batch ``w``: sense the world extrapolated one step (see the module
-    docstring) and score the frame on a copy of the reward state.  ``w`` and
-    ``reward_state`` are untouched."""
+    docstring) and score the step from ``frame``, the reward's earlier
+    frame.  ``w`` and ``frame`` are untouched."""
     p = w.pursuers
     n = w.step_count + 1
     (evader,) = w.evaders
     ahead = Pursuers(p.xy + p.speed[..., None] * p.unit * arena.dt, p.speed,
-                     p.unit, p.patrol_speed, p.chasing)
-    (frame,) = sense(WorldState([step_evader(evader, action, arena)], ahead,
+                     p.unit, p.patrol_speed)
+    (after,) = sense(WorldState([step_evader(evader, action, arena)], ahead,
                                 n * arena.dt, n), arena)
-    _, r_est = transition_reward(frame.detections, frame.d_b, frame.t_f,
-                                 reward_state.copy(), arena, reward_sign)
-    return r_est
+    return transition_reward(frame, after, arena).reward
 
 
 class EpisodeStepper:
-    """Owns a batch of episodes stepped in lockstep: the worlds, their
-    frames, and their reward bookkeeping, one entry per episode.
+    """Owns a batch of episodes stepped in lockstep: the worlds and their
+    frames, one entry per episode.
 
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones from every array, so each
@@ -150,21 +144,28 @@ class EpisodeStepper:
 
     def __init__(self, world: WorldState, arena: ArenaConfig,
                  sensing_cfg: SensingConfig, scaffold: ScaffoldConfig | None,
-                 gains: PfmGains | None = None, reward_sign: float = -1.0):
+                 gains: PfmGains | None = None):
         self.world = world
         self.arena = arena
         self.sensing_cfg = sensing_cfg
         self.scaffold = scaffold
         self.planner = PfmPolicy(gains if gains is not None else PfmGains())
-        self.reward_sign = reward_sign
         self.frames = sense(world, arena)
         self._lidars: list[np.ndarray] | None = None
         self._observations: list[np.ndarray] | None = None
-        self.reward_states = [RewardState(d_b_prev=f.d_b) for f in self.frames]
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius), so a runner reads world.outcomes,
         # or calls drop_ended, before the first step.
         self.live = list(range(len(world.evaders)))
+
+    @property
+    def reward_frames(self) -> list[SenseFrame]:
+        """The frames the next step's rewards are taken from: :attr:`frames`,
+        except at step 0, where no pursuer has a previous distance (its first
+        reward sees a zero distance change) but ``d_b`` has one."""
+        if self.world.step_count:
+            return self.frames
+        return [replace(f, detections=[]) for f in self.frames]
 
     @property
     def lidars(self) -> list[np.ndarray]:
@@ -199,7 +200,6 @@ class EpisodeStepper:
 
         self.world = self.world.take(keep)
         self.frames = kept(self.frames)
-        self.reward_states = kept(self.reward_states)
         self.live = kept(self.live)
         self._lidars = kept(self._lidars)
         self._observations = kept(self._observations)
@@ -207,37 +207,31 @@ class EpisodeStepper:
 
     def _advance_world(self, actions: list[tuple[float, float]]
                        ) -> tuple[list[EpisodeOutcome | None],
-                                  list[RewardBreakdown], list[float]]:
+                                  list[RewardBreakdown]]:
+        before = self.reward_frames
         self.world, outcomes = step_world(self.world, actions, self.arena)
         self.frames = sense(self.world, self.arena)
         self._lidars = self._observations = None
-        breakdowns, realized = [], []
-        for f, reward_state in zip(self.frames, self.reward_states):
-            breakdown, r = transition_reward(
-                f.detections, f.d_b, f.t_f, reward_state, self.arena,
-                self.reward_sign)
-            breakdowns.append(breakdown)
-            realized.append(r)
-        return outcomes, breakdowns, realized
+        return outcomes, [transition_reward(b, a, self.arena)
+                          for b, a in zip(before, self.frames)]
 
     def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
         """One training step of a one-episode stepper: sample the actor,
-        arbitrate, act, store."""
+        arbitrate, act; the transition to store is the observation before,
+        the result's action and reward, and the observation after."""
         (state,) = self.observations
-        (reward_state,) = self.reward_states
+        (frame,) = self.reward_frames
         a_r = forward_actor(nets.actor, state, rng)
         a_r_env = to_velocity(a_r, self.arena)
 
-        r_r = predict_next_state(self.world, a_r_env, self.arena,
-                                 reward_state, self.reward_sign)
+        r_r = predict_next_state(self.world, frame, a_r_env, self.arena)
         branch = Branch.ACTOR
         stored_reward = r_r
         env_action = a_r_env
         stored_action = a_r
         if self.scaffold is not None:
             (a_p_env,) = self.planner.act(self)
-            r_p = predict_next_state(self.world, a_p_env, self.arena,
-                                     reward_state, self.reward_sign)
+            r_p = predict_next_state(self.world, frame, a_p_env, self.arena)
             d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
             branch, stored_reward = scaffold_select(r_r, r_p, d_f,
                                                     self.scaffold.beta)
@@ -245,17 +239,14 @@ class EpisodeStepper:
                 env_action = a_p_env
                 stored_action = np.array(a_p_env) / self.arena.v_e_max
 
-        (outcome,), (breakdown,), _ = self._advance_world([env_action])
-        experience = ExperienceTuple(state, np.asarray(stored_action, dtype=float),
-                                     stored_reward, self.observations[0],
-                                     outcome is not None, branch)
-        return StepResult(experience, outcome, breakdown)
+        (outcome,), (realized,) = self._advance_world([env_action])
+        return StepResult(stored_action, stored_reward, branch, outcome,
+                          realized)
 
     def step_action(self, actions: list[tuple[float, float]]
-                    ) -> tuple[list[EpisodeOutcome | None], list[float],
+                    ) -> tuple[list[EpisodeOutcome | None],
                                list[RewardBreakdown]]:
         """Execute one externally chosen action per episode (evaluation and
-        replay path): each episode's outcome, realized reward and reward
-        breakdown."""
-        outcomes, breakdowns, realized = self._advance_world(actions)
-        return outcomes, realized, breakdowns
+        replay path): each episode's outcome and realized reward breakdown
+        (its signed reward is ``.reward``)."""
+        return self._advance_world(actions)

@@ -19,5 +19,6 @@ def test_exports_resolve(name):
 
 def test_step_result_carries_only_what_training_reads():
     assert [f.name for f in fields(sr2l.StepResult)] == \
-        ["experience", "outcome", "realized_breakdown"]
+        ["action", "reward", "branch", "outcome", "realized"]
     assert not hasattr(sr2l, "ScaffoldDecision")
+    assert not hasattr(sr2l, "ExperienceTuple")

@@ -96,6 +96,31 @@ def test_zero_episodes_rejected(trained, tmp_path, capsys, command):
         "cep: error: episodes must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("key", ["arena.t_max", "arena.half_width"])
+def test_non_finite_arena_value_rejected(tmp_path, capsys, key):
+    # Before: t_max = inf overflowed in max_steps, half_width = inf reported
+    # escape%=100 over NaN pursuer positions.
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\n{key} = inf\n")
+    assert cli.main(["eval", "--policy", "pfm", "--episodes", "1",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "eval")]) == 2
+    name = key.split(".")[1]
+    assert capsys.readouterr().err == \
+        f"cep: error: {config}: 2: {key}: {name} must be finite, got inf\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_out_dir_the_config_cannot_hold(tmp_path, capsys):
+    # save_config would write 'out_dir = .../#1', read back as '.../'.
+    runs = tmp_path / "runs"
+    assert cli.main(["train", "--mode", "iac", "--episodes", "1",
+                     "--out", str(runs / "#1")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"cep: error: out_dir '{runs / '#1'}' must not contain '#'")
+    assert not runs.exists()
+
+
 @pytest.mark.parametrize("command,missing", [
     (["eval", "--episodes", "1", "--checkpoint"], "missing.cepn"),
     (["train", "--mode", "iac", "--episodes", "1", "--config"], "missing.txt"),

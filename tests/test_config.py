@@ -37,8 +37,7 @@ def run_configs(draw):
                    mode=draw(st.sampled_from(MODES)),
                    episodes=draw(st.integers(1, 10**6)),
                    seed=draw(st.integers(0, 2**63 - 1)),
-                   out_dir=draw(st.text("abcXYZ019/._-", max_size=20)),
-                   reward_sign=draw(st.sampled_from([-1.0, 1.0])))
+                   out_dir=draw(st.text("abcXYZ019/._-", max_size=20)))
 
 
 @given(cfg=run_configs())
@@ -47,6 +46,19 @@ def test_save_load_round_trip(cfg, tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "config.txt"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("out_dir", [
+    "runs/#1", "#", "runs/a\nb", "runs/a\rb", "runs/a\x1cb", "runs/a\u2028b",
+    " runs", "runs ", "runs\t", "\nruns",
+], ids=["hash", "only-hash", "newline", "carriage-return", "file-separator",
+        "line-separator", "leading-space", "trailing-space", "trailing-tab",
+        "leading-newline"])
+def test_out_dir_the_file_cannot_hold_rejected(out_dir):
+    # save_config would write it, and load_config read back something else
+    # (or fail on the line after a break).
+    with pytest.raises(ValueError, match="out_dir"):
+        replace(desk_profile(), out_dir=out_dir)
 
 
 @pytest.mark.parametrize("mode", ["pfm", "random", "IAC", ""])
@@ -63,7 +75,8 @@ def test_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["arena.seed", "train.seed",
-                                 "scaffold.store_executed_action"])
+                                 "scaffold.store_executed_action",
+                                 "reward_sign"])
 def test_removed_key_rejected(tmp_path, key):
     # A key that nothing reads must fail loudly, not pass silently.
     path = tmp_path / "old.txt"
@@ -75,7 +88,7 @@ def test_removed_key_rejected(tmp_path, key):
 def test_shipped_keys():
     keys = [line.split(" = ")[0]
             for line in config_to_text(desk_profile()).splitlines() if line]
-    assert len(keys) == len(set(keys)) == 38
+    assert len(keys) == len(set(keys)) == 37
 
 
 @pytest.mark.parametrize("line,key", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,11 +25,10 @@ def small_arena(**kw) -> ArenaConfig:
 
 def pursuer_rows(p: Pursuers, e: int = 0) -> list[tuple]:
     """Each pursuer of world ``e`` as ``(x, y, speed, unit_x, unit_y,
-    chasing, patrol_speed)``."""
+    patrol_speed)``."""
     return list(zip(p.xy[e, :, 0].tolist(), p.xy[e, :, 1].tolist(),
                     p.speed[e].tolist(), p.unit[e, :, 0].tolist(),
-                    p.unit[e, :, 1].tolist(), p.chasing[e].tolist(),
-                    p.patrol_speed[e].tolist()))
+                    p.unit[e, :, 1].tolist(), p.patrol_speed[e].tolist()))
 
 
 def direction_deg(p: Pursuers, i: int = 0) -> float:
@@ -64,7 +64,7 @@ def reference_spawn(cfg: ArenaConfig, seed: int) -> tuple:
 
 
 # The scalar pursuer step that step_pursuers replaced, kept as its reference.
-# A reference row is ``(x, y, speed, heading, chasing, patrol_speed)``.
+# A reference row is ``(x, y, speed, heading, patrol_speed)``.
 
 def _advance(x: float, y: float, speed: float, heading: float,
              dt: float) -> tuple[float, float]:
@@ -82,15 +82,13 @@ def _reflect_heading(heading: float, flip_x: bool, flip_y: bool) -> float:
 
 def reference_step(row: tuple, evader_pos: tuple[float, float],
                    cfg: ArenaConfig) -> tuple:
-    x, y, _, heading, _, patrol_speed = row
+    x, y, _, heading, patrol_speed = row
     ex, ey = evader_pos
     dist = math.hypot(ex - x, ey - y)
     if dist <= cfg.r_p:
-        chasing = True
         heading = math.atan2(ey - y, ex - x)
         speed = cfg.v_p_max
     else:
-        chasing = False
         speed = patrol_speed
 
     nx, ny = _advance(x, y, speed, heading, cfg.dt)
@@ -99,15 +97,14 @@ def reference_step(row: tuple, evader_pos: tuple[float, float],
     if flip_x or flip_y:
         heading = _reflect_heading(heading, flip_x, flip_y)
         nx, ny = _advance(x, y, speed, heading, cfg.dt)
-    return nx, ny, speed, heading, chasing, patrol_speed
+    return nx, ny, speed, heading, patrol_speed
 
 
 def as_unit_row(row: tuple) -> tuple:
     """A reference row in the form of :func:`pursuer_rows`: the heading
     becomes ``(math.cos(h), math.sin(h))``."""
-    x, y, speed, heading, chasing, patrol_speed = row
-    return (x, y, speed, math.cos(heading), math.sin(heading), chasing,
-            patrol_speed)
+    x, y, speed, heading, patrol_speed = row
+    return x, y, speed, math.cos(heading), math.sin(heading), patrol_speed
 
 
 @st.composite
@@ -117,8 +114,8 @@ def pursuer_scenes(draw):
 
     Each pursuer is, at random, anywhere, within ``r_p`` of the evader's first
     position (chase), within one step of a wall (single reflection) or of a
-    corner (double reflection); some start out chasing, and their patrol
-    speeds differ from their current speeds.
+    corner (double reflection); their patrol speeds differ from their
+    current speeds, as after a chase.
     """
     cfg = small_arena(half_width=25.0, half_height=25.0, spawn_half_extent=5.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -147,11 +144,9 @@ def pursuer_scenes(draw):
                      rng.uniform(-math.pi, math.pi)))
     p = Pursuers.from_rows(rows)
     p.patrol_speed = rng.uniform(cfg.v_p_min, cfg.v_p_max, (1, len(rows)))
-    p.chasing = rng.random((1, len(rows))) < 0.3
-    reference = [(x, y, speed, h, chasing, patrol_speed)
-                 for (x, y, speed, h), chasing, patrol_speed
-                 in zip(rows, p.chasing[0].tolist(),
-                        p.patrol_speed[0].tolist())]
+    reference = [(x, y, speed, h, patrol_speed)
+                 for (x, y, speed, h), patrol_speed
+                 in zip(rows, p.patrol_speed[0].tolist())]
 
     path = [evader]
     for _ in range(draw(st.integers(0, 19))):
@@ -177,6 +172,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_arena(**bad)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        names = [f.name for f in fields(ArenaConfig)
+                 if isinstance(getattr(ArenaConfig(), f.name), float)]
+        assert len(names) == 11
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                small_arena(**{name: value})
+
 
 class TestInitWorld:
     def test_same_seed_bit_identical(self):
@@ -190,12 +194,12 @@ class TestInitWorld:
     def test_pursuers_outside_spawn_region(self, seed):
         cfg = small_arena(n_pursuers=20)
         w = init_world(cfg, seed)
-        for x, y, speed, _, _, chasing, _ in pursuer_rows(w.pursuers):
+        for x, y, speed, _, _, patrol_speed in pursuer_rows(w.pursuers):
             assert not (abs(x) <= cfg.spawn_half_extent
                         and abs(y) <= cfg.spawn_half_extent)
             assert abs(x) <= cfg.half_width and abs(y) <= cfg.half_height
             assert cfg.v_p_min <= speed <= cfg.v_p_max
-            assert not chasing
+            assert speed == patrol_speed
 
     @pytest.mark.parametrize("seed", range(10))
     def test_evader_spawn(self, seed):
@@ -287,8 +291,8 @@ class TestStepPursuer:
         # evader out of sensor range
         p2 = step_pursuers(p, (50.0, 50.0), cfg)
         assert abs(p2.xy[0, 0, 0] - 0.5) < TOL and abs(p2.xy[0, 0, 1]) < TOL
-        assert not p2.chasing[0, 0]
         assert p2.speed[0, 0] == 5.0
+        assert p2.unit[0, 0].tolist() == p.unit[0, 0].tolist()
 
     def test_specular_reflection_vertical_wall(self):
         cfg = small_arena()
@@ -313,17 +317,19 @@ class TestStepPursuer:
              rng.uniform(5, 10), rng.uniform(-math.pi, math.pi))
             for _ in range(200))
         p2 = step_pursuers(p, (0.0, 0.0), cfg)
-        for (x, y, speed, _, _, chasing, _), before in zip(pursuer_rows(p2),
-                                                        p.speed[0].tolist()):
+        chased = (np.hypot(p.xy[0, :, 0], p.xy[0, :, 1]) <= cfg.r_p).tolist()
+        assert any(chased)
+        for (x, y, speed, *_), before, chase in zip(pursuer_rows(p2),
+                                                    p.speed[0].tolist(),
+                                                    chased):
             assert abs(x) <= cfg.half_width + 1e-9
             assert abs(y) <= cfg.half_height + 1e-9
-            assert speed == before or chasing
+            assert speed == (cfg.v_p_max if chase else before)
 
     def test_chase_on_detection(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=2.0)
         p2 = step_pursuers(p, (cfg.r_p - 1e-6, 0.0), cfg)
-        assert p2.chasing[0, 0]
         assert p2.speed[0, 0] == cfg.v_p_max
         assert abs(direction_deg(p2)) < 1e-6  # bearing to evader
 
@@ -331,7 +337,8 @@ class TestStepPursuer:
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=0.0)
         p2 = step_pursuers(p, (cfg.r_p + 1e-3, 0.0), cfg)
-        assert not p2.chasing[0, 0]
+        assert p2.speed[0, 0] == 5.0
+        assert p2.unit[0, 0].tolist() == p.unit[0, 0].tolist()
         assert abs(p2.xy[0, 0, 0] - 0.5) < TOL
 
     def test_patrol_speed_restored_after_chase(self):
@@ -339,8 +346,8 @@ class TestStepPursuer:
         p = one(0.0, 0.0, speed=6.0, heading=0.5)
         chased = step_pursuers(p, (1.0, 0.0), cfg)
         assert chased.speed[0, 0] == cfg.v_p_max
+        assert abs(direction_deg(chased)) < 1e-9  # aimed at the evader
         released = step_pursuers(chased, (80.0, 80.0), cfg)
-        assert not released.chasing[0, 0]
         assert released.speed[0, 0] == 6.0
         assert released.unit[0, 0].tolist() == chased.unit[0, 0].tolist()
 
@@ -369,8 +376,7 @@ class TestStepPursuer:
         cfg = scenes[0][0]
         n = min(p.speed.shape[1] for _, p, _, _ in scenes)
         worlds = [Pursuers(*(getattr(p, f)[:, :n] for f in
-                             ("xy", "speed", "unit", "patrol_speed",
-                              "chasing")))
+                             ("xy", "speed", "unit", "patrol_speed")))
                   for _, p, _, _ in scenes]
         for step in range(3):
             evaders = [path[min(step, len(path) - 1)]

@@ -79,14 +79,14 @@ def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
     for episode in range(episodes):
         seed = harness._episode_seed(cfg.seed, harness._EVAL_TAG, episode)
         stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing,
-                                 None, cfg.pfm, cfg.reward_sign)
+                                 None, cfg.pfm)
         policy.reset([seed])
         cum = 0.0
         steps = 0
         (outcome,) = stepper.world.outcomes
         while outcome is None:
-            (outcome,), (reward,), _ = stepper.step_action(policy.act(stepper))
-            cum += reward
+            (outcome,), (breakdown,) = stepper.step_action(policy.act(stepper))
+            cum += breakdown.reward
             steps += 1
         records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
                                    cum / steps if steps else 0.0))
