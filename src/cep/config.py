@@ -57,6 +57,8 @@ class RunConfig:
             raise ValueError("episodes must be >= 1")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # What the config file cannot hold: '#' starts a comment, a line
         # break ends the line, and a value is read back stripped.
         if "#" in self.out_dir or self.out_dir != self.out_dir.strip() or \

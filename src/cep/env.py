@@ -38,6 +38,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "check_finite",
     "ArenaConfig",
     "Pursuers",
     "EvaderState",
@@ -48,10 +49,20 @@ __all__ = [
     "step_evader",
     "step_pursuers",
     "step_world",
+    "check_outcome",
     "max_steps",
     "nearest_wall",
     "objective_value",
 ]
+
+
+def check_finite(cfg) -> None:
+    """Raise ``ValueError`` naming the first float field of the dataclass
+    ``cfg`` that is not finite: every config section checks this first."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,7 @@ class ArenaConfig:
     t_max: float = 300.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_finite(self)
         lengths = {
             "half_width": self.half_width,
             "half_height": self.half_height,
@@ -167,7 +175,6 @@ class OutcomeKind(Enum):
 class EpisodeOutcome:
     kind: OutcomeKind
     steps: int
-    final_t: float
 
 
 @dataclass
@@ -395,7 +402,7 @@ def check_outcome(w: WorldState, cfg: ArenaConfig
         else:
             outcomes.append(None)
             continue
-        outcomes.append(EpisodeOutcome(kind, w.step_count, w.t))
+        outcomes.append(EpisodeOutcome(kind, w.step_count))
     return outcomes
 
 

@@ -14,8 +14,9 @@ have on its own.  A policy acts on the batch: ``reset(episode_seeds)`` is
 called with the seeds of a batch's episodes, and ``act(stepper)`` returns one
 velocity command per live episode, in the order of ``stepper.live`` (their
 positions in that batch).  It reads what it needs from the stepper: the
-planner the ``frames``, the actor the ``observations``, built (from
-``lidars``) when read; the random walk keeps one generator per episode seed.
+planner the ``frames``, the actor the ``observations``, one row per live
+episode, built for the whole batch (from ``lidars``) when read; the random
+walk keeps one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -56,6 +57,7 @@ __all__ = [
     "make_policy",
     "train",
     "evaluate_monte_carlo",
+    "sweep_arena",
     "sweep",
     "replay",
     "load_grid",

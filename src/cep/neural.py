@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import check_finite
+
 __all__ = [
     "Mlp",
     "ReplayBuffer",
@@ -50,6 +52,7 @@ __all__ = [
     "PolicyBundle",
     "TrainingDiverged",
     "forward_actor",
+    "actor_mean_action",
     "actor_sample_batch",
     "critic_target",
     "critic_loss_and_grads",
@@ -217,6 +220,7 @@ class TrainConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
         if self.alpha < 0:

@@ -4,8 +4,8 @@
 pursuers, the nearest wall's distance and direction, and the time factor
 ``t_f = (1 - t/t_max) / 2``.  It scans every world of a batch at once; the
 per-detection angles and the nearest wall stay per world.  :func:`observe`
-builds one world's actor input from its lidar and boundary scans; only the
-replay's ``min_lidar`` also reads one.
+builds every world's actor input, one row each, from the batch's lidar and
+boundary scans; only the replay's ``min_lidar`` also reads a lidar scan.
 
 Rays are cast in the evader frame, which is evader-centered and axis-aligned
 (the evader localizes itself, so directions are absolute): ray ``k`` points
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ArenaConfig, WorldState, nearest_wall
+from .env import ArenaConfig, WorldState, check_finite, nearest_wall
 
 __all__ = [
     "SensingConfig",
@@ -58,6 +58,7 @@ class SensingConfig:
     r_b_norm: float = 200.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.n_s < 4:
             raise ValueError("n_s must be >= 4")
         if not self.k_s > 0:
@@ -96,14 +97,20 @@ class SenseFrame:
 
 
 @functools.lru_cache(maxsize=16)
-def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines and sines of the ``n_s`` ray angles, computed once per ``n_s``;
-    the arrays are shared by every caller, so they are read-only."""
+def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Computed once per ``n_s`` and shared read-only by every caller: the
+    ``(2, n_s)`` cosines and sines of the ray angles (rows x and y); per axis
+    and ray, the sign of the wall the ray heads for, ``inf`` on a ray
+    parallel to that axis' walls; and the divisor that turns a wall offset
+    into a ray length, the cosine, or 1 on a parallel ray, whose length is
+    then ``inf`` with no division by zero."""
     angles = 2.0 * math.pi * np.arange(n_s) / n_s
-    cx, sx = np.cos(angles), np.sin(angles)
-    cx.setflags(write=False)
-    sx.setflags(write=False)
-    return cx, sx
+    dirs = np.stack([np.cos(angles), np.sin(angles)])
+    signs = np.where(dirs > 0.0, 1.0, np.where(dirs < 0.0, -1.0, np.inf))
+    divisors = np.where(dirs == 0.0, 1.0, dirs)
+    for a in (dirs, signs, divisors):
+        a.setflags(write=False)
+    return dirs, signs, divisors
 
 
 def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
@@ -136,22 +143,24 @@ def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
     return frames
 
 
-def cast_rays(w: WorldState, arena: ArenaConfig, cfg: SensingConfig,
-              e: int = 0) -> np.ndarray:
-    """Lidar ranges of world ``e`` of ``w`` over its pursuer discs.
+def cast_rays(w: WorldState, arena: ArenaConfig,
+              cfg: SensingConfig) -> np.ndarray:
+    """Lidar ranges of every world of ``w`` over its pursuer discs: one row
+    of ``n_s`` ranges per world.
 
     A ray's range is the nearest positive disc intersection within ``r_e``,
     else ``r_e``.  Only discs centered within ``r_e`` plus the radius (and a
-    1e-9 relative margin for rounding) can be hit inside ``r_e``.
+    1e-9 relative margin for rounding) can be hit inside ``r_e``.  Each near
+    disc of the batch folds into its world's row by an exact minimum.
     """
     rel, dists = w.offsets
-    rel, dists = rel[e], dists[e]
     radius = arena.capture_radius / 2.0
-    near = dists <= (arena.r_e + radius) * (1.0 + 1e-9)
-    if not near.any():
-        return np.full(cfg.n_s, arena.r_e)
-    rel, dists = rel[near], dists[near]
-    cx, sx = _ray_directions(cfg.n_s)
+    scan = np.full((len(w.evaders), cfg.n_s), arena.r_e)
+    worlds, near = (dists <= (arena.r_e + radius) * (1.0 + 1e-9)).nonzero()
+    if not worlds.size:
+        return scan
+    rel, dists = rel[worlds, near], dists[worlds, near]
+    (cx, sx), _, _ = _ray_directions(cfg.n_s)
     # t_c: projection of each center onto each ray, shape (n_near, n_s)
     t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
     perp_sq = (dists ** 2)[:, None] - t_c ** 2
@@ -162,25 +171,24 @@ def cast_rays(w: WorldState, arena: ArenaConfig, cfg: SensingConfig,
     t1 = t_c + h
     t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
     t = np.where(hit, t, np.inf)
-    return np.minimum(t.min(axis=0), arena.r_e)
+    np.minimum.at(scan, worlds, t)
+    return scan
 
 
-def boundary_scan(evader_pos: tuple[float, float], arena: ArenaConfig,
+def boundary_scan(xy: list[tuple[float, float]], arena: ArenaConfig,
                   cfg: SensingConfig) -> np.ndarray:
-    """Distance along each evader-frame ray to the confinement rectangle.
+    """Distance along each evader-frame ray to the confinement rectangle,
+    one row of ``n_s`` per ``(x, y)`` row of ``xy``.
 
     Outside the arena all distances are 0 (the episode is already terminal).
     """
-    x, y = evader_pos
-    if abs(x) > arena.half_width or abs(y) > arena.half_height:
-        return np.zeros(cfg.n_s)
-    cx, sx = _ray_directions(cfg.n_s)
-    with np.errstate(divide="ignore"):
-        tx = np.where(cx > 0.0, (arena.half_width - x) / cx,
-                      np.where(cx < 0.0, (-arena.half_width - x) / cx, np.inf))
-        ty = np.where(sx > 0.0, (arena.half_height - y) / sx,
-                      np.where(sx < 0.0, (-arena.half_height - y) / sx, np.inf))
-    return np.minimum(tx, ty)
+    _, signs, divisors = _ray_directions(cfg.n_s)
+    xy = np.asarray(xy, dtype=float)
+    half = np.array([[arena.half_width], [arena.half_height]])
+    # Per position, axis and ray: the distance to the wall the ray meets.
+    t = (signs * half - xy[:, :, None]) / divisors
+    inside = (np.abs(xy) <= half.T).all(axis=1)
+    return np.where(inside[:, None], np.minimum(t[:, 0], t[:, 1]), 0.0)
 
 
 def time_factor(t: float, t_max: float) -> float:
@@ -193,12 +201,11 @@ def time_factor(t: float, t_max: float) -> float:
 
 
 def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
-            cfg: SensingConfig, e: int = 0) -> np.ndarray:
-    """The actor's input at world ``e`` of ``w`` given its :func:`cast_rays`
-    scan: ``n_s`` scalars, each the weighted mean of the encoded lidar and
-    boundary ranges of one ray, times ``t_f``."""
-    evader = w.evaders[e]
-    boundary = boundary_scan((evader.x, evader.y), arena, cfg)
+            cfg: SensingConfig) -> np.ndarray:
+    """The actor's input at each world of ``w`` given the :func:`cast_rays`
+    scan, one row per world: ``n_s`` scalars, each the weighted mean of the
+    encoded lidar and boundary ranges of one ray, times ``t_f``."""
+    boundary = boundary_scan([(e.x, e.y) for e in w.evaders], arena, cfg)
     t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .env import ArenaConfig, EpisodeOutcome, Pursuers, WorldState, \
-    step_evader, step_world
+    check_finite, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmGains, PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
@@ -62,6 +62,7 @@ class ScaffoldConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (0.0 <= self.beta <= 100.0):
             raise ValueError("beta must be in [0, 100]")
         if not self.epsilon > 0:
@@ -130,11 +131,12 @@ def predict_next_state(w: WorldState, frame: SenseFrame,
 
 class EpisodeStepper:
     """Owns a batch of episodes stepped in lockstep: the worlds and their
-    frames, one entry per episode.
+    frames, one entry per episode, and the lidar scans and actor inputs of
+    the whole batch, one row per episode, built when read.
 
     ``live`` holds the batch positions of the episodes still held;
-    :meth:`drop_ended` removes the finished ones from every array, so each
-    step works only on live episodes.  Evaluation and replay use
+    :meth:`drop_ended` removes the finished ones, so each step works only on
+    live episodes.  Evaluation and replay use
     :meth:`step_action`, which executes one chosen action per episode and
     reports the realized rewards.  Training drives a one-episode stepper
     through :meth:`step`: with ``scaffold`` set it runs the full arbitration
@@ -151,8 +153,8 @@ class EpisodeStepper:
         self.scaffold = scaffold
         self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.frames = sense(world, arena)
-        self._lidars: list[np.ndarray] | None = None
-        self._observations: list[np.ndarray] | None = None
+        self._lidars: np.ndarray | None = None
+        self._observations: np.ndarray | None = None
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius), so a runner reads world.outcomes,
         # or calls drop_ended, before the first step.
@@ -168,22 +170,20 @@ class EpisodeStepper:
         return [replace(f, detections=[]) for f in self.frames]
 
     @property
-    def lidars(self) -> list[np.ndarray]:
-        """Each episode's lidar scan of the current world, cast on first read
-        and kept until the next step."""
+    def lidars(self) -> np.ndarray:
+        """The lidar scans of the current worlds, one row per episode, cast
+        on first read and kept until the worlds change."""
         if self._lidars is None:
-            self._lidars = [cast_rays(self.world, self.arena, self.sensing_cfg,
-                                      e) for e in range(len(self.live))]
+            self._lidars = cast_rays(self.world, self.arena, self.sensing_cfg)
         return self._lidars
 
     @property
-    def observations(self) -> list[np.ndarray]:
-        """Each episode's actor input at the current world, built from
-        :attr:`lidars` on first read and kept until the next step."""
+    def observations(self) -> np.ndarray:
+        """The actor inputs at the current worlds, one row per episode, built
+        from :attr:`lidars` on first read and kept until the worlds change."""
         if self._observations is None:
-            self._observations = [
-                observe(self.world, lidar, self.arena, self.sensing_cfg, e)
-                for e, lidar in enumerate(self.lidars)]
+            self._observations = observe(self.world, self.lidars, self.arena,
+                                         self.sensing_cfg)
         return self._observations
 
     def drop_ended(self) -> list[tuple[int, EpisodeOutcome]]:
@@ -194,15 +194,10 @@ class EpisodeStepper:
             return []
         ended = [(k, o) for k, o in zip(self.live, outcomes) if o is not None]
         keep = [j for j, o in enumerate(outcomes) if o is None]
-
-        def kept(rows):
-            return None if rows is None else [rows[k] for k in keep]
-
         self.world = self.world.take(keep)
-        self.frames = kept(self.frames)
-        self.live = kept(self.live)
-        self._lidars = kept(self._lidars)
-        self._observations = kept(self._observations)
+        self.frames = [self.frames[j] for j in keep]
+        self.live = [self.live[j] for j in keep]
+        self._lidars = self._observations = None
         return ended
 
     def _advance_world(self, actions: list[tuple[float, float]]

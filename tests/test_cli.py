@@ -111,6 +111,33 @@ def test_non_finite_arena_value_rejected(tmp_path, capsys, key):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("key", ["sensing.w_l", "scaffold.epsilon", "pfm.k_p",
+                                 "train.alpha"])
+def test_non_finite_section_value_rejected(tmp_path, capsys, key):
+    # Before: scaffold.epsilon = inf trained SR2L as IAC, sensing.w_l = inf
+    # made every observation NaN.
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\n{key} = inf\n")
+    assert cli.main(["train", "--mode", "sr2l", "--episodes", "1",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+    name = key.split(".")[1]
+    assert capsys.readouterr().err == \
+        f"cep: error: {config}: 2: {key}: {name} must be finite, got inf\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_negative_seed_rejected(tmp_path, capsys):
+    # Before: the run directory and its config.txt were written, then numpy
+    # failed on the seed with a message naming neither key nor value.
+    out = tmp_path / "a"
+    assert cli.main(["train", "--mode", "iac", "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "cep: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_out_dir_the_config_cannot_hold(tmp_path, capsys):
     # save_config would write 'out_dir = .../#1', read back as '.../'.
     runs = tmp_path / "runs"

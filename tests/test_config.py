@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 from cep.config import (MODES, RunConfig, config_to_text, desk_profile,
                         load_config, paper_profile, save_config)
 from cep.neural import TrainConfig
+from cep.pfm import PfmGains
+from cep.sensing import SensingConfig
+from cep.sr2l import ScaffoldConfig
 
 finite = st.floats(0.01, 1e6)
 
@@ -59,6 +63,20 @@ def test_out_dir_the_file_cannot_hold_rejected(out_dir):
     # (or fail on the line after a break).
     with pytest.raises(ValueError, match="out_dir"):
         replace(desk_profile(), out_dir=out_dir)
+
+
+@pytest.mark.parametrize("section", [SensingConfig, ScaffoldConfig, PfmGains,
+                                     TrainConfig])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_rejected(section, value):
+    # Before: scaffold.epsilon = inf trained SR2L as IAC (D_f = 0 on every
+    # step), sensing.w_l = inf made every observation NaN.
+    names = [f.name for f in fields(section)
+             if isinstance(getattr(section(), f.name), float)]
+    assert names
+    for name in names:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            section(**{name: value})
 
 
 @pytest.mark.parametrize("mode", ["pfm", "random", "IAC", ""])

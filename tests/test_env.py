@@ -444,7 +444,7 @@ class TestStepWorld:
                           spawn_half_extent=0.5, n_pursuers=20,
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
-        assert w.outcomes == [EpisodeOutcome(OutcomeKind.CAPTURED, 0, 0.0)]
+        assert w.outcomes == [EpisodeOutcome(OutcomeKind.CAPTURED, 0)]
         stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8), None)
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
     ranges."""
     cfg = arena()
     monkeypatch.setattr(sensing, "boundary_scan",
-                        lambda pos, a, c: np.asarray(boundary, dtype=float))
+                        lambda xy, a, c: np.asarray(boundary, dtype=float))
     w = init_world(cfg, 0)
     w.t = (1.0 - 2.0 * t_f) * cfg.t_max
     return observe(w, np.asarray(lidar, dtype=float), cfg, scfg)
@@ -45,7 +46,7 @@ def full_cast(w, arena, cfg):
         return np.full(cfg.n_s, arena.r_e)
     rel = w.pursuers.xy[0] - (w.evaders[0].x, w.evaders[0].y)
     dists = np.hypot(rel[:, 0], rel[:, 1])
-    cx, sx = _ray_directions(cfg.n_s)
+    cx, sx = _ray_directions(cfg.n_s)[0]
     radius = arena.capture_radius / 2.0
     t_c = rel[:, 0:1] * cx[None, :] + rel[:, 1:2] * sx[None, :]
     perp_sq = (dists ** 2)[:, None] - t_c ** 2
@@ -57,6 +58,25 @@ def full_cast(w, arena, cfg):
     t = np.where(t0 > 0.0, t0, np.where(t1 > 0.0, t1, np.inf))
     t = np.where(hit, t, np.inf)
     return np.minimum(t.min(axis=0), arena.r_e)
+
+
+def reference_scan(pos, arena, cfg):
+    """Reference boundary scan of one position, ray by ray in Python
+    floats: per axis the offset to the wall the ray heads for over the
+    direction cosine (``inf`` on a ray parallel to that axis' walls), the
+    smaller of the two; all 0 outside the arena."""
+    x, y = pos
+    if abs(x) > arena.half_width or abs(y) > arena.half_height:
+        return np.zeros(cfg.n_s)
+
+    def length(wall, p, c):
+        if c > 0.0:
+            return (wall - p) / c
+        return (-wall - p) / c if c < 0.0 else math.inf
+
+    return np.array([min(length(arena.half_width, x, c),
+                         length(arena.half_height, y, s))
+                     for c, s in zip(*_ray_directions(cfg.n_s)[0].tolist())])
 
 
 class TestCastRays:
@@ -73,7 +93,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         p = (5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        scan = cast_rays(w, cfg, scfg)
+        (scan,) = cast_rays(w, cfg, scfg)
         detections = sense(w, cfg)[0].detections
         assert scan[0] < 5.0
         assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
@@ -92,7 +112,7 @@ class TestCastRays:
         near = (4.0, 0.0, 5.0, 0.0)
         far = (8.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [far, near], cfg)
-        scan = cast_rays(w, cfg, scfg)
+        (scan,) = cast_rays(w, cfg, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
         assert len(sense(w, cfg)[0].detections) == 2
 
@@ -112,7 +132,7 @@ class TestCastRays:
         for d in np.linspace(14.0, 2.0, 30):
             p = (d, 0.0, 5.0, 0.0)
             w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-            scan = cast_rays(w, cfg, scfg)
+            (scan,) = cast_rays(w, cfg, scfg)
             assert scan[0] <= prev + 1e-12
             prev = scan[0]
 
@@ -124,14 +144,14 @@ class TestCastRays:
         pursuers = [(x, y, 5.0, 0.0) for x, y in pts
                     if math.hypot(x, y) > 3.0]
         w = world_with(EvaderState(0.0, 0.0), pursuers, cfg)
-        scan = cast_rays(w, cfg, scfg)
+        (scan,) = cast_rays(w, cfg, scfg)
 
         step = 2 * math.pi / scfg.n_s
         c, s = math.cos(step), math.sin(step)
         rotated = [(c * x - s * y, s * x + c * y, 5.0, 0.0)
                    for x, y, _, _ in pursuers]
         w2 = world_with(EvaderState(0.0, 0.0), rotated, cfg)
-        scan2 = cast_rays(w2, cfg, scfg)
+        (scan2,) = cast_rays(w2, cfg, scfg)
         assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
 
     def test_heading_does_not_affect_scan(self):
@@ -150,29 +170,43 @@ class TestCastRays:
 
 class TestRestrictedCast:
     """``cast_rays`` intersects only pursuers within the cut-off
-    ``(r_e + capture_radius / 2) * (1 + 1e-9)``; the scan must equal the
-    full cast exactly."""
+    ``(r_e + capture_radius / 2) * (1 + 1e-9)``, for the whole batch at
+    once; each world's row must equal the full cast of that world alone,
+    exactly."""
 
     CFG = arena(capture_radius=2.0, r_e=10.0)
     CUT = (10.0 + 1.0) * (1.0 + 1e-9)
+    # Pursuer offsets from the evader as (angle, distance): near, on and
+    # around the cut-off, or out of reach.
+    OFFSETS = st.tuples(st.floats(0.0, 2.0 * math.pi),
+                        st.one_of(st.floats(0.0, 25.0),
+                                  st.sampled_from([CUT, 11.0, 10.0, 1.0]),
+                                  st.floats(10.9, 11.1),
+                                  st.floats(11.5, 60.0)))
 
     @settings(max_examples=300, deadline=None)
-    @given(evader=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
-           pursuers=st.lists(
-               st.tuples(st.floats(0.0, 2.0 * math.pi),
-                         st.one_of(st.floats(0.0, 25.0),
-                                   st.sampled_from([CUT, 11.0, 10.0, 1.0]),
-                                   st.floats(10.9, 11.1))),
-               max_size=40),
+    @given(data=st.data(), n=st.integers(0, 40),
+           evaders=st.lists(st.tuples(st.floats(-20.0, 20.0),
+                                      st.floats(-20.0, 20.0)),
+                            min_size=1, max_size=3),
+           outside=st.tuples(st.floats(100.5, 130.0),
+                             st.floats(-130.0, 130.0)),
            n_s=st.sampled_from([4, 7, 36, 72]))
-    def test_equals_full_cast(self, evader, pursuers, n_s):
-        ex, ey = evader
-        rows = [(ex + r * math.cos(a), ey + r * math.sin(a), 5.0, 0.0)
-                for a, r in pursuers]
-        w = world_with(EvaderState(ex, ey), rows, self.CFG)
+    def test_equals_full_cast(self, data, n, evaders, outside, n_s):
+        # The last world's evader is outside the arena.
+        alone = []
+        for ex, ey in [*evaders, outside]:
+            offsets = data.draw(st.lists(self.OFFSETS, min_size=n, max_size=n))
+            rows = [(ex + r * math.cos(a), ey + r * math.sin(a), 5.0, 0.0)
+                    for a, r in offsets]
+            alone.append(world_with(EvaderState(ex, ey), rows, self.CFG))
+        batch = WorldState([w.evaders[0] for w in alone],
+                           Pursuers.stack([w.pursuers for w in alone]))
         scfg = SensingConfig(n_s=n_s)
-        assert np.array_equal(cast_rays(w, self.CFG, scfg),
-                              full_cast(w, self.CFG, scfg))
+        scan = cast_rays(batch, self.CFG, scfg)
+        assert scan.shape == (len(alone), n_s)
+        for row, w in zip(scan, alone):
+            assert np.array_equal(row, full_cast(w, self.CFG, scfg))
 
     def test_pursuer_on_cut_off_along_a_ray(self):
         # Centers on ray 0 at and around the cut-off: the disc's near edge
@@ -181,7 +215,7 @@ class TestRestrictedCast:
         for r in (11.0 - 1e-12, 11.0, self.CUT, 11.0 + 1e-9, 11.0 + 1e-6):
             w = world_with(EvaderState(0.0, 0.0), [(r, 0.0, 5.0, 0.0)],
                            self.CFG)
-            assert np.array_equal(cast_rays(w, self.CFG, scfg),
+            assert np.array_equal(cast_rays(w, self.CFG, scfg)[0],
                                   full_cast(w, self.CFG, scfg))
 
     def test_none_near_gives_max_range(self):
@@ -207,12 +241,15 @@ class TestBatch:
             w.t = t
         batch = WorldState.stack(worlds)
         frames = sense(batch, cfg)
+        lidars = cast_rays(batch, cfg, scfg)
+        observations = observe(batch, lidars, cfg, scfg)
+        assert observations.shape == (len(worlds), scfg.n_s)
         for e, w in enumerate(worlds):
             assert frames[e] == sense(w, cfg)[0]
             lidar = cast_rays(w, cfg, scfg)
-            assert np.array_equal(cast_rays(batch, cfg, scfg, e), lidar)
-            assert np.array_equal(observe(batch, lidar, cfg, scfg, e),
-                                  observe(w, lidar, cfg, scfg))
+            assert np.array_equal(lidars[e], lidar[0])
+            assert np.array_equal(observations[e],
+                                  observe(w, lidar, cfg, scfg)[0])
 
     def test_take_keeps_the_chosen_worlds(self):
         cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
@@ -232,12 +269,16 @@ class TestBatch:
 
 class TestRayDirections:
     def test_computed_once_and_read_only(self):
-        cx, sx = _ray_directions(36)
-        assert _ray_directions(36)[0] is cx
-        assert not cx.flags.writeable and not sx.flags.writeable
+        dirs, signs, divisors = _ray_directions(36)
+        assert _ray_directions(36)[0] is dirs
+        assert not any(a.flags.writeable for a in (dirs, signs, divisors))
         angles = 2.0 * math.pi * np.arange(36) / 36
-        assert np.array_equal(cx, np.cos(angles))
-        assert np.array_equal(sx, np.sin(angles))
+        assert np.array_equal(dirs, [np.cos(angles), np.sin(angles)])
+        # Only ray 0 runs exactly parallel to an axis' walls: sin 0 == 0.
+        parallel = dirs == 0.0
+        assert parallel.sum() == 1 and parallel[1, 0]
+        assert np.array_equal(signs, np.where(parallel, np.inf, np.sign(dirs)))
+        assert np.array_equal(divisors, np.where(parallel, 1.0, dirs))
 
 
 class TestEncodeLidar:
@@ -256,20 +297,21 @@ class TestBoundaryScan:
     def test_center_axis_ray(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
-        scan = boundary_scan((0.0, 0.0), cfg, scfg)
+        (scan,) = boundary_scan([(0.0, 0.0)], cfg, scfg)
         assert abs(scan[0] - 100.0) < 1e-9
 
     def test_center_diagonal_ray(self):
         cfg = arena()
         scfg = SensingConfig(n_s=8)   # ray 1 at 45 degrees
-        scan = boundary_scan((0.0, 0.0), cfg, scfg)
+        (scan,) = boundary_scan([(0.0, 0.0)], cfg, scfg)
         assert abs(scan[1] - 100.0 * math.sqrt(2)) < 1e-9
 
     def test_outside_is_zero(self):
         cfg = arena()
         scfg = SensingConfig(n_s=8)
-        scan = boundary_scan((150.0, 0.0), cfg, scfg)
-        assert np.all(scan == 0.0)
+        scan = boundary_scan([(150.0, 0.0), (0.0, 0.0), (0.0, -100.5)], cfg,
+                             scfg)
+        assert np.all(scan[[0, 2]] == 0.0) and np.all(scan[1] > 0.0)
 
     def test_encode_far_boundary_zero(self, monkeypatch):
         # With w_l = 0 and t_f = 0.5 the observation is half the boundary code.
@@ -286,11 +328,34 @@ class TestBoundaryScan:
         scfg = SensingConfig(n_s=36)
         rng = np.random.default_rng(seed)
         pos = (rng.uniform(-99, 99), rng.uniform(-99, 99))
-        scan = boundary_scan(pos, cfg, scfg)
+        scan = boundary_scan([pos], cfg, scfg)
         d_b = nearest_wall(pos, cfg)[0]
         m = float(np.min(scan))
         assert m >= d_b - 1e-9
         assert m <= d_b + 2 * math.pi * d_b / scfg.n_s + 1e-9
+
+    @pytest.mark.parametrize("pos", [(0.0, 100.0), (0.0, -100.0),
+                                     (100.0, 100.0)])
+    def test_on_a_wall_without_warning(self, pos):
+        # Ray 0 runs along the north and south walls (sin 0 == 0).
+        cfg = arena()
+        scfg = SensingConfig(n_s=36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (scan,) = boundary_scan([pos], cfg, scfg)
+        assert np.array_equal(scan, reference_scan(pos, cfg, scfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(-120.0, 120.0),
+                                   st.floats(-120.0, 120.0)),
+                         min_size=1, max_size=5),
+           n_s=st.sampled_from([4, 7, 36, 72]))
+    def test_each_row_as_the_reference(self, rows, n_s):
+        cfg = arena()
+        scfg = SensingConfig(n_s=n_s)
+        scan = boundary_scan(rows, cfg, scfg)
+        for row, pos in zip(scan, rows):
+            assert np.array_equal(row, reference_scan(pos, cfg, scfg))
 
 
 class TestTimeFactor:

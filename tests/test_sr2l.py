@@ -171,3 +171,22 @@ class TestScaffoldSelect:
         branch, stored = scaffold_select(r_r, r_p, below, beta)
         assert branch is Branch.PLANNER
         assert stored == r_r - abs(r_p - r_r)
+
+
+class TestDropEnded:
+    def test_scans_follow_the_kept_worlds(self):
+        # Scans read before a world ends are rebuilt for the worlds kept.
+        cfg = ArenaConfig(half_width=20.0, half_height=20.0,
+                          spawn_half_extent=0.5, n_pursuers=20,
+                          capture_radius=2.9, r_p=3.0)
+        worlds = [init_world(cfg, seed) for seed in range(20)]
+        ended = next(w for w in worlds if w.outcomes[0] is not None)
+        live = next(w for w in worlds if w.outcomes[0] is None)
+        stepper = EpisodeStepper(WorldState.stack([live, ended, live]), cfg,
+                                 SENSING, None)
+        assert stepper.observations.shape == (3, SENSING.n_s)
+        assert stepper.drop_ended() == [(1, ended.outcomes[0])]
+        alone = EpisodeStepper(live, cfg, SENSING, None)
+        assert np.array_equal(stepper.lidars, np.repeat(alone.lidars, 2, 0))
+        assert np.array_equal(stepper.observations,
+                              np.repeat(alone.observations, 2, 0))
