@@ -184,16 +184,15 @@ class WorldState:
     World ``e`` is ``evaders[e]`` with row ``e`` of the pursuer arrays, and
     ``outcomes[e]`` is set by :func:`init_world` and :func:`step_world` once
     it is terminal; a batch holding a terminal world is never stepped.  The
-    worlds share ``step_count`` and ``t``, which is always
-    ``step_count * dt`` (recomputed, never accumulated) so the step bound
-    ceil(t_max/dt) holds without float drift.  Stepping is fully
-    deterministic.  ``evaders`` and ``pursuers`` are not rebound once built:
-    :attr:`offsets` is computed from them on first read and kept.
+    worlds share ``step_count``; their time is ``step_count * dt``, computed
+    where it is read, never accumulated, so the step bound ceil(t_max/dt)
+    holds without float drift.  Stepping is fully deterministic.
+    ``evaders`` and ``pursuers`` are not rebound once built: :attr:`offsets`
+    is computed from them on first read and kept.
     """
 
     evaders: list[EvaderState]
     pursuers: Pursuers
-    t: float = 0.0
     step_count: int = 0
     outcomes: list[EpisodeOutcome | None] | None = None
     _offsets: tuple[np.ndarray, np.ndarray] | None = field(
@@ -218,17 +217,17 @@ class WorldState:
     def stack(cls, worlds: Sequence["WorldState"]) -> "WorldState":
         """The worlds of ``worlds``, in order, as one batch; they must be at
         the same step."""
-        step_count, t = worlds[0].step_count, worlds[0].t
-        if any((w.step_count, w.t) != (step_count, t) for w in worlds):
+        step_count = worlds[0].step_count
+        if any(w.step_count != step_count for w in worlds):
             raise ValueError("a batch's worlds must be at the same step")
         return cls([e for w in worlds for e in w.evaders],
-                   Pursuers.stack([w.pursuers for w in worlds]), t,
-                   step_count, [o for w in worlds for o in w.outcomes])
+                   Pursuers.stack([w.pursuers for w in worlds]), step_count,
+                   [o for w in worlds for o in w.outcomes])
 
     def take(self, rows: list[int]) -> "WorldState":
         """The worlds ``rows`` of this batch, in that order."""
         return WorldState([self.evaders[k] for k in rows],
-                          self.pursuers.take(rows), self.t, self.step_count,
+                          self.pursuers.take(rows), self.step_count,
                           [self.outcomes[k] for k in rows])
 
 
@@ -425,8 +424,7 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
     evader_xy = _positions(evaders)
     pursuers = step_pursuers(w.pursuers, evader_xy, cfg)
     step_count = w.step_count + 1
-    out = WorldState(evaders, pursuers, t=step_count * cfg.dt,
-                     step_count=step_count)
+    out = WorldState(evaders, pursuers, step_count)
     # The new world's distances, from the positions at hand.
     out._offsets = _evader_offsets(pursuers.xy, evader_xy)
     out.outcomes = check_outcome(out, cfg)

@@ -21,8 +21,9 @@ walk keeps one generator per episode seed.
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
 before and after the step (the reset rule is the stepper's
-``reward_frames``).  Training stores the stepper's observations before and
-after each step with the step's action, reward and end flag.
+``reward_frames``).  Training steps a one-episode stepper the same way, with
+the command :func:`~cep.sr2l.arbitrate` chooses, and stores the observations
+before and after each step with the step's action, reward and end flag.
 
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
@@ -43,7 +44,7 @@ from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      save_checkpoint, soft_update)
 from .pfm import PfmPolicy
-from .sr2l import Branch, EpisodeStepper, to_velocity
+from .sr2l import Branch, EpisodeStepper, arbitrate, to_velocity
 
 __all__ = [
     "EpisodeLog",
@@ -177,13 +178,15 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
           ) -> tuple[PolicyBundle, list[EpisodeLog]]:
     """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
 
-    Per environment step: one stored transition, then (once the buffer holds a
-    batch) one critic update, one actor update, and a target soft update.
+    Per environment step: one stored transition (SR2L arbitrates against one
+    PFM planner per run), then (once the buffer holds a batch) one critic
+    update, one actor update, and a target soft update.
     Checkpoints are written every ``train.checkpoint_every`` episodes and at
     the end; a non-finite loss halts training and the bundle rolls back to the
     last completed episode.  Returns the trained bundle and per-episode logs.
     """
-    scaffolded = cfg.mode == "sr2l"
+    scaffold = cfg.scaffold if cfg.mode == "sr2l" else None
+    planner = PfmPolicy(cfg.pfm)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -211,9 +214,7 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
         for episode in range(cfg.episodes):
             world = init_world(cfg.arena,
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
-            stepper = EpisodeStepper(world, cfg.arena, cfg.sensing,
-                                     cfg.scaffold if scaffolded else None,
-                                     cfg.pfm)
+            stepper = EpisodeStepper(world, cfg.arena, cfg.sensing)
             cum_reward = 0.0
             actor_steps = 0
             neg_coeff = 0
@@ -224,15 +225,17 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
             try:
                 while outcome is None:
                     (state,) = stepper.observations
-                    res = stepper.step(bundle, step_rng)
+                    command, action, reward, branch = arbitrate(
+                        stepper, bundle, step_rng, scaffold, planner)
+                    (outcome,), (realized,) = stepper.step_action([command])
                     (next_state,) = stepper.observations
-                    buffer.push(state, res.action, res.reward, next_state,
-                                res.outcome is not None)
-                    cum_reward += res.reward
+                    buffer.push(state, action, reward, next_state,
+                                outcome is not None)
+                    cum_reward += reward
                     steps += 1
-                    if res.branch is Branch.ACTOR:
+                    if branch is Branch.ACTOR:
                         actor_steps += 1
-                    if res.realized.sum_w > 1.0:
+                    if realized.sum_w > 1.0:
                         neg_coeff += 1
                     if buffer.size >= cfg.train.batch_size:
                         batch = buffer.sample(cfg.train.batch_size, buffer_rng)
@@ -241,7 +244,6 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                         soft_update(bundle.target_critic, bundle.critic,
                                     cfg.train.tau)
                         updates += 1
-                    outcome = res.outcome
             except TrainingDiverged:
                 bundle = last_good
                 diverged = True
@@ -350,7 +352,7 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
     """Run ``episodes`` in lockstep; their records in episode order."""
     seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in episodes]
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
-    stepper = EpisodeStepper(world, arena, cfg.sensing, None, cfg.pfm)
+    stepper = EpisodeStepper(world, arena, cfg.sensing)
     policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
@@ -451,11 +453,13 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     Columns: step, t, evader pose/velocity, lidar minimum, detection count,
     reward breakdown (verbatim parts plus the signed reward), the running
     outcome tag, then every pursuer position.  Row 0 is the initial state.
-    Returns the number of data rows written.
+    Returns the number of data rows written.  A negative ``seed`` raises
+    ``ValueError`` before any file is opened.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     arena = cfg.arena
-    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing, None,
-                             cfg.pfm)
+    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
     policy = make_policy("actor", cfg, bundle)
     policy.reset([seed])
 
@@ -472,7 +476,7 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         r_d, r_b, sum_w, reward = reward_parts
         obj = objective_value((e.x, e.y), [d.distance for d in detections],
                               arena, cfg.sensing.r_b_norm)
-        values = [step, w.t, e.x, e.y, e.vx, e.vy,
+        values = [step, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
                   float(np.min(stepper.lidars[0])),
                   len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome_tag]

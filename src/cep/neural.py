@@ -353,14 +353,23 @@ def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
     return loss, actor.backward(d_out, cache["acts"])
 
 
-def _clip_global_norm(net: Mlp, grad: np.ndarray, clip: float) -> None:
-    """Scale ``grad`` (laid out as ``net.params``) in place to global norm
-    ``clip`` if it is longer."""
-    sq = grad * grad
+def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
+             clip: float, lr: float) -> float:
+    """One SGD step of ``net`` (called ``name`` in errors) on ``grads``, laid
+    out as ``net.params``, scaled in place to global norm ``clip`` if
+    longer; returns ``loss``.  A non-finite loss, or parameters made
+    non-finite by the step, raise :class:`TrainingDiverged`."""
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"{name} loss diverged: {loss}")
+    sq = grads * grads
     total = math.sqrt(sum(float(sq[w].sum() + sq[b].sum())
                           for w, _, b in net.layout))
     if total > clip:
-        grad *= clip / total
+        grads *= clip / total
+    net.params -= lr * grads
+    if not net.is_finite():
+        raise TrainingDiverged(f"{name} parameters became non-finite")
+    return loss
 
 
 def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
@@ -371,13 +380,8 @@ def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
     y = critic_target(batch, nets, cfg, noise)
     loss, grads = critic_loss_and_grads(nets.critic, batch.states,
                                         batch.actions, y)
-    if not math.isfinite(loss):
-        raise TrainingDiverged(f"critic loss diverged: {loss}")
-    _clip_global_norm(nets.critic, grads, cfg.grad_clip)
-    nets.critic.params -= cfg.lr_critic * grads
-    if not nets.critic.is_finite():
-        raise TrainingDiverged("critic parameters became non-finite")
-    return loss
+    return _descend(nets.critic, "critic", loss, grads, cfg.grad_clip,
+                    cfg.lr_critic)
 
 
 def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
@@ -388,13 +392,8 @@ def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
     noise = rng.standard_normal((len(batch), dim))
     loss, grads = actor_loss_and_grads(nets.actor, nets.critic, batch.states,
                                        noise, cfg.alpha)
-    if not math.isfinite(loss):
-        raise TrainingDiverged(f"actor loss diverged: {loss}")
-    _clip_global_norm(nets.actor, grads, cfg.grad_clip)
-    nets.actor.params -= cfg.lr_actor * grads
-    if not nets.actor.is_finite():
-        raise TrainingDiverged("actor parameters became non-finite")
-    return loss
+    return _descend(nets.actor, "actor", loss, grads, cfg.grad_clip,
+                    cfg.lr_actor)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

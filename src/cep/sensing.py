@@ -116,10 +116,9 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
     """The frame of each world of ``w``, from one scan of the whole batch.
     Detections list every pursuer whose center distance is within ``r_e``,
-    ordered by pursuer id.  ``t`` is clamped to ``t_max`` (the final step
-    can land one float ulp past it)."""
+    ordered by pursuer id."""
     rel, dists = w.offsets
-    t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
+    t_f = _batch_time_factor(w, arena)
     frames = [SenseFrame([], *nearest_wall((e.x, e.y), arena), t_f)
               for e in w.evaders]
     # Detections by flat index k = e * n + i: world by world, in id order.
@@ -200,13 +199,19 @@ def time_factor(t: float, t_max: float) -> float:
     return (1.0 - t / t_max) / 2.0
 
 
+def _batch_time_factor(w: WorldState, arena: ArenaConfig) -> float:
+    """``t_f`` of the batch ``w`` at its time ``step_count * dt``, clamped to
+    ``t_max`` (the final step can land one float ulp past it)."""
+    return time_factor(min(w.step_count * arena.dt, arena.t_max), arena.t_max)
+
+
 def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
             cfg: SensingConfig) -> np.ndarray:
     """The actor's input at each world of ``w`` given the :func:`cast_rays`
     scan, one row per world: ``n_s`` scalars, each the weighted mean of the
     encoded lidar and boundary ranges of one ray, times ``t_f``."""
     boundary = boundary_scan([(e.x, e.y) for e in w.evaders], arena, cfg)
-    t_f = time_factor(min(w.t, arena.t_max), arena.t_max)
+    t_f = _batch_time_factor(w, arena)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))
                   ) / (cfg.w_l + cfg.w_b)

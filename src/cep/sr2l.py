@@ -21,9 +21,11 @@ Both take their earlier frame from :attr:`EpisodeStepper.reward_frames`,
 where the reset rule lives: at an episode's first step no pursuer has a
 previous distance.  Rewards are signed (``RewardBreakdown.reward = -r``), so
 a larger estimate is a better action.
-The independent trainer shares this machinery with scaffolding disabled: it
-executes the actor's action and stores the same one-step reward estimate, so
-a beta=100 scaffolded run is transcript-identical to it by construction.
+Training picks each step's action with :func:`arbitrate` and executes it with
+:meth:`EpisodeStepper.step_action`, as evaluation and replay do.  With
+scaffolding disabled it is the independent trainer: the actor's action runs
+and the same one-step estimate is stored, so a beta=100 scaffolded run is
+transcript-identical to it by construction.
 """
 
 from __future__ import annotations
@@ -37,19 +39,19 @@ import numpy as np
 from .env import ArenaConfig, EpisodeOutcome, Pursuers, WorldState, \
     check_finite, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
-from .pfm import PfmGains, PfmPolicy
+from .pfm import PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
 from .sensing import SenseFrame, SensingConfig, cast_rays, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
     "Branch",
-    "StepResult",
     "to_velocity",
     "reward_gap",
     "scaffold_select",
     "predict_next_state",
     "EpisodeStepper",
+    "arbitrate",
 ]
 
 
@@ -72,20 +74,6 @@ class ScaffoldConfig:
 class Branch(Enum):
     ACTOR = "actor"
     PLANNER = "planner"
-
-
-@dataclass
-class StepResult:
-    """What training reads of one environment step: the stored action (in
-    the unit box) and reward, the branch that ran, the episode's outcome
-    (None while it runs) and the realized reward's breakdown.  The stored
-    states are the stepper's observations before and after the step."""
-
-    action: np.ndarray
-    reward: float
-    branch: Branch
-    outcome: EpisodeOutcome | None
-    realized: RewardBreakdown
 
 
 def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
@@ -120,12 +108,11 @@ def predict_next_state(w: WorldState, frame: SenseFrame,
     docstring) and score the step from ``frame``, the reward's earlier
     frame.  ``w`` and ``frame`` are untouched."""
     p = w.pursuers
-    n = w.step_count + 1
     (evader,) = w.evaders
     ahead = Pursuers(p.xy + p.speed[..., None] * p.unit * arena.dt, p.speed,
                      p.unit, p.patrol_speed)
     (after,) = sense(WorldState([step_evader(evader, action, arena)], ahead,
-                                n * arena.dt, n), arena)
+                                w.step_count + 1), arena)
     return transition_reward(frame, after, arena).reward
 
 
@@ -136,22 +123,17 @@ class EpisodeStepper:
 
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones, so each step works only on
-    live episodes.  Evaluation and replay use
-    :meth:`step_action`, which executes one chosen action per episode and
-    reports the realized rewards.  Training drives a one-episode stepper
-    through :meth:`step`: with ``scaffold`` set it runs the full arbitration
-    against ``planner``, the PFM policy with ``gains``; without it the step
-    is the independent trainer (actor action, estimated reward stored).
+    live episodes.  :meth:`step_action` executes one chosen action per
+    episode and reports the realized rewards; evaluation, replay and
+    training all step through it (training chooses its action with
+    :func:`arbitrate`).
     """
 
     def __init__(self, world: WorldState, arena: ArenaConfig,
-                 sensing_cfg: SensingConfig, scaffold: ScaffoldConfig | None,
-                 gains: PfmGains | None = None):
+                 sensing_cfg: SensingConfig):
         self.world = world
         self.arena = arena
         self.sensing_cfg = sensing_cfg
-        self.scaffold = scaffold
-        self.planner = PfmPolicy(gains if gains is not None else PfmGains())
         self.frames = sense(world, arena)
         self._lidars: np.ndarray | None = None
         self._observations: np.ndarray | None = None
@@ -200,9 +182,11 @@ class EpisodeStepper:
         self._lidars = self._observations = None
         return ended
 
-    def _advance_world(self, actions: list[tuple[float, float]]
-                       ) -> tuple[list[EpisodeOutcome | None],
-                                  list[RewardBreakdown]]:
+    def step_action(self, actions: list[tuple[float, float]]
+                    ) -> tuple[list[EpisodeOutcome | None],
+                               list[RewardBreakdown]]:
+        """Execute one chosen action per episode: each episode's outcome and
+        realized reward breakdown (its signed reward is ``.reward``)."""
         before = self.reward_frames
         self.world, outcomes = step_world(self.world, actions, self.arena)
         self.frames = sense(self.world, self.arena)
@@ -210,38 +194,27 @@ class EpisodeStepper:
         return outcomes, [transition_reward(b, a, self.arena)
                           for b, a in zip(before, self.frames)]
 
-    def step(self, nets: PolicyBundle, rng: np.random.Generator) -> StepResult:
-        """One training step of a one-episode stepper: sample the actor,
-        arbitrate, act; the transition to store is the observation before,
-        the result's action and reward, and the observation after."""
-        (state,) = self.observations
-        (frame,) = self.reward_frames
-        a_r = forward_actor(nets.actor, state, rng)
-        a_r_env = to_velocity(a_r, self.arena)
 
-        r_r = predict_next_state(self.world, frame, a_r_env, self.arena)
-        branch = Branch.ACTOR
-        stored_reward = r_r
-        env_action = a_r_env
-        stored_action = a_r
-        if self.scaffold is not None:
-            (a_p_env,) = self.planner.act(self)
-            r_p = predict_next_state(self.world, frame, a_p_env, self.arena)
-            d_f = reward_gap(r_r, r_p, self.scaffold.epsilon)
-            branch, stored_reward = scaffold_select(r_r, r_p, d_f,
-                                                    self.scaffold.beta)
-            if branch is Branch.PLANNER:
-                env_action = a_p_env
-                stored_action = np.array(a_p_env) / self.arena.v_e_max
-
-        (outcome,), (realized,) = self._advance_world([env_action])
-        return StepResult(stored_action, stored_reward, branch, outcome,
-                          realized)
-
-    def step_action(self, actions: list[tuple[float, float]]
-                    ) -> tuple[list[EpisodeOutcome | None],
-                               list[RewardBreakdown]]:
-        """Execute one externally chosen action per episode (evaluation and
-        replay path): each episode's outcome and realized reward breakdown
-        (its signed reward is ``.reward``)."""
-        return self._advance_world(actions)
+def arbitrate(stepper: EpisodeStepper, nets: PolicyBundle,
+              rng: np.random.Generator, scaffold: ScaffoldConfig | None,
+              planner: PfmPolicy
+              ) -> tuple[tuple[float, float], np.ndarray, float, Branch]:
+    """Choose the next step of the one-episode ``stepper``: sample the actor
+    and, with ``scaffold`` set, arbitrate against ``planner``.  Returns the
+    command to execute, the action (unit box) and reward to store with the
+    observations before and after the step, and the branch that ran."""
+    (state,) = stepper.observations
+    (frame,) = stepper.reward_frames
+    arena = stepper.arena
+    a_r = forward_actor(nets.actor, state, rng)
+    command = to_velocity(a_r, arena)
+    r_r = predict_next_state(stepper.world, frame, command, arena)
+    if scaffold is None:
+        return command, a_r, r_r, Branch.ACTOR
+    (a_p,) = planner.act(stepper)
+    r_p = predict_next_state(stepper.world, frame, a_p, arena)
+    d_f = reward_gap(r_r, r_p, scaffold.epsilon)
+    branch, reward = scaffold_select(r_r, r_p, d_f, scaffold.beta)
+    if branch is Branch.PLANNER:
+        return a_p, np.array(a_p) / arena.v_e_max, reward, branch
+    return command, a_r, reward, branch

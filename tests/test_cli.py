@@ -138,6 +138,15 @@ def test_train_negative_seed_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_replay_negative_seed_rejected(trained, tmp_path, capsys):
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["replay", "--checkpoint", str(trained[1]), "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "cep: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_out_dir_the_config_cannot_hold(tmp_path, capsys):
     # save_config would write 'out_dir = .../#1', read back as '.../'.
     runs = tmp_path / "runs"

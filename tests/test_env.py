@@ -188,7 +188,7 @@ class TestInitWorld:
         a, b = init_world(cfg, 42), init_world(cfg, 42)
         assert a.evaders == b.evaders
         assert pursuer_rows(a.pursuers) == pursuer_rows(b.pursuers)
-        assert a.t == b.t == 0.0
+        assert a.step_count == b.step_count == 0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_pursuers_outside_spawn_region(self, seed):
@@ -445,7 +445,7 @@ class TestStepWorld:
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
         assert w.outcomes == [EpisodeOutcome(OutcomeKind.CAPTURED, 0)]
-        stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8), None)
+        stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8))
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
         assert stepper.drop_ended() == [(0, w.outcomes[0])]

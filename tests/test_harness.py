@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
                          sweep, train)
-from cep.neural import PolicyBundle, TrainConfig
+from cep.neural import PolicyBundle, TrainConfig, TrainingDiverged
 from cep.sr2l import EpisodeStepper
 
 
@@ -78,8 +79,7 @@ def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
     records = []
     for episode in range(episodes):
         seed = harness._episode_seed(cfg.seed, harness._EVAL_TAG, episode)
-        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing,
-                                 None, cfg.pfm)
+        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
         policy.reset([seed])
         cum = 0.0
         steps = 0
@@ -222,6 +222,40 @@ class TestLoadGrid:
         path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n")
         with pytest.raises(ValueError, match="empty sweep grid"):
             load_grid(path)
+
+
+def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):
+    # The first critic update of episode 1 leaves non-finite parameters, as
+    # a diverged step does: training halts with the bundle, log and final
+    # checkpoint of a one-episode run.  Updates start within episode 0 with
+    # a batch of 8.
+    cfg = desk_profile(mode="sr2l", episodes=1, seed=2)
+    cfg = replace(cfg, train=replace(cfg.train, batch_size=8))
+    one, (log,) = train(cfg, tmp_path / "one")
+    assert log.updates > 0
+    calls = 0
+    update = harness.critic_update
+
+    def diverging(batch, nets, *args):
+        nonlocal calls
+        calls += 1
+        if calls > log.updates:
+            nets.critic.params[:] = np.nan
+            raise TrainingDiverged("critic parameters became non-finite")
+        return update(batch, nets, *args)
+
+    monkeypatch.setattr(harness, "critic_update", diverging)
+    bundle, logs = train(replace(cfg, episodes=2), tmp_path / "two")
+    assert calls == log.updates + 1
+    assert logs == [log]
+    for name in ("actor", "critic", "target_critic"):
+        assert np.array_equal(getattr(bundle, name).params,
+                              getattr(one, name).params)
+    final = "policy_final.cepn"
+    assert (tmp_path / "two" / final).read_bytes() == \
+        (tmp_path / "one" / final).read_bytes()
+    assert (tmp_path / "two" / "DIVERGED").exists()
+    assert not (tmp_path / "one" / "DIVERGED").exists()
 
 
 class TestComputedOnlyWhenRead:

@@ -397,8 +397,38 @@ class TestUpdates:
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng)
         batch.rewards[0] = np.inf
-        with pytest.raises(TrainingDiverged):
+        # inf - inf in the backward pass.
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDiverged):
             critic_update(batch, bundle, cfg, rng)
+
+    def test_actor_divergence_detected_before_the_step(self):
+        bundle = make_bundle()
+        rng = np.random.default_rng(0)
+        batch = random_batch(6, rng)
+        batch.states[0] = np.inf
+        before = bundle.actor.params.copy()
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(TrainingDiverged, match="^actor loss diverged"):
+            actor_update(batch, bundle, TrainConfig(), rng)
+        assert np.array_equal(bundle.actor.params, before)
+
+    @pytest.mark.parametrize("name", ["critic", "actor"])
+    def test_non_finite_parameters_detected(self, name):
+        # A finite loss whose step overflows: unclipped gradients of order
+        # 1e3 (large rewards for the critic, a steep critic for the actor)
+        # times a learning rate of 1e308.
+        bundle = make_bundle()
+        rng = np.random.default_rng(0)
+        batch = random_batch(6, rng)
+        cfg = TrainConfig(lr_actor=1e308, lr_critic=1e308, grad_clip=1e308)
+        if name == "critic":
+            batch.rewards *= 1e3
+        else:
+            bundle.critic.weights[-1][...] *= 1e3
+        update = critic_update if name == "critic" else actor_update
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                TrainingDiverged, match=f"^{name} parameters became non-finite"):
+            update(batch, bundle, cfg, rng)
 
     def test_update_determinism(self):
         def run():

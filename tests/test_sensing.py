@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cep import sensing
 from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
-                     init_world, nearest_wall)
+                     init_world, max_steps, nearest_wall)
 from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
                          cast_rays, observe, sense, time_factor)
 
@@ -36,7 +36,7 @@ def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
     monkeypatch.setattr(sensing, "boundary_scan",
                         lambda xy, a, c: np.asarray(boundary, dtype=float))
     w = init_world(cfg, 0)
-    w.t = (1.0 - 2.0 * t_f) * cfg.t_max
+    w.step_count = max_steps(cfg) if t_f == 0.0 else 0
     return observe(w, np.asarray(lidar, dtype=float), cfg, scfg)
 
 
@@ -231,14 +231,14 @@ class TestBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-           n=st.integers(0, 40), t=st.floats(0.0, 50.0))
-    def test_each_world_as_alone(self, seeds, n, t):
+           n=st.integers(0, 40), steps=st.integers(0, 500))
+    def test_each_world_as_alone(self, seeds, n, steps):
         cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
                     n_pursuers=n)
         scfg = SensingConfig(n_s=36)
         worlds = [init_world(cfg, seed) for seed in seeds]
         for w in worlds:
-            w.t = t
+            w.step_count = steps
         batch = WorldState.stack(worlds)
         frames = sense(batch, cfg)
         lidars = cast_rays(batch, cfg, scfg)
@@ -262,7 +262,7 @@ class TestBatch:
     def test_stack_needs_one_step(self):
         cfg = arena(n_pursuers=3)
         later = init_world(cfg, 1)
-        later.step_count, later.t = 1, cfg.dt
+        later.step_count = 1
         with pytest.raises(ValueError, match="same step"):
             WorldState.stack([init_world(cfg, 0), later])
 

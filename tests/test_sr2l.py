@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
                      init_world, max_steps, step_evader)
+from cep.neural import PolicyBundle, TrainConfig, forward_actor
+from cep.pfm import PfmGains, PfmPolicy
 from cep.rewards import pursuer_weight, transition_reward
 from cep.sensing import SenseFrame, SensingConfig, sense
-from cep.sr2l import (Branch, EpisodeStepper, predict_next_state, reward_gap,
-                      scaffold_select)
+from cep.sr2l import (Branch, EpisodeStepper, ScaffoldConfig, arbitrate,
+                      predict_next_state, reward_gap, scaffold_select,
+                      to_velocity)
 
 SENSING = SensingConfig(n_s=36, r_b_norm=100.0)
+PLANNER = PfmPolicy(PfmGains())
+NETS = PolicyBundle.create(SENSING.n_s, TrainConfig(hidden=(16,)),
+                           np.random.default_rng(0))
 
 
 def arena(n_pursuers: int) -> ArenaConfig:
@@ -34,8 +40,7 @@ def reference_estimate(w: WorldState, frame: SenseFrame, action,
                                              p.unit[0].tolist())]
     pursuers = Pursuers(np.array(xy, dtype=float).reshape(p.xy.shape),
                         p.speed, p.unit, p.patrol_speed)
-    n = w.step_count + 1
-    w_est = WorldState([evader], pursuers, t=n * cfg.dt, step_count=n)
+    w_est = WorldState([evader], pursuers, step_count=w.step_count + 1)
     (after,) = sense(w_est, cfg)
     return -transition_reward(frame, after, cfg).r
 
@@ -45,7 +50,7 @@ def snapshot(w: WorldState, frame: SenseFrame):
     return ((e.x, e.y, e.vx, e.vy),
             [a.tolist() for a in (w.pursuers.xy, w.pursuers.speed,
                                   w.pursuers.unit, w.pursuers.patrol_speed)],
-            w.t, w.step_count, list(frame.detections), frame.d_b,
+            w.step_count, list(frame.detections), frame.d_b,
             frame.boundary_dir, frame.t_f)
 
 
@@ -55,15 +60,14 @@ def scenes(draw):
     detections), optionally moved to the last step before ``t_max``."""
     cfg = arena(draw(st.integers(0, 30)))
     stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))),
-                             cfg, SENSING, None)
+                             cfg, SENSING)
     (outcome,) = stepper.world.outcomes
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
             break
-        (outcome,), _ = stepper.step_action(stepper.planner.act(stepper))
+        (outcome,), _ = stepper.step_action(PLANNER.act(stepper))
     if draw(st.booleans()):
         stepper.world.step_count = max_steps(cfg) - 1
-        stepper.world.t = stepper.world.step_count * cfg.dt
     return stepper
 
 
@@ -97,6 +101,51 @@ class TestPredictNextState:
             predict_next_state(w, frame, action, cfg)
 
 
+class TestArbitrate:
+    @given(stepper=scenes(), beta=st.sampled_from([None, 0.0, 20.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=150)
+    def test_equals_its_parts(self, stepper, beta, seed):
+        # beta None is the independent trainer.
+        scaffold = None if beta is None else ScaffoldConfig(beta=beta)
+        w, cfg, (frame,) = stepper.world, stepper.arena, stepper.reward_frames
+        rng = np.random.default_rng(seed)
+        (state,) = stepper.observations
+        action = forward_actor(NETS.actor, state, rng)
+        command = to_velocity(action, cfg)
+        reward = r_r = predict_next_state(w, frame, command, cfg)
+        branch = Branch.ACTOR
+        if scaffold is not None:
+            (a_p,) = PLANNER.act(stepper)
+            r_p = predict_next_state(w, frame, a_p, cfg)
+            branch, reward = scaffold_select(
+                r_r, r_p, reward_gap(r_r, r_p, scaffold.epsilon), beta)
+            if branch is Branch.PLANNER:
+                command, action = a_p, np.array(a_p) / cfg.v_e_max
+
+        own = np.random.default_rng(seed)
+        got = arbitrate(stepper, NETS, own, scaffold, PLANNER)
+        assert (got[0], got[2], got[3]) == (command, reward, branch)
+        assert np.array_equal(got[1], action)
+        # The same draws, in the same order.
+        assert own.bit_generator.state == rng.bit_generator.state
+
+    def test_independent_trainer_never_asks_the_planner(self):
+        class Refuses:
+            def act(self, stepper):
+                raise AssertionError("the planner was asked")
+
+        cfg = arena(8)
+        stepper = EpisodeStepper(init_world(cfg, 4), cfg, SENSING)
+        rng = np.random.default_rng(0)
+        (outcome,) = stepper.world.outcomes
+        while outcome is None:
+            command, _, _, branch = arbitrate(stepper, NETS, rng, None,
+                                              Refuses())
+            assert branch is Branch.ACTOR
+            (outcome,), _ = stepper.step_action([command])
+
+
 class TestResetRule:
     """At an episode's first step no pursuer has a previous distance: one
     seen at spawn gets a zero distance change, in the realized reward and in
@@ -117,7 +166,7 @@ class TestResetRule:
         pursuers = Pursuers.from_rows([(12.0, 0.0, 5.0, math.pi / 2),
                                        (-60.0, 40.0, 5.0, 0.0)])
         stepper = EpisodeStepper(WorldState([EvaderState(0.0, 0.0)],
-                                            pursuers), cfg, SENSING, None)
+                                            pursuers), cfg, SENSING)
         (spawn,) = stepper.frames
         (d_0,) = spawn.detections
         assert d_0.pursuer_id == 0 and d_0.distance == 12.0
@@ -183,10 +232,10 @@ class TestDropEnded:
         ended = next(w for w in worlds if w.outcomes[0] is not None)
         live = next(w for w in worlds if w.outcomes[0] is None)
         stepper = EpisodeStepper(WorldState.stack([live, ended, live]), cfg,
-                                 SENSING, None)
+                                 SENSING)
         assert stepper.observations.shape == (3, SENSING.n_s)
         assert stepper.drop_ended() == [(1, ended.outcomes[0])]
-        alone = EpisodeStepper(live, cfg, SENSING, None)
+        alone = EpisodeStepper(live, cfg, SENSING)
         assert np.array_equal(stepper.lidars, np.repeat(alone.lidars, 2, 0))
         assert np.array_equal(stepper.observations,
                               np.repeat(alone.observations, 2, 0))
