@@ -44,7 +44,6 @@ __all__ = [
     "EvaderState",
     "WorldState",
     "OutcomeKind",
-    "EpisodeOutcome",
     "init_world",
     "step_evader",
     "step_pursuers",
@@ -171,12 +170,6 @@ class OutcomeKind(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    kind: OutcomeKind
-    steps: int
-
-
 @dataclass
 class WorldState:
     """A batch of worlds of one arena, owned by exactly one episode runner.
@@ -194,7 +187,7 @@ class WorldState:
     evaders: list[EvaderState]
     pursuers: Pursuers
     step_count: int = 0
-    outcomes: list[EpisodeOutcome | None] | None = None
+    outcomes: list[OutcomeKind | None] | None = None
     _offsets: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -383,31 +376,29 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
 
 
 def check_outcome(w: WorldState, cfg: ArenaConfig
-                  ) -> list[EpisodeOutcome | None]:
+                  ) -> list[OutcomeKind | None]:
     """Each world's terminal test after a completed step; Escaped takes
     precedence over Captured, which takes precedence over Timeout."""
     dists = w.offsets[1]
     hits = (dists <= cfg.capture_radius).ravel().nonzero()[0].tolist()
     captured = {k // dists.shape[1] for k in hits} if hits else ()
     timeout = w.step_count >= max_steps(cfg)
-    outcomes: list[EpisodeOutcome | None] = []
+    outcomes: list[OutcomeKind | None] = []
     for j, e in enumerate(w.evaders):
         if not (abs(e.x) <= cfg.half_width and abs(e.y) <= cfg.half_height):
-            kind = OutcomeKind.ESCAPED
+            outcomes.append(OutcomeKind.ESCAPED)
         elif j in captured:
-            kind = OutcomeKind.CAPTURED
+            outcomes.append(OutcomeKind.CAPTURED)
         elif timeout:
-            kind = OutcomeKind.TIMEOUT
+            outcomes.append(OutcomeKind.TIMEOUT)
         else:
             outcomes.append(None)
-            continue
-        outcomes.append(EpisodeOutcome(kind, w.step_count))
     return outcomes
 
 
 def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
                cfg: ArenaConfig
-               ) -> tuple[WorldState, list[EpisodeOutcome | None]]:
+               ) -> tuple[WorldState, list[OutcomeKind | None]]:
     """One environment transition of every world of the batch: evaders
     (``actions[e]`` commands world ``e``'s), then pursuers, then
     time/termination.

@@ -220,7 +220,6 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
             neg_coeff = 0
             closs_sum = aloss_sum = 0.0
             updates = 0
-            steps = 0
             (outcome,) = world.outcomes
             try:
                 while outcome is None:
@@ -232,7 +231,6 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                     buffer.push(state, action, reward, next_state,
                                 outcome is not None)
                     cum_reward += reward
-                    steps += 1
                     if branch is Branch.ACTOR:
                         actor_steps += 1
                     if realized.sum_w > 1.0:
@@ -249,8 +247,9 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                 diverged = True
                 break
 
+            steps = stepper.world.step_count
             logs.append(EpisodeLog(
-                episode, outcome.kind.value, steps, cum_reward,
+                episode, outcome.value, steps, cum_reward,
                 cum_reward / steps if steps else 0.0,
                 actor_steps / steps if steps else 1.0,
                 neg_coeff,
@@ -357,9 +356,9 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
     while True:
+        steps = stepper.world.step_count
         for k, outcome in stepper.drop_ended():
-            steps = outcome.steps
-            records[k] = EvalEpisode(episodes[k], outcome.kind.value, steps,
+            records[k] = EvalEpisode(episodes[k], outcome.value, steps,
                                      cum[k], cum[k] / steps if steps else 0.0)
         if not stepper.live:
             return records
@@ -469,17 +468,18 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     for i in range(arena.n_pursuers):
         header += [f"p{i}_x", f"p{i}_y"]
 
-    def row(step: int, reward_parts, outcome_tag: str) -> list[str]:
+    def row(reward_parts) -> list[str]:
         w = stepper.world
         (e,) = w.evaders
+        (outcome,) = w.outcomes
         detections = stepper.frames[0].detections
         r_d, r_b, sum_w, reward = reward_parts
         obj = objective_value((e.x, e.y), [d.distance for d in detections],
                               arena, cfg.sensing.r_b_norm)
-        values = [step, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
+        values = [w.step_count, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
                   float(np.min(stepper.lidars[0])),
                   len(detections), sum_w,
-                  r_d, r_b, reward, obj, outcome_tag]
+                  r_d, r_b, reward, obj, outcome.value if outcome else ""]
         values += w.pursuers.xy.ravel().tolist()
         return [_fmt(v) for v in values]
 
@@ -487,17 +487,12 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        (outcome,) = stepper.world.outcomes
-        tag0 = outcome.kind.value if outcome is not None else ""
-        writer.writerow(row(0, (0.0, 0.0, 0.0, 0.0), tag0))
+        writer.writerow(row((0.0, 0.0, 0.0, 0.0)))
         rows += 1
-        step = 0
+        (outcome,) = stepper.world.outcomes
         while outcome is None:
             (outcome,), (bd,) = stepper.step_action(policy.act(stepper))
-            step += 1
-            tag = outcome.kind.value if outcome is not None else ""
-            writer.writerow(row(step, (bd.r_d, bd.r_b, bd.sum_w, bd.reward),
-                                tag))
+            writer.writerow(row((bd.r_d, bd.r_b, bd.sum_w, bd.reward)))
             rows += 1
     assert rows <= max_steps(arena) + 1
     return rows

@@ -231,6 +231,10 @@ class TrainConfig:
                      "buffer_capacity", "grad_clip", "checkpoint_every"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size {self.batch_size} must be <= "
+                             f"buffer_capacity {self.buffer_capacity}, or "
+                             f"the buffer never holds a batch to train on")
         if not all(width >= 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 

@@ -21,6 +21,11 @@ Observation (element-wise, ``i = 0..n_s-1``)::
     lidar      D_l[i] = k_s * z_i / r_e
     boundary   D_b[i] = k_s * (1 - b_i / r_b_norm)
     state      s[i]   = t_f * (w_l * D_l[i] + w_b * D_b[i]) / (w_l + w_b)
+
+``D_b`` is not clamped: a ray longer than ``r_b_norm`` makes it negative.
+Both shipped profiles allow such rays.  1 m from a corner the longest ray is
+129 m on the desk profile (``r_b_norm`` 100) and 281 m on the paper profile
+(``r_b_norm`` 200), so ``D_b`` reaches -0.29 and -0.41 at ``k_s = 1``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SensingConfig:
     """Ray count, encoding amplitude, source weights, and the boundary
-    normalization constant (must dominate the largest possible ray length)."""
+    normalization constant ``r_b_norm``; ``D_b`` is not clamped, so a ray
+    longer than ``r_b_norm`` gives a negative ``D_b`` (module docstring)."""
 
     n_s: int = 72
     k_s: float = 1.0

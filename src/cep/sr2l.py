@@ -26,6 +26,18 @@ Training picks each step's action with :func:`arbitrate` and executes it with
 scaffolding disabled it is the independent trainer: the actor's action runs
 and the same one-step estimate is stored, so a beta=100 scaffolded run is
 transcript-identical to it by construction.
+
+The stored tuple, in both trainers, is ``(s, executed action, estimated
+reward, s', done)``: the reward is the forward model's estimate, and the
+realized one that :meth:`EpisodeStepper.step_action` returns is never stored
+(training reads it only for its log).  The actor branch stores
+``(a_r, r_r)``.  The planner branch runs only when ``r_r < r_p`` and stores
+``(a_p, 2*r_r - r_p)``, a reward below both estimates.  This is how the code
+reads the paper's "reflection": the actor's proposal is weighed against the
+planner's before either runs, and when the scaffold takes over, the
+experience pairs the planner's action with the actor's estimate less the gap
+by which the actor fell short.  The critic thus sees the better action
+labelled worse than either estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .env import ArenaConfig, EpisodeOutcome, Pursuers, WorldState, \
+from .env import ArenaConfig, OutcomeKind, Pursuers, WorldState, \
     check_finite, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmPolicy
@@ -168,9 +180,9 @@ class EpisodeStepper:
                                          self.sensing_cfg)
         return self._observations
 
-    def drop_ended(self) -> list[tuple[int, EpisodeOutcome]]:
+    def drop_ended(self) -> list[tuple[int, OutcomeKind]]:
         """Remove the episodes whose world is terminal; return their batch
-        positions and outcomes."""
+        positions and outcome kinds.  They ended at ``world.step_count``."""
         outcomes = self.world.outcomes
         if outcomes.count(None) == len(outcomes):
             return []
@@ -183,7 +195,7 @@ class EpisodeStepper:
         return ended
 
     def step_action(self, actions: list[tuple[float, float]]
-                    ) -> tuple[list[EpisodeOutcome | None],
+                    ) -> tuple[list[OutcomeKind | None],
                                list[RewardBreakdown]]:
         """Execute one chosen action per episode: each episode's outcome and
         realized reward breakdown (its signed reward is ``.reward``)."""

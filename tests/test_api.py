@@ -1,12 +1,13 @@
 import ast
 import importlib
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cep
-from cep import sr2l
+from cep import env, rewards, sr2l
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cep.__path__))
 
@@ -37,3 +38,11 @@ def test_step_result_carries_only_what_training_reads():
     for name in ("StepResult", "ScaffoldDecision", "ExperienceTuple"):
         assert not hasattr(sr2l, name)
     assert not hasattr(sr2l.EpisodeStepper, "step")
+
+
+def test_reward_is_one_function_and_an_outcome_its_kind():
+    assert rewards.__all__ == ["RewardBreakdown", "transition_reward"]
+    assert [f.name for f in fields(rewards.RewardBreakdown)] == [
+        "r_d", "r_b", "sum_w", "r"]
+    assert not hasattr(env, "EpisodeOutcome")
+    assert not hasattr(cep, "EpisodeOutcome")

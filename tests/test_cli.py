@@ -127,6 +127,21 @@ def test_non_finite_section_value_rejected(tmp_path, capsys, key):
     assert not (tmp_path / "run").exists()
 
 
+def test_batch_larger_than_buffer_rejected(tmp_path, capsys):
+    # Before: training ran, logged updates = 0 in every row and saved the
+    # untrained nets.
+    config = tmp_path / "config.txt"
+    config.write_text("seed = 1\ntrain.buffer_capacity = 10\n")
+    assert cli.main(["train", "--mode", "iac", "--episodes", "2",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"cep: error: {config}: 2: train.buffer_capacity: batch_size 64 must "
+        f"be <= buffer_capacity 10, or the buffer never holds a batch to "
+        f"train on\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_negative_seed_rejected(tmp_path, capsys):
     # Before: the run directory and its config.txt were written, then numpy
     # failed on the seed with a message naming neither key nor value.

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cep.env import (ArenaConfig, EpisodeOutcome, EvaderState, OutcomeKind,
-                     Pursuers, WorldState, check_outcome, init_world,
-                     max_steps, nearest_wall, objective_value, step_evader,
+from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
+                     WorldState, check_outcome, init_world, max_steps,
+                     nearest_wall, objective_value, step_evader,
                      step_pursuers, step_world)
 from cep.sensing import SensingConfig
 from cep.sr2l import EpisodeStepper
@@ -393,14 +393,14 @@ class TestStepWorld:
         cfg = small_arena(n_pursuers=0)
         w = world_at(EvaderState(99.9, 0.0), init_world(cfg, 0).pursuers)
         w2, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
-        assert outcome is not None and outcome.kind is OutcomeKind.ESCAPED
+        assert outcome is OutcomeKind.ESCAPED
 
     def test_capture(self):
         cfg = small_arena(n_pursuers=1)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
         w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
         _, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
-        assert outcome is not None and outcome.kind is OutcomeKind.CAPTURED
+        assert outcome is OutcomeKind.CAPTURED
 
     def test_timeout_at_budget(self):
         cfg = small_arena(n_pursuers=0, t_max=1.0, dt=0.1)
@@ -410,7 +410,7 @@ class TestStepWorld:
         while outcome is None:
             w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
             steps += 1
-        assert outcome.kind is OutcomeKind.TIMEOUT
+        assert outcome is OutcomeKind.TIMEOUT
         assert steps == max_steps(cfg) == 10
 
     def test_step_terminal_world_raises(self):
@@ -419,7 +419,7 @@ class TestStepWorld:
         w, outcome = init_world(cfg, 0), None
         while outcome is None:
             w, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
-        assert outcome.kind is OutcomeKind.ESCAPED
+        assert outcome is OutcomeKind.ESCAPED
         assert w.outcomes[0] is outcome
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
@@ -434,7 +434,7 @@ class TestStepWorld:
         cfg = small_arena(n_pursuers=1)
         w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
         w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
-        assert outcome.kind is OutcomeKind.CAPTURED
+        assert outcome is OutcomeKind.CAPTURED
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
 
@@ -444,7 +444,7 @@ class TestStepWorld:
                           spawn_half_extent=0.5, n_pursuers=20,
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
-        assert w.outcomes == [EpisodeOutcome(OutcomeKind.CAPTURED, 0)]
+        assert w.outcomes == [OutcomeKind.CAPTURED]
         stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8))
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
@@ -487,8 +487,8 @@ class TestStepWorld:
                 assert abs(x) <= cfg.half_width + 1e-9
                 assert abs(y) <= cfg.half_height + 1e-9
             assert steps <= max_steps(cfg)
-        assert outcome.kind in (OutcomeKind.ESCAPED, OutcomeKind.CAPTURED,
-                                OutcomeKind.TIMEOUT)
+        assert outcome in (OutcomeKind.ESCAPED, OutcomeKind.CAPTURED,
+                           OutcomeKind.TIMEOUT)
 
 
 class TestObjectiveValue:

@@ -88,7 +88,7 @@ def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
             (outcome,), (breakdown,) = stepper.step_action(policy.act(stepper))
             cum += breakdown.reward
             steps += 1
-        records.append(EvalEpisode(episode, outcome.kind.value, steps, cum,
+        records.append(EvalEpisode(episode, outcome.value, steps, cum,
                                    cum / steps if steps else 0.0))
     return records
 

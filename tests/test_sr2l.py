@@ -9,7 +9,7 @@ from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
                      init_world, max_steps, step_evader)
 from cep.neural import PolicyBundle, TrainConfig, forward_actor
 from cep.pfm import PfmGains, PfmPolicy
-from cep.rewards import pursuer_weight, transition_reward
+from cep.rewards import transition_reward
 from cep.sensing import SenseFrame, SensingConfig, sense
 from cep.sr2l import (Branch, EpisodeStepper, ScaffoldConfig, arbitrate,
                       predict_next_state, reward_gap, scaffold_select,
@@ -153,7 +153,7 @@ class TestResetRule:
     the true one."""
 
     def r_d(self, cfg, det, d_prev):
-        w_i = pursuer_weight(det.distance, cfg.r_e)
+        w_i = 1.0 - det.distance / cfg.r_e
         v_rel_max = cfg.v_e_max - det.speed * math.cos(det.theta)
         return w_i * (v_rel_max * cfg.dt - (det.distance - d_prev))
 
