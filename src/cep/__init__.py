@@ -15,7 +15,6 @@ from .neural import (Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
 from .pfm import PfmGains, net_force, pfm_action
 from .sensing import (Detection, SenseFrame, SensingConfig, boundary_scan,
                       cast_rays, observe, sense, time_factor)
-from .sr2l import (Branch, EpisodeStepper, ScaffoldConfig, predict_next_state,
-                   reward_gap, scaffold_select)
+from .sr2l import EpisodeStepper, ScaffoldConfig, predict_next_state
 
 __version__ = "0.1.0"

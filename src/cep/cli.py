@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train an evader policy")
-    p_train.add_argument("--mode", choices=("iac", "sr2l"), required=True)
+    p_train.add_argument("--mode", choices=cfgmod.MODES, required=True)
     p_train.add_argument("--config", help="key-value config file")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--out", help="output directory")

@@ -44,7 +44,7 @@ from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, actor_update, critic_update,
                      save_checkpoint, soft_update)
 from .pfm import PfmPolicy
-from .sr2l import Branch, EpisodeStepper, arbitrate, to_velocity
+from .sr2l import EpisodeStepper, arbitrate, to_velocity
 
 __all__ = [
     "EpisodeLog",
@@ -224,15 +224,14 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
             try:
                 while outcome is None:
                     (state,) = stepper.observations
-                    command, action, reward, branch = arbitrate(
+                    command, action, reward, actor_ran = arbitrate(
                         stepper, bundle, step_rng, scaffold, planner)
                     (outcome,), (realized,) = stepper.step_action([command])
                     (next_state,) = stepper.observations
                     buffer.push(state, action, reward, next_state,
                                 outcome is not None)
                     cum_reward += reward
-                    if branch is Branch.ACTOR:
-                        actor_steps += 1
+                    actor_steps += actor_ran
                     if realized.sum_w > 1.0:
                         neg_coeff += 1
                     if buffer.size >= cfg.train.batch_size:

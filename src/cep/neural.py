@@ -147,11 +147,6 @@ class Mlp:
     def params_flat(self) -> np.ndarray:
         return self.params.copy()
 
-    def set_params_flat(self, vec: np.ndarray) -> None:
-        if np.shape(vec) != self.params.shape:
-            raise ValueError("parameter vector size mismatch")
-        self.params[:] = vec
-
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.params)
 
@@ -440,7 +435,8 @@ def _need(data: bytes, pos: int, size: int, what: str) -> None:
 
 def load_checkpoint(path) -> PolicyBundle:
     """Read a bundle written by :func:`save_checkpoint`.  A file that is
-    truncated, has trailing bytes or a wrong magic raises ``ValueError``."""
+    truncated, has trailing bytes, a wrong magic or networks that do not fit
+    together as an actor, critic and target critic raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     _need(data, 0, len(CHECKPOINT_MAGIC), "the magic")
@@ -467,4 +463,17 @@ def load_checkpoint(path) -> PolicyBundle:
         raise ValueError("trailing bytes in checkpoint")
     if len(nets) != 3:
         raise ValueError(f"expected 3 networks in checkpoint, got {len(nets)}")
+    actor, critic, target = (net.widths for net in nets)
+    for name, widths in (("actor", actor), ("critic", critic),
+                         ("target critic", target)):
+        if len(widths) < 2 or 0 in widths:
+            raise ValueError(f"checkpoint {name} widths {widths}: a network "
+                             f"needs at least 2 widths, each >= 1")
+    if actor[-1] != 4:
+        raise ValueError(f"checkpoint actor widths {actor}: the output must "
+                         f"be 4 wide (2 x action dim)")
+    if critic[0] != actor[0] + 2 or critic[-1] != 1 or target != critic:
+        raise ValueError(f"checkpoint critic widths {critic} and target critic "
+                         f"widths {target} must be equal, start at the "
+                         f"actor's input {actor[0]} + 2 and end at 1")
     return PolicyBundle(*nets)

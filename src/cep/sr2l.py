@@ -5,13 +5,15 @@ decides which action runs and which reward is stored.
 Arbitration for one step (``r_r``/``r_p`` the estimated actor/planner rewards):
 
     D_f = 100 * (r_r - r_p) / |r_p + eps|
-    actor branch   (D_f >= -beta, or beta >= 100): execute a_r, store r_r
-    planner branch (otherwise):                    execute a_p, store
-                                                   r_r - |r_p - r_r|
+    actor branch   (D_f >= -beta): execute a_r, store r_r
+    planner branch (otherwise):    execute a_p, store r_r - |r_p - r_r|
 
-``beta >= 100`` forces the actor branch outright so that a fully open
-threshold is exactly the unscaffolded trainer (D_f itself is unbounded below
-when r_p sits near -eps, so the raw inequality alone would not guarantee it).
+A zero denominator (``r_p == -eps`` exactly) gives ``D_f = 0`` when
+``r_r == r_p`` and an infinity of the sign of ``r_r - r_p`` otherwise.
+With ``beta >= 100`` (the open threshold) :func:`arbitrate` takes the
+independent trainer's return before the planner is asked: D_f is unbounded
+below when ``r_p`` sits near ``-eps``, so the inequality alone would not make
+the open threshold the unscaffolded trainer.
 
 The forward model advances the evader by the candidate action and every
 pursuer at its current velocity (no mode switches, no wall reflections),
@@ -23,9 +25,8 @@ previous distance.  Rewards are signed (``RewardBreakdown.reward = -r``), so
 a larger estimate is a better action.
 Training picks each step's action with :func:`arbitrate` and executes it with
 :meth:`EpisodeStepper.step_action`, as evaluation and replay do.  With
-scaffolding disabled it is the independent trainer: the actor's action runs
-and the same one-step estimate is stored, so a beta=100 scaffolded run is
-transcript-identical to it by construction.
+scaffolding disabled, or the threshold open, it is the independent trainer:
+the actor's action runs and the same one-step estimate is stored.
 
 The stored tuple, in both trainers, is ``(s, executed action, estimated
 reward, s', done)``: the reward is the forward model's estimate, and the
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -57,10 +57,7 @@ from .sensing import SenseFrame, SensingConfig, cast_rays, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
-    "Branch",
     "to_velocity",
-    "reward_gap",
-    "scaffold_select",
     "predict_next_state",
     "EpisodeStepper",
     "arbitrate",
@@ -83,33 +80,10 @@ class ScaffoldConfig:
             raise ValueError("epsilon must be > 0")
 
 
-class Branch(Enum):
-    ACTOR = "actor"
-    PLANNER = "planner"
-
-
 def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
     """Scale a unit-box action to a velocity command; the observation frame
     is axis-aligned, so no rotation is involved."""
     return float(a[0]) * arena.v_e_max, float(a[1]) * arena.v_e_max
-
-
-def reward_gap(r_r: float, r_p: float, eps: float) -> float:
-    """Percentage gap between the actor's and planner's expected rewards."""
-    denom = abs(r_p + eps)
-    if denom == 0.0:
-        if r_r == r_p:
-            return 0.0
-        return math.copysign(math.inf, r_r - r_p)
-    return 100.0 * (r_r - r_p) / denom
-
-
-def scaffold_select(r_r: float, r_p: float, d_f: float,
-                    beta: float) -> tuple[Branch, float]:
-    """Pick the branch and the reward the stored transition holds."""
-    if d_f >= -beta or beta >= 100.0:
-        return Branch.ACTOR, r_r
-    return Branch.PLANNER, r_r - abs(r_p - r_r)
 
 
 def predict_next_state(w: WorldState, frame: SenseFrame,
@@ -210,23 +184,28 @@ class EpisodeStepper:
 def arbitrate(stepper: EpisodeStepper, nets: PolicyBundle,
               rng: np.random.Generator, scaffold: ScaffoldConfig | None,
               planner: PfmPolicy
-              ) -> tuple[tuple[float, float], np.ndarray, float, Branch]:
+              ) -> tuple[tuple[float, float], np.ndarray, float, bool]:
     """Choose the next step of the one-episode ``stepper``: sample the actor
-    and, with ``scaffold`` set, arbitrate against ``planner``.  Returns the
-    command to execute, the action (unit box) and reward to store with the
-    observations before and after the step, and the branch that ran."""
+    and, with ``scaffold`` set and its threshold not open, arbitrate against
+    ``planner``.  Returns the command to execute, the action (unit box) and
+    reward to store with the observations before and after the step, and
+    ``actor_ran``: whether the command is the actor's (False on the planner
+    branch)."""
     (state,) = stepper.observations
     (frame,) = stepper.reward_frames
     arena = stepper.arena
     a_r = forward_actor(nets.actor, state, rng)
     command = to_velocity(a_r, arena)
     r_r = predict_next_state(stepper.world, frame, command, arena)
-    if scaffold is None:
-        return command, a_r, r_r, Branch.ACTOR
+    if scaffold is None or scaffold.beta >= 100.0:
+        return command, a_r, r_r, True
     (a_p,) = planner.act(stepper)
     r_p = predict_next_state(stepper.world, frame, a_p, arena)
-    d_f = reward_gap(r_r, r_p, scaffold.epsilon)
-    branch, reward = scaffold_select(r_r, r_p, d_f, scaffold.beta)
-    if branch is Branch.PLANNER:
-        return a_p, np.array(a_p) / arena.v_e_max, reward, branch
-    return command, a_r, reward, branch
+    denom = abs(r_p + scaffold.epsilon)
+    if denom == 0.0:
+        d_f = 0.0 if r_r == r_p else math.copysign(math.inf, r_r - r_p)
+    else:
+        d_f = 100.0 * (r_r - r_p) / denom
+    if d_f >= -scaffold.beta:
+        return command, a_r, r_r, True
+    return a_p, np.array(a_p) / arena.v_e_max, r_r - abs(r_p - r_r), False

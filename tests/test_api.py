@@ -46,3 +46,12 @@ def test_reward_is_one_function_and_an_outcome_its_kind():
         "r_d", "r_b", "sum_w", "r"]
     assert not hasattr(env, "EpisodeOutcome")
     assert not hasattr(cep, "EpisodeOutcome")
+
+
+def test_scaffold_choice_is_one_body():
+    assert sr2l.__all__ == ["ScaffoldConfig", "to_velocity",
+                            "predict_next_state", "EpisodeStepper",
+                            "arbitrate"]
+    for name in ("Branch", "reward_gap", "scaffold_select"):
+        assert not hasattr(sr2l, name)
+        assert not hasattr(cep, name)

@@ -4,10 +4,12 @@ import csv
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cep import cli
 from cep.config import desk_profile, save_config
+from cep.neural import Mlp, PolicyBundle, save_checkpoint
 from cep.sensing import SensingConfig
 
 
@@ -82,6 +84,19 @@ def test_checkpoint_width_mismatch(trained, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert re.fullmatch(r"cep: error: .*reads 36 inputs.*sensing\.n_s\)\n",
                         err)
+
+
+def test_checkpoint_networks_that_do_not_fit(tmp_path, capsys):
+    # An actor of one width is no layer: it would score an identity map.
+    checkpoint = tmp_path / "misfit.cepn"
+    save_checkpoint(checkpoint, PolicyBundle(
+        Mlp([36], np.zeros(0)), Mlp([38, 1], np.zeros(39)),
+        Mlp([38, 1], np.zeros(39))))
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--episodes",
+                     "1", "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (
+        "cep: error: checkpoint actor widths [36]: a network needs at least "
+        "2 widths, each >= 1\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

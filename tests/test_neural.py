@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ class TestMlp:
         net = Mlp.create([4, 8, 2], np.random.default_rng(1))
         flat = net.params_flat()
         clone = zero_net([4, 8, 2])
-        clone.set_params_flat(flat)
+        clone.params[:] = flat
         x = np.random.default_rng(2).normal(size=(5, 4))
         assert np.array_equal(net(x), clone(x))
 
@@ -257,13 +258,13 @@ def fd_check(loss_fn, net, analytic, rng, n_coords=40, h=1e-5, tol=1e-4):
     for i in idx:
         orig = flat[i]
         flat[i] = orig + h
-        net.set_params_flat(flat)
+        net.params[:] = flat
         up = loss_fn()
         flat[i] = orig - h
-        net.set_params_flat(flat)
+        net.params[:] = flat
         down = loss_fn()
         flat[i] = orig
-        net.set_params_flat(flat)
+        net.params[:] = flat
         fd = (up - down) / (2 * h)
         ga = analytic[i]
         assert abs(ga - fd) < tol * max(abs(ga), abs(fd), 1e-6), \
@@ -569,6 +570,34 @@ class TestCheckpoint:
         widths = struct.unpack_from(f"<{n_w}I", data, 13)
         assert list(widths) == bundle.actor.widths
 
+    @pytest.mark.parametrize("actor,critic,target,message", [
+        ([6], [8, 8, 1], [8, 8, 1], "actor widths [6]: a network needs"),
+        ([], [8, 8, 1], [8, 8, 1], "actor widths []: a network needs"),
+        ([6, 0, 4], [8, 8, 1], [8, 8, 1], "actor widths [6, 0, 4]: a network"),
+        ([6, 8], [8, 8, 1], [8, 8, 1], "actor widths [6, 8]: the output"),
+        ([6, 8, 2], [8, 8, 1], [8, 8, 1], "actor widths [6, 8, 2]: the output"),
+        ([6, 8, 4], [8], [8], "critic widths [8]: a network needs"),
+        ([6, 8, 4], [10, 8, 1], [10, 8, 1], "critic widths [10, 8, 1] and"),
+        ([6, 8, 4], [8, 8, 2], [8, 8, 2], "critic widths [8, 8, 2] and"),
+        ([6, 8, 4], [8, 8, 1], [8, 5, 1], "target critic widths [8, 5, 1] "),
+    ])
+    def test_networks_that_do_not_fit_rejected(self, tmp_path, actor, critic,
+                                               target, message):
+        p = tmp_path / "misfit.cepn"
+        save_checkpoint(p, PolicyBundle(*(
+            Mlp(widths, np.zeros(_param_count(widths)))
+            for widths in (actor, critic, target))))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(p)
+
+    def test_smallest_fitting_networks_load(self, tmp_path):
+        p = tmp_path / "small.cepn"
+        bundle = PolicyBundle(Mlp([6, 4], np.zeros(28)),
+                              Mlp([8, 1], np.zeros(9)),
+                              Mlp([8, 1], np.zeros(9)))
+        save_checkpoint(p, bundle)
+        assert load_checkpoint(p).critic.widths == [8, 1]
+
     def test_loaded_behaves_identically(self, tmp_path):
         bundle = make_bundle(seed=23)
         p = tmp_path / "d.cepn"
@@ -807,14 +836,14 @@ class TestAgainstPerLayerOracle:
         for _ in range(20):
             batch = random_batch(8, batch_rng, 0.2)
             critic, _ = per_layer_critic_update(batch, oracle, cfg, oracle_rng)
-            oracle.critic.set_params_flat(critic)
+            oracle.critic.params[:] = critic
             actor, _ = per_layer_actor_update(batch, oracle, cfg, oracle_rng)
-            oracle.actor.set_params_flat(actor)
+            oracle.actor.params[:] = actor
             (tw, tb), (ow, ob) = layers(oracle.target_critic), \
                 layers(oracle.critic)
-            oracle.target_critic.set_params_flat(flatten(
+            oracle.target_critic.params[:] = flatten(
                 [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tw, ow)],
-                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tb, ob)]))
+                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tb, ob)])
 
             critic_update(batch, bundle, cfg, rng)
             actor_update(batch, bundle, cfg, rng)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cep import sr2l
 from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
                      init_world, max_steps, step_evader)
 from cep.neural import PolicyBundle, TrainConfig, forward_actor
 from cep.pfm import PfmGains, PfmPolicy
 from cep.rewards import transition_reward
 from cep.sensing import SenseFrame, SensingConfig, sense
-from cep.sr2l import (Branch, EpisodeStepper, ScaffoldConfig, arbitrate,
-                      predict_next_state, reward_gap, scaffold_select,
-                      to_velocity)
+from cep.sr2l import (EpisodeStepper, ScaffoldConfig, arbitrate,
+                      predict_next_state, to_velocity)
 
 SENSING = SensingConfig(n_s=36, r_b_norm=100.0)
 PLANNER = PfmPolicy(PfmGains())
@@ -101,6 +101,48 @@ class TestPredictNextState:
             predict_next_state(w, frame, action, cfg)
 
 
+# -- oracle: the scaffold decision as the two helpers it was split into
+# before it became one body in arbitrate
+
+
+def reward_gap(r_r: float, r_p: float, eps: float) -> float:
+    """Percentage gap between the actor's and planner's expected rewards."""
+    denom = abs(r_p + eps)
+    if denom == 0.0:
+        if r_r == r_p:
+            return 0.0
+        return math.copysign(math.inf, r_r - r_p)
+    return 100.0 * (r_r - r_p) / denom
+
+
+def scaffold_select(r_r: float, r_p: float, d_f: float,
+                    beta: float) -> tuple[bool, float]:
+    """Whether the actor's action runs, and the reward the stored
+    transition holds."""
+    if d_f >= -beta or beta >= 100.0:
+        return True, r_r
+    return False, r_r - abs(r_p - r_r)
+
+
+def arbitrate_with(monkeypatch, r_r: float, r_p: float,
+                   scaffold: ScaffoldConfig, planner=PLANNER):
+    """A fixed scene's stepper and :func:`arbitrate`'s choice on it, with the
+    forward model estimating ``r_r`` for the actor's command and ``r_p`` for
+    the planner's."""
+    estimates = iter([r_r, r_p])
+    monkeypatch.setattr(sr2l, "predict_next_state",
+                        lambda *args: next(estimates))
+    cfg = arena(8)
+    stepper = EpisodeStepper(init_world(cfg, 4), cfg, SENSING)
+    return stepper, arbitrate(stepper, NETS, np.random.default_rng(0),
+                              scaffold, planner)
+
+
+class Refuses:
+    def act(self, stepper):
+        raise AssertionError("the planner was asked")
+
+
 class TestArbitrate:
     @given(stepper=scenes(), beta=st.sampled_from([None, 0.0, 20.0, 100.0]),
            seed=st.integers(0, 2**32 - 1))
@@ -114,35 +156,33 @@ class TestArbitrate:
         action = forward_actor(NETS.actor, state, rng)
         command = to_velocity(action, cfg)
         reward = r_r = predict_next_state(w, frame, command, cfg)
-        branch = Branch.ACTOR
+        actor_ran = True
         if scaffold is not None:
             (a_p,) = PLANNER.act(stepper)
             r_p = predict_next_state(w, frame, a_p, cfg)
-            branch, reward = scaffold_select(
+            actor_ran, reward = scaffold_select(
                 r_r, r_p, reward_gap(r_r, r_p, scaffold.epsilon), beta)
-            if branch is Branch.PLANNER:
+            if not actor_ran:
                 command, action = a_p, np.array(a_p) / cfg.v_e_max
 
         own = np.random.default_rng(seed)
         got = arbitrate(stepper, NETS, own, scaffold, PLANNER)
-        assert (got[0], got[2], got[3]) == (command, reward, branch)
+        assert (got[0], got[2], got[3]) == (command, reward, actor_ran)
         assert np.array_equal(got[1], action)
         # The same draws, in the same order.
         assert own.bit_generator.state == rng.bit_generator.state
 
-    def test_independent_trainer_never_asks_the_planner(self):
-        class Refuses:
-            def act(self, stepper):
-                raise AssertionError("the planner was asked")
-
+    @pytest.mark.parametrize("scaffold", [None, ScaffoldConfig(beta=100.0)],
+                             ids=["iac", "beta100"])
+    def test_independent_trainer_never_asks_the_planner(self, scaffold):
         cfg = arena(8)
         stepper = EpisodeStepper(init_world(cfg, 4), cfg, SENSING)
         rng = np.random.default_rng(0)
         (outcome,) = stepper.world.outcomes
         while outcome is None:
-            command, _, _, branch = arbitrate(stepper, NETS, rng, None,
-                                              Refuses())
-            assert branch is Branch.ACTOR
+            command, _, _, actor_ran = arbitrate(stepper, NETS, rng, scaffold,
+                                                 Refuses())
+            assert actor_ran
             (outcome,), _ = stepper.step_action([command])
 
 
@@ -196,30 +236,60 @@ class TestResetRule:
 
 
 class TestRewardGap:
-    def test_zero_denominator(self):
-        eps = 1e-6
-        assert reward_gap(-eps, -eps, eps) == 0.0
-        assert reward_gap(1.0, -eps, eps) == math.inf
-        assert reward_gap(-1.0, -eps, eps) == -math.inf
+    """D_f through the branch it selects, with the forward model's two
+    estimates chosen."""
 
-    def test_percentage(self):
-        assert reward_gap(1.5, 1.0, 1e-6) == pytest.approx(50.0 / (1.0 + 1e-6))
+    EPS = 1e-6
+
+    def test_zero_denominator(self, monkeypatch):
+        # r_p = -eps zeroes the denominator: D_f is 0 for equal estimates
+        # (the actor runs even at beta = 0), and an infinity of the sign of
+        # r_r - r_p otherwise (the planner runs at any threshold below 100).
+        r_p = -self.EPS
+        for r_r, beta, actor_ran in ((r_p, 0.0, True), (1.0, 0.0, True),
+                                     (r_p - 1e-9, 99.0, False)):
+            _, (_, _, reward, ran) = arbitrate_with(
+                monkeypatch, r_r, r_p,
+                ScaffoldConfig(beta=beta, epsilon=self.EPS))
+            assert ran is actor_ran
+            assert reward == (r_r if actor_ran else r_r - abs(r_p - r_r))
+
+    def test_percentage(self, monkeypatch):
+        # D_f = 100 * (0.5 - 1) / (1 + eps), just above -50.
+        for beta, actor_ran in ((50.0, True), (49.9999, False)):
+            _, (_, _, _, ran) = arbitrate_with(
+                monkeypatch, 0.5, 1.0,
+                ScaffoldConfig(beta=beta, epsilon=self.EPS))
+            assert ran is actor_ran
 
 
 class TestScaffoldSelect:
-    def test_open_threshold_always_actor(self):
-        # beta = 100 forces the actor branch even for an unbounded gap.
-        assert scaffold_select(-5.0, 1.0, -math.inf, 100.0) == (Branch.ACTOR,
-                                                                -5.0)
+    def test_open_threshold_always_actor(self, monkeypatch):
+        # beta = 100 takes the actor's branch before the planner is asked,
+        # even where D_f would be -inf.
+        _, (_, _, reward, ran) = arbitrate_with(
+            monkeypatch, -5.0, -1e-6, ScaffoldConfig(beta=100.0), Refuses())
+        assert (ran, reward) == (True, -5.0)
 
-    def test_branch_boundary(self):
-        beta = 20.0
-        r_r, r_p = -1.2, -1.0
-        assert scaffold_select(r_r, r_p, -beta, beta) == (Branch.ACTOR, r_r)
-        below = float(np.nextafter(-beta, -math.inf))
-        branch, stored = scaffold_select(r_r, r_p, below, beta)
-        assert branch is Branch.PLANNER
-        assert stored == r_r - abs(r_p - r_r)
+    def test_branch_boundary(self, monkeypatch):
+        # r_p + eps == 1 and r_r - r_p == -0.25 exactly, so D_f == -25.
+        eps = 2.0 ** -20
+        r_p = 1.0 - eps
+        r_r = r_p - 0.25
+        assert reward_gap(r_r, r_p, eps) == -25.0
+        stepper, (command, action, reward, ran) = arbitrate_with(
+            monkeypatch, r_r, r_p, ScaffoldConfig(beta=25.0, epsilon=eps))
+        assert (ran, reward) == (True, r_r)
+        assert command == to_velocity(action, stepper.arena)
+
+        # D_f one ulp below -beta: the planner's action runs.
+        below = float(np.nextafter(25.0, 0.0))
+        stepper, (command, action, reward, ran) = arbitrate_with(
+            monkeypatch, r_r, r_p, ScaffoldConfig(beta=below, epsilon=eps))
+        (a_p,) = PLANNER.act(stepper)
+        assert (ran, reward) == (False, r_r - abs(r_p - r_r))
+        assert command == a_p
+        assert np.array_equal(action, np.array(a_p) / stepper.arena.v_e_max)
 
 
 class TestDropEnded:
