@@ -29,13 +29,10 @@ def _cmd_train(args) -> int:
         overrides["episodes"] = args.episodes
     cfg = replace(cfg, **overrides)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfgmod.save_config(cfg, out_dir / "config.txt")
-    _, logs = harness.train(cfg, out_dir)
+    _, logs = harness.train(cfg)
     escaped = sum(1 for log in logs if log.outcome == "escaped")
     print(f"trained {len(logs)} episodes ({cfg.mode}), "
-          f"{escaped} escapes, outputs in {out_dir}")
+          f"{escaped} escapes, outputs in {cfg.out_dir}")
     return 0
 
 

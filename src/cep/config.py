@@ -4,7 +4,7 @@ Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Keys mirror the RunConfig field names exactly; nested sections use dotted
 keys (``arena.half_width``, ``train.lr_actor``, ...).  Values are coerced by
 the type of the field they replace; the ``train.hidden`` tuple is written as
-comma-separated integers.
+comma-separated integers.  A key may be set once per file.
 
 Two profiles ship: ``desk`` (100x100 arena, 10 pursuers, t_max=100, 36 rays)
 for fast training and the acceptance suite, and ``paper`` (200x200 arena,
@@ -41,9 +41,9 @@ _SECTIONS = ("arena", "sensing", "train", "scaffold", "pfm")
 class RunConfig:
     arena: ArenaConfig
     sensing: SensingConfig
-    train: TrainConfig
-    scaffold: ScaffoldConfig
-    pfm: PfmGains
+    train: TrainConfig = TrainConfig()
+    scaffold: ScaffoldConfig = ScaffoldConfig()
+    pfm: PfmGains = PfmGains()
     mode: str = "sr2l"
     episodes: int = 150
     eval_episodes: int = 200
@@ -70,34 +70,19 @@ class RunConfig:
 
 def desk_profile(**overrides) -> RunConfig:
     """Small fast profile; the shipped defaults and the acceptance scale."""
-    cfg = RunConfig(
-        arena=ArenaConfig(half_width=50.0, half_height=50.0,
-                          spawn_half_extent=10.0, n_pursuers=10,
-                          t_max=100.0),
-        sensing=SensingConfig(n_s=36, r_b_norm=100.0),
-        train=TrainConfig(),
-        scaffold=ScaffoldConfig(),
-        pfm=PfmGains(),
-        episodes=150,
-        eval_episodes=200,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return RunConfig(ArenaConfig(half_width=50.0, half_height=50.0,
+                                 spawn_half_extent=10.0, n_pursuers=10,
+                                 t_max=100.0),
+                     SensingConfig(n_s=36, r_b_norm=100.0), **overrides)
 
 
 def paper_profile(**overrides) -> RunConfig:
     """Published experiment scale: 200x200 arena, 30 pursuers, t_max=300."""
-    cfg = RunConfig(
-        arena=ArenaConfig(half_width=100.0, half_height=100.0,
-                          spawn_half_extent=10.0, n_pursuers=30,
-                          t_max=300.0),
-        sensing=SensingConfig(n_s=72, r_b_norm=200.0),
-        train=TrainConfig(),
-        scaffold=ScaffoldConfig(),
-        pfm=PfmGains(),
-        episodes=1000,
-        eval_episodes=1000,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return RunConfig(ArenaConfig(half_width=100.0, half_height=100.0,
+                                 spawn_half_extent=10.0, n_pursuers=30,
+                                 t_max=300.0),
+                     SensingConfig(n_s=72, r_b_norm=200.0),
+                     **{"episodes": 1000, "eval_episodes": 1000, **overrides})
 
 
 def _format_value(value) -> str:
@@ -115,7 +100,7 @@ def _coerce(current, raw: str):
     if isinstance(current, float):
         return float(raw)
     if isinstance(current, tuple):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
+        return tuple(int(v) for v in raw.split(",")) if raw else ()
     return raw
 
 
@@ -153,6 +138,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
     top: dict = {}
     nested: dict[str, dict] = {s: {} for s in _SECTIONS}
     keys: dict[str, list[str]] = {s: [] for s in ("", *_SECTIONS)}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -171,6 +157,10 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
             obj, values, field_name, section = cfg, top, key, ""
         if not hasattr(obj, field_name):
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key}: already set on line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             values[field_name] = _coerce(getattr(obj, field_name), raw)
         except ValueError as exc:

@@ -25,7 +25,8 @@ before and after the step (the reset rule is the stepper's
 the command :func:`~cep.sr2l.arbitrate` chooses, and stores the observations
 before and after each step with the step's action, reward and end flag.
 
-All CSV output uses 9-significant-digit floats and LF newlines.
+Training always writes its run directory (see :func:`train`).  All CSV
+output uses 9-significant-digit floats and LF newlines.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, save_config
 from .env import (ArenaConfig, OutcomeKind, WorldState, init_world, max_steps,
                   objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
@@ -53,7 +54,6 @@ __all__ = [
     "EvalReport",
     "SweepCell",
     "ActorPolicy",
-    "PfmPolicy",
     "RandomWalkPolicy",
     "make_policy",
     "train",
@@ -72,6 +72,8 @@ _EVAL_TAG = 2
 # Episodes an evaluation steps together at most: bounds the memory a batch
 # holds, whatever the episode count.
 _BLOCK_EPISODES = 256
+# Episodes per bucket of an evaluation report.
+_BUCKET_EPISODES = 100
 
 
 def _fmt(value) -> str:
@@ -180,17 +182,21 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
 
     Per environment step: one stored transition (SR2L arbitrates against one
     PFM planner per run), then (once the buffer holds a batch) one critic
-    update, one actor update, and a target soft update.
-    Checkpoints are written every ``train.checkpoint_every`` episodes and at
-    the end; a non-finite loss halts training and the bundle rolls back to the
-    last completed episode.  Returns the trained bundle and per-episode logs.
+    update, one actor update, and a target soft update.  A non-finite loss
+    halts training, and the bundle rolls back to the last completed episode.
+
+    Writes the run directory ``out_dir`` (``cfg.out_dir`` by default):
+    ``config.txt`` (``cfg`` as given), ``train_log.csv``, a
+    ``checkpoint_epNNNNN.cepn`` every ``train.checkpoint_every`` episodes,
+    ``policy_final.cepn``, and ``DIVERGED`` if training halted.  Returns the
+    trained bundle and per-episode logs.
     """
     scaffold = cfg.scaffold if cfg.mode == "sr2l" else None
     planner = PfmPolicy(cfg.pfm)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out_path / "config.txt")
 
     net_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 10)))
     step_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 11)))
@@ -201,16 +207,11 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     buffer = ReplayBuffer(cfg.train.buffer_capacity, state_dim)
 
     logs: list[EpisodeLog] = []
-    log_file = None
-    writer = None
-    if out_path is not None:
-        log_file = open(out_path / "train_log.csv", "w", newline="")
-        writer = csv.writer(log_file, lineterminator="\n")
-        writer.writerow(_header(EpisodeLog))
-
     last_good = bundle.copy()
     diverged = False
-    try:
+    with open(out_path / "train_log.csv", "w", newline="") as log_file:
+        writer = csv.writer(log_file, lineterminator="\n")
+        writer.writerow(_header(EpisodeLog))
         for episode in range(cfg.episodes):
             world = init_world(cfg.arena,
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
@@ -255,25 +256,19 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                 closs_sum / updates if updates else 0.0,
                 aloss_sum / updates if updates else 0.0,
                 updates))
-            if writer is not None:
-                writer.writerow(_row(logs[-1]))
-                log_file.flush()
+            writer.writerow(_row(logs[-1]))
+            log_file.flush()
             last_good = bundle.copy()
 
-            if out_path is not None and \
-                    (episode + 1) % cfg.train.checkpoint_every == 0:
+            if (episode + 1) % cfg.train.checkpoint_every == 0:
                 save_checkpoint(out_path / f"checkpoint_ep{episode + 1:05d}.cepn",
                                 bundle)
-    finally:
-        if log_file is not None:
-            log_file.close()
 
-    if out_path is not None:
-        save_checkpoint(out_path / "policy_final.cepn", bundle)
-        if diverged:
-            (out_path / "DIVERGED").write_text(
-                "training halted on non-finite loss; policy_final.cepn is the "
-                "last completed episode\n")
+    save_checkpoint(out_path / "policy_final.cepn", bundle)
+    if diverged:
+        (out_path / "DIVERGED").write_text(
+            "training halted on non-finite loss; policy_final.cepn is the "
+            "last completed episode\n")
     return bundle, logs
 
 
@@ -317,9 +312,9 @@ def _summarize(episodes: list[EvalEpisode]) -> tuple[float, float, float]:
             float(np.mean([e.mean_reward for e in episodes])))
 
 
-def _bucketize(episodes: list[EvalEpisode], width: int = 100) -> list[EvalBucket]:
-    chunks = [episodes[start:start + width]
-              for start in range(0, len(episodes), width)]
+def _bucketize(episodes: list[EvalEpisode]) -> list[EvalBucket]:
+    chunks = [episodes[start:start + _BUCKET_EPISODES]
+              for start in range(0, len(episodes), _BUCKET_EPISODES)]
     return [EvalBucket(i, len(chunk), *_summarize(chunk))
             for i, chunk in enumerate(chunks)]
 

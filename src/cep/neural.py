@@ -3,7 +3,7 @@
 All math is float64 numpy; no autodiff framework.  Networks are stacks of
 dense layers with tanh hidden activations and a linear output layer.
 
-Actor head: ``2*action_dim`` outputs split into a mean and a raw log-std
+Actor head: ``2*ACTION_DIM`` outputs split into a mean and a raw log-std
 (clamped to [-5, 2]).  Actions are tanh-squashed Gaussian samples with the
 exact squash correction in the log-density::
 
@@ -63,6 +63,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
+    "ACTION_DIM",
 ]
 
 LOG_STD_MIN = -5.0
@@ -71,6 +72,7 @@ SQUASH_EPS = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_MAGIC = b"CEPN1"
+ACTION_DIM = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -167,7 +169,7 @@ class Batch:
     @classmethod
     def from_rows(cls, rows: np.ndarray, state_dim: int) -> "Batch":
         """Column views of replay rows laid out as :class:`ReplayBuffer`'s."""
-        a_end = rows.shape[1] - state_dim - 2
+        a_end = state_dim + ACTION_DIM
         return cls(rows[:, :state_dim], rows[:, state_dim:a_end],
                    rows[:, a_end], rows[:, a_end + 1:-1], rows[:, -1])
 
@@ -179,10 +181,10 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with seeded uniform sampling; a
     ``table`` row is state, action, reward, next state, terminal (1.0/0.0)."""
 
-    def __init__(self, capacity: int, state_dim: int, action_dim: int = 2):
+    def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
         self.state_dim = state_dim
-        self.table = np.zeros((capacity, 2 * state_dim + action_dim + 2))
+        self.table = np.zeros((capacity, 2 * state_dim + ACTION_DIM + 2))
         self.size = 0
         self.cursor = 0
 
@@ -244,12 +246,12 @@ class PolicyBundle:
 
     @classmethod
     def create(cls, state_dim: int, cfg: TrainConfig,
-               rng: np.random.Generator, action_dim: int = 2) -> "PolicyBundle":
-        actor = Mlp.create([state_dim, *cfg.hidden, 2 * action_dim], rng)
+               rng: np.random.Generator) -> "PolicyBundle":
+        actor = Mlp.create([state_dim, *cfg.hidden, 2 * ACTION_DIM], rng)
         # Small head: the initial policy is near-zero mean with unit std,
         # i.e. isotropic exploration rather than a heading bias.
         actor.weights[-1][...] *= 0.01
-        critic = Mlp.create([state_dim + action_dim, *cfg.hidden, 1], rng)
+        critic = Mlp.create([state_dim + ACTION_DIM, *cfg.hidden, 1], rng)
         return cls(actor, critic, critic.copy())
 
     def copy(self) -> "PolicyBundle":
@@ -258,9 +260,8 @@ class PolicyBundle:
 
 
 def _split_actor_head(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = out.shape[1] // 2
-    mean = out[:, :dim]
-    raw = out[:, dim:]
+    mean = out[:, :ACTION_DIM]
+    raw = out[:, ACTION_DIM:]
     log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
     return mean, raw, log_std
 
@@ -289,7 +290,7 @@ def forward_actor(net: Mlp, state: np.ndarray,
     s = np.asarray(state, dtype=float).reshape(1, -1)
     if s.shape[1] != net.widths[0]:
         raise ValueError(f"state width {s.shape[1]} != input width {net.widths[0]}")
-    noise = rng.standard_normal((1, net.widths[-1] // 2))
+    noise = rng.standard_normal((1, ACTION_DIM))
     mean, _, log_std = _split_actor_head(net(s))
     return np.tanh(mean + np.exp(log_std) * noise)[0]
 
@@ -374,8 +375,7 @@ def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
 def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
                   rng: np.random.Generator) -> float:
     """One SGD step on the critic regression loss; returns the pre-step loss."""
-    dim = nets.actor.widths[-1] // 2
-    noise = rng.standard_normal((len(batch), dim))
+    noise = rng.standard_normal((len(batch), ACTION_DIM))
     y = critic_target(batch, nets, cfg, noise)
     loss, grads = critic_loss_and_grads(nets.critic, batch.states,
                                         batch.actions, y)
@@ -387,8 +387,7 @@ def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
                  rng: np.random.Generator) -> float:
     """One SGD step ascending the reparameterized objective; returns the
     pre-step loss."""
-    dim = nets.actor.widths[-1] // 2
-    noise = rng.standard_normal((len(batch), dim))
+    noise = rng.standard_normal((len(batch), ACTION_DIM))
     loss, grads = actor_loss_and_grads(nets.actor, nets.critic, batch.states,
                                        noise, cfg.alpha)
     return _descend(nets.actor, "actor", loss, grads, cfg.grad_clip,
@@ -435,8 +434,9 @@ def _need(data: bytes, pos: int, size: int, what: str) -> None:
 
 def load_checkpoint(path) -> PolicyBundle:
     """Read a bundle written by :func:`save_checkpoint`.  A file that is
-    truncated, has trailing bytes, a wrong magic or networks that do not fit
-    together as an actor, critic and target critic raises ``ValueError``."""
+    truncated, has trailing bytes, a wrong magic, a network with a non-finite
+    parameter or networks that do not fit together as an actor, critic and
+    target critic raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     _need(data, 0, len(CHECKPOINT_MAGIC), "the magic")
@@ -463,17 +463,20 @@ def load_checkpoint(path) -> PolicyBundle:
         raise ValueError("trailing bytes in checkpoint")
     if len(nets) != 3:
         raise ValueError(f"expected 3 networks in checkpoint, got {len(nets)}")
+    for name, net in zip(("actor", "critic", "target critic"), nets):
+        if len(net.widths) < 2 or 0 in net.widths:
+            raise ValueError(f"checkpoint {name} widths {net.widths}: a "
+                             f"network needs at least 2 widths, each >= 1")
+        if not net.is_finite():
+            raise ValueError(f"checkpoint {name} parameters are not all "
+                             f"finite")
     actor, critic, target = (net.widths for net in nets)
-    for name, widths in (("actor", actor), ("critic", critic),
-                         ("target critic", target)):
-        if len(widths) < 2 or 0 in widths:
-            raise ValueError(f"checkpoint {name} widths {widths}: a network "
-                             f"needs at least 2 widths, each >= 1")
-    if actor[-1] != 4:
+    if actor[-1] != 2 * ACTION_DIM:
         raise ValueError(f"checkpoint actor widths {actor}: the output must "
-                         f"be 4 wide (2 x action dim)")
-    if critic[0] != actor[0] + 2 or critic[-1] != 1 or target != critic:
+                         f"be {2 * ACTION_DIM} wide (2 x action dim)")
+    if critic[0] != actor[0] + ACTION_DIM or critic[-1] != 1 or \
+            target != critic:
         raise ValueError(f"checkpoint critic widths {critic} and target critic "
                          f"widths {target} must be equal, start at the "
-                         f"actor's input {actor[0]} + 2 and end at 1")
+                         f"actor's input {actor[0]} + {ACTION_DIM} and end at 1")
     return PolicyBundle(*nets)

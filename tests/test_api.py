@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from dataclasses import fields
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cep
-from cep import env, rewards, sr2l
+from cep import env, harness, neural, pfm, rewards, sr2l
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cep.__path__))
 
@@ -55,3 +56,15 @@ def test_scaffold_choice_is_one_body():
     for name in ("Branch", "reward_gap", "scaffold_select"):
         assert not hasattr(sr2l, name)
         assert not hasattr(cep, name)
+
+
+def test_action_is_two_dimensional():
+    assert neural.ACTION_DIM == 2
+    for constructor in (neural.ReplayBuffer.__init__,
+                        neural.PolicyBundle.create):
+        assert "action_dim" not in inspect.signature(constructor).parameters
+
+
+def test_planner_has_one_home():
+    assert "PfmPolicy" not in harness.__all__
+    assert cep.PfmPolicy is pfm.PfmPolicy

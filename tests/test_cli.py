@@ -9,7 +9,7 @@ import pytest
 
 from cep import cli
 from cep.config import desk_profile, save_config
-from cep.neural import Mlp, PolicyBundle, save_checkpoint
+from cep.neural import Mlp, PolicyBundle, load_checkpoint, save_checkpoint
 from cep.sensing import SensingConfig
 
 
@@ -97,6 +97,31 @@ def test_checkpoint_networks_that_do_not_fit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "cep: error: checkpoint actor widths [36]: a network needs at least "
         "2 widths, each >= 1\n")
+
+
+def test_checkpoint_with_non_finite_parameters(trained, tmp_path, capsys):
+    # Before: inf in the actor's last bias scored 66.7% escapes, exit 0.
+    bundle = load_checkpoint(trained[1])
+    bundle.actor.biases[-1][0] = np.inf
+    checkpoint = tmp_path / "inf.cepn"
+    save_checkpoint(checkpoint, bundle)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--episodes",
+                     "1", "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (
+        "cep: error: checkpoint actor parameters are not all finite\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_config_key_set_twice(tmp_path, capsys):
+    # Before: the second setting won, and 30 pursuers were evaluated.
+    config = tmp_path / "config.txt"
+    config.write_text("arena.n_pursuers = 10\narena.n_pursuers = 30\n")
+    assert cli.main(["eval", "--policy", "pfm", "--episodes", "1",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (
+        f"cep: error: {config}:2: arena.n_pursuers: already set on line 1\n")
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -113,6 +115,10 @@ def test_shipped_keys():
     ("arena.n_pursuers = 1.5", "arena.n_pursuers"),
     ("train.lr_actor = fast", "train.lr_actor"),
     ("train.hidden = 64,x", "train.hidden"),
+    # Before: an empty item was dropped, and 64,,32 loaded as (64, 32).
+    ("train.hidden = 64,,32", "train.hidden"),
+    ("train.hidden = 64,", "train.hidden"),
+    ("train.hidden = ,", "train.hidden"),
     ("episodes = ten", "episodes"),
 ])
 def test_bad_value_names_file_line_and_key(tmp_path, line, key):
@@ -120,6 +126,40 @@ def test_bad_value_names_file_line_and_key(tmp_path, line, key):
     path.write_text(f"# a comment\n{line}\n")
     with pytest.raises(ValueError, match=f"bad.txt:2: {key}: "):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,first,second", [
+    ("arena.n_pursuers", "10", "30"),
+    ("seed", "1", "2"),
+    ("train.hidden", "64", "64"),
+])
+def test_repeated_key_names_both_lines(tmp_path, key, first, second):
+    # Before: the last setting won without a word.
+    path = tmp_path / "twice.txt"
+    path.write_text(f"{key} = {first}\n# a comment\n{key} = {second}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"twice.txt:3: {key}: already set on line 1")):
+        load_config(path)
+
+
+# SHA-1 of each profile's config text.  A profile states only what differs
+# from the section defaults, and that must not change what it holds.
+PROFILE_TEXT_SHA1 = {
+    desk_profile: "632baa77e32b75f2247b1714a8959bcd25b2b439",
+    paper_profile: "05aad47f28d350609247019d116d6b678aa302c6",
+}
+
+
+@pytest.mark.parametrize("profile", PROFILE_TEXT_SHA1, ids=lambda p: p.__name__)
+def test_profile_text_unchanged(profile):
+    text = config_to_text(profile()).encode()
+    assert hashlib.sha1(text).hexdigest() == PROFILE_TEXT_SHA1[profile]
+
+
+def test_sections_default_to_their_defaults():
+    cfg = RunConfig(desk_profile().arena, desk_profile().sensing)
+    assert (cfg.train, cfg.scaffold, cfg.pfm) == \
+        (TrainConfig(), ScaffoldConfig(), PfmGains())
 
 
 @pytest.mark.parametrize("hidden", [(0,), (64, 0), (-3, 8)])

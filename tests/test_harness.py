@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cep import harness, sensing
-from cep.config import desk_profile
+from cep.config import desk_profile, load_config
 from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
@@ -258,6 +258,29 @@ def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):
     assert not (tmp_path / "one" / "DIVERGED").exists()
 
 
+class TestRunDirectory:
+    """A training run always writes its run directory."""
+
+    def test_default_is_the_config_out_dir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        cfg = desk_profile(mode="iac", episodes=1, seed=1, out_dir="runs/a")
+        train(cfg)
+        out = tmp_path / "runs" / "a"
+        assert (out / "policy_final.cepn").exists()
+        assert load_config(out / "config.txt") == cfg
+
+    def test_holds_config_log_and_due_checkpoints_only(self, tmp_path):
+        cfg = desk_profile(mode="sr2l", episodes=3, seed=1)
+        cfg = replace(cfg, train=replace(cfg.train, checkpoint_every=2))
+        _, logs = train(cfg, tmp_path / "run")
+        assert len(logs) == 3
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint_ep00002.cepn", "config.txt", "policy_final.cepn",
+            "train_log.csv"]
+        # The file holds the config as given, not the directory passed.
+        assert load_config(tmp_path / "run" / "config.txt") == cfg
+
+
 class TestComputedOnlyWhenRead:
     """The lidar and boundary scans feed only the actor's observation (and
     the lidar the replay's ``min_lidar`` column): a policy that never reads
@@ -301,10 +324,11 @@ class TestComputedOnlyWhenRead:
         assert min(steps) < max(steps)
         assert scans == {"cast_rays": max(steps), "boundary_scan": max(steps)}
 
-    def test_training_observes_once_per_step_and_episode_start(self, scans):
+    def test_training_observes_once_per_step_and_episode_start(self, scans,
+                                                                tmp_path):
         # A step's next state is the following step's state, built once.
         cfg = desk_profile(mode="sr2l", episodes=2, seed=1)
-        _, logs = train(cfg)
+        _, logs = train(cfg, tmp_path)
         assert all(log.steps > 0 for log in logs)
         expected = sum(log.steps for log in logs) + len(logs)
         assert scans == {"cast_rays": expected, "boundary_scan": expected}

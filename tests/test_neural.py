@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from cep.neural import (LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, Batch, Mlp,
-                        PolicyBundle, ReplayBuffer, TrainConfig,
+from cep.neural import (ACTION_DIM, LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS,
+                        Batch, Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
                         TrainingDiverged, _param_count,
                         _split_actor_head,
                         actor_loss_and_grads, actor_mean_action,
@@ -598,6 +598,20 @@ class TestCheckpoint:
         save_checkpoint(p, bundle)
         assert load_checkpoint(p).critic.widths == [8, 1]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["actor", "critic", "target_critic"])
+    def test_non_finite_parameters_rejected(self, tmp_path, name, value):
+        # Before: inf in the actor's last bias loaded and was scored as a
+        # policy, and NaN failed only at the first step, naming no file.
+        bundle = make_bundle(seed=25)
+        getattr(bundle, name).biases[-1][0] = value
+        p = tmp_path / "bad.cepn"
+        save_checkpoint(p, bundle)
+        label = name.replace("_", " ")
+        with pytest.raises(ValueError, match=f"^checkpoint {label} parameters "
+                                             f"are not all finite$"):
+            load_checkpoint(p)
+
     def test_loaded_behaves_identically(self, tmp_path):
         bundle = make_bundle(seed=23)
         p = tmp_path / "d.cepn"
@@ -690,10 +704,10 @@ def per_layer_actor_update(batch, nets, cfg, rng):
 class FiveArrayBuffer:
     """The replay ring as five parallel arrays, one per field."""
 
-    def __init__(self, capacity, state_dim, action_dim=2):
+    def __init__(self, capacity, state_dim):
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros((capacity, action_dim))
+        self.actions = np.zeros((capacity, ACTION_DIM))
         self.rewards = np.zeros(capacity)
         self.next_states = np.zeros((capacity, state_dim))
         self.terminals = np.zeros(capacity, dtype=bool)
