@@ -41,6 +41,21 @@ def test_eval_pfm(tmp_path):
     assert rows(out / "eval_summary.csv")[0]["scope"] == "all"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--policy", "pfm", "--episodes", "250"],
+     "escape%=100 mean_escape_steps=41.636 mean_reward=-0.1323341 "
+     "(250 episodes)"),
+    (["--policy", "random", "--episodes", "3"],
+     "escape%=0 mean_escape_steps=nan mean_reward=-0.63709418 (3 episodes)"),
+], ids=["pfm", "random"])
+def test_eval_prints_the_overall_summary(tmp_path, capsys, argv, line):
+    out = tmp_path / "eval"
+    assert cli.main(["eval", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        line, f"wrote {out / 'eval_episodes.csv'} and "
+              f"{out / 'eval_summary.csv'}"]
+
+
 def test_eval_checkpoint(trained, tmp_path):
     out = tmp_path / "eval"
     assert cli.main(["eval", "--checkpoint", str(trained[1]), "--episodes",

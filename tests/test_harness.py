@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ from cep.config import desk_profile, load_config
 from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, _bucketize, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
-                         sweep, train)
+                         sweep, train, write_eval_summary, write_sweep_csv)
 from cep.neural import PolicyBundle, TrainConfig, TrainingDiverged
 from cep.sr2l import EpisodeStepper
 
@@ -71,6 +72,35 @@ class TestSummary:
         (bucket,) = report.buckets
         assert (bucket.escape_pct, bucket.mean_escape_steps,
                 bucket.mean_reward) == overall
+
+
+def sha1_of(path) -> str:
+    return hashlib.sha1(path.read_bytes()).hexdigest()
+
+
+class TestOutputBytes:
+    """The bytes of ``eval_summary.csv`` and ``sweep.csv``, recorded before
+    the summary became one record type."""
+
+    @pytest.mark.parametrize("kind,episodes,digest", [
+        # Buckets of 100, 100 and 50 episodes.
+        ("pfm", 250, "37b588ec9e5d3e70264145e0f52e4493c2130ca1"),
+        # No escape: the rows hold nan.
+        ("random", 3, "41d3dfb16888b79b453c20545838d5b97caa2628"),
+    ])
+    def test_eval_summary(self, tmp_path, kind, episodes, digest):
+        cfg = desk_profile(seed=0)
+        report = evaluate_monte_carlo(make_policy(kind, cfg), cfg,
+                                      episodes=episodes)
+        write_eval_summary(tmp_path / "eval_summary.csv", report)
+        assert sha1_of(tmp_path / "eval_summary.csv") == digest
+
+    def test_sweep(self, tmp_path):
+        cells = sweep(small_bundle(), desk_profile(seed=0),
+                      [(5, 1.5, 1.5), (10, 1.0, 0.75)], episodes=3)
+        write_sweep_csv(tmp_path / "sweep.csv", cells)
+        assert sha1_of(tmp_path / "sweep.csv") == \
+            "08eccee3e97dfdc2c2c0b12ac9ddc3b8799dfa7e"
 
 
 def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
