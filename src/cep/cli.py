@@ -48,9 +48,10 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     harness.write_eval_episodes(out / "eval_episodes.csv", report)
     harness.write_eval_summary(out / "eval_summary.csv", report)
-    print(f"escape%={report.escape_pct:.9g} "
-          f"mean_escape_steps={report.mean_escape_steps:.9g} "
-          f"mean_reward={report.mean_reward:.9g} ({len(report.episodes)} episodes)")
+    overall = report.overall
+    print(f"escape%={overall.escape_pct:.9g} "
+          f"mean_escape_steps={overall.mean_escape_steps:.9g} "
+          f"mean_reward={overall.mean_reward:.9g} ({overall.episodes} episodes)")
     print(f"wrote {out / 'eval_episodes.csv'} and {out / 'eval_summary.csv'}")
     return 0
 
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="Monte-Carlo evaluation")
     p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--episodes", type=int, required=True)
+    p_eval.add_argument("--episodes", type=int,
+                        help="default: eval_episodes of the config")
     p_eval.add_argument("--config")
     p_eval.add_argument("--policy", default="checkpoint",
                         choices=("checkpoint", "pfm", "random"))

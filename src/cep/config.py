@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError("eval_episodes must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
         # What the config file cannot hold: '#' starts a comment, a line
         # break ends the line, and a value is read back stripped.
         if "#" in self.out_dir or self.out_dir != self.out_dir.strip() or \
@@ -132,9 +134,10 @@ def _checked(path, keys: list[str], obj, **values):
         raise ValueError(f"{path}: {', '.join(keys)}: {exc}") from None
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    """Parse a key-value file on top of ``base`` (desk profile by default)."""
-    cfg = base if base is not None else desk_profile()
+def load_config(path) -> RunConfig:
+    """Parse a key-value file on top of the desk profile: a key the file
+    does not set keeps the desk profile's value."""
+    cfg = desk_profile()
     top: dict = {}
     nested: dict[str, dict] = {s: {} for s in _SECTIONS}
     keys: dict[str, list[str]] = {s: [] for s in ("", *_SECTIONS)}

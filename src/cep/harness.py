@@ -25,8 +25,12 @@ before and after the step (the reset rule is the stepper's
 the command :func:`~cep.sr2l.arbitrate` chooses, and stores the observations
 before and after each step with the step's action, reward and end flag.
 
-Training always writes its run directory (see :func:`train`).  All CSV
-output uses 9-significant-digit floats and LF newlines.
+Training always writes its run directory (see :func:`train`).  An
+evaluation reports records: an :class:`EvalEpisode` per episode, and an
+:class:`EvalSummary` of all episodes and of each bucket of
+``_BUCKET_EPISODES``.  Each record is one row of its CSV file, its fields
+the columns.  All CSV output uses 9-significant-digit floats and LF
+newlines.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .sr2l import EpisodeStepper, arbitrate, to_velocity
 __all__ = [
     "EpisodeLog",
     "EvalEpisode",
-    "EvalBucket",
+    "EvalSummary",
     "EvalReport",
     "SweepCell",
     "ActorPolicy",
@@ -78,8 +82,6 @@ _BUCKET_EPISODES = 100
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.9g}"
     return str(value)
 
@@ -142,7 +144,8 @@ class RandomWalkPolicy:
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
     """The evaluation policy named ``kind``.  An actor policy needs a bundle
-    whose actor reads ``cfg.sensing.n_s`` inputs, one per sensing ray."""
+    whose actor reads ``cfg.sensing.n_s`` inputs, one per sensing ray; the
+    planner and the random walk take none."""
     if kind in ("actor", "checkpoint"):
         if bundle is None:
             raise ValueError(f"policy {kind!r} needs a checkpoint")
@@ -152,11 +155,11 @@ def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
                              f"the config senses {cfg.sensing.n_s} rays "
                              f"(sensing.n_s)")
         return ActorPolicy(bundle)
-    if kind == "pfm":
-        return PfmPolicy(cfg.pfm)
-    if kind == "random":
-        return RandomWalkPolicy()
-    raise ValueError(f"unknown policy kind {kind!r}")
+    if kind not in ("pfm", "random"):
+        raise ValueError(f"unknown policy kind {kind!r}")
+    if bundle is not None:
+        raise ValueError(f"policy {kind!r} takes no checkpoint")
+    return PfmPolicy(cfg.pfm) if kind == "pfm" else RandomWalkPolicy()
 
 
 # -- training -----------------------------------------------------------------
@@ -188,14 +191,16 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     Writes the run directory ``out_dir`` (``cfg.out_dir`` by default):
     ``config.txt`` (``cfg`` as given), ``train_log.csv``, a
     ``checkpoint_epNNNNN.cepn`` every ``train.checkpoint_every`` episodes,
-    ``policy_final.cepn``, and ``DIVERGED`` if training halted.  Returns the
-    trained bundle and per-episode logs.
+    ``policy_final.cepn``, and ``DIVERGED`` if training halted (an earlier
+    run's ``DIVERGED`` is removed first).  Returns the trained bundle and
+    per-episode logs.
     """
     scaffold = cfg.scaffold if cfg.mode == "sr2l" else None
     planner = PfmPolicy(cfg.pfm)
 
     out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    (out_path / "DIVERGED").unlink(missing_ok=True)
     save_config(cfg, out_path / "config.txt")
 
     net_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 10)))
@@ -285,8 +290,12 @@ class EvalEpisode:
 
 
 @dataclass
-class EvalBucket:
-    bucket: int
+class EvalSummary:
+    """One row of ``eval_summary.csv``, its fields the file's columns:
+    ``scope`` ``"all"`` or ``"bucket_<i>"``, the episode count, the escape
+    percentage, the mean steps over the escaped episodes (NaN if none
+    escaped) and the mean of the per-episode mean rewards."""
+    scope: str
     episodes: int
     escape_pct: float
     mean_escape_steps: float
@@ -296,27 +305,17 @@ class EvalBucket:
 @dataclass
 class EvalReport:
     episodes: list[EvalEpisode]
-    escape_pct: float
-    mean_escape_steps: float
-    mean_reward: float
-    buckets: list[EvalBucket]
+    overall: EvalSummary
+    buckets: list[EvalSummary]
 
 
-def _summarize(episodes: list[EvalEpisode]) -> tuple[float, float, float]:
-    """Escape percentage, mean steps over the escaped episodes (NaN if none
-    escaped) and the mean of the per-episode mean rewards."""
+def _summarize(scope: str, episodes: list[EvalEpisode]) -> EvalSummary:
     escaped = [e.steps for e in episodes
                if e.outcome == OutcomeKind.ESCAPED.value]
-    return (100.0 * len(escaped) / len(episodes),
-            float(np.mean(escaped)) if escaped else float("nan"),
-            float(np.mean([e.mean_reward for e in episodes])))
-
-
-def _bucketize(episodes: list[EvalEpisode]) -> list[EvalBucket]:
-    chunks = [episodes[start:start + _BUCKET_EPISODES]
-              for start in range(0, len(episodes), _BUCKET_EPISODES)]
-    return [EvalBucket(i, len(chunk), *_summarize(chunk))
-            for i, chunk in enumerate(chunks)]
+    return EvalSummary(scope, len(episodes),
+                       100.0 * len(escaped) / len(episodes),
+                       float(np.mean(escaped)) if escaped else float("nan"),
+                       float(np.mean([e.mean_reward for e in episodes])))
 
 
 def evaluate_monte_carlo(policy, cfg: RunConfig,
@@ -324,10 +323,11 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
                          episodes: int | None = None) -> EvalReport:
     """Deterministic (noise-free) Monte-Carlo evaluation of one evader.
 
-    The episodes run in lockstep, ``_BLOCK_EPISODES`` at a time (see the
-    module docstring).  Reports escape percentage, mean steps over escaped
-    episodes, the mean of per-episode mean rewards (realized, signed), and
-    per-100-episode buckets.  Fewer than one episode raises ``ValueError``.
+    Runs ``episodes`` episodes (``cfg.eval_episodes`` by default) in
+    lockstep, ``_BLOCK_EPISODES`` at a time (see the module docstring).
+    Reports the episodes' records, their summary and one summary per
+    ``_BUCKET_EPISODES`` episodes.  Fewer than one episode raises
+    ``ValueError``.
     """
     arena = arena if arena is not None else cfg.arena
     n_episodes = episodes if episodes is not None else cfg.eval_episodes
@@ -337,7 +337,11 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
     for first in range(0, n_episodes, _BLOCK_EPISODES):
         block = range(first, min(first + _BLOCK_EPISODES, n_episodes))
         records += _evaluate_block(policy, cfg, arena, block)
-    return EvalReport(records, *_summarize(records), _bucketize(records))
+    buckets = [_summarize(f"bucket_{i}",
+                          records[start:start + _BUCKET_EPISODES])
+               for i, start in enumerate(range(0, n_episodes,
+                                               _BUCKET_EPISODES))]
+    return EvalReport(records, _summarize("all", records), buckets)
 
 
 def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
@@ -397,12 +401,10 @@ def sweep(bundle: PolicyBundle, cfg: RunConfig,
     policy = make_policy("actor", cfg, bundle)
     arenas = [sweep_arena(cfg.arena, *cell) for cell in grid]
     cells = []
-    n_eval = episodes if episodes is not None else cfg.eval_episodes
     for cell, arena in zip(grid, arenas):
-        report = evaluate_monte_carlo(policy, cfg, arena=arena,
-                                      episodes=n_eval)
-        cells.append(SweepCell(*cell, report.escape_pct,
-                               report.mean_escape_steps, n_eval))
+        overall = evaluate_monte_carlo(policy, cfg, arena, episodes).overall
+        cells.append(SweepCell(*cell, overall.escape_pct,
+                               overall.mean_escape_steps, overall.episodes))
     return cells
 
 
@@ -500,16 +502,7 @@ def write_eval_episodes(path, report: EvalReport) -> None:
 
 
 def write_eval_summary(path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scope", "episodes", "escape_pct",
-                         "mean_escape_steps", "mean_reward"])
-        writer.writerow(["all", len(report.episodes), _fmt(report.escape_pct),
-                         _fmt(report.mean_escape_steps), _fmt(report.mean_reward)])
-        for b in report.buckets:
-            writer.writerow([f"bucket_{b.bucket}", b.episodes,
-                             _fmt(b.escape_pct), _fmt(b.mean_escape_steps),
-                             _fmt(b.mean_reward)])
+    _write_records(path, EvalSummary, [report.overall, *report.buckets])
 
 
 def write_sweep_csv(path, cells: list[SweepCell]) -> None:

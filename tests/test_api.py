@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cep
-from cep import env, harness, neural, pfm, rewards, sr2l
+from cep import config, env, harness, neural, pfm, rewards, sr2l
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cep.__path__))
 
@@ -68,3 +68,16 @@ def test_action_is_two_dimensional():
 def test_planner_has_one_home():
     assert "PfmPolicy" not in harness.__all__
     assert cep.PfmPolicy is pfm.PfmPolicy
+
+
+def test_evaluation_summary_is_one_record():
+    assert not hasattr(harness, "EvalBucket")
+    assert [f.name for f in fields(harness.EvalReport)] == [
+        "episodes", "overall", "buckets"]
+    # The columns of eval_summary.csv.
+    assert [f.name for f in fields(harness.EvalSummary)] == [
+        "scope", "episodes", "escape_pct", "mean_escape_steps", "mean_reward"]
+
+
+def test_config_file_loads_on_the_desk_profile():
+    assert list(inspect.signature(config.load_config).parameters) == ["path"]

@@ -56,6 +56,29 @@ def test_eval_prints_the_overall_summary(tmp_path, capsys, argv, line):
               f"{out / 'eval_summary.csv'}"]
 
 
+def test_eval_episodes_default_to_the_config(tmp_path):
+    # Before: --episodes was required, and eval_episodes of the file unread.
+    config = tmp_path / "config.txt"
+    config.write_text("eval_episodes = 2\n")
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--policy", "pfm", "--config", str(config),
+                     "--out", str(out)]) == 0
+    assert len(rows(out / "eval_episodes.csv")) == 2
+
+
+@pytest.mark.parametrize("policy", ["pfm", "random"])
+def test_eval_checkpoint_for_a_policy_that_reads_none(trained, tmp_path,
+                                                      capsys, policy):
+    # Before: the checkpoint was ignored and the policy scored, exit 0.
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--policy", policy, "--checkpoint",
+                     str(trained[1]), "--episodes", "1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"cep: error: policy '{policy}' takes no checkpoint\n"
+    assert not out.exists()
+
+
 def test_eval_checkpoint(trained, tmp_path):
     out = tmp_path / "eval"
     assert cli.main(["eval", "--checkpoint", str(trained[1]), "--episodes",
@@ -225,6 +248,17 @@ def test_train_out_dir_the_config_cannot_hold(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"cep: error: out_dir '{runs / '#1'}' must not contain '#'")
     assert not runs.exists()
+
+
+def test_train_empty_out_dir_rejected(tmp_path, monkeypatch, capsys):
+    # Before: the run's files went to the working directory, and the last
+    # line read "outputs in " with nothing after it.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--mode", "iac", "--episodes", "1",
+                     "--out", ""]) == 2
+    assert capsys.readouterr().err == \
+        "cep: error: out_dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,missing", [

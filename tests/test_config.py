@@ -43,7 +43,8 @@ def run_configs(draw):
                    mode=draw(st.sampled_from(MODES)),
                    episodes=draw(st.integers(1, 10**6)),
                    seed=draw(st.integers(0, 2**63 - 1)),
-                   out_dir=draw(st.text("abcXYZ019/._-", max_size=20)))
+                   out_dir=draw(st.text("abcXYZ019/._-", min_size=1,
+                                        max_size=20)))
 
 
 @given(cfg=run_configs())
@@ -56,13 +57,14 @@ def test_save_load_round_trip(cfg, tmp_path_factory):
 
 @pytest.mark.parametrize("out_dir", [
     "runs/#1", "#", "runs/a\nb", "runs/a\rb", "runs/a\x1cb", "runs/a\u2028b",
-    " runs", "runs ", "runs\t", "\nruns",
+    " runs", "runs ", "runs\t", "\nruns", "",
 ], ids=["hash", "only-hash", "newline", "carriage-return", "file-separator",
         "line-separator", "leading-space", "trailing-space", "trailing-tab",
-        "leading-newline"])
+        "leading-newline", "empty"])
 def test_out_dir_the_file_cannot_hold_rejected(out_dir):
     # save_config would write it, and load_config read back something else
-    # (or fail on the line after a break).
+    # (or fail on the line after a break).  An empty directory would put
+    # the run's files in the working directory.
     with pytest.raises(ValueError, match="out_dir"):
         replace(desk_profile(), out_dir=out_dir)
 
@@ -188,7 +190,9 @@ def test_no_hidden_layer_is_valid(tmp_path):
     # Valid only together: each key is named, and the pair is checked once.
     ("arena.v_p_min = 9\n# comment\narena.v_p_max = 8\n",
      "1: arena.v_p_min, 3: arena.v_p_max", "v_p_min <= v_p_max"),
-], ids=["hidden", "dt", "episodes", "beta", "v_p_pair"])
+    ("seed = 1\nout_dir =\n", "1: seed, 2: out_dir",
+     "out_dir must not be empty"),
+], ids=["hidden", "dt", "episodes", "beta", "v_p_pair", "empty_out_dir"])
 def test_failed_section_check_names_file_lines_and_keys(tmp_path, text, where,
                                                         message):
     path = tmp_path / "bad.txt"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cep import harness, sensing
 from cep.config import desk_profile, load_config
 from cep.env import ArenaConfig, init_world
-from cep.harness import (EvalEpisode, _bucketize, _summarize,
+from cep.harness import (EvalEpisode, EvalSummary, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
                          sweep, train, write_eval_summary, write_sweep_csv)
 from cep.neural import PolicyBundle, TrainConfig, TrainingDiverged
@@ -34,10 +34,19 @@ def small_bundle() -> PolicyBundle:
                                np.random.default_rng(0))
 
 
+def evaluate_records(monkeypatch, records: list[EvalEpisode]):
+    """The report of an evaluation whose episodes end as ``records``."""
+    monkeypatch.setattr(harness, "_evaluate_block",
+                        lambda policy, cfg, arena, block:
+                        [records[i] for i in block])
+    return evaluate_monte_carlo(None, desk_profile(), episodes=len(records))
+
+
 class TestSummary:
-    def test_101_episodes_fill_buckets_of_100_and_1(self):
-        buckets = _bucketize(episodes_101())
-        assert [(b.bucket, b.episodes) for b in buckets] == [(0, 100), (1, 1)]
+    def test_101_episodes_fill_buckets_of_100_and_1(self, monkeypatch):
+        buckets = evaluate_records(monkeypatch, episodes_101()).buckets
+        assert [(b.scope, b.episodes) for b in buckets] == [("bucket_0", 100),
+                                                           ("bucket_1", 1)]
         first, last = buckets
         assert first.escape_pct == 50.0
         assert first.mean_escape_steps == np.mean([10 + i
@@ -47,10 +56,11 @@ class TestSummary:
         assert (last.escape_pct, last.mean_escape_steps,
                 last.mean_reward) == (100.0, 110.0, 1.0)
 
-    def test_bucket_without_escape_has_nan_escape_steps(self):
+    def test_bucket_without_escape_has_nan_escape_steps(self, monkeypatch):
         records = [episode(i, outcome, 5, -1.0)
                    for i, outcome in enumerate(["timeout", "captured"])]
-        (bucket,) = _bucketize(records)
+        (bucket,) = evaluate_records(monkeypatch, records).buckets
+        assert (bucket.scope, bucket.episodes) == ("bucket_0", 2)
         assert bucket.escape_pct == 0.0
         assert math.isnan(bucket.mean_escape_steps)
         assert bucket.mean_reward == -1.0
@@ -58,20 +68,16 @@ class TestSummary:
     def test_overall_figures_are_one_summary_of_all_episodes(self):
         records = episodes_101()
         escaped = [e.steps for e in records if e.outcome == "escaped"]
-        assert _summarize(records) == (
-            100.0 * 51 / 101, float(np.mean(escaped)),
+        assert _summarize("all", records) == EvalSummary(
+            "all", 101, 100.0 * 51 / 101, float(np.mean(escaped)),
             float(np.mean([e.mean_reward for e in records])))
 
     def test_report_uses_the_summary(self):
         cfg = desk_profile(seed=2)
         report = evaluate_monte_carlo(make_policy("pfm", cfg), cfg,
                                       episodes=3)
-        overall = (report.escape_pct, report.mean_escape_steps,
-                   report.mean_reward)
-        assert overall == _summarize(report.episodes)
-        (bucket,) = report.buckets
-        assert (bucket.escape_pct, bucket.mean_escape_steps,
-                bucket.mean_reward) == overall
+        assert report.overall == _summarize("all", report.episodes)
+        assert report.buckets == [replace(report.overall, scope="bucket_0")]
 
 
 def sha1_of(path) -> str:
@@ -211,6 +217,13 @@ class TestMakePolicy:
     def test_actor_kinds(self, kind):
         assert make_policy(kind, desk_profile(), small_bundle()) is not None
 
+    @pytest.mark.parametrize("kind", ["pfm", "random"])
+    def test_planner_and_random_walk_take_no_checkpoint(self, kind):
+        # Before: the bundle was ignored, and the checkpoint never scored.
+        with pytest.raises(ValueError,
+                           match=f"policy '{kind}' takes no checkpoint"):
+            make_policy(kind, desk_profile(), small_bundle())
+
 
 class TestLoadGrid:
     def write(self, tmp_path, text: str):
@@ -286,6 +299,24 @@ def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):
         (tmp_path / "one" / final).read_bytes()
     assert (tmp_path / "two" / "DIVERGED").exists()
     assert not (tmp_path / "one" / "DIVERGED").exists()
+
+
+def test_clean_run_removes_a_stale_divergence_marker(monkeypatch, tmp_path):
+    # Before: DIVERGED outlived the run that wrote it, beside the full log
+    # of a clean run.
+    cfg = desk_profile(mode="iac", episodes=2, seed=2)
+    cfg = replace(cfg, train=replace(cfg.train, batch_size=8))
+
+    def diverging(*args):
+        raise TrainingDiverged("critic parameters became non-finite")
+
+    monkeypatch.setattr(harness, "critic_update", diverging)
+    _, logs = train(cfg, tmp_path)
+    assert logs == [] and (tmp_path / "DIVERGED").exists()
+    monkeypatch.undo()
+    _, logs = train(cfg, tmp_path)
+    assert len(logs) == 2
+    assert not (tmp_path / "DIVERGED").exists()
 
 
 class TestRunDirectory:
