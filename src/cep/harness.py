@@ -46,8 +46,7 @@ from .config import RunConfig, save_config
 from .env import (ArenaConfig, OutcomeKind, WorldState, init_world, max_steps,
                   objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
-                     actor_mean_action, actor_update, critic_update,
-                     save_checkpoint, soft_update)
+                     actor_mean_action, sac_update, save_checkpoint)
 from .pfm import PfmPolicy
 from .sr2l import EpisodeStepper, arbitrate, to_velocity
 
@@ -184,16 +183,17 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
 
     Per environment step: one stored transition (SR2L arbitrates against one
-    PFM planner per run), then (once the buffer holds a batch) one critic
-    update, one actor update, and a target soft update.  A non-finite loss
-    halts training, and the bundle rolls back to the last completed episode.
+    PFM planner per run), then (once the buffer holds a batch) one
+    :func:`~cep.neural.sac_update` of a sampled batch: a critic step, an
+    actor step and a target soft update.  A non-finite loss halts training,
+    and the bundle rolls back to the last completed episode.
 
     Writes the run directory ``out_dir`` (``cfg.out_dir`` by default):
     ``config.txt`` (``cfg`` as given), ``train_log.csv``, a
     ``checkpoint_epNNNNN.cepn`` every ``train.checkpoint_every`` episodes,
-    ``policy_final.cepn``, and ``DIVERGED`` if training halted (an earlier
-    run's ``DIVERGED`` is removed first).  Returns the trained bundle and
-    per-episode logs.
+    ``policy_final.cepn``, and ``DIVERGED`` if training halted.  An earlier
+    run's ``DIVERGED`` and checkpoints are removed first.  Returns the
+    trained bundle and per-episode logs.
     """
     scaffold = cfg.scaffold if cfg.mode == "sr2l" else None
     planner = PfmPolicy(cfg.pfm)
@@ -201,6 +201,8 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "DIVERGED").unlink(missing_ok=True)
+    for stale in out_path.glob("checkpoint_ep*.cepn"):
+        stale.unlink()
     save_config(cfg, out_path / "config.txt")
 
     net_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 10)))
@@ -242,10 +244,10 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
                         neg_coeff += 1
                     if buffer.size >= cfg.train.batch_size:
                         batch = buffer.sample(cfg.train.batch_size, buffer_rng)
-                        closs_sum += critic_update(batch, bundle, cfg.train, step_rng)
-                        aloss_sum += actor_update(batch, bundle, cfg.train, step_rng)
-                        soft_update(bundle.target_critic, bundle.critic,
-                                    cfg.train.tau)
+                        closs, aloss = sac_update(batch, bundle, cfg.train,
+                                                  step_rng)
+                        closs_sum += closs
+                        aloss_sum += aloss
                         updates += 1
             except TrainingDiverged:
                 bundle = last_good

@@ -15,16 +15,22 @@ With the squash correction the policy's entropy is bounded and peaks at a
 finite sigma (log sigma ~ -0.13 per dimension at zero mean), so a large
 alpha does not drive log sigma to ``LOG_STD_MAX``.
 
-Updates (one critic step then one actor step per environment step):
+Updates (:func:`sac_update`, once per environment step): one actor pass
+over the 2B rows ``[s'; s]`` of a batch of B transitions, with one
+``(2B, ACTION_DIM)`` noise draw, serves both steps that follow it:
 
 * critic: minimize mean squared (Q(s,a) - y) with
   ``y = r + gamma * (Q_target(s', a') - alpha * log pi(a'|s'))`` and the
-  bootstrap masked on terminal transitions; a' is freshly sampled.
+  bootstrap masked on terminal transitions; a' is the pass's first half.
 * actor: ascend ``E[Q(s, a_theta) - alpha * log pi(a_theta|s)]`` through the
-  reparameterized sample.
+  reparameterized sample of the pass's second half, against the critic the
+  first step just moved.
 
 Both use plain SGD with global gradient-norm clipping; the target critic
-tracks the online critic by Polyak averaging.
+then tracks the online critic by Polyak averaging.  The one draw equals
+two B-row draws, and each half of the pass equals a B-row pass bit for bit
+where BLAS rounds a row of a product alike whatever the row count: at the
+shipped batch of 64, but not at B = 1, whose 1-row products go through gemv.
 
 An :class:`Mlp`'s parameters are one float64 vector ``params`` in checkpoint
 order, with ``weights[i]``/``biases[i]`` as views; gradients share the layout,
@@ -48,6 +54,7 @@ __all__ = [
     "Mlp",
     "ReplayBuffer",
     "Batch",
+    "ActorSample",
     "TrainConfig",
     "PolicyBundle",
     "TrainingDiverged",
@@ -60,6 +67,7 @@ __all__ = [
     "critic_update",
     "actor_update",
     "soft_update",
+    "sac_update",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -132,7 +140,7 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             w, shape, b = self.layout[i]
             np.matmul(acts[i].T, dz, out=grad[w].reshape(shape))
-            dz.sum(axis=0, out=grad[b])
+            np.add.reduce(dz, axis=0, out=grad[b])
             if i:
                 dz = (dz @ self.weights[i].T) * (1.0 - acts[i] ** 2)
         return grad
@@ -262,26 +270,41 @@ class PolicyBundle:
 def _split_actor_head(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = out[:, :ACTION_DIM]
     raw = out[:, ACTION_DIM:]
-    log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = np.minimum(np.maximum(raw, LOG_STD_MIN), LOG_STD_MAX)
     return mean, raw, log_std
 
 
-def actor_sample_batch(net: Mlp, states: np.ndarray, noise: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Squashed-Gaussian samples for a batch given explicit noise.
+@dataclass
+class ActorSample:
+    """One actor pass over a batch of states with explicit noise: the
+    squashed actions, their log-densities, and what the actor's backward
+    pass reads (the layer activations, the raw log-std head, the std and
+    the noise).  Indexing by a row slice slices every field alike."""
 
-    Returns (actions, per-sample log-probs, cache dict for backprop).
-    """
+    acts: list[np.ndarray]
+    raw: np.ndarray
+    std: np.ndarray
+    noise: np.ndarray
+    action: np.ndarray
+    log_prob: np.ndarray
+
+    def __getitem__(self, rows: slice) -> "ActorSample":
+        return ActorSample([a[rows] for a in self.acts], self.raw[rows],
+                           self.std[rows], self.noise[rows],
+                           self.action[rows], self.log_prob[rows])
+
+
+def actor_sample_batch(net: Mlp, states: np.ndarray, noise: np.ndarray
+                       ) -> ActorSample:
+    """Squashed-Gaussian samples for a batch given explicit noise."""
     out, acts = net.forward(states)
     mean, raw, log_std = _split_actor_head(out)
     std = np.exp(log_std)
     pre = mean + std * noise
     action = np.tanh(pre)
-    log_prob = (-0.5 * noise ** 2 - log_std - 0.5 * _LOG_2PI
-                - np.log(1.0 - action ** 2 + SQUASH_EPS)).sum(axis=1)
-    cache = {"acts": acts, "raw": raw, "log_std": log_std, "std": std,
-             "noise": noise, "action": action}
-    return action, log_prob, cache
+    log_prob = np.add.reduce(-0.5 * noise ** 2 - log_std - 0.5 * _LOG_2PI
+                             - np.log(1.0 - action ** 2 + SQUASH_EPS), axis=1)
+    return ActorSample(acts, raw, std, noise, action, log_prob)
 
 
 def forward_actor(net: Mlp, state: np.ndarray,
@@ -304,11 +327,12 @@ def actor_mean_action(net: Mlp, state: np.ndarray) -> np.ndarray:
 
 
 def critic_target(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
-                  noise: np.ndarray) -> np.ndarray:
-    """Per-sample regression target; bootstrap masked on terminals."""
-    a2, log_p2, _ = actor_sample_batch(nets.actor, batch.next_states, noise)
-    q2 = nets.target_critic(np.concatenate([batch.next_states, a2], axis=1))[:, 0]
-    boot = q2 - cfg.alpha * log_p2
+                  next_sample: ActorSample) -> np.ndarray:
+    """Per-sample regression target from the actor's sample at the next
+    states; bootstrap masked on terminals."""
+    q2 = nets.target_critic(np.concatenate([batch.next_states,
+                                            next_sample.action], axis=1))[:, 0]
+    boot = q2 - cfg.alpha * next_sample.log_prob
     return batch.rewards + cfg.gamma * boot * (1.0 - batch.terminals)
 
 
@@ -317,40 +341,41 @@ def critic_loss_and_grads(critic: Mlp, states: np.ndarray, actions: np.ndarray,
     x = np.concatenate([states, actions], axis=1)
     q, acts = critic.forward(x)
     diff = q[:, 0] - y
-    loss = float(np.mean(diff ** 2))
-    d_q = (2.0 * diff / len(diff)).reshape(-1, 1)
+    n = len(diff)
+    loss = float(np.add.reduce(diff ** 2) / n)
+    d_q = (2.0 * diff / n).reshape(-1, 1)
     return loss, critic.backward(d_q, acts)
 
 
 def actor_loss_and_grads(actor: Mlp, critic: Mlp, states: np.ndarray,
-                         noise: np.ndarray, alpha: float
+                         sample: ActorSample, alpha: float
                          ) -> tuple[float, np.ndarray]:
-    """Loss mean(alpha*logpi - Q) and its actor gradients (critic frozen).
+    """Loss mean(alpha*logpi - Q) and its actor gradients (critic frozen),
+    for the actor's ``sample`` at ``states``.
 
     The gradient flows through the squashed sample into the critic's action
     input and through the explicit mean/log-std dependence of the density.
     """
     n = len(states)
-    action, log_prob, cache = actor_sample_batch(actor, states, noise)
-    x = np.concatenate([states, action], axis=1)
+    a = sample.action
+    x = np.concatenate([states, a], axis=1)
     q, q_acts = critic.forward(x)
     q = q[:, 0]
-    loss = float(np.mean(alpha * log_prob - q))
+    loss = float(np.add.reduce(alpha * sample.log_prob - q) / n)
 
     # d(loss)/dQ = -1/n per sample -> gradient w.r.t. the critic's input
     d_input = critic.input_gradient(np.full((n, 1), -1.0 / n), q_acts)
     d_a = d_input[:, states.shape[1]:]
 
-    a = cache["action"]
     # squash-correction term of log pi differentiates to 2a/(1-a^2+eps)
     d_a = d_a + (alpha / n) * 2.0 * a / (1.0 - a ** 2 + SQUASH_EPS)
     d_pre = d_a * (1.0 - a ** 2)
     d_mean = d_pre
-    d_log_std = d_pre * cache["std"] * cache["noise"] - (alpha / n)
-    clip_mask = ((cache["raw"] > LOG_STD_MIN) & (cache["raw"] < LOG_STD_MAX))
+    d_log_std = d_pre * sample.std * sample.noise - (alpha / n)
+    clip_mask = ((sample.raw > LOG_STD_MIN) & (sample.raw < LOG_STD_MAX))
     d_raw = d_log_std * clip_mask
     d_out = np.concatenate([d_mean, d_raw], axis=1)
-    return loss, actor.backward(d_out, cache["acts"])
+    return loss, actor.backward(d_out, sample.acts)
 
 
 def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
@@ -362,7 +387,7 @@ def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
     if not math.isfinite(loss):
         raise TrainingDiverged(f"{name} loss diverged: {loss}")
     sq = grads * grads
-    total = math.sqrt(sum(float(sq[w].sum() + sq[b].sum())
+    total = math.sqrt(sum(float(np.add.reduce(sq[w]) + np.add.reduce(sq[b]))
                           for w, _, b in net.layout))
     if total > clip:
         grads *= clip / total
@@ -373,10 +398,11 @@ def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
 
 
 def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
-                  rng: np.random.Generator) -> float:
-    """One SGD step on the critic regression loss; returns the pre-step loss."""
-    noise = rng.standard_normal((len(batch), ACTION_DIM))
-    y = critic_target(batch, nets, cfg, noise)
+                  next_sample: ActorSample) -> float:
+    """One SGD step on the critic regression loss, its target taken from
+    the actor's ``next_sample`` at ``batch.next_states``; returns the
+    pre-step loss."""
+    y = critic_target(batch, nets, cfg, next_sample)
     loss, grads = critic_loss_and_grads(nets.critic, batch.states,
                                         batch.actions, y)
     return _descend(nets.critic, "critic", loss, grads, cfg.grad_clip,
@@ -384,12 +410,11 @@ def critic_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
 
 
 def actor_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
-                 rng: np.random.Generator) -> float:
-    """One SGD step ascending the reparameterized objective; returns the
-    pre-step loss."""
-    noise = rng.standard_normal((len(batch), ACTION_DIM))
+                 sample: ActorSample) -> float:
+    """One SGD step ascending the reparameterized objective through the
+    actor's ``sample`` at ``batch.states``; returns the pre-step loss."""
     loss, grads = actor_loss_and_grads(nets.actor, nets.critic, batch.states,
-                                       noise, cfg.alpha)
+                                       sample, cfg.alpha)
     return _descend(nets.actor, "actor", loss, grads, cfg.grad_clip,
                     cfg.lr_actor)
 
@@ -400,6 +425,22 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
         raise ValueError("shape mismatch between target and online networks")
     target.params *= 1.0 - tau
     target.params += tau * online.params
+
+
+def sac_update(batch: Batch, nets: PolicyBundle, cfg: TrainConfig,
+               rng: np.random.Generator) -> tuple[float, float]:
+    """One soft actor-critic update: a critic step, an actor step and the
+    target's Polyak step, served by one actor pass over ``[next_states;
+    states]`` (see the module docstring).  Returns the pre-step (critic,
+    actor) losses; a diverged step raises :class:`TrainingDiverged`."""
+    n = len(batch)
+    noise = rng.standard_normal((2 * n, ACTION_DIM))
+    sample = actor_sample_batch(
+        nets.actor, np.concatenate([batch.next_states, batch.states]), noise)
+    critic_loss = critic_update(batch, nets, cfg, sample[:n])
+    actor_loss = actor_update(batch, nets, cfg, sample[n:])
+    soft_update(nets.target_critic, nets.critic, cfg.tau)
+    return critic_loss, actor_loss
 
 
 # -- checkpoint serialization -------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cep import harness, sensing
+from cep import harness, neural, sensing
 from cep.config import desk_profile, load_config
 from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, EvalSummary, _summarize,
@@ -277,7 +277,7 @@ def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):
     one, (log,) = train(cfg, tmp_path / "one")
     assert log.updates > 0
     calls = 0
-    update = harness.critic_update
+    update = neural.critic_update
 
     def diverging(batch, nets, *args):
         nonlocal calls
@@ -287,7 +287,7 @@ def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):
             raise TrainingDiverged("critic parameters became non-finite")
         return update(batch, nets, *args)
 
-    monkeypatch.setattr(harness, "critic_update", diverging)
+    monkeypatch.setattr(neural, "critic_update", diverging)
     bundle, logs = train(replace(cfg, episodes=2), tmp_path / "two")
     assert calls == log.updates + 1
     assert logs == [log]
@@ -310,7 +310,7 @@ def test_clean_run_removes_a_stale_divergence_marker(monkeypatch, tmp_path):
     def diverging(*args):
         raise TrainingDiverged("critic parameters became non-finite")
 
-    monkeypatch.setattr(harness, "critic_update", diverging)
+    monkeypatch.setattr(neural, "critic_update", diverging)
     _, logs = train(cfg, tmp_path)
     assert logs == [] and (tmp_path / "DIVERGED").exists()
     monkeypatch.undo()
@@ -340,6 +340,18 @@ class TestRunDirectory:
             "train_log.csv"]
         # The file holds the config as given, not the directory passed.
         assert load_config(tmp_path / "run" / "config.txt") == cfg
+
+    def test_a_run_removes_stale_checkpoints(self, tmp_path):
+        # Before: a shorter run into a longer run's directory kept its
+        # checkpoint_ep00002.cepn beside the new one-row log.
+        cfg = desk_profile(mode="iac", episodes=2, seed=1)
+        cfg = replace(cfg, train=replace(cfg.train, checkpoint_every=1))
+        train(cfg, tmp_path)
+        train(replace(cfg, episodes=1), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint_ep00001.cepn", "config.txt", "policy_final.cepn",
+            "train_log.csv"]
+        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 2
 
 
 class TestComputedOnlyWhenRead:

@@ -13,8 +13,8 @@ from cep.neural import (ACTION_DIM, LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS,
                         actor_loss_and_grads, actor_mean_action,
                         actor_sample_batch, actor_update,
                         critic_loss_and_grads, critic_target, critic_update,
-                        forward_actor, load_checkpoint, save_checkpoint,
-                        soft_update)
+                        forward_actor, load_checkpoint, sac_update,
+                        save_checkpoint, soft_update)
 
 STATE_DIM = 6
 
@@ -37,9 +37,10 @@ def actor_output(net: Mlp, state: np.ndarray,
     head's mean and clamped log-std and its log-density."""
     s = np.asarray(state, dtype=float).reshape(1, -1)
     noise = rng.standard_normal((1, net.widths[-1] // 2))
-    action, log_prob, cache = actor_sample_batch(net, s, noise)
-    mean, _, log_std = _split_actor_head(cache["acts"][-1])
-    return ActorOutput(mean[0], log_std[0], action[0], float(log_prob[0]))
+    sample = actor_sample_batch(net, s, noise)
+    mean, _, log_std = _split_actor_head(sample.acts[-1])
+    return ActorOutput(mean[0], log_std[0], sample.action[0],
+                       float(sample.log_prob[0]))
 
 
 def forward_critic(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
@@ -73,6 +74,24 @@ def random_batch(n, rng, terminal_frac=0.0) -> Batch:
     term = rng.uniform(size=n) < terminal_frac
     return Batch(rng.normal(size=(n, STATE_DIM)), rng.uniform(-1, 1, (n, 2)),
                  rng.normal(size=n), rng.normal(size=(n, STATE_DIM)), term)
+
+
+def sample_from(net, states, rng):
+    """The actor's sample at ``states``, its noise drawn from ``rng``."""
+    return actor_sample_batch(net, states,
+                              rng.standard_normal((len(states), ACTION_DIM)))
+
+
+def critic_step(batch, nets, cfg, rng):
+    """``critic_update`` on a B-row actor pass of its own."""
+    return critic_update(batch, nets, cfg,
+                         sample_from(nets.actor, batch.next_states, rng))
+
+
+def actor_step(batch, nets, cfg, rng):
+    """``actor_update`` on a B-row actor pass of its own."""
+    return actor_update(batch, nets, cfg,
+                        sample_from(nets.actor, batch.states, rng))
 
 
 def zero_net(widths):
@@ -247,7 +266,7 @@ def run_entropy_dominated_actor(head_log_std):
 
     before = stats()
     for _ in range(500):
-        actor_update(batch, bundle, cfg, rng)
+        actor_step(batch, bundle, cfg, rng)
     return before, stats()
 
 
@@ -301,12 +320,16 @@ class TestGradients:
         bundle = make_bundle(seed=seed)
         states = rng.normal(size=(8, STATE_DIM))
         noise = rng.standard_normal((8, 2))
-        _, analytic = actor_loss_and_grads(bundle.actor, bundle.critic,
-                                           states, noise, alpha)
+
+        def loss_and_grads():
+            sample = actor_sample_batch(bundle.actor, states, noise)
+            return actor_loss_and_grads(bundle.actor, bundle.critic, states,
+                                        sample, alpha)
+
+        _, analytic = loss_and_grads()
 
         def loss_fn():
-            return actor_loss_and_grads(bundle.actor, bundle.critic, states,
-                                        noise, alpha)[0]
+            return loss_and_grads()[0]
 
         fd_check(loss_fn, bundle.actor, analytic, rng)
 
@@ -317,7 +340,8 @@ class TestCriticTarget:
         cfg = TrainConfig(gamma=1e-12)  # gamma must be > 0; effectively zero
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng)
-        y = critic_target(batch, bundle, cfg, rng.standard_normal((6, 2)))
+        y = critic_target(batch, bundle, cfg,
+                          sample_from(bundle.actor, batch.next_states, rng))
         assert np.allclose(y, batch.rewards, atol=1e-9)
 
     def test_terminal_masked(self):
@@ -325,7 +349,8 @@ class TestCriticTarget:
         cfg = TrainConfig(gamma=0.9)
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng, terminal_frac=1.0)
-        y = critic_target(batch, bundle, cfg, rng.standard_normal((6, 2)))
+        y = critic_target(batch, bundle, cfg,
+                          sample_from(bundle.actor, batch.next_states, rng))
         assert np.array_equal(y, batch.rewards)
 
     def test_zero_critic_zero_alpha(self):
@@ -334,7 +359,8 @@ class TestCriticTarget:
         cfg = TrainConfig(gamma=0.9, alpha=1e-300)
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng)
-        y = critic_target(batch, bundle, cfg, rng.standard_normal((6, 2)))
+        y = critic_target(batch, bundle, cfg,
+                          sample_from(bundle.actor, batch.next_states, rng))
         assert np.allclose(y, batch.rewards, atol=1e-9)
 
 
@@ -344,10 +370,10 @@ class TestUpdates:
         cfg = TrainConfig(gamma=0.9, lr_critic=1e-2, hidden=(8, 8))
         rng = np.random.default_rng(1)
         batch = random_batch(16, rng)
-        first = critic_update(batch, bundle, cfg, np.random.default_rng(5))
+        first = critic_step(batch, bundle, cfg, np.random.default_rng(5))
         last = first
         for _ in range(99):
-            last = critic_update(batch, bundle, cfg, np.random.default_rng(5))
+            last = critic_step(batch, bundle, cfg, np.random.default_rng(5))
         assert last < first
 
     def test_zero_reward_zero_gamma_zero_critic_loss_zero(self):
@@ -358,7 +384,7 @@ class TestUpdates:
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng)
         batch.rewards[:] = 0.0
-        loss = critic_update(batch, bundle, cfg, rng)
+        loss = critic_step(batch, bundle, cfg, rng)
         assert loss == 0.0
 
     def test_zero_critic_zero_alpha_actor_unchanged(self):
@@ -368,7 +394,7 @@ class TestUpdates:
         rng = np.random.default_rng(0)
         batch = random_batch(6, rng)
         before = bundle.actor.params_flat()
-        actor_update(batch, bundle, cfg, rng)
+        actor_step(batch, bundle, cfg, rng)
         assert np.allclose(bundle.actor.params_flat(), before, atol=1e-250)
 
     def test_entropy_domination_widens_policy(self):
@@ -400,18 +426,25 @@ class TestUpdates:
         batch.rewards[0] = np.inf
         # inf - inf in the backward pass.
         with pytest.warns(RuntimeWarning), pytest.raises(TrainingDiverged):
-            critic_update(batch, bundle, cfg, rng)
+            critic_step(batch, bundle, cfg, rng)
 
     def test_actor_divergence_detected_before_the_step(self):
+        # A NaN in the actor half's noise: the critic half of the update
+        # steps, and the actor half raises before its step.
+        class NanInActorHalf:
+            def standard_normal(self, shape):
+                noise = np.random.default_rng(1).standard_normal(shape)
+                noise[-1] = np.nan
+                return noise
+
         bundle = make_bundle()
-        rng = np.random.default_rng(0)
-        batch = random_batch(6, rng)
-        batch.states[0] = np.inf
-        before = bundle.actor.params.copy()
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(TrainingDiverged, match="^actor loss diverged"):
-            actor_update(batch, bundle, TrainConfig(), rng)
-        assert np.array_equal(bundle.actor.params, before)
+        batch = random_batch(6, np.random.default_rng(0))
+        actor, critic = bundle.actor.params.copy(), bundle.critic.params.copy()
+        with pytest.raises(TrainingDiverged, match="^actor loss diverged"):
+            sac_update(batch, bundle, TrainConfig(), NanInActorHalf())
+        assert np.array_equal(bundle.actor.params, actor)
+        assert bundle.critic.is_finite()
+        assert not np.array_equal(bundle.critic.params, critic)
 
     @pytest.mark.parametrize("name", ["critic", "actor"])
     def test_non_finite_parameters_detected(self, name):
@@ -426,7 +459,7 @@ class TestUpdates:
             batch.rewards *= 1e3
         else:
             bundle.critic.weights[-1][...] *= 1e3
-        update = critic_update if name == "critic" else actor_update
+        update = critic_step if name == "critic" else actor_step
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
                 TrainingDiverged, match=f"^{name} parameters became non-finite"):
             update(batch, bundle, cfg, rng)
@@ -438,10 +471,7 @@ class TestUpdates:
             rng = np.random.default_rng(3)
             batch_rng = np.random.default_rng(4)
             for _ in range(20):
-                batch = random_batch(8, batch_rng)
-                critic_update(batch, bundle, cfg, rng)
-                actor_update(batch, bundle, cfg, rng)
-                soft_update(bundle.target_critic, bundle.critic, cfg.tau)
+                sac_update(random_batch(8, batch_rng), bundle, cfg, rng)
             return np.concatenate([bundle.actor.params_flat(),
                                    bundle.critic.params_flat(),
                                    bundle.target_critic.params_flat()])
@@ -453,9 +483,7 @@ class TestUpdates:
         cfg = TrainConfig(hidden=(8, 8), lr_actor=0.1, lr_critic=0.1)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            batch = random_batch(8, rng)
-            critic_update(batch, bundle, cfg, rng)
-            actor_update(batch, bundle, cfg, rng)
+            sac_update(random_batch(8, rng), bundle, cfg, rng)
         assert bundle.actor.is_finite()
         assert bundle.critic.is_finite()
 
@@ -668,7 +696,8 @@ def per_layer_critic_update(batch, nets, cfg, rng):
     """``critic_update`` on per-layer arrays: (new critic params, pre-clip
     gradient norm)."""
     noise = rng.standard_normal((len(batch), nets.actor.widths[-1] // 2))
-    y = critic_target(batch, nets, cfg, noise)
+    y = critic_target(batch, nets, cfg,
+                      actor_sample_batch(nets.actor, batch.next_states, noise))
     q, acts = nets.critic.forward(np.concatenate([batch.states,
                                                   batch.actions], axis=1))
     diff = q[:, 0] - y
@@ -684,19 +713,18 @@ def per_layer_actor_update(batch, nets, cfg, rng):
     (new actor params, pre-clip gradient norm)."""
     n, alpha = len(batch), cfg.alpha
     noise = rng.standard_normal((n, nets.actor.widths[-1] // 2))
-    action, _, cache = actor_sample_batch(nets.actor, batch.states, noise)
-    _, q_acts = nets.critic.forward(np.concatenate([batch.states, action],
-                                                   axis=1))
+    sample = actor_sample_batch(nets.actor, batch.states, noise)
+    a = sample.action
+    _, q_acts = nets.critic.forward(np.concatenate([batch.states, a], axis=1))
     _, d_input = per_layer_backward(nets.critic.weights,
                                     np.full((n, 1), -1.0 / n), q_acts)
     d_a = d_input[:, batch.states.shape[1]:]
-    a = cache["action"]
     d_a = d_a + (alpha / n) * 2.0 * a / (1.0 - a ** 2 + SQUASH_EPS)
     d_pre = d_a * (1.0 - a ** 2)
-    d_log_std = d_pre * cache["std"] * cache["noise"] - (alpha / n)
-    clip_mask = (cache["raw"] > LOG_STD_MIN) & (cache["raw"] < LOG_STD_MAX)
+    d_log_std = d_pre * sample.std * sample.noise - (alpha / n)
+    clip_mask = (sample.raw > LOG_STD_MIN) & (sample.raw < LOG_STD_MAX)
     d_out = np.concatenate([d_pre, d_log_std * clip_mask], axis=1)
-    grads, _ = per_layer_backward(nets.actor.weights, d_out, cache["acts"])
+    grads, _ = per_layer_backward(nets.actor.weights, d_out, sample.acts)
     grads, total = per_layer_clip(grads, cfg.grad_clip)
     return per_layer_sgd(nets.actor, grads, cfg.lr_actor), total
 
@@ -794,7 +822,7 @@ class TestAgainstPerLayerOracle:
         expected, total = per_layer_critic_update(
             batch, bundle, cfg, np.random.default_rng(seed))
         assert (total > clip) is clipped
-        critic_update(batch, bundle, cfg, np.random.default_rng(seed))
+        critic_step(batch, bundle, cfg, np.random.default_rng(seed))
         assert np.array_equal(bundle.critic.params_flat(), expected)
 
     @pytest.mark.parametrize("clip,clipped", CLIPS)
@@ -806,7 +834,7 @@ class TestAgainstPerLayerOracle:
         expected, total = per_layer_actor_update(
             batch, bundle, cfg, np.random.default_rng(seed))
         assert (total > clip) is clipped
-        actor_update(batch, bundle, cfg, np.random.default_rng(seed))
+        actor_step(batch, bundle, cfg, np.random.default_rng(seed))
         assert np.array_equal(bundle.actor.params_flat(), expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -839,29 +867,68 @@ class TestAgainstPerLayerOracle:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sequence_of_updates(self, seed):
-        # Twenty steps of the training loop's update triple on both paths.
-        bundle = make_bundle(seed=seed)
+        # Twenty training-loop updates, at batch 8 and at the shipped 64:
+        # sac_update's one 2B-row actor pass against the oracle's two B-row
+        # passes and per-layer arrays.
         cfg = TrainConfig(hidden=(8, 8), grad_clip=0.5, lr_actor=0.05,
                           lr_critic=0.05)
-        rng, batch_rng = np.random.default_rng(seed), \
-            np.random.default_rng(seed + 1)
-        oracle = bundle.copy()
-        oracle_rng = np.random.default_rng(seed)
-        for _ in range(20):
-            batch = random_batch(8, batch_rng, 0.2)
-            critic, _ = per_layer_critic_update(batch, oracle, cfg, oracle_rng)
-            oracle.critic.params[:] = critic
-            actor, _ = per_layer_actor_update(batch, oracle, cfg, oracle_rng)
-            oracle.actor.params[:] = actor
-            (tw, tb), (ow, ob) = layers(oracle.target_critic), \
-                layers(oracle.critic)
-            oracle.target_critic.params[:] = flatten(
-                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tw, ow)],
-                [(1.0 - cfg.tau) * t + cfg.tau * o for t, o in zip(tb, ob)])
+        for batch_size in (8, 64):
+            bundle = make_bundle(seed=seed)
+            rng, batch_rng = np.random.default_rng(seed), \
+                np.random.default_rng(seed + 1)
+            oracle = bundle.copy()
+            oracle_rng = np.random.default_rng(seed)
+            for _ in range(20):
+                batch = random_batch(batch_size, batch_rng, 0.2)
+                critic, _ = per_layer_critic_update(batch, oracle, cfg,
+                                                    oracle_rng)
+                oracle.critic.params[:] = critic
+                actor, _ = per_layer_actor_update(batch, oracle, cfg,
+                                                  oracle_rng)
+                oracle.actor.params[:] = actor
+                (tw, tb), (ow, ob) = layers(oracle.target_critic), \
+                    layers(oracle.critic)
+                oracle.target_critic.params[:] = flatten(
+                    [(1.0 - cfg.tau) * t + cfg.tau * o
+                     for t, o in zip(tw, ow)],
+                    [(1.0 - cfg.tau) * t + cfg.tau * o
+                     for t, o in zip(tb, ob)])
 
-            critic_update(batch, bundle, cfg, rng)
-            actor_update(batch, bundle, cfg, rng)
-            soft_update(bundle.target_critic, bundle.critic, cfg.tau)
-        for name in ("actor", "critic", "target_critic"):
-            assert np.array_equal(getattr(bundle, name).params_flat(),
-                                  getattr(oracle, name).params_flat()), name
+                sac_update(batch, bundle, cfg, rng)
+            for name in ("actor", "critic", "target_critic"):
+                assert np.array_equal(getattr(bundle, name).params_flat(),
+                                      getattr(oracle, name).params_flat()), \
+                    (name, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 8, 64])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_noise_draw_equals_two(self, seed, batch_size):
+        # sac_update's (2B, 2) draw is the two (B, 2) draws of one B-row
+        # pass per step, and leaves the generator where they leave it.
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        merged = one.standard_normal((2 * batch_size, ACTION_DIM))
+        halves = [two.standard_normal((batch_size, ACTION_DIM))
+                  for _ in range(2)]
+        assert np.array_equal(merged, np.concatenate(halves))
+        assert np.array_equal(one.standard_normal((batch_size, ACTION_DIM)),
+                              two.standard_normal((batch_size, ACTION_DIM)))
+
+    def test_batch_of_one_is_deterministic(self):
+        # At B = 1 the B-row passes are 1-row products, which BLAS computes
+        # with gemv; the 2-row pass uses gemm and may round the last bit
+        # differently, so only determinism is checked against itself.
+        def run():
+            bundle = make_bundle(seed=4)
+            cfg = TrainConfig(hidden=(8, 8), batch_size=1)
+            rng, batch_rng = np.random.default_rng(4), \
+                np.random.default_rng(5)
+            losses = [sac_update(random_batch(1, batch_rng, 0.2), bundle, cfg,
+                                 rng) for _ in range(20)]
+            return losses, np.concatenate([bundle.actor.params,
+                                           bundle.critic.params,
+                                           bundle.target_critic.params])
+
+        (losses, params), (losses2, params2) = run(), run()
+        assert losses == losses2
+        assert np.all(np.isfinite(params))
+        assert np.array_equal(params, params2)
