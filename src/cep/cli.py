@@ -12,23 +12,18 @@ from . import harness
 from .neural import load_checkpoint
 
 
-def _load_run_config(path: str | None) -> cfgmod.RunConfig:
-    if path is None:
-        return cfgmod.desk_profile()
-    return cfgmod.load_config(path)
+def _run_config(args, **overrides) -> cfgmod.RunConfig:
+    """The ``--config`` file, or the desk profile without one, with each
+    override that is not ``None`` applied."""
+    cfg = (cfgmod.desk_profile() if args.config is None
+           else cfgmod.load_config(args.config))
+    return replace(cfg, **{k: v for k, v in overrides.items()
+                           if v is not None})
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_run_config(args.config)
-    overrides = {"mode": args.mode}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    cfg = replace(cfg, **overrides)
-
+    cfg = _run_config(args, mode=args.mode, seed=args.seed, out_dir=args.out,
+                      episodes=args.episodes)
     _, logs = harness.train(cfg)
     escaped = sum(1 for log in logs if log.outcome == "escaped")
     print(f"trained {len(logs)} episodes ({cfg.mode}), "
@@ -37,9 +32,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_run_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _run_config(args, seed=args.seed)
     bundle = load_checkpoint(args.checkpoint) if args.checkpoint else None
     policy = harness.make_policy(args.policy, cfg, bundle)
     report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
@@ -57,9 +50,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_run_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _run_config(args, seed=args.seed)
     bundle = load_checkpoint(args.checkpoint)
     grid = harness.load_grid(args.grid)
     cells = harness.sweep(bundle, cfg, grid, episodes=args.episodes)
@@ -73,7 +64,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    cfg = _load_run_config(args.config)
+    cfg = _run_config(args)  # --seed is the episode's seed, not cfg.seed
     bundle = load_checkpoint(args.checkpoint)
     out = Path(args.out) if args.out else Path(f"trajectory_seed{args.seed}.csv")
     rows = harness.replay(bundle, args.seed, cfg, out)

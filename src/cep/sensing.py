@@ -2,10 +2,14 @@
 
 :func:`sense` returns each world's :class:`SenseFrame`: the detected
 pursuers, the nearest wall's distance and direction, and the time factor
-``t_f = (1 - t/t_max) / 2``.  It scans every world of a batch at once; the
-per-detection angles and the nearest wall stay per world.  :func:`observe`
-builds every world's actor input, one row each, from the batch's lidar and
-boundary scans; only the replay's ``min_lidar`` also reads a lidar scan.
+``t_f``.  It scans every world of a batch at once; the per-detection angles
+and the nearest wall stay per world.  :func:`observe` builds every world's
+actor input, one row each, from the batch's lidar and boundary scans; only
+the replay's ``min_lidar`` also reads a lidar scan.
+
+Time factor: ``t_f = (1 - t/t_max) / 2`` at ``t = step_count * dt``, clamped
+to ``t_max``, from 0.5 at the start to 0 at the timeout.  :func:`time_factor`
+is its one body, and :func:`sense` and :func:`observe` its two readers.
 
 Rays are cast in the evader frame, which is evader-centered and axis-aligned
 (the evader localizes itself, so directions are absolute): ray ``k`` points
@@ -124,7 +128,7 @@ def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
     Detections list every pursuer whose center distance is within ``r_e``,
     ordered by pursuer id."""
     rel, dists = w.offsets
-    t_f = _batch_time_factor(w, arena)
+    t_f = time_factor(w, arena)
     frames = [SenseFrame([], *nearest_wall((e.x, e.y), arena), t_f)
               for e in w.evaders]
     # Detections by flat index k = e * n + i: world by world, in id order.
@@ -196,19 +200,12 @@ def boundary_scan(xy: list[tuple[float, float]], arena: ArenaConfig,
     return np.where(inside[:, None], np.minimum(t[:, 0], t[:, 1]), 0.0)
 
 
-def time_factor(t: float, t_max: float) -> float:
-    """Urgency factor (1 - t/t_max)/2, from 0.5 at start to 0 at timeout."""
-    if t > t_max:
-        raise ValueError(f"t={t} exceeds t_max={t_max}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return (1.0 - t / t_max) / 2.0
-
-
-def _batch_time_factor(w: WorldState, arena: ArenaConfig) -> float:
+def time_factor(w: WorldState, arena: ArenaConfig) -> float:
     """``t_f`` of the batch ``w`` at its time ``step_count * dt``, clamped to
-    ``t_max`` (the final step can land one float ulp past it)."""
-    return time_factor(min(w.step_count * arena.dt, arena.t_max), arena.t_max)
+    ``t_max``: the final step, ``ceil(t_max/dt)``, can land past it, by one
+    float ulp when ``dt`` divides ``t_max`` and by up to ``dt`` otherwise."""
+    t = min(w.step_count * arena.dt, arena.t_max)
+    return (1.0 - t / arena.t_max) / 2.0
 
 
 def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
@@ -217,7 +214,7 @@ def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
     scan, one row per world: ``n_s`` scalars, each the weighted mean of the
     encoded lidar and boundary ranges of one ray, times ``t_f``."""
     boundary = boundary_scan([(e.x, e.y) for e in w.evaders], arena, cfg)
-    t_f = _batch_time_factor(w, arena)
+    t_f = time_factor(w, arena)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))
                   ) / (cfg.w_l + cfg.w_b)

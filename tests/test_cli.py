@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cep import cli
-from cep.config import desk_profile, save_config
+from cep import cli, harness
+from cep.config import desk_profile, load_config, save_config
 from cep.neural import Mlp, PolicyBundle, load_checkpoint, save_checkpoint
 from cep.sensing import SensingConfig
 
@@ -64,6 +64,47 @@ def test_eval_episodes_default_to_the_config(tmp_path):
     assert cli.main(["eval", "--policy", "pfm", "--config", str(config),
                      "--out", str(out)]) == 0
     assert len(rows(out / "eval_episodes.csv")) == 2
+
+
+def test_eval_seed_overrides_the_config(tmp_path):
+    def written(out):
+        return [(out / name).read_bytes()
+                for name in ("eval_episodes.csv", "eval_summary.csv")]
+
+    for seed in (0, 5):
+        assert cli.main(["eval", "--policy", "pfm", "--seed", str(seed),
+                         "--episodes", "2",
+                         "--out", str(tmp_path / str(seed))]) == 0
+    cfg = replace(desk_profile(), seed=5)
+    report = harness.evaluate_monte_carlo(harness.make_policy("pfm", cfg),
+                                          cfg, episodes=2)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    harness.write_eval_episodes(ref / "eval_episodes.csv", report)
+    harness.write_eval_summary(ref / "eval_summary.csv", report)
+    assert written(tmp_path / "5") == written(ref)
+    assert written(tmp_path / "0")[0] != written(ref)[0]
+
+
+def test_train_overrides_reach_config_txt(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--mode", "iac", "--seed", "2", "--episodes",
+                     "1", "--out", str(out)]) == 0
+    assert "seed = 2" in (out / "config.txt").read_text().splitlines()
+    assert load_config(out / "config.txt") == replace(
+        desk_profile(), mode="iac", seed=2, episodes=1, out_dir=str(out))
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--policy", "pfm", "--episodes", "1"],
+    ["train", "--mode", "iac", "--episodes", "1"],
+], ids=["eval", "train"])
+def test_empty_config_path_rejected(tmp_path, capsys, command):
+    # An empty path names no file: it must not fall back to the desk profile.
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cep: error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policy", ["pfm", "random"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cep import sensing
+from cep.config import desk_profile
 from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
                      init_world, max_steps, nearest_wall)
 from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
@@ -358,19 +359,40 @@ class TestBoundaryScan:
             assert np.array_equal(row, reference_scan(pos, cfg, scfg))
 
 
+def world_at(cfg, step):
+    """A world of ``cfg`` set to step ``step``."""
+    w = init_world(cfg, 0)
+    w.step_count = step
+    return w
+
+
 class TestTimeFactor:
+    # 4 steps of 0.3 s reach 1.2 s, past t_max = 1.0 s.
+    OVERSHOOT = dict(n_pursuers=3, dt=0.3, t_max=1.0)
+
     def test_start(self):
-        assert abs(time_factor(0.0, 100.0) - 0.5) < TOL
+        cfg = desk_profile().arena
+        assert time_factor(world_at(cfg, 0), cfg) == 0.5
 
     def test_halfway(self):
-        assert abs(time_factor(50.0, 100.0) - 0.25) < TOL
+        # 500 steps of 0.1 s are half the desk arena's 100 s.
+        cfg = desk_profile().arena
+        assert time_factor(world_at(cfg, 500), cfg) == 0.25
 
     def test_timeout(self):
-        assert time_factor(100.0, 100.0) == 0.0
+        cfg = arena(**self.OVERSHOOT)
+        assert max_steps(cfg) == 4 and 4 * cfg.dt > cfg.t_max
+        assert time_factor(world_at(cfg, 4), cfg) == 0.0
 
-    def test_beyond_raises(self):
-        with pytest.raises(ValueError):
-            time_factor(100.1, 100.0)
+    @pytest.mark.parametrize("step", range(5))
+    def test_sense_and_observe_read_it(self, step):
+        cfg = arena(**self.OVERSHOOT)
+        scfg = SensingConfig(n_s=8)
+        w = world_at(cfg, step)
+        t_f = time_factor(w, cfg)
+        assert [f.t_f for f in sense(w, cfg)] == [t_f]
+        sv = observe(w, cast_rays(w, cfg, scfg), cfg, scfg)
+        assert np.all(sv == 0.0) == (step == max_steps(cfg))
 
 
 class TestEncodeState:
