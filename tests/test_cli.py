@@ -136,6 +136,18 @@ def test_sweep(trained, tmp_path):
     assert [r["n_pursuers"] for r in rows(out)] == ["5", "10"]
 
 
+def test_sweep_prints_each_cell(trained, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n10,1.0,0.75\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--checkpoint", str(trained[1]), "--grid",
+                     str(grid), "--episodes", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=5 V'=1.5 R'=1.5 escape%=0 mean_steps=nan",
+        "n=10 V'=1 R'=0.75 escape%=0 mean_steps=nan",
+        f"wrote {out}"]
+
+
 def test_replay(trained, tmp_path):
     out = tmp_path / "trajectory.csv"
     assert cli.main(["replay", "--checkpoint", str(trained[1]), "--seed", "3",
