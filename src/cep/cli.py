@@ -51,14 +51,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args, seed=args.seed)
-    bundle = load_checkpoint(args.checkpoint)
+    policy = harness.make_policy("checkpoint", cfg,
+                                 load_checkpoint(args.checkpoint))
     grid = harness.load_grid(args.grid)
-    cells = harness.sweep(bundle, cfg, grid, episodes=args.episodes)
+    summaries = harness.sweep(policy, cfg, grid, episodes=args.episodes)
     out = Path(args.out) if args.out else Path("sweep.csv")
-    harness.write_sweep_csv(out, cells)
-    for c in cells:
-        print(f"n={c.n_pursuers} V'={c.v_ratio:g} R'={c.r_ratio:g} "
-              f"escape%={c.escape_pct:.9g} mean_steps={c.mean_escape_steps:.9g}")
+    harness.write_sweep_csv(out, grid, summaries)
+    for (n, v_ratio, r_ratio), s in zip(grid, summaries):
+        print(f"n={n} V'={v_ratio:g} R'={r_ratio:g} "
+              f"escape%={s.escape_pct:.9g} mean_steps={s.mean_escape_steps:.9g}")
     print(f"wrote {out}")
     return 0
 

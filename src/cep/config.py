@@ -136,7 +136,9 @@ def _checked(path, keys: list[str], obj, **values):
 
 def load_config(path) -> RunConfig:
     """Parse a key-value file on top of the desk profile: a key the file
-    does not set keeps the desk profile's value."""
+    does not set keeps the desk profile's value; an empty path is an error."""
+    if not str(path):
+        raise ValueError("config path is empty")
     cfg = desk_profile()
     top: dict = {}
     nested: dict[str, dict] = {s: {} for s in _SECTIONS}

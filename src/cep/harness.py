@@ -28,9 +28,10 @@ before and after each step with the step's action, reward and end flag.
 Training always writes its run directory (see :func:`train`).  An
 evaluation reports records: an :class:`EvalEpisode` per episode, and an
 :class:`EvalSummary` of all episodes and of each bucket of
-``_BUCKET_EPISODES``.  Each record is one row of its CSV file, its fields
-the columns.  All CSV output uses 9-significant-digit floats and LF
-newlines.
+``_BUCKET_EPISODES``.  A sweep evaluates whatever policy it is given, one
+:class:`EvalSummary` per grid cell.  Each record is one row of its CSV
+file, its fields the columns (a sweep row leads with the cell's grid key).
+All CSV output uses 9-significant-digit floats and LF newlines.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "EvalEpisode",
     "EvalSummary",
     "EvalReport",
-    "SweepCell",
     "ActorPolicy",
     "RandomWalkPolicy",
     "make_policy",
@@ -94,11 +94,15 @@ def _row(record) -> list[str]:
     return [_fmt(getattr(record, f.name)) for f in fields(record)]
 
 
-def _write_records(path, record_type, records) -> None:
+def _write_rows(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(record_type))
-        writer.writerows(_row(r) for r in records)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_records(path, record_type, records) -> None:
+    _write_rows(path, _header(record_type), (_row(r) for r in records))
 
 
 def _episode_seed(run_seed: int, tag: int, episode: int) -> int:
@@ -370,16 +374,6 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
 # -- sweep --------------------------------------------------------------------
 
 
-@dataclass
-class SweepCell:
-    n_pursuers: int
-    v_ratio: float
-    r_ratio: float
-    escape_pct: float
-    mean_escape_steps: float
-    episodes: int
-
-
 def sweep_arena(base: ArenaConfig, n_pursuers: int, v_ratio: float,
                 r_ratio: float) -> ArenaConfig:
     """Arena for one sweep cell: pursuer speed and sensor range are set from
@@ -395,19 +389,14 @@ def sweep_arena(base: ArenaConfig, n_pursuers: int, v_ratio: float,
                          f"{(n_pursuers, v_ratio, r_ratio)}: {exc}") from None
 
 
-def sweep(bundle: PolicyBundle, cfg: RunConfig,
-          grid: list[tuple[int, float, float]],
-          episodes: int | None = None) -> list[SweepCell]:
-    """Evaluate a trained policy over (pursuer count, speed ratio, range
-    ratio) cells.  Every cell's arena is built before any is evaluated."""
-    policy = make_policy("actor", cfg, bundle)
+def sweep(policy, cfg: RunConfig, grid: list[tuple[int, float, float]],
+          episodes: int | None = None) -> list[EvalSummary]:
+    """Evaluate any policy over (pursuer count, speed ratio, range ratio)
+    cells: the overall :class:`EvalSummary` of each cell, in grid order.
+    Every cell's arena is built before any is evaluated."""
     arenas = [sweep_arena(cfg.arena, *cell) for cell in grid]
-    cells = []
-    for cell, arena in zip(grid, arenas):
-        overall = evaluate_monte_carlo(policy, cfg, arena, episodes).overall
-        cells.append(SweepCell(*cell, overall.escape_pct,
-                               overall.mean_escape_steps, overall.episodes))
-    return cells
+    return [evaluate_monte_carlo(policy, cfg, arena, episodes).overall
+            for arena in arenas]
 
 
 _GRID_COLUMNS = ("n_pursuers", "v_ratio", "r_ratio")
@@ -507,5 +496,11 @@ def write_eval_summary(path, report: EvalReport) -> None:
     _write_records(path, EvalSummary, [report.overall, *report.buckets])
 
 
-def write_sweep_csv(path, cells: list[SweepCell]) -> None:
-    _write_records(path, SweepCell, cells)
+def write_sweep_csv(path, grid: list[tuple[int, float, float]],
+                    summaries: list[EvalSummary]) -> None:
+    """One row per cell: the grid key (``n_pursuers,v_ratio,r_ratio``, the
+    columns :func:`load_grid` reads), then the cell's :class:`EvalSummary`
+    (``scope,episodes,escape_pct,mean_escape_steps,mean_reward``)."""
+    _write_rows(path, [*_GRID_COLUMNS, *_header(EvalSummary)],
+                ([*map(_fmt, cell), *_row(summary)]
+                 for cell, summary in zip(grid, summaries, strict=True)))

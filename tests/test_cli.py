@@ -103,7 +103,8 @@ def test_empty_config_path_rejected(tmp_path, capsys, command):
     # An empty path names no file: it must not fall back to the desk profile.
     out = tmp_path / "out"
     assert cli.main([*command, "--config", "", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("cep: error: ")
+    # Before: "[Errno 21] Is a directory: '.'", a path never given.
+    assert capsys.readouterr().err == "cep: error: config path is empty\n"
     assert not out.exists()
 
 

@@ -89,6 +89,12 @@ def test_mode_is_a_training_mode(mode):
         RunConfig(**{**vars(desk_profile()), "mode": mode})
 
 
+def test_empty_path_rejected():
+    # Before: Path("") read the working directory, and the error named '.'.
+    with pytest.raises(ValueError, match="^config path is empty$"):
+        load_config("")
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("arena.no_such_field = 1\n")

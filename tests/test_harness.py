@@ -13,7 +13,8 @@ from cep.config import desk_profile, load_config
 from cep.env import ArenaConfig, init_world
 from cep.harness import (EvalEpisode, EvalSummary, _summarize,
                          evaluate_monte_carlo, load_grid, make_policy, replay,
-                         sweep, train, write_eval_summary, write_sweep_csv)
+                         sweep, sweep_arena, train, write_eval_summary,
+                         write_sweep_csv)
 from cep.neural import PolicyBundle, TrainConfig, TrainingDiverged
 from cep.sr2l import EpisodeStepper
 
@@ -102,11 +103,15 @@ class TestOutputBytes:
         assert sha1_of(tmp_path / "eval_summary.csv") == digest
 
     def test_sweep(self, tmp_path):
-        cells = sweep(small_bundle(), desk_profile(seed=0),
-                      [(5, 1.5, 1.5), (10, 1.0, 0.75)], episodes=3)
-        write_sweep_csv(tmp_path / "sweep.csv", cells)
+        # Recorded when a row became the grid key plus the cell's
+        # EvalSummary; the values of the old columns were unchanged.
+        cfg = desk_profile(seed=0)
+        grid = [(5, 1.5, 1.5), (10, 1.0, 0.75)]
+        summaries = sweep(make_policy("actor", cfg, small_bundle()), cfg,
+                          grid, episodes=3)
+        write_sweep_csv(tmp_path / "sweep.csv", grid, summaries)
         assert sha1_of(tmp_path / "sweep.csv") == \
-            "08eccee3e97dfdc2c2c0b12ac9ddc3b8799dfa7e"
+            "7268389f1c3d3e98ab26aba118968f0b2a8da3b6"
 
 
 def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
@@ -191,8 +196,10 @@ class TestEpisodeCount:
                                  episodes=episodes)
 
     def test_sweep_needs_an_episode(self):
+        cfg = desk_profile()
         with pytest.raises(ValueError, match="episodes must be >= 1"):
-            sweep(small_bundle(), desk_profile(), [(5, 1.5, 1.5)], episodes=0)
+            sweep(make_policy("actor", cfg, small_bundle()), cfg,
+                  [(5, 1.5, 1.5)], episodes=0)
 
 
 def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
@@ -200,11 +207,47 @@ def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "evaluate_monte_carlo",
                         lambda *args, **kwargs: calls.append(args))
+    cfg = desk_profile()
     grid = [(5, 1.5, 1.5), (10, 1.0, 0.75), (5, 1.0, 10.0)]
     with pytest.raises(ValueError, match=r"sweep cell .* = \(5, 1\.0, 10\.0\): "
                                          r"capture_radius must be < r_p"):
-        sweep(small_bundle(), desk_profile(), grid, episodes=1)
+        sweep(make_policy("actor", cfg, small_bundle()), cfg, grid, episodes=1)
     assert calls == []
+
+
+class TestSweep:
+    """A sweep is evaluation over a grid: whatever the policy, a cell's
+    summary is the overall summary of evaluating it in the cell's arena."""
+
+    @pytest.mark.parametrize("kind", ["pfm", "random", "actor"])
+    def test_a_cell_is_an_evaluation_of_its_arena(self, kind):
+        cfg = desk_profile(seed=3)
+        grid = [(5, 1.5, 1.5), (10, 1.0, 0.75), (0, 1.25, 2.0)]
+        summaries = sweep(policy_of(kind, cfg), cfg, grid, episodes=4)
+        expected = [evaluate_monte_carlo(policy_of(kind, cfg), cfg,
+                                         sweep_arena(cfg.arena, *cell),
+                                         4).overall for cell in grid]
+        # repr compares every float bit for bit, nan included.
+        assert repr(summaries) == repr(expected)
+
+    def test_planner_reference_cells(self):
+        # Desk cells where the planner does not saturate.
+        grid = [(20, 1.0, 1.0), (30, 1.0, 1.5), (30, 1.25, 1.0)]
+        cfg = desk_profile(seed=0)
+        summaries = sweep(make_policy("pfm", cfg), cfg, grid, episodes=200)
+        assert [(s.episodes, s.escape_pct) for s in summaries] == [
+            (200, 47.0), (200, 53.5), (200, 60.0)]
+
+    def test_written_sweep_loads_as_its_grid(self, tmp_path):
+        cfg = desk_profile(seed=0)
+        grid = [(0, 1.5, 1.5), (10, 1.0, 0.75), (3, 1.25, 2.0)]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, grid, sweep(make_policy("pfm", cfg), cfg, grid,
+                                          episodes=1))
+        assert path.read_text().splitlines()[0] == (
+            "n_pursuers,v_ratio,r_ratio,scope,episodes,escape_pct,"
+            "mean_escape_steps,mean_reward")
+        assert load_grid(path) == grid
 
 
 class TestMakePolicy:
