@@ -90,7 +90,7 @@ def test_mode_is_a_training_mode(mode):
 
 
 def test_empty_path_rejected():
-    # Before: Path("") read the working directory, and the error named '.'.
+    # Path("") is the working directory, so reading it would name '.'.
     with pytest.raises(ValueError, match="^config path is empty$"):
         load_config("")
 

@@ -103,8 +103,6 @@ class TestOutputBytes:
         assert sha1_of(tmp_path / "eval_summary.csv") == digest
 
     def test_sweep(self, tmp_path):
-        # Recorded when a row became the grid key plus the cell's
-        # EvalSummary; the values of the old columns were unchanged.
         cfg = desk_profile(seed=0)
         grid = [(5, 1.5, 1.5), (10, 1.0, 0.75)]
         summaries = sweep(make_policy("actor", cfg, small_bundle()), cfg,
