@@ -53,10 +53,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
+        for name in ("episodes", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.out_dir:
@@ -124,14 +123,16 @@ def save_config(cfg: RunConfig, path) -> None:
     Path(path).write_text(config_to_text(cfg))
 
 
-def _checked(path, keys: list[str], obj, **values):
+def _checked(path, lines: dict[str, int], section: str, obj, values: dict):
     """``replace(obj, **values)``.  When the section's check fails, its
     message names the file and the ``line: key`` of every key the file set
     in the section, since a check may span keys (``v_p_min <= v_p_max``)."""
     try:
         return replace(obj, **values)
     except ValueError as exc:
-        raise ValueError(f"{path}: {', '.join(keys)}: {exc}") from None
+        keys = ", ".join(f"{lineno}: {key}" for key, lineno in lines.items()
+                         if key.rpartition(".")[0] == section)
+        raise ValueError(f"{path}: {keys}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -140,10 +141,10 @@ def load_config(path) -> RunConfig:
     if not str(path):
         raise ValueError("config path is empty")
     cfg = desk_profile()
-    top: dict = {}
-    nested: dict[str, dict] = {s: {} for s in _SECTIONS}
-    keys: dict[str, list[str]] = {s: [] for s in ("", *_SECTIONS)}
-    first_line: dict[str, int] = {}
+    # section -> field -> value the file set ("" is the top level), and
+    # key -> the line that set it.
+    values: dict[str, dict] = {s: {} for s in ("", *_SECTIONS)}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -151,28 +152,23 @@ def load_config(path) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if "." in key:
-            section, field_name = key.split(".", 1)
-            if section not in _SECTIONS:
-                raise ValueError(f"{path}:{lineno}: unknown section {section!r}")
-            obj, values = getattr(cfg, section), nested[section]
-        else:
-            if key in _SECTIONS:
-                raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-            obj, values, field_name, section = cfg, top, key, ""
-        if not hasattr(obj, field_name):
+        section, dot, name = key.rpartition(".")
+        if dot and section not in _SECTIONS:
+            raise ValueError(f"{path}:{lineno}: unknown section {section!r}")
+        obj = getattr(cfg, section) if dot else cfg
+        if name in _SECTIONS or name not in {f.name for f in fields(obj)}:
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-        if key in first_line:
+        if key in lines:
             raise ValueError(f"{path}:{lineno}: {key}: already set on line "
-                             f"{first_line[key]}")
-        first_line[key] = lineno
+                             f"{lines[key]}")
+        lines[key] = lineno
         try:
-            values[field_name] = _coerce(getattr(obj, field_name), raw)
+            values[section][name] = _coerce(getattr(obj, name), raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        keys[section].append(f"{lineno}: {key}")
-    for section, values in nested.items():
-        if values:
-            top[section] = _checked(path, keys[section], getattr(cfg, section),
-                                    **values)
-    return _checked(path, keys[""], cfg, **top) if top else cfg
+    top = values.pop("")
+    for section, changed in values.items():
+        if changed:
+            top[section] = _checked(path, lines, section,
+                                    getattr(cfg, section), changed)
+    return _checked(path, lines, "", cfg, top)

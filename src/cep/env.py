@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "check_finite",
+    "check_config",
     "ArenaConfig",
     "Pursuers",
     "EvaderState",
@@ -55,13 +55,18 @@ __all__ = [
 ]
 
 
-def check_finite(cfg) -> None:
+def check_config(cfg, positive: tuple[str, ...] = ()) -> None:
     """Raise ``ValueError`` naming the first float field of the dataclass
-    ``cfg`` that is not finite: every config section checks this first."""
+    ``cfg`` that is not finite, then the first field of ``positive`` that is
+    not > 0: every config section checks this first."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in positive:
+        value = getattr(cfg, name)
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,30 +91,16 @@ class ArenaConfig:
     t_max: float = 300.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        lengths = {
-            "half_width": self.half_width,
-            "half_height": self.half_height,
-            "spawn_half_extent": self.spawn_half_extent,
-            "r_e": self.r_e,
-            "r_p": self.r_p,
-            "capture_radius": self.capture_radius,
-        }
-        for name, value in lengths.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        check_config(self, ("half_width", "half_height", "spawn_half_extent",
+                            "r_e", "r_p", "capture_radius", "v_e_max", "dt"))
         if self.n_pursuers < 0:
             raise ValueError("n_pursuers must be >= 0")
         if not (0 < self.v_p_min <= self.v_p_max):
             raise ValueError("need 0 < v_p_min <= v_p_max")
-        if not self.v_e_max > 0:
-            raise ValueError("v_e_max must be > 0")
         if not self.spawn_half_extent < min(self.half_width, self.half_height):
             raise ValueError("spawn region must fit strictly inside the arena")
         if not self.capture_radius < self.r_p:
             raise ValueError("capture_radius must be < r_p")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
         if not self.t_max > self.dt:
             raise ValueError("t_max must be > dt")
 
@@ -445,7 +436,6 @@ def objective_value(pos: tuple[float, float], detection_distances,
     d_b = nearest_wall(pos, cfg)[0]
     m = len(detection_distances)
     pursuer_term = 0.0
-    if m > 0:
-        pursuer_term = sum((cfg.r_e - d) / (m * cfg.r_e)
-                           for d in detection_distances)
+    for d in detection_distances:  # a left fold, as in neural._descend
+        pursuer_term += (cfg.r_e - d) / (m * cfg.r_e)
     return pursuer_term + d_b / r_b_norm

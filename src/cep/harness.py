@@ -379,8 +379,10 @@ def sweep_arena(base: ArenaConfig, n_pursuers: int, v_ratio: float,
     """Arena for one sweep cell: pursuer speed and sensor range are set from
     the evader's via the requested ratios.  A cell that makes no valid arena
     raises ``ValueError`` naming the cell."""
-    v_p_max = base.v_e_max / v_ratio
     try:
+        if not all(math.isfinite(r) and r > 0 for r in (v_ratio, r_ratio)):
+            raise ValueError("the ratios must be finite and > 0")
+        v_p_max = base.v_e_max / v_ratio
         return replace(base, n_pursuers=n_pursuers, v_p_max=v_p_max,
                        v_p_min=min(base.v_p_min, v_p_max),
                        r_p=base.r_e / r_ratio)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import check_finite
+from .env import check_config
 
 __all__ = [
     "Mlp",
@@ -225,17 +225,14 @@ class TrainConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
+        check_config(self, ("lr_actor", "lr_critic", "batch_size",
+                            "buffer_capacity", "grad_clip",
+                            "checkpoint_every"))
+        for name in ("gamma", "tau"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1]")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must be in (0, 1]")
-        for name in ("lr_actor", "lr_critic", "batch_size",
-                     "buffer_capacity", "grad_clip", "checkpoint_every"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
         if self.batch_size > self.buffer_capacity:
             raise ValueError(f"batch_size {self.batch_size} must be <= "
                              f"buffer_capacity {self.buffer_capacity}, or "
@@ -387,8 +384,12 @@ def _descend(net: Mlp, name: str, loss: float, grads: np.ndarray,
     if not math.isfinite(loss):
         raise TrainingDiverged(f"{name} loss diverged: {loss}")
     sq = grads * grads
-    total = math.sqrt(sum(float(np.add.reduce(sq[w]) + np.add.reduce(sq[b]))
-                          for w, _, b in net.layout))
+    # A left fold, not sum(): from Python 3.12 sum() of floats compensates
+    # its rounding, and the step must not depend on the interpreter.
+    total = 0.0
+    for w, _, b in net.layout:
+        total += float(np.add.reduce(sq[w]) + np.add.reduce(sq[b]))
+    total = math.sqrt(total)
     if total > clip:
         grads *= clip / total
     net.params -= lr * grads

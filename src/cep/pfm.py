@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .env import ArenaConfig, check_finite
+from .env import ArenaConfig, check_config
 from .sensing import Detection
 
 if TYPE_CHECKING:
@@ -32,11 +32,7 @@ class PfmGains:
     singularity_floor: float = 0.5
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not (self.k_p > 0 and self.k_b > 0):
-            raise ValueError("gains must be > 0")
-        if not self.singularity_floor > 0:
-            raise ValueError("singularity_floor must be > 0")
+        check_config(self, ("k_p", "k_b", "singularity_floor"))
 
 
 def net_force(detections: list[Detection],

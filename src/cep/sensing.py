@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ArenaConfig, WorldState, check_finite, nearest_wall
+from .env import ArenaConfig, WorldState, check_config, nearest_wall
 
 __all__ = [
     "SensingConfig",
@@ -68,15 +68,11 @@ class SensingConfig:
     r_b_norm: float = 200.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_config(self, ("k_s", "r_b_norm"))
         if self.n_s < 4:
             raise ValueError("n_s must be >= 4")
-        if not self.k_s > 0:
-            raise ValueError("k_s must be > 0")
         if self.w_l < 0 or self.w_b < 0 or not (self.w_l + self.w_b) > 0:
             raise ValueError("weights must be >= 0 with a positive sum")
-        if not self.r_b_norm > 0:
-            raise ValueError("r_b_norm must be > 0")
 
 
 class Detection(NamedTuple):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import ArenaConfig, OutcomeKind, Pursuers, WorldState, \
-    check_finite, step_evader, step_world
+    check_config, step_evader, step_world
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
@@ -73,11 +73,9 @@ class ScaffoldConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_config(self, ("epsilon",))
         if not (0.0 <= self.beta <= 100.0):
             raise ValueError("beta must be in [0, 100]")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
 
 
 def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:

@@ -104,9 +104,12 @@ def test_unknown_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("key", ["arena.seed", "train.seed",
                                  "scaffold.store_executed_action",
-                                 "reward_sign"])
+                                 "reward_sign", "arena", "__class__",
+                                 "arena.__doc__"])
 def test_removed_key_rejected(tmp_path, key):
-    # A key that nothing reads must fail loudly, not pass silently.
+    # A key that nothing reads must fail loudly, not pass silently.  Nor is
+    # a section a key, or an attribute that is not a field (before:
+    # __class__ and arena.__doc__ raised TypeError).
     path = tmp_path / "old.txt"
     path.write_text(f"{key} = 5\n")
     with pytest.raises(ValueError, match=f"old.txt:1: unknown field '{key}'"):
@@ -214,3 +217,69 @@ def test_keys_valid_only_together_load(tmp_path):
     path.write_text("arena.v_p_min = 11\narena.v_p_max = 12\n")
     arena = load_config(path).arena
     assert (arena.v_p_min, arena.v_p_max) == (11.0, 12.0)
+
+
+# One value per rule of each section.  Every "> 0" rule states its field
+# and the value it got in one form.
+@pytest.mark.parametrize("section,field,value,message", [
+    ("arena", "half_width", "0", "half_width must be > 0, got 0.0"),
+    ("arena", "half_height", "-1", "half_height must be > 0, got -1.0"),
+    ("arena", "spawn_half_extent", "0",
+     "spawn_half_extent must be > 0, got 0.0"),
+    ("arena", "r_e", "0", "r_e must be > 0, got 0.0"),
+    ("arena", "r_p", "0", "r_p must be > 0, got 0.0"),
+    ("arena", "capture_radius", "0", "capture_radius must be > 0, got 0.0"),
+    ("arena", "v_e_max", "0", "v_e_max must be > 0, got 0.0"),
+    ("arena", "dt", "-0.1", "dt must be > 0, got -0.1"),
+    ("arena", "n_pursuers", "-1", "n_pursuers must be >= 0"),
+    ("arena", "v_p_min", "0", "need 0 < v_p_min <= v_p_max"),
+    ("arena", "spawn_half_extent", "50",
+     "spawn region must fit strictly inside the arena"),
+    ("arena", "capture_radius", "10", "capture_radius must be < r_p"),
+    ("arena", "t_max", "0.1", "t_max must be > dt"),
+    ("sensing", "k_s", "0", "k_s must be > 0, got 0.0"),
+    ("sensing", "r_b_norm", "0", "r_b_norm must be > 0, got 0.0"),
+    ("sensing", "n_s", "3", "n_s must be >= 4"),
+    ("sensing", "w_l", "-1", "weights must be >= 0 with a positive sum"),
+    ("train", "lr_actor", "0", "lr_actor must be > 0, got 0.0"),
+    ("train", "lr_critic", "0", "lr_critic must be > 0, got 0.0"),
+    ("train", "batch_size", "0", "batch_size must be > 0, got 0"),
+    ("train", "buffer_capacity", "0", "buffer_capacity must be > 0, got 0"),
+    ("train", "grad_clip", "0", "grad_clip must be > 0, got 0.0"),
+    ("train", "checkpoint_every", "0", "checkpoint_every must be > 0, got 0"),
+    ("train", "gamma", "0", "gamma must be in (0, 1]"),
+    ("train", "gamma", "1.5", "gamma must be in (0, 1]"),
+    ("train", "tau", "0", "tau must be in (0, 1]"),
+    ("train", "alpha", "-1", "alpha must be >= 0"),
+    ("train", "buffer_capacity", "10", "batch_size 64 must be <= "
+     "buffer_capacity 10, or the buffer never holds a batch to train on"),
+    ("scaffold", "epsilon", "0", "epsilon must be > 0, got 0.0"),
+    ("scaffold", "beta", "-1", "beta must be in [0, 100]"),
+    ("pfm", "k_p", "0", "k_p must be > 0, got 0.0"),
+    ("pfm", "k_b", "-2", "k_b must be > 0, got -2.0"),
+    ("pfm", "singularity_floor", "0",
+     "singularity_floor must be > 0, got 0.0"),
+    ("", "episodes", "0", "episodes must be >= 1"),
+    ("", "eval_episodes", "0", "eval_episodes must be >= 1"),
+    ("", "seed", "-1", "seed must be >= 0, got -1"),
+    ("", "mode", "pfm", "mode must be one of ('iac', 'sr2l'), got 'pfm'"),
+])
+def test_value_out_of_range_rejected(tmp_path, section, field, value, message):
+    key = f"{section}.{field}" if section else field
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: 1: {key}: {message}"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("arena.half_width 60", "expected 'key = value'"),
+    ("world.half_width = 60", "unknown section 'world'"),
+])
+def test_malformed_line_rejected(tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: {message}"

@@ -507,6 +507,14 @@ class TestObjectiveValue:
         assert abs(objective_value((50.0, 0.0), [cfg.r_e], cfg, 100.0)
                    - 0.5) < TOL
 
+    def test_pursuer_term_is_a_left_fold(self, compensated_sum):
+        # Three terms whose left fold and compensated sum differ; d_b = 0.
+        cfg = small_arena()
+        d = math.nextafter(cfg.r_e, 0.0)
+        t0, t1, t2 = ((cfg.r_e - x) / (3 * cfg.r_e) for x in (0.0, d, d))
+        assert objective_value((100.0, 0.0), [0.0, d, d], cfg, 100.0) == \
+            t0 + t1 + t2
+
 
 class TestNearestWall:
     def test_center(self):

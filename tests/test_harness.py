@@ -213,6 +213,16 @@ def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("cell", [(5, 0.0, 1.0), (5, 1.0, 0.0),
+                                  (5, -1.0, 1.0), (5, 1.0, math.inf),
+                                  (5, math.nan, 1.0)])
+def test_sweep_arena_names_a_cell_whose_ratio_is_not_positive(cell):
+    # Before: a zero ratio raised a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match=r"^sweep cell .* = \(5, .*\): the "
+                                         r"ratios must be finite and > 0$"):
+        sweep_arena(desk_profile().arena, *cell)
+
+
 class TestSweep:
     """A sweep is evaluation over a grid: whatever the policy, a cell's
     summary is the overall summary of evaluating it in the cell's arena."""
@@ -257,6 +267,12 @@ class TestMakePolicy:
     @pytest.mark.parametrize("kind", ["actor", "checkpoint"])
     def test_actor_kinds(self, kind):
         assert make_policy(kind, desk_profile(), small_bundle()) is not None
+
+    @pytest.mark.parametrize("kind", ["actor", "checkpoint"])
+    def test_actor_kinds_need_a_checkpoint(self, kind):
+        with pytest.raises(ValueError,
+                           match=f"policy '{kind}' needs a checkpoint"):
+            make_policy(kind, desk_profile())
 
     @pytest.mark.parametrize("kind", ["pfm", "random"])
     def test_planner_and_random_walk_take_no_checkpoint(self, kind):

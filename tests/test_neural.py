@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from cep.neural import (ACTION_DIM, LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS,
                         Batch, Mlp, PolicyBundle, ReplayBuffer, TrainConfig,
-                        TrainingDiverged, _param_count,
+                        TrainingDiverged, _descend, _param_count,
                         _split_actor_head,
                         actor_loss_and_grads, actor_mean_action,
                         actor_sample_batch, actor_update,
@@ -464,6 +465,15 @@ class TestUpdates:
                 TrainingDiverged, match=f"^{name} parameters became non-finite"):
             update(batch, bundle, cfg, rng)
 
+    def test_clip_norm_is_a_left_fold(self, compensated_sum):
+        # Squared layer norms 1e16, 1 and 1: a left fold sums them to 1e16,
+        # a compensated sum to 1e16 + 2.
+        net = Mlp([1, 1, 1, 1], np.zeros(6))
+        grads = np.zeros(6)
+        grads[[0, 2, 4]] = (1e8, 1.0, 1.0)  # the three layers' weights
+        _descend(net, "critic", 0.0, grads.copy(), 1.0, 0.5)
+        assert np.array_equal(net.params, -(0.5 * (grads * (1.0 / 1e8))))
+
     def test_update_determinism(self):
         def run():
             bundle = make_bundle(seed=12)
@@ -591,7 +601,6 @@ class TestCheckpoint:
         save_checkpoint(p, bundle)
         data = p.read_bytes()
         assert data[:5] == b"CEPN1"
-        import struct
         n_nets = struct.unpack_from("<I", data, 5)[0]
         assert n_nets == 3
         n_w = struct.unpack_from("<I", data, 9)[0]
@@ -616,6 +625,25 @@ class TestCheckpoint:
             Mlp(widths, np.zeros(_param_count(widths)))
             for widths in (actor, critic, target))))
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "long.cepn"
+        save_checkpoint(p, make_bundle(seed=26))
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="^trailing bytes in checkpoint$"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_network_count_other_than_three_rejected(self, tmp_path, count):
+        # ``count`` copies of one well-formed network.
+        net = Mlp([8, 1], np.zeros(9))
+        blob = (struct.pack("<I", 2) + struct.pack("<2I", 8, 1)
+                + net.params.astype("<f8").tobytes())
+        p = tmp_path / "count.cepn"
+        p.write_bytes(b"CEPN1" + struct.pack("<I", count) + blob * count)
+        with pytest.raises(ValueError, match=f"^expected 3 networks in "
+                                             f"checkpoint, got {count}$"):
             load_checkpoint(p)
 
     def test_smallest_fitting_networks_load(self, tmp_path):
@@ -676,8 +704,12 @@ def per_layer_backward(weights, d_out, acts):
 
 
 def per_layer_clip(grads, clip):
-    total = math.sqrt(sum(float(np.sum(dw ** 2) + np.sum(db ** 2))
-                          for dw, db in grads))
+    # A left fold over the layers, as _descend sums them: sum() compensates
+    # its rounding from Python 3.12.
+    total = 0.0
+    for dw, db in grads:
+        total += float(np.sum(dw ** 2) + np.sum(db ** 2))
+    total = math.sqrt(total)
     if total > clip:
         scale = clip / total
         grads = [(dw * scale, db * scale) for dw, db in grads]

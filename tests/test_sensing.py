@@ -126,6 +126,13 @@ class TestCastRays:
         assert abs(detections[0].theta) < 1e-9
         assert abs(detections[0].bearing) < 1e-9
 
+    def test_detection_theta_at_zero_distance(self):
+        # No pursuer->evader line to measure an angle from: theta is 0.
+        cfg = arena()
+        w = world_with(EvaderState(3.0, 4.0), [(3.0, 4.0, 5.0, 1.0)], cfg)
+        (detection,) = sense(w, cfg)[0].detections
+        assert (detection.distance, detection.theta) == (0.0, 0.0)
+
     def test_lidar_monotone_in_distance(self):
         cfg = arena()
         scfg = SensingConfig(n_s=36)
