@@ -33,7 +33,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _run_config(args, seed=args.seed)
-    bundle = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    bundle = (load_checkpoint(args.checkpoint)
+              if args.checkpoint is not None else None)
     policy = harness.make_policy(args.policy, cfg, bundle)
     report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
 
@@ -66,9 +67,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_replay(args) -> int:
     cfg = _run_config(args)  # --seed is the episode's seed, not cfg.seed
-    bundle = load_checkpoint(args.checkpoint)
+    policy = harness.make_policy("checkpoint", cfg,
+                                 load_checkpoint(args.checkpoint))
     out = Path(args.out) if args.out else Path(f"trajectory_seed{args.seed}.csv")
-    rows = harness.replay(bundle, args.seed, cfg, out)
+    rows = harness.replay(policy, args.seed, cfg, out)
     print(f"wrote {rows} rows to {out}")
     return 0
 
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default: eval_episodes of the config")
     p_eval.add_argument("--config")
     p_eval.add_argument("--policy", default="checkpoint",
-                        choices=("checkpoint", "pfm", "random"))
+                        choices=harness.POLICY_KINDS)
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=_cmd_eval)

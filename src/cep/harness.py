@@ -7,16 +7,18 @@ update noise, buffer sampling) plus one world-init seed per episode;
 evaluation derives its episode seeds from a separate purpose tag, so training
 and evaluation never share draws.
 
-Monte-Carlo evaluation steps the episodes of a call in lockstep, up to
-``_BLOCK_EPISODES`` at a time, in one :class:`~cep.sr2l.EpisodeStepper`; an
-episode leaves the batch when it ends, and its result is the one it would
-have on its own.  A policy acts on the batch: ``reset(episode_seeds)`` is
-called with the seeds of a batch's episodes, and ``act(stepper)`` returns one
-velocity command per live episode, in the order of ``stepper.live`` (their
-positions in that batch).  It reads what it needs from the stepper: the
-planner the ``frames``, the actor the ``observations``, one row per live
-episode, built for the whole batch (from ``lidars``) when read; the random
-walk keeps one generator per episode seed.
+Every evaluation entry point (:func:`evaluate_monte_carlo`, :func:`sweep`,
+:func:`replay`) takes a policy, which :func:`make_policy` builds from one of
+``POLICY_KINDS``.  Monte-Carlo evaluation steps the episodes of a call in
+lockstep, up to ``_BLOCK_EPISODES`` at a time, in one
+:class:`~cep.sr2l.EpisodeStepper`; an episode leaves the batch when it ends,
+and its result is the one it would have on its own.  A policy acts on the
+batch: ``reset(episode_seeds)`` is called with the seeds of a batch's
+episodes, and ``act(stepper)`` returns one velocity command per live episode,
+in the order of ``stepper.live`` (their positions in that batch).  It reads
+what it needs from the stepper: the planner the ``frames``, the actor the
+``observations``, one row per live episode, built for the whole batch (from
+``lidars``) when read; the random walk keeps one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -29,8 +31,9 @@ Training always writes its run directory (see :func:`train`).  An
 evaluation reports records: an :class:`EvalEpisode` per episode, and an
 :class:`EvalSummary` of all episodes and of each bucket of
 ``_BUCKET_EPISODES``.  A sweep evaluates whatever policy it is given, one
-:class:`EvalSummary` per grid cell.  Each record is one row of its CSV
-file, its fields the columns (a sweep row leads with the cell's grid key).
+:class:`EvalSummary` per grid cell (:func:`sweep_arena` judges a cell's
+values).  Each record is one row of its CSV file, its fields the columns (a
+sweep row leads with the cell's grid key).
 All CSV output uses 9-significant-digit floats and LF newlines.
 """
 
@@ -58,6 +61,7 @@ __all__ = [
     "EvalReport",
     "ActorPolicy",
     "RandomWalkPolicy",
+    "POLICY_KINDS",
     "make_policy",
     "train",
     "evaluate_monte_carlo",
@@ -77,6 +81,8 @@ _EVAL_TAG = 2
 _BLOCK_EPISODES = 256
 # Episodes per bucket of an evaluation report.
 _BUCKET_EPISODES = 100
+# One name per policy, shared by make_policy and ``cep eval --policy``.
+POLICY_KINDS = ("checkpoint", "pfm", "random")
 
 
 def _fmt(value) -> str:
@@ -146,10 +152,13 @@ class RandomWalkPolicy:
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
-    """The evaluation policy named ``kind``.  An actor policy needs a bundle
-    whose actor reads ``cfg.sensing.n_s`` inputs, one per sensing ray; the
-    planner and the random walk take none."""
-    if kind in ("actor", "checkpoint"):
+    """The evaluation policy named ``kind``: ``"checkpoint"`` is the actor of
+    ``bundle``, which must read ``cfg.sensing.n_s`` inputs, one per ray;
+    ``"pfm"`` (planner) and ``"random"`` (random walk) take no bundle."""
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}; the kinds are "
+                         f"{', '.join(POLICY_KINDS)}")
+    if kind == "checkpoint":
         if bundle is None:
             raise ValueError(f"policy {kind!r} needs a checkpoint")
         n_in = bundle.actor.widths[0]
@@ -158,8 +167,6 @@ def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
                              f"the config senses {cfg.sensing.n_s} rays "
                              f"(sensing.n_s)")
         return ActorPolicy(bundle)
-    if kind not in ("pfm", "random"):
-        raise ValueError(f"unknown policy kind {kind!r}")
     if bundle is not None:
         raise ValueError(f"policy {kind!r} takes no checkpoint")
     return PfmPolicy(cfg.pfm) if kind == "pfm" else RandomWalkPolicy()
@@ -405,9 +412,9 @@ _GRID_COLUMNS = ("n_pursuers", "v_ratio", "r_ratio")
 
 
 def load_grid(path) -> list[tuple[int, float, float]]:
-    """Grid CSV with header ``n_pursuers,v_ratio,r_ratio``: per row an
-    integer pursuer count >= 0 and two finite ratios > 0.  A missing column
-    or a bad row raises ``ValueError`` naming the file and the line."""
+    """Grid CSV with header ``n_pursuers,v_ratio,r_ratio``, per row an
+    integer and two floats (:func:`sweep_arena` judges the values).  A bad
+    row or a missing column raises ``ValueError`` naming the file and line."""
     grid = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -417,16 +424,11 @@ def load_grid(path) -> list[tuple[int, float, float]]:
         for row in reader:
             raw = [row[name] for name in _GRID_COLUMNS]
             try:
-                n, v_ratio, r_ratio = int(raw[0]), float(raw[1]), float(raw[2])
-                valid = n >= 0 and all(math.isfinite(r) and r > 0
-                                       for r in (v_ratio, r_ratio))
+                grid.append((int(raw[0]), float(raw[1]), float(raw[2])))
             except (TypeError, ValueError):
-                valid = False
-            if not valid:
                 raise ValueError(
                     f"{path}:{reader.line_num}: bad sweep cell {raw}: need an "
-                    f"integer n_pursuers >= 0 and finite ratios > 0")
-            grid.append((n, v_ratio, r_ratio))
+                    f"integer n_pursuers and two float ratios") from None
     if not grid:
         raise ValueError(f"empty sweep grid: {path}")
     return grid
@@ -435,8 +437,9 @@ def load_grid(path) -> list[tuple[int, float, float]]:
 # -- replay -------------------------------------------------------------------
 
 
-def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
-    """Run one deterministic episode and write a per-step trajectory CSV.
+def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
+    """Run one episode of ``policy`` (see :func:`make_policy`) from
+    ``init_world(cfg.arena, seed)`` and write a per-step trajectory CSV.
 
     Columns: step, t, evader pose/velocity, lidar minimum, detection count,
     reward breakdown (verbatim parts plus the signed reward), the running
@@ -448,43 +451,37 @@ def replay(bundle: PolicyBundle, seed: int, cfg: RunConfig, out_path) -> int:
         raise ValueError(f"seed must be >= 0, got {seed}")
     arena = cfg.arena
     stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
-    policy = make_policy("actor", cfg, bundle)
     policy.reset([seed])
 
     header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",
               "n_detected", "sum_w", "r_d", "r_b", "reward", "objective",
               "outcome"]
-    for i in range(arena.n_pursuers):
-        header += [f"p{i}_x", f"p{i}_y"]
+    header += [f"p{i}_{c}" for i in range(arena.n_pursuers) for c in "xy"]
 
-    def row(reward_parts) -> list[str]:
+    def row(r_d, r_b, sum_w, reward) -> list[str]:
         w = stepper.world
         (e,) = w.evaders
         (outcome,) = w.outcomes
         detections = stepper.frames[0].detections
-        r_d, r_b, sum_w, reward = reward_parts
         obj = objective_value((e.x, e.y), [d.distance for d in detections],
                               arena, cfg.sensing.r_b_norm)
         values = [w.step_count, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
-                  float(np.min(stepper.lidars[0])),
-                  len(detections), sum_w,
+                  float(np.min(stepper.lidars[0])), len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome.value if outcome else ""]
         values += w.pursuers.xy.ravel().tolist()
         return [_fmt(v) for v in values]
 
-    rows = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerow(row((0.0, 0.0, 0.0, 0.0)))
-        rows += 1
+        writer.writerow(row(0.0, 0.0, 0.0, 0.0))
         (outcome,) = stepper.world.outcomes
         while outcome is None:
             (outcome,), (bd,) = stepper.step_action(policy.act(stepper))
-            writer.writerow(row((bd.r_d, bd.r_b, bd.sum_w, bd.reward)))
-            rows += 1
-    assert rows <= max_steps(arena) + 1
-    return rows
+            writer.writerow(row(bd.r_d, bd.r_b, bd.sum_w, bd.reward))
+    steps = stepper.world.step_count
+    assert steps <= max_steps(arena)
+    return steps + 1
 
 
 # -- CSV writers ---------------------------------------------------------------

@@ -121,6 +121,19 @@ def test_eval_checkpoint_for_a_policy_that_reads_none(trained, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy", ["checkpoint", "pfm"])
+def test_eval_empty_checkpoint_path(tmp_path, capsys, policy):
+    # Before: the empty path counted as no --checkpoint, so the planner
+    # scored (exit 0) and the actor asked for a checkpoint that was given.
+    # cep sweep and cep replay already failed on it as a path.
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--policy", policy, "--checkpoint", "",
+                     "--episodes", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "cep: error: [Errno 2] No such file or directory: ''\n"
+    assert not out.exists()
+
+
 def test_eval_checkpoint(trained, tmp_path):
     out = tmp_path / "eval"
     assert cli.main(["eval", "--checkpoint", str(trained[1]), "--episodes",
@@ -147,6 +160,32 @@ def test_sweep_prints_each_cell(trained, tmp_path, capsys):
         "n=5 V'=1.5 R'=1.5 escape%=0 mean_steps=nan",
         "n=10 V'=1 R'=0.75 escape%=0 mean_steps=nan",
         f"wrote {out}"]
+
+
+RATIOS = "the ratios must be finite and > 0"
+BAD_CELLS = [("-1,1.0,1.0", "(-1, 1.0, 1.0)", "n_pursuers must be >= 0"),
+             ("5,0,1.0", "(5, 0.0, 1.0)", RATIOS),
+             ("5,1.0,0", "(5, 1.0, 0.0)", RATIOS),
+             ("5,-2.0,1.0", "(5, -2.0, 1.0)", RATIOS),
+             ("5,inf,1.0", "(5, inf, 1.0)", RATIOS),
+             ("5,1.0,nan", "(5, 1.0, nan)", RATIOS)]
+
+
+@pytest.mark.parametrize("row,cell,reason", BAD_CELLS,
+                         ids=[row for row, _, _ in BAD_CELLS])
+def test_sweep_cell_that_makes_no_arena(trained, tmp_path, capsys, row, cell,
+                                        reason):
+    # The cell is judged where its arena is built, before the first
+    # episode of any cell; before, load_grid judged it a second time.
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n{row}\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--checkpoint", str(trained[1]), "--grid",
+                     str(grid), "--episodes", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"cep: error: sweep cell (n_pursuers, v_ratio, r_ratio) = {cell}: "
+        f"{reason}\n")
+    assert not out.exists()
 
 
 def test_replay(trained, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import sys
@@ -105,11 +106,23 @@ class TestOutputBytes:
     def test_sweep(self, tmp_path):
         cfg = desk_profile(seed=0)
         grid = [(5, 1.5, 1.5), (10, 1.0, 0.75)]
-        summaries = sweep(make_policy("actor", cfg, small_bundle()), cfg,
-                          grid, episodes=3)
+        summaries = sweep(policy_of("checkpoint", cfg), cfg, grid, episodes=3)
         write_sweep_csv(tmp_path / "sweep.csv", grid, summaries)
         assert sha1_of(tmp_path / "sweep.csv") == \
             "7268389f1c3d3e98ab26aba118968f0b2a8da3b6"
+
+
+def lone_episode(policy, cfg, arena, seed: int):
+    """The outcome and per-step rewards of one episode of ``policy`` from
+    ``init_world(arena, seed)``, run alone in a one-world stepper."""
+    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
+    policy.reset([seed])
+    rewards = []
+    (outcome,) = stepper.world.outcomes
+    while outcome is None:
+        (outcome,), (breakdown,) = stepper.step_action(policy.act(stepper))
+        rewards.append(breakdown.reward)
+    return outcome, rewards
 
 
 def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
@@ -118,15 +131,11 @@ def sequential_episodes(policy, cfg, arena, episodes: int) -> list[EvalEpisode]:
     records = []
     for episode in range(episodes):
         seed = harness._episode_seed(cfg.seed, harness._EVAL_TAG, episode)
-        stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
-        policy.reset([seed])
+        outcome, rewards = lone_episode(policy, cfg, arena, seed)
         cum = 0.0
-        steps = 0
-        (outcome,) = stepper.world.outcomes
-        while outcome is None:
-            (outcome,), (breakdown,) = stepper.step_action(policy.act(stepper))
-            cum += breakdown.reward
-            steps += 1
+        for reward in rewards:
+            cum += reward
+        steps = len(rewards)
         records.append(EvalEpisode(episode, outcome.value, steps, cum,
                                    cum / steps if steps else 0.0))
     return records
@@ -142,14 +151,15 @@ def small_arena(half: float, n_pursuers: int, t_max: float) -> ArenaConfig:
 
 
 def policy_of(kind: str, cfg):
-    return make_policy(kind, cfg, small_bundle() if kind == "actor" else None)
+    return make_policy(kind, cfg,
+                       small_bundle() if kind == "checkpoint" else None)
 
 
 class TestLockstepEqualsSequential:
     """Stepping the episodes of a call together gives each episode the
     result it has alone: index, outcome, steps and rewards, exactly."""
 
-    @given(kind=st.sampled_from(["pfm", "random", "actor"]),
+    @given(kind=st.sampled_from(["pfm", "random", "checkpoint"]),
            episodes=st.integers(1, 12), n_pursuers=st.integers(0, 40),
            half=st.sampled_from([6.0, 15.0, 30.0]),
            t_max=st.sampled_from([0.5, 3.0, 10.0]),
@@ -164,7 +174,7 @@ class TestLockstepEqualsSequential:
         assert report.episodes == sequential_episodes(policy_of(kind, cfg), cfg,
                                                       arena, episodes)
 
-    @pytest.mark.parametrize("kind", ["pfm", "random", "actor"])
+    @pytest.mark.parametrize("kind", ["pfm", "random", "checkpoint"])
     def test_call_with_spawn_captures_timeouts_and_staggered_ends(self, kind):
         cfg = desk_profile(seed=0)
         arena = small_arena(15.0, 6, 3.0)
@@ -185,6 +195,24 @@ class TestLockstepEqualsSequential:
         assert blocks.episodes == whole.episodes
 
 
+@pytest.mark.parametrize("kind", ["pfm", "random"])
+def test_replay_runs_any_policy(tmp_path, kind):
+    # Before: replay took a bundle, so only an actor's episode could be
+    # written.
+    cfg = desk_profile(seed=3)
+    outcome, rewards = lone_episode(make_policy(kind, cfg), cfg, cfg.arena, 11)
+    path = tmp_path / "trajectory.csv"
+    assert replay(make_policy(kind, cfg), 11, cfg, path) == len(rewards) + 1
+    with open(path, newline="") as fh:
+        data = list(csv.DictReader(fh))
+    assert [row["outcome"] for row in data] == [""] * len(rewards) + [
+        outcome.value]
+    # Row 0 is the initial state; each later row holds its step's reward at
+    # the file's 9 significant digits.
+    assert [row["reward"] for row in data] == ["0"] + [f"{r:.9g}"
+                                                      for r in rewards]
+
+
 class TestEpisodeCount:
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_evaluate_needs_an_episode(self, episodes):
@@ -196,8 +224,8 @@ class TestEpisodeCount:
     def test_sweep_needs_an_episode(self):
         cfg = desk_profile()
         with pytest.raises(ValueError, match="episodes must be >= 1"):
-            sweep(make_policy("actor", cfg, small_bundle()), cfg,
-                  [(5, 1.5, 1.5)], episodes=0)
+            sweep(policy_of("checkpoint", cfg), cfg, [(5, 1.5, 1.5)],
+                  episodes=0)
 
 
 def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
@@ -209,7 +237,7 @@ def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
     grid = [(5, 1.5, 1.5), (10, 1.0, 0.75), (5, 1.0, 10.0)]
     with pytest.raises(ValueError, match=r"sweep cell .* = \(5, 1\.0, 10\.0\): "
                                          r"capture_radius must be < r_p"):
-        sweep(make_policy("actor", cfg, small_bundle()), cfg, grid, episodes=1)
+        sweep(policy_of("checkpoint", cfg), cfg, grid, episodes=1)
     assert calls == []
 
 
@@ -227,7 +255,7 @@ class TestSweep:
     """A sweep is evaluation over a grid: whatever the policy, a cell's
     summary is the overall summary of evaluating it in the cell's arena."""
 
-    @pytest.mark.parametrize("kind", ["pfm", "random", "actor"])
+    @pytest.mark.parametrize("kind", ["pfm", "random", "checkpoint"])
     def test_a_cell_is_an_evaluation_of_its_arena(self, kind):
         cfg = desk_profile(seed=3)
         grid = [(5, 1.5, 1.5), (10, 1.0, 0.75), (0, 1.25, 2.0)]
@@ -264,11 +292,18 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="unknown policy kind"):
             make_policy(kind, desk_profile(), small_bundle())
 
-    @pytest.mark.parametrize("kind", ["actor", "checkpoint"])
+    @pytest.mark.parametrize("kind", ["checkpoint"])
     def test_actor_kinds(self, kind):
         assert make_policy(kind, desk_profile(), small_bundle()) is not None
 
-    @pytest.mark.parametrize("kind", ["actor", "checkpoint"])
+    def test_actor_is_not_a_kind(self):
+        # Before: "actor" was a second name for "checkpoint".
+        with pytest.raises(ValueError, match=r"^unknown policy kind 'actor'; "
+                                             r"the kinds are checkpoint, pfm, "
+                                             r"random$"):
+            make_policy("actor", desk_profile(), small_bundle())
+
+    @pytest.mark.parametrize("kind", ["checkpoint"])
     def test_actor_kinds_need_a_checkpoint(self, kind):
         with pytest.raises(ValueError,
                            match=f"policy '{kind}' needs a checkpoint"):
@@ -304,12 +339,6 @@ class TestLoadGrid:
     @pytest.mark.parametrize("row", [
         "1.5,1.0,1.0",    # non-integer pursuer count
         "x,1.0,1.0",
-        "-1,1.0,1.0",     # negative pursuer count
-        "5,0,1.0",        # non-positive ratios
-        "5,1.0,0",
-        "5,-2.0,1.0",
-        "5,inf,1.0",      # non-finite ratios
-        "5,1.0,nan",
         "5,1.0",          # a value missing from the row
     ])
     def test_bad_row(self, tmp_path, row):
@@ -317,6 +346,13 @@ class TestLoadGrid:
                           f"n_pursuers,v_ratio,r_ratio\n5,1.0,1.0\n{row}\n")
         with pytest.raises(ValueError, match=r"grid\.csv:3: bad sweep cell"):
             load_grid(path)
+
+    def test_values_are_left_to_sweep_arena(self, tmp_path):
+        # A row that parses is a cell; whether it makes an arena is judged
+        # where the arena is built (tests/test_cli.py runs these rows).
+        path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n"
+                                    "-1,0,1.0\n5,inf,nan\n")
+        assert repr(load_grid(path)) == "[(-1, 0.0, 1.0), (5, inf, nan)]"
 
     def test_empty_grid(self, tmp_path):
         path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n")
@@ -448,8 +484,8 @@ class TestComputedOnlyWhenRead:
         # longest episode has; the final worlds' are never read, so never
         # built.
         cfg = desk_profile(seed=1)
-        report = evaluate_monte_carlo(make_policy("actor", cfg, small_bundle()),
-                                      cfg, episodes=3)
+        report = evaluate_monte_carlo(policy_of("checkpoint", cfg), cfg,
+                                      episodes=3)
         steps = [e.steps for e in report.episodes]
         assert min(steps) < max(steps)
         assert scans == {"cast_rays": max(steps), "boundary_scan": max(steps)}
@@ -466,7 +502,8 @@ class TestComputedOnlyWhenRead:
     def test_replay_casts_once_per_row(self, scans, tmp_path):
         # Row 0 and every step's row read the lidar; the actor's observation
         # reuses the same scan, and the final world's is never built.
-        rows = replay(small_bundle(), 11, desk_profile(seed=3),
+        cfg = desk_profile(seed=3)
+        rows = replay(policy_of("checkpoint", cfg), 11, cfg,
                       tmp_path / "trajectory.csv")
         assert rows > 1
         assert scans == {"cast_rays": rows, "boundary_scan": rows - 1}

@@ -105,10 +105,12 @@ def test_pfm_eval_digest(tmp_path):
 
 def test_actor_eval_digest(trained, tmp_path):
     bundle = trained["sr2l"][0]
-    assert eval_digest("actor", tmp_path, bundle) == GOLDEN_ACTOR_EVAL
+    assert eval_digest("checkpoint", tmp_path, bundle) == GOLDEN_ACTOR_EVAL
 
 
 def test_replay_digest(trained, tmp_path):
     path = tmp_path / "trajectory.csv"
-    replay(trained["sr2l"][0], REPLAY_SEED, desk_profile(seed=SEED), path)
+    cfg = desk_profile(seed=SEED)
+    replay(make_policy("checkpoint", cfg, trained["sr2l"][0]), REPLAY_SEED,
+           cfg, path)
     assert sha1(path.read_bytes()) == GOLDEN_REPLAY
