@@ -22,12 +22,12 @@ def _run_config(args, **overrides) -> cfgmod.RunConfig:
 
 
 def _cmd_train(args) -> int:
-    cfg = _run_config(args, mode=args.mode, seed=args.seed, out_dir=args.out,
+    cfg = _run_config(args, mode=args.mode, seed=args.seed,
                       episodes=args.episodes)
-    _, logs = harness.train(cfg)
+    _, logs = harness.train(cfg, args.out)
     escaped = sum(1 for log in logs if log.outcome == "escaped")
     print(f"trained {len(logs)} episodes ({cfg.mode}), "
-          f"{escaped} escapes, outputs in {cfg.out_dir}")
+          f"{escaped} escapes, outputs in {args.out}")
     return 0
 
 
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=cfgmod.MODES, required=True)
     p_train.add_argument("--config", help="key-value config file")
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--out", default="runs/out",
+                         help="output directory (default: %(default)s)")
     p_train.add_argument("--episodes", type=int)
     p_train.set_defaults(func=_cmd_train)
 

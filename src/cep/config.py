@@ -6,6 +6,9 @@ keys (``arena.half_width``, ``train.lr_actor``, ...).  Values are coerced by
 the type of the field they replace; the ``train.hidden`` tuple is written as
 comma-separated integers.  A key may be set once per file.
 
+A run's output directory is an argument of ``harness.train``, not a field,
+so the ``config.txt`` a run writes loads back equal to its config.
+
 Two profiles ship: ``desk`` (100x100 arena, 10 pursuers, t_max=100, 36 rays)
 for fast training and the acceptance suite, and ``paper`` (200x200 arena,
 30 pursuers, t_max=300, 72 rays) matching the published experiment scale.
@@ -48,7 +51,6 @@ class RunConfig:
     episodes: int = 150
     eval_episodes: int = 200
     seed: int = 0
-    out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -58,15 +60,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.out_dir:
-            raise ValueError("out_dir must not be empty")
-        # What the config file cannot hold: '#' starts a comment, a line
-        # break ends the line, and a value is read back stripped.
-        if "#" in self.out_dir or self.out_dir != self.out_dir.strip() or \
-                len(self.out_dir.splitlines()) > 1:
-            raise ValueError(f"out_dir {self.out_dir!r} must not contain '#' "
-                             f"or a line break, nor start or end with "
-                             f"whitespace")
 
 
 def desk_profile(**overrides) -> RunConfig:

@@ -189,7 +189,7 @@ class EpisodeLog:
     updates: int
 
 
-def train(cfg: RunConfig, out_dir: str | Path | None = None
+def train(cfg: RunConfig, out_dir: str | Path
           ) -> tuple[PolicyBundle, list[EpisodeLog]]:
     """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
 
@@ -199,17 +199,20 @@ def train(cfg: RunConfig, out_dir: str | Path | None = None
     actor step and a target soft update.  A non-finite loss halts training,
     and the bundle rolls back to the last completed episode.
 
-    Writes the run directory ``out_dir`` (``cfg.out_dir`` by default):
-    ``config.txt`` (``cfg`` as given), ``train_log.csv``, a
-    ``checkpoint_epNNNNN.cepn`` every ``train.checkpoint_every`` episodes,
-    ``policy_final.cepn``, and ``DIVERGED`` if training halted.  An earlier
-    run's ``DIVERGED`` and checkpoints are removed first.  Returns the
-    trained bundle and per-episode logs.
+    Writes the run directory ``out_dir`` (an empty one raises ``ValueError``
+    before anything is written): ``config.txt``, which ``load_config`` reads
+    back equal to ``cfg``, ``train_log.csv``, a ``checkpoint_epNNNNN.cepn``
+    every ``train.checkpoint_every`` episodes, ``policy_final.cepn``, and
+    ``DIVERGED`` if training halted.  An earlier run's ``DIVERGED`` and
+    checkpoints are removed first.  Returns the trained bundle and
+    per-episode logs.
     """
+    if not str(out_dir):
+        raise ValueError("out_dir must not be empty")
     scaffold = cfg.scaffold if cfg.mode == "sr2l" else None
     planner = PfmPolicy(cfg.pfm)
 
-    out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "DIVERGED").unlink(missing_ok=True)
     for stale in out_path.glob("checkpoint_ep*.cepn"):

@@ -92,7 +92,7 @@ def test_train_overrides_reach_config_txt(tmp_path):
                      "1", "--out", str(out)]) == 0
     assert "seed = 2" in (out / "config.txt").read_text().splitlines()
     assert load_config(out / "config.txt") == replace(
-        desk_profile(), mode="iac", seed=2, episodes=1, out_dir=str(out))
+        desk_profile(), mode="iac", seed=2, episodes=1)
 
 
 @pytest.mark.parametrize("command", [
@@ -333,14 +333,21 @@ def test_replay_negative_seed_rejected(trained, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_out_dir_the_config_cannot_hold(tmp_path, capsys):
-    # save_config would write 'out_dir = .../#1', read back as '.../'.
-    runs = tmp_path / "runs"
+@pytest.mark.parametrize("name", [
+    "#1", "#", "a\nb", "a\rb", "a\x1cb", "a\u2028b", " runs", "runs ",
+    "runs\t", "\nruns",
+], ids=["hash", "only-hash", "newline", "carriage-return", "file-separator",
+        "line-separator", "leading-space", "trailing-space", "trailing-tab",
+        "leading-newline"])
+def test_train_out_dir_the_config_file_could_not_hold(tmp_path, name):
+    # Before: the directory was a config value, and these names were
+    # rejected, since '#' starts a comment, a line break ends the line and
+    # a value is read back stripped.
+    out = tmp_path / "runs" / name
     assert cli.main(["train", "--mode", "iac", "--episodes", "1",
-                     "--out", str(runs / "#1")]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"cep: error: out_dir '{runs / '#1'}' must not contain '#'")
-    assert not runs.exists()
+                     "--out", str(out)]) == 0
+    assert load_config(out / "config.txt") == replace(
+        desk_profile(), mode="iac", episodes=1)
 
 
 def test_train_empty_out_dir_rejected(tmp_path, monkeypatch, capsys):

@@ -415,13 +415,14 @@ def test_clean_run_removes_a_stale_divergence_marker(monkeypatch, tmp_path):
 class TestRunDirectory:
     """A training run always writes its run directory."""
 
-    def test_default_is_the_config_out_dir(self, monkeypatch, tmp_path):
+    def test_empty_directory_rejected_before_writing(self, monkeypatch,
+                                                     tmp_path):
+        # Before: config.txt, train_log.csv and policy_final.cepn landed in
+        # the working directory.
         monkeypatch.chdir(tmp_path)
-        cfg = desk_profile(mode="iac", episodes=1, seed=1, out_dir="runs/a")
-        train(cfg)
-        out = tmp_path / "runs" / "a"
-        assert (out / "policy_final.cepn").exists()
-        assert load_config(out / "config.txt") == cfg
+        with pytest.raises(ValueError, match="^out_dir must not be empty$"):
+            train(desk_profile(mode="iac", episodes=1), "")
+        assert list(tmp_path.iterdir()) == []
 
     def test_holds_config_log_and_due_checkpoints_only(self, tmp_path):
         cfg = desk_profile(mode="sr2l", episodes=3, seed=1)
@@ -431,7 +432,6 @@ class TestRunDirectory:
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
             "checkpoint_ep00002.cepn", "config.txt", "policy_final.cepn",
             "train_log.csv"]
-        # The file holds the config as given, not the directory passed.
         assert load_config(tmp_path / "run" / "config.txt") == cfg
 
     def test_a_run_removes_stale_checkpoints(self, tmp_path):
