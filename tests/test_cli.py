@@ -333,6 +333,21 @@ def test_replay_negative_seed_rejected(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_out_dir_the_config_cannot_hold(tmp_path):
+    # Before: '#' in --out was rejected, since save_config would write
+    # 'out_dir = .../#1' and read back '.../'.  Now the directory stays out
+    # of config.txt, and the file repeats the run byte for byte.
+    runs = tmp_path / "runs"
+    assert cli.main(["train", "--mode", "iac", "--episodes", "1",
+                     "--out", str(runs / "#1")]) == 0
+    assert cli.main(["train", "--mode", "iac",
+                     "--config", str(runs / "#1" / "config.txt"),
+                     "--out", str(runs / "#2")]) == 0
+    for name in ("config.txt", "train_log.csv", "policy_final.cepn"):
+        assert (runs / "#1" / name).read_bytes() == \
+            (runs / "#2" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("name", [
     "#1", "#", "a\nb", "a\rb", "a\x1cb", "a\u2028b", " runs", "runs ",
     "runs\t", "\nruns",
