@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train an evader policy")
-    p_train.add_argument("--mode", choices=cfgmod.MODES, required=True)
+    p_train.add_argument("--mode", choices=cfgmod.MODES)
     p_train.add_argument("--config", help="key-value config file")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--out", default="runs/out",

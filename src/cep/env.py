@@ -388,15 +388,14 @@ def check_outcome(w: WorldState, cfg: ArenaConfig
 
 
 def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
-               cfg: ArenaConfig
-               ) -> tuple[WorldState, list[OutcomeKind | None]]:
+               cfg: ArenaConfig) -> WorldState:
     """One environment transition of every world of the batch: evaders
     (``actions[e]`` commands world ``e``'s), then pursuers, then
     time/termination.
 
-    Returns the new batch plus each world's outcome, None while it runs
-    (also kept as the new batch's ``outcomes``).  Stepping a batch that holds
-    a terminal world raises ``RuntimeError``.
+    Returns the new batch, whose ``outcomes`` is where each world's outcome
+    is read (None while it runs).  Stepping a batch that holds a terminal
+    world raises ``RuntimeError``.
     """
     if w.outcomes.count(None) != len(w.outcomes):
         raise RuntimeError("step_world called on a terminal world")
@@ -410,7 +409,7 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
     # The new world's distances, from the positions at hand.
     out._offsets = _evader_offsets(pursuers.xy, evader_xy)
     out.outcomes = check_outcome(out, cfg)
-    return out, out.outcomes
+    return out
 
 
 def nearest_wall(pos: tuple[float, float],

@@ -23,9 +23,10 @@ what it needs from the stepper: the planner the ``frames``, the actor the
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
 before and after the step (the reset rule is the stepper's
-``reward_frames``).  Training steps a one-episode stepper the same way, with
-the command :func:`~cep.sr2l.arbitrate` chooses, and stores the observations
-before and after each step with the step's action, reward and end flag.
+``reward_frames``); its outcomes are read from ``stepper.world.outcomes``.
+Training steps a one-episode stepper the same way, with the command
+:func:`~cep.sr2l.arbitrate` chooses, and stores the observations before and
+after each step with the step's action, reward and end flag.
 
 Training always writes its run directory (see :func:`train`).  An
 evaluation reports records: an :class:`EvalEpisode` per episode, and an
@@ -248,7 +249,8 @@ def train(cfg: RunConfig, out_dir: str | Path
                     (state,) = stepper.observations
                     command, action, reward, actor_ran = arbitrate(
                         stepper, bundle, step_rng, scaffold, planner)
-                    (outcome,), (realized,) = stepper.step_action([command])
+                    (realized,) = stepper.step_action([command])
+                    (outcome,) = stepper.world.outcomes
                     (next_state,) = stepper.observations
                     buffer.push(state, action, reward, next_state,
                                 outcome is not None)
@@ -376,7 +378,7 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
                                      cum[k], cum[k] / steps if steps else 0.0)
         if not stepper.live:
             return records
-        _, breakdowns = stepper.step_action(policy.act(stepper))
+        breakdowns = stepper.step_action(policy.act(stepper))
         for k, bd in zip(stepper.live, breakdowns):
             cum[k] += bd.reward
 
@@ -478,9 +480,8 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerow(row(0.0, 0.0, 0.0, 0.0))
-        (outcome,) = stepper.world.outcomes
-        while outcome is None:
-            (outcome,), (bd,) = stepper.step_action(policy.act(stepper))
+        while stepper.world.outcomes[0] is None:
+            (bd,) = stepper.step_action(policy.act(stepper))
             writer.writerow(row(bd.r_d, bd.r_b, bd.sum_w, bd.reward))
     steps = stepper.world.step_count
     assert steps <= max_steps(arena)

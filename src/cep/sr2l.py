@@ -108,9 +108,9 @@ class EpisodeStepper:
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones, so each step works only on
     live episodes.  :meth:`step_action` executes one chosen action per
-    episode and reports the realized rewards; evaluation, replay and
-    training all step through it (training chooses its action with
-    :func:`arbitrate`).
+    episode and returns the realized rewards, and a step's outcomes are
+    read from ``world.outcomes``; evaluation, replay and training all step
+    through it (training chooses its action with :func:`arbitrate`).
     """
 
     def __init__(self, world: WorldState, arena: ArenaConfig,
@@ -167,16 +167,15 @@ class EpisodeStepper:
         return ended
 
     def step_action(self, actions: list[tuple[float, float]]
-                    ) -> tuple[list[OutcomeKind | None],
-                               list[RewardBreakdown]]:
-        """Execute one chosen action per episode: each episode's outcome and
-        realized reward breakdown (its signed reward is ``.reward``)."""
+                    ) -> list[RewardBreakdown]:
+        """Execute one chosen action per episode and return the realized
+        reward breakdowns; the outcomes are read from ``world.outcomes``."""
         before = self.reward_frames
-        self.world, outcomes = step_world(self.world, actions, self.arena)
+        self.world = step_world(self.world, actions, self.arena)
         self.frames = sense(self.world, self.arena)
         self._lidars = self._observations = None
-        return outcomes, [transition_reward(b, a, self.arena)
-                          for b, a in zip(before, self.frames)]
+        return [transition_reward(b, a, self.arena)
+                for b, a in zip(before, self.frames)]
 
 
 def arbitrate(stepper: EpisodeStepper, nets: PolicyBundle,

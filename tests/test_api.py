@@ -34,7 +34,7 @@ def test_exports_complete(name):
 
 
 def test_step_result_carries_only_what_training_reads():
-    # Training reads arbitrate's tuple and step_action's results: no step
+    # Training reads arbitrate's tuple and step_action's rewards: no step
     # record type, and one step method on the stepper.
     for name in ("StepResult", "ScaffoldDecision", "ExperienceTuple"):
         assert not hasattr(sr2l, name)

@@ -348,6 +348,22 @@ def test_train_out_dir_the_config_cannot_hold(tmp_path):
             (runs / "#2" / name).read_bytes(), name
 
 
+def test_train_config_txt_repeats_the_run_alone(tmp_path):
+    run, again, sr2l = tmp_path / "run", tmp_path / "again", tmp_path / "sr2l"
+    assert cli.main(["train", "--mode", "iac", "--episodes", "1",
+                     "--out", str(run)]) == 0
+    assert cli.main(["train", "--config", str(run / "config.txt"),
+                     "--out", str(again)]) == 0
+    for name in ("config.txt", "train_log.csv", "policy_final.cepn"):
+        assert (run / name).read_bytes() == (again / name).read_bytes(), name
+    # --mode still overrides the file's mode.
+    assert cli.main(["train", "--mode", "sr2l", "--config",
+                     str(run / "config.txt"), "--out", str(sr2l)]) == 0
+    assert "mode = sr2l" in (sr2l / "config.txt").read_text().splitlines()
+    assert load_config(sr2l / "config.txt") == replace(
+        load_config(run / "config.txt"), mode="sr2l")
+
+
 @pytest.mark.parametrize("name", [
     "#1", "#", "a\nb", "a\rb", "a\x1cb", "a\u2028b", " runs", "runs ",
     "runs\t", "\nruns",

@@ -392,14 +392,14 @@ class TestStepWorld:
     def test_escape(self):
         cfg = small_arena(n_pursuers=0)
         w = world_at(EvaderState(99.9, 0.0), init_world(cfg, 0).pursuers)
-        w2, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
+        (outcome,) = step_world(w, [(15.0, 0.0)], cfg).outcomes
         assert outcome is OutcomeKind.ESCAPED
 
     def test_capture(self):
         cfg = small_arena(n_pursuers=1)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
         w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
-        _, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
+        (outcome,) = step_world(w, [(0.0, 0.0)], cfg).outcomes
         assert outcome is OutcomeKind.CAPTURED
 
     def test_timeout_at_budget(self):
@@ -408,7 +408,8 @@ class TestStepWorld:
         outcome = None
         steps = 0
         while outcome is None:
-            w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
+            w = step_world(w, [(0.0, 0.0)], cfg)
+            (outcome,) = w.outcomes
             steps += 1
         assert outcome is OutcomeKind.TIMEOUT
         assert steps == max_steps(cfg) == 10
@@ -418,7 +419,8 @@ class TestStepWorld:
         cfg = small_arena(n_pursuers=0)
         w, outcome = init_world(cfg, 0), None
         while outcome is None:
-            w, (outcome,) = step_world(w, [(15.0, 0.0)], cfg)
+            w = step_world(w, [(15.0, 0.0)], cfg)
+            (outcome,) = w.outcomes
         assert outcome is OutcomeKind.ESCAPED
         assert w.outcomes[0] is outcome
         with pytest.raises(RuntimeError):
@@ -433,7 +435,8 @@ class TestStepWorld:
     def test_step_after_capture_raises(self):
         cfg = small_arena(n_pursuers=1)
         w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
-        w, (outcome,) = step_world(w, [(0.0, 0.0)], cfg)
+        w = step_world(w, [(0.0, 0.0)], cfg)
+        (outcome,) = w.outcomes
         assert outcome is OutcomeKind.CAPTURED
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
@@ -460,7 +463,8 @@ class TestStepWorld:
             trace = []
             outcome = None
             for a in actions:
-                w, (outcome,) = step_world(w, [tuple(a)], cfg)
+                w = step_world(w, [tuple(a)], cfg)
+                (outcome,) = w.outcomes
                 trace.append((w.evaders[0].x, w.evaders[0].y,
                                pursuer_rows(w.pursuers)))
                 if outcome is not None:
@@ -480,8 +484,8 @@ class TestStepWorld:
         (outcome,) = check_outcome(w, cfg)
         steps = 0
         while outcome is None:
-            w, (outcome,) = step_world(w, [tuple(rng.uniform(-15, 15, 2))],
-                                       cfg)
+            w = step_world(w, [tuple(rng.uniform(-15, 15, 2))], cfg)
+            (outcome,) = w.outcomes
             steps += 1
             for x, y in w.pursuers.xy[0].tolist():
                 assert abs(x) <= cfg.half_width + 1e-9

@@ -120,7 +120,8 @@ def lone_episode(policy, cfg, arena, seed: int):
     rewards = []
     (outcome,) = stepper.world.outcomes
     while outcome is None:
-        (outcome,), (breakdown,) = stepper.step_action(policy.act(stepper))
+        (breakdown,) = stepper.step_action(policy.act(stepper))
+        (outcome,) = stepper.world.outcomes
         rewards.append(breakdown.reward)
     return outcome, rewards
 

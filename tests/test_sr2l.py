@@ -65,7 +65,8 @@ def scenes(draw):
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
             break
-        (outcome,), _ = stepper.step_action(PLANNER.act(stepper))
+        stepper.step_action(PLANNER.act(stepper))
+        (outcome,) = stepper.world.outcomes
     if draw(st.booleans()):
         stepper.world.step_count = max_steps(cfg) - 1
     return stepper
@@ -183,7 +184,8 @@ class TestArbitrate:
             command, _, _, actor_ran = arbitrate(stepper, NETS, rng, scaffold,
                                                  Refuses())
             assert actor_ran
-            (outcome,), _ = stepper.step_action([command])
+            stepper.step_action([command])
+            (outcome,) = stepper.world.outcomes
 
 
 class TestResetRule:
@@ -215,7 +217,8 @@ class TestResetRule:
         still = (0.0, 0.0)
         predicted = predict_next_state(stepper.world, before, still, cfg)
 
-        (outcome,), (first,) = stepper.step_action([still])
+        (first,) = stepper.step_action([still])
+        (outcome,) = stepper.world.outcomes
         assert outcome is None
         (d_1,) = stepper.frames[0].detections
         assert d_1.distance > d_0.distance
@@ -227,7 +230,8 @@ class TestResetRule:
         (after_first,) = stepper.reward_frames
         assert after_first is stepper.frames[0]
         predicted = predict_next_state(stepper.world, after_first, still, cfg)
-        (outcome,), (second,) = stepper.step_action([still])
+        (second,) = stepper.step_action([still])
+        (outcome,) = stepper.world.outcomes
         assert outcome is None
         (d_2,) = stepper.frames[0].detections
         assert second.r_d == self.r_d(cfg, d_2, d_1.distance)
