@@ -21,6 +21,13 @@ def _run_config(args, **overrides) -> cfgmod.RunConfig:
                            if v is not None})
 
 
+def _out_path(out: str) -> Path:
+    """``--out`` of eval, sweep and replay, checked before any episode."""
+    if not out:
+        raise ValueError("--out must not be empty")
+    return Path(out)
+
+
 def _cmd_train(args) -> int:
     cfg = _run_config(args, mode=args.mode, seed=args.seed,
                       episodes=args.episodes)
@@ -32,13 +39,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out = _out_path(args.out)
     cfg = _run_config(args, seed=args.seed)
     bundle = (load_checkpoint(args.checkpoint)
               if args.checkpoint is not None else None)
     policy = harness.make_policy(args.policy, cfg, bundle)
     report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
-
-    out = Path(args.out) if args.out else Path("eval")
     out.mkdir(parents=True, exist_ok=True)
     harness.write_eval_episodes(out / "eval_episodes.csv", report)
     harness.write_eval_summary(out / "eval_summary.csv", report)
@@ -51,12 +57,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    out = _out_path(args.out)
     cfg = _run_config(args, seed=args.seed)
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
     grid = harness.load_grid(args.grid)
     summaries = harness.sweep(policy, cfg, grid, episodes=args.episodes)
-    out = Path(args.out) if args.out else Path("sweep.csv")
     harness.write_sweep_csv(out, grid, summaries)
     for (n, v_ratio, r_ratio), s in zip(grid, summaries):
         print(f"n={n} V'={v_ratio:g} R'={r_ratio:g} "
@@ -66,10 +72,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    out = _out_path(args.out if args.out is not None
+                    else f"trajectory_seed{args.seed}.csv")
     cfg = _run_config(args)  # --seed is the episode's seed, not cfg.seed
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
-    out = Path(args.out) if args.out else Path(f"trajectory_seed{args.seed}.csv")
     rows = harness.replay(policy, args.seed, cfg, out)
     print(f"wrote {rows} rows to {out}")
     return 0
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--policy", default="checkpoint",
                         choices=harness.POLICY_KINDS)
     p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--out")
+    p_eval.add_argument("--out", default="eval", help="default: %(default)s")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="environment parameter sweep")
@@ -108,14 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config")
     p_sweep.add_argument("--episodes", type=int)
     p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--out")
+    p_sweep.add_argument("--out", default="sweep.csv",
+                         help="default: %(default)s")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="write one episode trajectory")
     p_replay.add_argument("--checkpoint", required=True)
     p_replay.add_argument("--seed", type=int, required=True)
     p_replay.add_argument("--config")
-    p_replay.add_argument("--out")
+    p_replay.add_argument("--out", help="default: trajectory_seed<SEED>.csv")
     p_replay.set_defaults(func=_cmd_replay)
 
     return parser

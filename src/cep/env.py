@@ -303,17 +303,6 @@ def step_evader(s: EvaderState, action: tuple[float, float],
     return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy)
 
 
-def _reflect_heading(c: float, s: float, flip_x: bool, flip_y: bool) -> float:
-    # Specular reflection of the direction (c, s) = (cos psi, sin psi): a
-    # vertical wall flips the x component (psi -> pi - psi), a horizontal
-    # wall flips y (psi -> -psi).
-    if flip_x:
-        c = -c
-    if flip_y:
-        s = -s
-    return math.atan2(s, c)
-
-
 def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
     """Advance every pursuer of every world by ``dt``.
 
@@ -356,7 +345,9 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
         for k in dict.fromkeys(h // 2 for h in hits):
             flip_x, flip_y = flips[k].tolist()
             c, s = rows[k].tolist()
-            h = _reflect_heading(c, s, flip_x, flip_y)
+            # Specular reflection: a vertical wall flips c = cos psi (psi ->
+            # pi - psi), a horizontal wall flips s = sin psi (psi -> -psi).
+            h = math.atan2(-s if flip_y else s, -c if flip_x else c)
             c, s = math.cos(h), math.sin(h)
             x, y = start[k].tolist()
             v = float(speeds[k])

@@ -70,7 +70,6 @@ __all__ = [
     "sac_update",
     "save_checkpoint",
     "load_checkpoint",
-    "CHECKPOINT_MAGIC",
     "ACTION_DIM",
 ]
 

@@ -33,6 +33,17 @@ def test_exports_complete(name):
     assert [n for n in public if n not in module.__all__] == []
 
 
+def test_package_exports_every_module_export():
+    # cep's public names are its library modules' __all__ lists (cli is the
+    # command line), and each name has one home.
+    exports = [n for name in MODULES if name != "cli"
+               for n in importlib.import_module(f"cep.{name}").__all__]
+    assert len(exports) == len(set(exports))
+    public = {n for n in dir(cep) if not n.startswith("_")
+              and not inspect.ismodule(getattr(cep, n))}
+    assert public == set(exports)
+
+
 def test_step_result_carries_only_what_training_reads():
     # Training reads arbitrate's tuple and step_action's rewards: no step
     # record type, and one step method on the stepper.

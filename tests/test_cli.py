@@ -392,6 +392,22 @@ def test_train_empty_out_dir_rejected(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep", "replay"])
+def test_empty_out_rejected(trained, tmp_path, monkeypatch, capsys, command):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    extra = {"eval": ["--episodes", "1"],
+             "sweep": ["--grid", str(grid), "--episodes", "1"],
+             "replay": ["--seed", "3"]}[command]
+    assert cli.main([command, "--checkpoint", str(trained[1]), *extra,
+                     "--out", ""]) == 2
+    assert capsys.readouterr().err == "cep: error: --out must not be empty\n"
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,missing", [
     (["eval", "--episodes", "1", "--checkpoint"], "missing.cepn"),
     (["train", "--mode", "iac", "--episodes", "1", "--config"], "missing.txt"),

@@ -422,7 +422,7 @@ class TestStepWorld:
             w = step_world(w, [(15.0, 0.0)], cfg)
             (outcome,) = w.outcomes
         assert outcome is OutcomeKind.ESCAPED
-        assert w.outcomes[0] is outcome
+        assert check_outcome(w, cfg) == [OutcomeKind.ESCAPED]
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)], cfg)
 
