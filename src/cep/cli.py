@@ -22,7 +22,8 @@ def _run_config(args, **overrides) -> cfgmod.RunConfig:
 
 
 def _out_path(out: str) -> Path:
-    """``--out`` of eval, sweep and replay, checked before any episode."""
+    """``--out`` of eval, sweep and replay, checked before any input is
+    read; its directory is made after the inputs, before any episode."""
     if not out:
         raise ValueError("--out must not be empty")
     return Path(out)
@@ -44,8 +45,8 @@ def _cmd_eval(args) -> int:
     bundle = (load_checkpoint(args.checkpoint)
               if args.checkpoint is not None else None)
     policy = harness.make_policy(args.policy, cfg, bundle)
-    report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
     out.mkdir(parents=True, exist_ok=True)
+    report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
     harness.write_eval_episodes(out / "eval_episodes.csv", report)
     harness.write_eval_summary(out / "eval_summary.csv", report)
     overall = report.overall
@@ -62,6 +63,7 @@ def _cmd_sweep(args) -> int:
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
     grid = harness.load_grid(args.grid)
+    out.parent.mkdir(parents=True, exist_ok=True)
     summaries = harness.sweep(policy, cfg, grid, episodes=args.episodes)
     harness.write_sweep_csv(out, grid, summaries)
     for (n, v_ratio, r_ratio), s in zip(grid, summaries):
@@ -77,6 +79,7 @@ def _cmd_replay(args) -> int:
     cfg = _run_config(args)  # --seed is the episode's seed, not cfg.seed
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
+    out.parent.mkdir(parents=True, exist_ok=True)
     rows = harness.replay(policy, args.seed, cfg, out)
     print(f"wrote {rows} rows to {out}")
     return 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -103,6 +103,9 @@ class ArenaConfig:
             raise ValueError("capture_radius must be < r_p")
         if not self.t_max > self.dt:
             raise ValueError("t_max must be > dt")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError(f"t_max / dt must be finite, got {self.t_max} / "
+                             f"{self.dt}")
 
 
 @dataclass(eq=False)
@@ -171,31 +174,30 @@ class WorldState:
     worlds share ``step_count``; their time is ``step_count * dt``, computed
     where it is read, never accumulated, so the step bound ceil(t_max/dt)
     holds without float drift.  Stepping is fully deterministic.
-    ``evaders`` and ``pursuers`` are not rebound once built: :attr:`offsets`
-    is computed from them on first read and kept.
+
+    ``offsets`` holds the ``(E, n, 2)`` offsets from each world's evader to
+    its pursuers and their ``(E, n)`` lengths, computed when the world is
+    built: the capture test, the detections and the lidar read this one
+    distance pass.  A builder that already holds the evaders' ``(E, 1, 2)``
+    positions hands them in as ``evader_xy``; otherwise they are read from
+    ``evaders``.  ``evaders`` and ``pursuers`` are not rebound once built.
     """
 
     evaders: list[EvaderState]
     pursuers: Pursuers
     step_count: int = 0
     outcomes: list[OutcomeKind | None] | None = None
-    _offsets: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    evader_xy: InitVar[np.ndarray | None] = None
+    offsets: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, evader_xy: np.ndarray | None) -> None:
         if self.outcomes is None:
             self.outcomes = [None] * len(self.evaders)
-
-    @property
-    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(E, n, 2)`` offsets from each world's evader to its
-        pursuers and their ``(E, n)`` lengths, computed on first read: the
-        capture test, the detections and the lidar read this one distance
-        pass."""
-        if self._offsets is None:
-            self._offsets = _evader_offsets(self.pursuers.xy,
-                                     _positions(self.evaders))
-        return self._offsets
+        if evader_xy is None:
+            evader_xy = _positions(self.evaders)
+        rel = self.pursuers.xy - evader_xy
+        self.offsets = rel, np.hypot(rel[..., 0], rel[..., 1])
 
     @classmethod
     def stack(cls, worlds: Sequence["WorldState"]) -> "WorldState":
@@ -222,13 +224,6 @@ def _positions(evaders: Sequence[EvaderState]) -> np.ndarray:
     for e in evaders:
         xy += e.x, e.y
     return np.array(xy, dtype=float).reshape(-1, 1, 2)
-
-
-def _evader_offsets(xy: np.ndarray, evader_xy: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Pursuer positions minus evader positions, and their lengths."""
-    rel = xy - evader_xy
-    return rel, np.hypot(rel[..., 0], rel[..., 1])
 
 
 def max_steps(cfg: ArenaConfig) -> int:
@@ -395,10 +390,7 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
     evaders = [step_evader(e, a, cfg) for e, a in zip(w.evaders, actions)]
     evader_xy = _positions(evaders)
     pursuers = step_pursuers(w.pursuers, evader_xy, cfg)
-    step_count = w.step_count + 1
-    out = WorldState(evaders, pursuers, step_count)
-    # The new world's distances, from the positions at hand.
-    out._offsets = _evader_offsets(pursuers.xy, evader_xy)
+    out = WorldState(evaders, pursuers, w.step_count + 1, evader_xy=evader_xy)
     out.outcomes = check_outcome(out, cfg)
     return out
 

@@ -118,7 +118,11 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns the output and the per-layer activations (inputs first);
-        the caches feed :meth:`backward`."""
+        the caches feed :meth:`backward`.  An input whose last axis is not the
+        network's input width raises ``ValueError``."""
+        if x.shape[-1] != self.widths[0]:
+            raise ValueError(f"input width {x.shape[-1]} != network input "
+                             f"width {self.widths[0]}")
         acts = [x]
         for i in range(self.n_layers):
             z = acts[-1] @ self.weights[i]
@@ -307,8 +311,6 @@ def forward_actor(net: Mlp, state: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Sample one squashed action; deterministic given (net, state, rng state)."""
     s = np.asarray(state, dtype=float).reshape(1, -1)
-    if s.shape[1] != net.widths[0]:
-        raise ValueError(f"state width {s.shape[1]} != input width {net.widths[0]}")
     noise = rng.standard_normal((1, ACTION_DIM))
     mean, _, log_std = _split_actor_head(net(s))
     return np.tanh(mean + np.exp(log_std) * noise)[0]

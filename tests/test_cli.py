@@ -408,6 +408,46 @@ def test_empty_out_rejected(trained, tmp_path, monkeypatch, capsys, command):
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "replay"])
+def test_out_into_a_missing_directory(trained, tmp_path, command):
+    # Before: the sweep ran every episode, then exited 2 with "No such file
+    # or directory"; so did the replay.
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
+    out = tmp_path / "new" / "dir" / "out.csv"
+    extra = {"sweep": ["--grid", str(grid), "--episodes", "1"],
+             "replay": ["--seed", "3"]}[command]
+    assert cli.main([command, "--checkpoint", str(trained[1]), *extra,
+                     "--out", str(out)]) == 0
+    assert rows(out)
+
+
+@pytest.mark.parametrize("command,entry,name", [
+    ("eval", "evaluate_monte_carlo", "eval"),
+    ("sweep", "sweep", "sweep.csv"),
+    ("replay", "replay", "trajectory.csv"),
+], ids=["eval", "sweep", "replay"])
+def test_out_under_a_regular_file(trained, tmp_path, monkeypatch, capsys,
+                                  command, entry, name):
+    # The directory is made before the first episode, so no episode runs.
+    def no_episode(*args, **kwargs):
+        raise AssertionError(f"harness.{entry} was called")
+
+    monkeypatch.setattr(harness, entry, no_episode)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    extra = {"eval": ["--episodes", "1"],
+             "sweep": ["--grid", str(grid), "--episodes", "1"],
+             "replay": ["--seed", "3"]}[command]
+    assert cli.main([command, "--checkpoint", str(trained[1]), *extra,
+                     "--out", str(blocker / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cep: error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("command,missing", [
     (["eval", "--episodes", "1", "--checkpoint"], "missing.cepn"),
     (["train", "--mode", "iac", "--episodes", "1", "--config"], "missing.txt"),

@@ -219,6 +219,8 @@ def test_keys_valid_only_together_load(tmp_path):
      "spawn region must fit strictly inside the arena"),
     ("arena", "capture_radius", "10", "capture_radius must be < r_p"),
     ("arena", "t_max", "0.1", "t_max must be > dt"),
+    # Before: max_steps raised OverflowError on the first episode.
+    ("arena", "t_max", "1e308", "t_max / dt must be finite, got 1e+308 / 0.1"),
     ("sensing", "k_s", "0", "k_s must be > 0, got 0.0"),
     ("sensing", "r_b_norm", "0", "r_b_norm must be > 0, got 0.0"),
     ("sensing", "n_s", "3", "n_s must be >= 4"),

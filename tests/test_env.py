@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -493,6 +493,47 @@ class TestStepWorld:
             assert steps <= max_steps(cfg)
         assert outcome in (OutcomeKind.ESCAPED, OutcomeKind.CAPTURED,
                            OutcomeKind.TIMEOUT)
+
+
+def assert_offsets_of_a_fresh_build(w: WorldState) -> None:
+    """``w``'s distances equal, bit for bit, those of the same evaders and
+    pursuers built anew."""
+    fresh = WorldState(w.evaders, w.pursuers, w.step_count)
+    for have, want in zip(w.offsets, fresh.offsets):
+        assert have.shape == want.shape and have.tobytes() == want.tobytes()
+
+
+class TestOffsets:
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+           steps=st.integers(0, 8), draw_seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_every_builder_sets_the_distances_of_its_world(self, seeds, steps,
+                                                           draw_seed):
+        # init_world, step_world (which hands in its evader positions),
+        # take and stack each build a world whose distances are its own.
+        cfg = small_arena(n_pursuers=8)
+        rng = np.random.default_rng(draw_seed)
+        w = WorldState.stack([init_world(cfg, s) for s in seeds])
+        worlds = [w]
+        for _ in range(steps):
+            live = [k for k, o in enumerate(w.outcomes) if o is None]
+            if not live:
+                break
+            actions = rng.uniform(-15.0, 15.0, (len(live), 2)).tolist()
+            w = step_world(w.take(live), [tuple(a) for a in actions], cfg)
+            worlds.append(w)
+        k = len(w.evaders)
+        rows = rng.permutation(k)[:rng.integers(1, k + 1)].tolist()
+        worlds += [w.take(rows), WorldState.stack([w.take(rows), w])]
+        for world in worlds:
+            assert_offsets_of_a_fresh_build(world)
+
+        # replace builds anew: the moved evaders' distances, not stale ones.
+        moved = [EvaderState(e.x + 1.0, e.y - 0.5) for e in w.evaders]
+        shifted = replace(w, evaders=moved)
+        assert_offsets_of_a_fresh_build(shifted)
+        assert np.allclose(shifted.offsets[0],
+                           w.offsets[0] - np.array([1.0, -0.5]), atol=1e-9)
 
 
 class TestObjectiveValue:

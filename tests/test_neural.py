@@ -47,8 +47,6 @@ def actor_output(net: Mlp, state: np.ndarray,
 def forward_critic(net: Mlp, state: np.ndarray, action: np.ndarray) -> float:
     x = np.concatenate([np.asarray(state, dtype=float).ravel(),
                         np.asarray(action, dtype=float).ravel()]).reshape(1, -1)
-    if x.shape[1] != net.widths[0]:
-        raise ValueError(f"input width {x.shape[1]} != critic width {net.widths[0]}")
     return float(net(x)[0, 0])
 
 
@@ -147,11 +145,17 @@ class TestForwardActor:
         out = actor_output(net, np.zeros(STATE_DIM), np.random.default_rng(0))
         assert np.all(out.log_std == LOG_STD_MAX)
 
-    def test_width_mismatch_raises(self):
+    @pytest.mark.parametrize("act", [
+        lambda net, s: forward_actor(net, s, np.random.default_rng(0)),
+        actor_mean_action,
+    ], ids=["forward_actor", "actor_mean_action"])
+    def test_width_mismatch_raises(self, act):
+        # Before: actor_mean_action failed inside numpy's matmul.
         bundle = make_bundle()
-        with pytest.raises(ValueError):
-            forward_actor(bundle.actor, np.zeros(STATE_DIM + 1),
-                          np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(
+                f"input width {STATE_DIM + 1} != network input width "
+                f"{STATE_DIM}")):
+            act(bundle.actor, np.zeros(STATE_DIM + 1))
 
     def test_action_bounds(self):
         bundle = make_bundle()
