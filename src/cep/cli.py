@@ -41,12 +41,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     out = _out_path(args.out)
-    cfg = _run_config(args, seed=args.seed)
+    cfg = _run_config(args, seed=args.seed, eval_episodes=args.episodes)
     bundle = (load_checkpoint(args.checkpoint)
               if args.checkpoint is not None else None)
     policy = harness.make_policy(args.policy, cfg, bundle)
     out.mkdir(parents=True, exist_ok=True)
-    report = harness.evaluate_monte_carlo(policy, cfg, episodes=args.episodes)
+    report = harness.evaluate_monte_carlo(policy, cfg)
     harness.write_eval_episodes(out / "eval_episodes.csv", report)
     harness.write_eval_summary(out / "eval_summary.csv", report)
     overall = report.overall
@@ -59,12 +59,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _out_path(args.out)
-    cfg = _run_config(args, seed=args.seed)
+    cfg = _run_config(args, seed=args.seed, eval_episodes=args.episodes)
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
     grid = harness.load_grid(args.grid)
+    for cell in grid:
+        harness.sweep_arena(cfg.arena, *cell)
     out.parent.mkdir(parents=True, exist_ok=True)
-    summaries = harness.sweep(policy, cfg, grid, episodes=args.episodes)
+    summaries = harness.sweep(policy, cfg, grid)
     harness.write_sweep_csv(out, grid, summaries)
     for (n, v_ratio, r_ratio), s in zip(grid, summaries):
         print(f"n={n} V'={v_ratio:g} R'={r_ratio:g} "

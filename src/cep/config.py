@@ -57,7 +57,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("episodes", "eval_episodes"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

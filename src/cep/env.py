@@ -11,16 +11,17 @@ another pursuer), then elapsed time and termination are updated.  Pursuers
 patrol on straight lines, reflect specularly off the walls, and chase at full
 speed while the evader is within their sensor range.
 
-A :class:`WorldState` is a batch of ``E`` worlds of one arena stepped in
-lockstep: they share the step count and the time, each has its own evader,
-and the pursuer arrays have a leading episode axis, row ``[e, i]`` being
-pursuer ``i`` of world ``e``.  A single world is the batch ``E = 1``.  The
-pursuer step, the capture test and the evader-to-pursuer distances
-(:attr:`WorldState.offsets`) run once per step for the whole batch; what must
-give a lone world's bits stays per world (the evader's speed clip) or per
-row (the angles of the rows that lock on or reflect).
-:meth:`WorldState.take` keeps some worlds of a batch, so that a runner drops
-the finished episodes and steps only the live ones.
+A :class:`WorldState` is a batch of ``E`` worlds of the arena it holds,
+stepped in lockstep: they share the step count and the time, each has its
+own evader, and the pursuer arrays have a leading episode axis, row
+``[e, i]`` being pursuer ``i`` of world ``e``.  A single world is the batch
+``E = 1``.  A world is built whole, with its distances and outcomes, so
+nothing that reads a world takes the arena again.  The pursuer step, the
+capture test and the evader-to-pursuer distances run once per step for the
+whole batch; what must give a lone world's bits stays per world (the
+evader's speed clip) or per row (the angles of the rows that lock on or
+reflect).  :meth:`WorldState.take` keeps some worlds of a batch, so that a
+runner drops the finished episodes and steps only the live ones.
 
 A pursuer's direction of travel is stored only as its unit vector ``unit``:
 where an angle ``h`` sets it (drawn at spawn, aimed at the evader on lock-on,
@@ -94,7 +95,7 @@ class ArenaConfig:
         check_config(self, ("half_width", "half_height", "spawn_half_extent",
                             "r_e", "r_p", "capture_radius", "v_e_max", "dt"))
         if self.n_pursuers < 0:
-            raise ValueError("n_pursuers must be >= 0")
+            raise ValueError(f"n_pursuers must be >= 0, got {self.n_pursuers}")
         if not (0 < self.v_p_min <= self.v_p_max):
             raise ValueError("need 0 < v_p_min <= v_p_max")
         if not self.spawn_half_extent < min(self.half_width, self.half_height):
@@ -166,55 +167,54 @@ class OutcomeKind(Enum):
 
 @dataclass
 class WorldState:
-    """A batch of worlds of one arena, owned by exactly one episode runner.
+    """A batch of worlds of the arena ``arena``, owned by one episode runner.
 
-    World ``e`` is ``evaders[e]`` with row ``e`` of the pursuer arrays, and
-    ``outcomes[e]`` is set by :func:`init_world` and :func:`step_world` once
-    it is terminal; a batch holding a terminal world is never stepped.  The
+    World ``e`` is ``evaders[e]`` with row ``e`` of the pursuer arrays.  The
     worlds share ``step_count``; their time is ``step_count * dt``, computed
     where it is read, never accumulated, so the step bound ceil(t_max/dt)
     holds without float drift.  Stepping is fully deterministic.
 
-    ``offsets`` holds the ``(E, n, 2)`` offsets from each world's evader to
-    its pursuers and their ``(E, n)`` lengths, computed when the world is
-    built: the capture test, the detections and the lidar read this one
-    distance pass.  A builder that already holds the evaders' ``(E, 1, 2)``
-    positions hands them in as ``evader_xy``; otherwise they are read from
-    ``evaders``.  ``evaders`` and ``pursuers`` are not rebound once built.
+    Every builder (``init_world``, ``step_world``, ``take``, ``stack``,
+    ``dataclasses.replace``) computes two fields: ``offsets``, the
+    ``(E, n, 2)`` offsets from each world's evader to its pursuers and their
+    ``(E, n)`` lengths, the one distance pass that the capture test, the
+    detections and the lidar read; and ``outcomes``, :func:`check_outcome`
+    of the batch (None for a world that runs).  A batch holding a terminal
+    world is never stepped.  A builder that holds the evaders' ``(E, 1, 2)``
+    positions hands them in as ``evader_xy``.  No field is rebound once built.
     """
 
+    arena: ArenaConfig
     evaders: list[EvaderState]
     pursuers: Pursuers
     step_count: int = 0
-    outcomes: list[OutcomeKind | None] | None = None
     evader_xy: InitVar[np.ndarray | None] = None
     offsets: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
+    outcomes: list[OutcomeKind | None] = field(init=False, compare=False)
 
     def __post_init__(self, evader_xy: np.ndarray | None) -> None:
-        if self.outcomes is None:
-            self.outcomes = [None] * len(self.evaders)
         if evader_xy is None:
             evader_xy = _positions(self.evaders)
         rel = self.pursuers.xy - evader_xy
         self.offsets = rel, np.hypot(rel[..., 0], rel[..., 1])
+        self.outcomes = check_outcome(self)
 
     @classmethod
     def stack(cls, worlds: Sequence["WorldState"]) -> "WorldState":
-        """The worlds of ``worlds``, in order, as one batch; they must be at
-        the same step."""
-        step_count = worlds[0].step_count
-        if any(w.step_count != step_count for w in worlds):
-            raise ValueError("a batch's worlds must be at the same step")
-        return cls([e for w in worlds for e in w.evaders],
-                   Pursuers.stack([w.pursuers for w in worlds]), step_count,
-                   [o for w in worlds for o in w.outcomes])
+        """The worlds of ``worlds``, in order, as one batch; they must share
+        the arena and the step."""
+        arena, step_count = worlds[0].arena, worlds[0].step_count
+        if any((w.arena, w.step_count) != (arena, step_count) for w in worlds):
+            raise ValueError("a batch's worlds must share one arena and be at "
+                             "the same step")
+        return cls(arena, [e for w in worlds for e in w.evaders],
+                   Pursuers.stack([w.pursuers for w in worlds]), step_count)
 
     def take(self, rows: list[int]) -> "WorldState":
         """The worlds ``rows`` of this batch, in that order."""
-        return WorldState([self.evaders[k] for k in rows],
-                          self.pursuers.take(rows), self.step_count,
-                          [self.outcomes[k] for k in rows])
+        return WorldState(self.arena, [self.evaders[k] for k in rows],
+                          self.pursuers.take(rows), self.step_count)
 
 
 def _positions(evaders: Sequence[EvaderState]) -> np.ndarray:
@@ -249,9 +249,9 @@ def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
     ``[low, high)`` is ``low + (high - low) * u`` of the generator's next
     double ``u``, as ``Generator.uniform`` computes it; the doubles are drawn
     in blocks.  A spawn can be terminal outright (a pursuer just outside
-    Omega within capture radius), so the world's outcome is set here too;
-    escape and timeout cannot hold at spawn (Omega lies inside the arena and
-    ``t_max > dt``).
+    Omega within capture radius), and the world's ``outcomes`` says so, as
+    every built world's does; escape and timeout cannot hold at spawn (Omega
+    lies inside the arena and ``t_max > dt``).
     """
     doubles = _doubles(np.random.default_rng(seed), 8 + 4 * cfg.n_pursuers)
 
@@ -275,9 +275,7 @@ def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
         heading = uniform(-math.pi, math.pi)
         rows.append((px, py, speed, heading))
 
-    world = WorldState([evader], Pursuers.from_rows(rows))
-    world.outcomes = check_outcome(world, cfg)
-    return world
+    return WorldState(cfg, [evader], Pursuers.from_rows(rows))
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],
@@ -352,11 +350,11 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
     return Pursuers(xy, speed, unit, p.patrol_speed)
 
 
-def check_outcome(w: WorldState, cfg: ArenaConfig
-                  ) -> list[OutcomeKind | None]:
-    """Each world's terminal test after a completed step; Escaped takes
-    precedence over Captured, which takes precedence over Timeout."""
-    dists = w.offsets[1]
+def check_outcome(w: WorldState) -> list[OutcomeKind | None]:
+    """Each world's terminal test in its arena; Escaped takes precedence over
+    Captured, which takes precedence over Timeout.  A built world holds it as
+    ``outcomes``."""
+    cfg, dists = w.arena, w.offsets[1]
     hits = (dists <= cfg.capture_radius).ravel().nonzero()[0].tolist()
     captured = {k // dists.shape[1] for k in hits} if hits else ()
     timeout = w.step_count >= max_steps(cfg)
@@ -373,10 +371,10 @@ def check_outcome(w: WorldState, cfg: ArenaConfig
     return outcomes
 
 
-def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
-               cfg: ArenaConfig) -> WorldState:
-    """One environment transition of every world of the batch: evaders
-    (``actions[e]`` commands world ``e``'s), then pursuers, then
+def step_world(w: WorldState, actions: Sequence[tuple[float, float]]
+               ) -> WorldState:
+    """One environment transition of every world of the batch in its arena:
+    evaders (``actions[e]`` commands world ``e``'s), then pursuers, then
     time/termination.
 
     Returns the new batch, whose ``outcomes`` is where each world's outcome
@@ -387,12 +385,11 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]],
         raise RuntimeError("step_world called on a terminal world")
     if len(actions) != len(w.evaders):
         raise ValueError(f"{len(actions)} actions for {len(w.evaders)} worlds")
+    cfg = w.arena
     evaders = [step_evader(e, a, cfg) for e, a in zip(w.evaders, actions)]
     evader_xy = _positions(evaders)
-    pursuers = step_pursuers(w.pursuers, evader_xy, cfg)
-    out = WorldState(evaders, pursuers, w.step_count + 1, evader_xy=evader_xy)
-    out.outcomes = check_outcome(out, cfg)
-    return out
+    return WorldState(cfg, evaders, step_pursuers(w.pursuers, evader_xy, cfg),
+                      w.step_count + 1, evader_xy=evader_xy)
 
 
 def nearest_wall(pos: tuple[float, float],

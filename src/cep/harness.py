@@ -16,9 +16,10 @@ and its result is the one it would have on its own.  A policy acts on the
 batch: ``reset(episode_seeds)`` is called with the seeds of a batch's
 episodes, and ``act(stepper)`` returns one velocity command per live episode,
 in the order of ``stepper.live`` (their positions in that batch).  It reads
-what it needs from the stepper: the planner the ``frames``, the actor the
-``observations``, one row per live episode, built for the whole batch (from
-``lidars``) when read; the random walk keeps one generator per episode seed.
+what it needs from the stepper: the arena from ``world.arena``, the planner
+the ``frames``, the actor the ``observations``, one row per live episode,
+built for the whole batch (from ``lidars``) when read; the random walk keeps
+one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -133,7 +134,8 @@ class ActorPolicy:
         # One 1-row forward per episode: a stacked matmul may round the last
         # bit differently.
         return [to_velocity(actor_mean_action(self.bundle.actor, obs),
-                            stepper.arena) for obs in stepper.observations]
+                            stepper.world.arena)
+                for obs in stepper.observations]
 
 
 class RandomWalkPolicy:
@@ -149,7 +151,7 @@ class RandomWalkPolicy:
 
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
         return [to_velocity(self.rngs[k].uniform(-1.0, 1.0, size=2),
-                            stepper.arena) for k in stepper.live]
+                            stepper.world.arena) for k in stepper.live]
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
@@ -237,7 +239,7 @@ def train(cfg: RunConfig, out_dir: str | Path
         for episode in range(cfg.episodes):
             world = init_world(cfg.arena,
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
-            stepper = EpisodeStepper(world, cfg.arena, cfg.sensing)
+            stepper = EpisodeStepper(world, cfg.sensing)
             cum_reward = 0.0
             actor_steps = 0
             neg_coeff = 0
@@ -367,7 +369,7 @@ def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
     """Run ``episodes`` in lockstep; their records in episode order."""
     seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in episodes]
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
-    stepper = EpisodeStepper(world, arena, cfg.sensing)
+    stepper = EpisodeStepper(world, cfg.sensing)
     policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
@@ -455,7 +457,7 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     arena = cfg.arena
-    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
+    stepper = EpisodeStepper(init_world(arena, seed), cfg.sensing)
     policy.reset([seed])
 
     header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",

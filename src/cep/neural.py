@@ -232,10 +232,11 @@ class TrainConfig:
                             "buffer_capacity", "grad_clip",
                             "checkpoint_every"))
         for name in ("gamma", "tau"):
-            if not (0.0 < getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1]")
+            value = getattr(self, name)
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1], got {value}")
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.batch_size > self.buffer_capacity:
             raise ValueError(f"batch_size {self.batch_size} must be <= "
                              f"buffer_capacity {self.buffer_capacity}, or "

@@ -81,5 +81,5 @@ class PfmPolicy:
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
         """One command per live episode, from its frame."""
         return [pfm_action(net_force(f.detections, (f.d_b, f.boundary_dir),
-                                     self.gains), stepper.arena)
+                                     self.gains), stepper.world.arena)
                 for f in stepper.frames]

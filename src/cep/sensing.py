@@ -2,10 +2,10 @@
 
 :func:`sense` returns each world's :class:`SenseFrame`: the detected
 pursuers, the nearest wall's distance and direction, and the time factor
-``t_f``.  It scans every world of a batch at once; the per-detection angles
-and the nearest wall stay per world.  :func:`observe` builds every world's
-actor input, one row each, from the batch's lidar and boundary scans; only
-the replay's ``min_lidar`` also reads a lidar scan.
+``t_f``.  It scans every world of a batch at once, in the batch's own arena;
+the per-detection angles and the nearest wall stay per world.  :func:`observe`
+builds every world's actor input, one row each, from the batch's lidar and
+boundary scans; only the replay's ``min_lidar`` also reads a lidar scan.
 
 Time factor: ``t_f = (1 - t/t_max) / 2`` at ``t = step_count * dt``, clamped
 to ``t_max``, from 0.5 at the start to 0 at the timeout.  :func:`time_factor`
@@ -70,7 +70,7 @@ class SensingConfig:
     def __post_init__(self) -> None:
         check_config(self, ("k_s", "r_b_norm"))
         if self.n_s < 4:
-            raise ValueError("n_s must be >= 4")
+            raise ValueError(f"n_s must be >= 4, got {self.n_s}")
         if self.w_l < 0 or self.w_b < 0 or not (self.w_l + self.w_b) > 0:
             raise ValueError("weights must be >= 0 with a positive sum")
 
@@ -119,12 +119,12 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dirs, signs, divisors
 
 
-def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
+def sense(w: WorldState) -> list[SenseFrame]:
     """The frame of each world of ``w``, from one scan of the whole batch.
     Detections list every pursuer whose center distance is within ``r_e``,
     ordered by pursuer id."""
-    rel, dists = w.offsets
-    t_f = time_factor(w, arena)
+    arena, (rel, dists) = w.arena, w.offsets
+    t_f = time_factor(w)
     frames = [SenseFrame([], *nearest_wall((e.x, e.y), arena), t_f)
               for e in w.evaders]
     # Detections by flat index k = e * n + i: world by world, in id order.
@@ -148,8 +148,7 @@ def sense(w: WorldState, arena: ArenaConfig) -> list[SenseFrame]:
     return frames
 
 
-def cast_rays(w: WorldState, arena: ArenaConfig,
-              cfg: SensingConfig) -> np.ndarray:
+def cast_rays(w: WorldState, cfg: SensingConfig) -> np.ndarray:
     """Lidar ranges of every world of ``w`` over its pursuer discs: one row
     of ``n_s`` ranges per world.
 
@@ -158,7 +157,7 @@ def cast_rays(w: WorldState, arena: ArenaConfig,
     1e-9 relative margin for rounding) can be hit inside ``r_e``.  Each near
     disc of the batch folds into its world's row by an exact minimum.
     """
-    rel, dists = w.offsets
+    arena, (rel, dists) = w.arena, w.offsets
     radius = arena.capture_radius / 2.0
     scan = np.full((len(w.evaders), cfg.n_s), arena.r_e)
     worlds, near = (dists <= (arena.r_e + radius) * (1.0 + 1e-9)).nonzero()
@@ -196,21 +195,21 @@ def boundary_scan(xy: list[tuple[float, float]], arena: ArenaConfig,
     return np.where(inside[:, None], np.minimum(t[:, 0], t[:, 1]), 0.0)
 
 
-def time_factor(w: WorldState, arena: ArenaConfig) -> float:
+def time_factor(w: WorldState) -> float:
     """``t_f`` of the batch ``w`` at its time ``step_count * dt``, clamped to
     ``t_max``: the final step, ``ceil(t_max/dt)``, can land past it, by one
     float ulp when ``dt`` divides ``t_max`` and by up to ``dt`` otherwise."""
-    t = min(w.step_count * arena.dt, arena.t_max)
-    return (1.0 - t / arena.t_max) / 2.0
+    t_max = w.arena.t_max
+    return (1.0 - min(w.step_count * w.arena.dt, t_max) / t_max) / 2.0
 
 
-def observe(w: WorldState, lidar: np.ndarray, arena: ArenaConfig,
-            cfg: SensingConfig) -> np.ndarray:
+def observe(w: WorldState, lidar: np.ndarray, cfg: SensingConfig
+            ) -> np.ndarray:
     """The actor's input at each world of ``w`` given the :func:`cast_rays`
     scan, one row per world: ``n_s`` scalars, each the weighted mean of the
     encoded lidar and boundary ranges of one ray, times ``t_f``."""
-    boundary = boundary_scan([(e.x, e.y) for e in w.evaders], arena, cfg)
-    t_f = time_factor(w, arena)
-    return t_f * (cfg.w_l * (cfg.k_s * lidar / arena.r_e)
+    boundary = boundary_scan([(e.x, e.y) for e in w.evaders], w.arena, cfg)
+    t_f = time_factor(w)
+    return t_f * (cfg.w_l * (cfg.k_s * lidar / w.arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))
                   ) / (cfg.w_l + cfg.w_b)

@@ -75,7 +75,7 @@ class ScaffoldConfig:
     def __post_init__(self) -> None:
         check_config(self, ("epsilon",))
         if not (0.0 <= self.beta <= 100.0):
-            raise ValueError("beta must be in [0, 100]")
+            raise ValueError(f"beta must be in [0, 100], got {self.beta}")
 
 
 def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
@@ -85,25 +85,25 @@ def to_velocity(a: np.ndarray, arena: ArenaConfig) -> tuple[float, float]:
 
 
 def predict_next_state(w: WorldState, frame: SenseFrame,
-                       action: tuple[float, float], arena: ArenaConfig
-                       ) -> float:
+                       action: tuple[float, float]) -> float:
     """Estimate the signed reward of a candidate action in the one-world
     batch ``w``: sense the world extrapolated one step (see the module
     docstring) and score the step from ``frame``, the reward's earlier
     frame.  ``w`` and ``frame`` are untouched."""
-    p = w.pursuers
+    arena, p = w.arena, w.pursuers
     (evader,) = w.evaders
     ahead = Pursuers(p.xy + p.speed[..., None] * p.unit * arena.dt, p.speed,
                      p.unit, p.patrol_speed)
-    (after,) = sense(WorldState([step_evader(evader, action, arena)], ahead,
-                                w.step_count + 1), arena)
+    (after,) = sense(WorldState(arena, [step_evader(evader, action, arena)],
+                                ahead, w.step_count + 1))
     return transition_reward(frame, after, arena).reward
 
 
 class EpisodeStepper:
-    """Owns a batch of episodes stepped in lockstep: the worlds and their
-    frames, one entry per episode, and the lidar scans and actor inputs of
-    the whole batch, one row per episode, built when read.
+    """Owns a batch of episodes stepped in lockstep: the worlds, whose arena
+    is ``world.arena``, and their frames, one entry per episode, and the
+    lidar scans and actor inputs of the whole batch, one row per episode,
+    built when read.
 
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones, so each step works only on
@@ -113,12 +113,10 @@ class EpisodeStepper:
     through it (training chooses its action with :func:`arbitrate`).
     """
 
-    def __init__(self, world: WorldState, arena: ArenaConfig,
-                 sensing_cfg: SensingConfig):
+    def __init__(self, world: WorldState, sensing_cfg: SensingConfig):
         self.world = world
-        self.arena = arena
         self.sensing_cfg = sensing_cfg
-        self.frames = sense(world, arena)
+        self.frames = sense(world)
         self._lidars: np.ndarray | None = None
         self._observations: np.ndarray | None = None
         # A spawn can be terminal outright (pursuer just outside the origin
@@ -140,7 +138,7 @@ class EpisodeStepper:
         """The lidar scans of the current worlds, one row per episode, cast
         on first read and kept until the worlds change."""
         if self._lidars is None:
-            self._lidars = cast_rays(self.world, self.arena, self.sensing_cfg)
+            self._lidars = cast_rays(self.world, self.sensing_cfg)
         return self._lidars
 
     @property
@@ -148,7 +146,7 @@ class EpisodeStepper:
         """The actor inputs at the current worlds, one row per episode, built
         from :attr:`lidars` on first read and kept until the worlds change."""
         if self._observations is None:
-            self._observations = observe(self.world, self.lidars, self.arena,
+            self._observations = observe(self.world, self.lidars,
                                          self.sensing_cfg)
         return self._observations
 
@@ -171,10 +169,10 @@ class EpisodeStepper:
         """Execute one chosen action per episode and return the realized
         reward breakdowns; the outcomes are read from ``world.outcomes``."""
         before = self.reward_frames
-        self.world = step_world(self.world, actions, self.arena)
-        self.frames = sense(self.world, self.arena)
+        self.world = step_world(self.world, actions)
+        self.frames = sense(self.world)
         self._lidars = self._observations = None
-        return [transition_reward(b, a, self.arena)
+        return [transition_reward(b, a, self.world.arena)
                 for b, a in zip(before, self.frames)]
 
 
@@ -190,14 +188,14 @@ def arbitrate(stepper: EpisodeStepper, nets: PolicyBundle,
     branch)."""
     (state,) = stepper.observations
     (frame,) = stepper.reward_frames
-    arena = stepper.arena
+    arena = stepper.world.arena
     a_r = forward_actor(nets.actor, state, rng)
     command = to_velocity(a_r, arena)
-    r_r = predict_next_state(stepper.world, frame, command, arena)
+    r_r = predict_next_state(stepper.world, frame, command)
     if scaffold is None or scaffold.beta >= 100.0:
         return command, a_r, r_r, True
     (a_p,) = planner.act(stepper)
-    r_p = predict_next_state(stepper.world, frame, a_p, arena)
+    r_p = predict_next_state(stepper.world, frame, a_p)
     denom = abs(r_p + scaffold.epsilon)
     if denom == 0.0:
         d_f = 0.0 if r_r == r_p else math.copysign(math.inf, r_r - r_p)

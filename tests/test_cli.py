@@ -163,7 +163,8 @@ def test_sweep_prints_each_cell(trained, tmp_path, capsys):
 
 
 RATIOS = "the ratios must be finite and > 0"
-BAD_CELLS = [("-1,1.0,1.0", "(-1, 1.0, 1.0)", "n_pursuers must be >= 0"),
+BAD_CELLS = [("-1,1.0,1.0", "(-1, 1.0, 1.0)",
+              "n_pursuers must be >= 0, got -1"),
              ("5,0,1.0", "(5, 0.0, 1.0)", RATIOS),
              ("5,1.0,0", "(5, 1.0, 0.0)", RATIOS),
              ("5,-2.0,1.0", "(5, -2.0, 1.0)", RATIOS),
@@ -175,17 +176,17 @@ BAD_CELLS = [("-1,1.0,1.0", "(-1, 1.0, 1.0)", "n_pursuers must be >= 0"),
                          ids=[row for row, _, _ in BAD_CELLS])
 def test_sweep_cell_that_makes_no_arena(trained, tmp_path, capsys, row, cell,
                                         reason):
-    # The cell is judged where its arena is built, before the first
-    # episode of any cell; before, load_grid judged it a second time.
+    # The cell is judged where its arena is built, before the output
+    # directory is made; before, load_grid judged it a second time.
     grid = tmp_path / "grid.csv"
     grid.write_text(f"n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n{row}\n")
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "sweeps" / "sweep.csv"
     assert cli.main(["sweep", "--checkpoint", str(trained[1]), "--grid",
                      str(grid), "--episodes", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"cep: error: sweep cell (n_pursuers, v_ratio, r_ratio) = {cell}: "
         f"{reason}\n")
-    assert not out.exists()
+    assert not (tmp_path / "sweeps").exists()
 
 
 def test_replay(trained, tmp_path):
@@ -257,14 +258,18 @@ def test_config_key_set_twice(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
 def test_zero_episodes_rejected(trained, tmp_path, capsys, command):
+    # The count is the run config's eval_episodes, judged before the output
+    # directory is made.  Before, that directory was left behind.
     grid = tmp_path / "grid.csv"
     grid.write_text("n_pursuers,v_ratio,r_ratio\n5,1.5,1.5\n")
-    extra = {"eval": ["--out", str(tmp_path / "eval")],
-             "sweep": ["--grid", str(grid), "--out", str(tmp_path / "s.csv")]}
+    out = tmp_path / "new"
+    extra = {"eval": ["--out", str(out / "eval")],
+             "sweep": ["--grid", str(grid), "--out", str(out / "s.csv")]}
     assert cli.main([command, "--checkpoint", str(trained[1]), "--episodes",
                      "0", *extra[command]]) == 2
     assert capsys.readouterr().err == \
-        "cep: error: episodes must be >= 1, got 0\n"
+        "cep: error: eval_episodes must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["arena.t_max", "arena.half_width"])

@@ -213,7 +213,7 @@ def test_keys_valid_only_together_load(tmp_path):
     ("arena", "capture_radius", "0", "capture_radius must be > 0, got 0.0"),
     ("arena", "v_e_max", "0", "v_e_max must be > 0, got 0.0"),
     ("arena", "dt", "-0.1", "dt must be > 0, got -0.1"),
-    ("arena", "n_pursuers", "-1", "n_pursuers must be >= 0"),
+    ("arena", "n_pursuers", "-1", "n_pursuers must be >= 0, got -1"),
     ("arena", "v_p_min", "0", "need 0 < v_p_min <= v_p_max"),
     ("arena", "spawn_half_extent", "50",
      "spawn region must fit strictly inside the arena"),
@@ -223,7 +223,7 @@ def test_keys_valid_only_together_load(tmp_path):
     ("arena", "t_max", "1e308", "t_max / dt must be finite, got 1e+308 / 0.1"),
     ("sensing", "k_s", "0", "k_s must be > 0, got 0.0"),
     ("sensing", "r_b_norm", "0", "r_b_norm must be > 0, got 0.0"),
-    ("sensing", "n_s", "3", "n_s must be >= 4"),
+    ("sensing", "n_s", "3", "n_s must be >= 4, got 3"),
     ("sensing", "w_l", "-1", "weights must be >= 0 with a positive sum"),
     ("train", "lr_actor", "0", "lr_actor must be > 0, got 0.0"),
     ("train", "lr_critic", "0", "lr_critic must be > 0, got 0.0"),
@@ -231,20 +231,20 @@ def test_keys_valid_only_together_load(tmp_path):
     ("train", "buffer_capacity", "0", "buffer_capacity must be > 0, got 0"),
     ("train", "grad_clip", "0", "grad_clip must be > 0, got 0.0"),
     ("train", "checkpoint_every", "0", "checkpoint_every must be > 0, got 0"),
-    ("train", "gamma", "0", "gamma must be in (0, 1]"),
-    ("train", "gamma", "1.5", "gamma must be in (0, 1]"),
-    ("train", "tau", "0", "tau must be in (0, 1]"),
-    ("train", "alpha", "-1", "alpha must be >= 0"),
+    ("train", "gamma", "0", "gamma must be in (0, 1], got 0.0"),
+    ("train", "gamma", "1.5", "gamma must be in (0, 1], got 1.5"),
+    ("train", "tau", "0", "tau must be in (0, 1], got 0.0"),
+    ("train", "alpha", "-1", "alpha must be >= 0, got -1.0"),
     ("train", "buffer_capacity", "10", "batch_size 64 must be <= "
      "buffer_capacity 10, or the buffer never holds a batch to train on"),
     ("scaffold", "epsilon", "0", "epsilon must be > 0, got 0.0"),
-    ("scaffold", "beta", "-1", "beta must be in [0, 100]"),
+    ("scaffold", "beta", "-1", "beta must be in [0, 100], got -1.0"),
     ("pfm", "k_p", "0", "k_p must be > 0, got 0.0"),
     ("pfm", "k_b", "-2", "k_b must be > 0, got -2.0"),
     ("pfm", "singularity_floor", "0",
      "singularity_floor must be > 0, got 0.0"),
-    ("", "episodes", "0", "episodes must be >= 1"),
-    ("", "eval_episodes", "0", "eval_episodes must be >= 1"),
+    ("", "episodes", "0", "episodes must be >= 1, got 0"),
+    ("", "eval_episodes", "0", "eval_episodes must be >= 1, got 0"),
     ("", "seed", "-1", "seed must be >= 0, got -1"),
     ("", "mode", "pfm", "mode must be one of ('iac', 'sr2l'), got 'pfm'"),
 ])

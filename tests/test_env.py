@@ -37,8 +37,9 @@ def direction_deg(p: Pursuers, i: int = 0) -> float:
     return math.degrees(math.atan2(uy, ux))
 
 
-def world_at(evader: EvaderState, pursuers: Pursuers) -> WorldState:
-    return WorldState([evader], pursuers)
+def world_at(cfg: ArenaConfig, evader: EvaderState,
+             pursuers: Pursuers) -> WorldState:
+    return WorldState(cfg, [evader], pursuers)
 
 
 # The scalar-draw spawn that init_world's block draws replaced, kept as its
@@ -213,11 +214,17 @@ class TestInitWorld:
     @pytest.mark.parametrize("seed", range(12))
     def test_spawn_outcome_matches_check_outcome(self, seed):
         # A crowded 6x6 arena, where a spawn is often captured outright.
+        # check_outcome's rule, measured here apart from it: a spawn is
+        # captured exactly when some pursuer is within capture radius.
         cfg = ArenaConfig(half_width=3.0, half_height=3.0,
                           spawn_half_extent=0.5, n_pursuers=seed % 4,
                           capture_radius=2.9, r_p=3.0)
-        w = init_world(cfg, seed)
-        assert w.outcomes == check_outcome(w, cfg)
+        for k in range(100):
+            w = init_world(cfg, 12 * k + seed)
+            (e,) = w.evaders
+            captured = any(math.hypot(x - e.x, y - e.y) <= cfg.capture_radius
+                           for x, y in w.pursuers.xy[0].tolist())
+            assert w.outcomes == [OutcomeKind.CAPTURED if captured else None]
 
     def test_pursuer_count(self):
         w = init_world(small_arena(n_pursuers=7), 0)
@@ -271,7 +278,7 @@ class TestStepEvader:
         with pytest.raises(ValueError, match="not finite"):
             step_evader(EvaderState(0.0, 0.0), action, cfg)
         with pytest.raises(ValueError, match="not finite"):
-            step_world(init_world(cfg, 0), [action], cfg)
+            step_world(init_world(cfg, 0), [action])
 
     def test_huge_finite_action_clipped(self):
         cfg = small_arena()
@@ -391,24 +398,24 @@ class TestStepPursuer:
 class TestStepWorld:
     def test_escape(self):
         cfg = small_arena(n_pursuers=0)
-        w = world_at(EvaderState(99.9, 0.0), init_world(cfg, 0).pursuers)
-        (outcome,) = step_world(w, [(15.0, 0.0)], cfg).outcomes
+        w = world_at(cfg, EvaderState(99.9, 0.0), init_world(cfg, 0).pursuers)
+        (outcome,) = step_world(w, [(15.0, 0.0)]).outcomes
         assert outcome is OutcomeKind.ESCAPED
 
     def test_capture(self):
         cfg = small_arena(n_pursuers=1)
         # chasing pursuer closes 1.0 per step: 2.9 -> 1.9 <= capture radius
-        w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
-        (outcome,) = step_world(w, [(0.0, 0.0)], cfg).outcomes
+        w = world_at(cfg, EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
+        (outcome,) = step_world(w, [(0.0, 0.0)]).outcomes
         assert outcome is OutcomeKind.CAPTURED
 
     def test_timeout_at_budget(self):
         cfg = small_arena(n_pursuers=0, t_max=1.0, dt=0.1)
-        w = world_at(EvaderState(0.0, 0.0), init_world(cfg, 0).pursuers)
+        w = world_at(cfg, EvaderState(0.0, 0.0), init_world(cfg, 0).pursuers)
         outcome = None
         steps = 0
         while outcome is None:
-            w = step_world(w, [(0.0, 0.0)], cfg)
+            w = step_world(w, [(0.0, 0.0)])
             (outcome,) = w.outcomes
             steps += 1
         assert outcome is OutcomeKind.TIMEOUT
@@ -419,27 +426,27 @@ class TestStepWorld:
         cfg = small_arena(n_pursuers=0)
         w, outcome = init_world(cfg, 0), None
         while outcome is None:
-            w = step_world(w, [(15.0, 0.0)], cfg)
+            w = step_world(w, [(15.0, 0.0)])
             (outcome,) = w.outcomes
         assert outcome is OutcomeKind.ESCAPED
-        assert check_outcome(w, cfg) == [OutcomeKind.ESCAPED]
+        assert check_outcome(w) == [OutcomeKind.ESCAPED]
         with pytest.raises(RuntimeError):
-            step_world(w, [(0.0, 0.0)], cfg)
+            step_world(w, [(0.0, 0.0)])
 
     def test_one_action_per_world(self):
         cfg = small_arena()
         w = WorldState.stack([init_world(cfg, 0), init_world(cfg, 1)])
         with pytest.raises(ValueError, match="1 actions for 2 worlds"):
-            step_world(w, [(0.0, 0.0)], cfg)
+            step_world(w, [(0.0, 0.0)])
 
     def test_step_after_capture_raises(self):
         cfg = small_arena(n_pursuers=1)
-        w = world_at(EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
-        w = step_world(w, [(0.0, 0.0)], cfg)
+        w = world_at(cfg, EvaderState(0.0, 0.0), one(2.9, 0.0, 5.0, math.pi))
+        w = step_world(w, [(0.0, 0.0)])
         (outcome,) = w.outcomes
         assert outcome is OutcomeKind.CAPTURED
         with pytest.raises(RuntimeError):
-            step_world(w, [(0.0, 0.0)], cfg)
+            step_world(w, [(0.0, 0.0)])
 
     def test_terminal_spawn_sets_outcome(self):
         # A crowded 6x6 arena: some pursuer spawns within capture radius.
@@ -448,9 +455,9 @@ class TestStepWorld:
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
         assert w.outcomes == [OutcomeKind.CAPTURED]
-        stepper = EpisodeStepper(w, cfg, SensingConfig(n_s=8))
+        stepper = EpisodeStepper(w, SensingConfig(n_s=8))
         with pytest.raises(RuntimeError):
-            step_world(w, [(0.0, 0.0)], cfg)
+            step_world(w, [(0.0, 0.0)])
         assert stepper.drop_ended() == [(0, w.outcomes[0])]
         assert stepper.live == []
 
@@ -463,7 +470,7 @@ class TestStepWorld:
             trace = []
             outcome = None
             for a in actions:
-                w = step_world(w, [tuple(a)], cfg)
+                w = step_world(w, [tuple(a)])
                 (outcome,) = w.outcomes
                 trace.append((w.evaders[0].x, w.evaders[0].y,
                                pursuer_rows(w.pursuers)))
@@ -481,10 +488,10 @@ class TestStepWorld:
         cfg = small_arena(t_max=20.0, n_pursuers=6)
         w = init_world(cfg, seed)
         rng = np.random.default_rng(seed)
-        (outcome,) = check_outcome(w, cfg)
+        (outcome,) = check_outcome(w)
         steps = 0
         while outcome is None:
-            w = step_world(w, [tuple(rng.uniform(-15, 15, 2))], cfg)
+            w = step_world(w, [tuple(rng.uniform(-15, 15, 2))])
             (outcome,) = w.outcomes
             steps += 1
             for x, y in w.pursuers.xy[0].tolist():
@@ -498,7 +505,7 @@ class TestStepWorld:
 def assert_offsets_of_a_fresh_build(w: WorldState) -> None:
     """``w``'s distances equal, bit for bit, those of the same evaders and
     pursuers built anew."""
-    fresh = WorldState(w.evaders, w.pursuers, w.step_count)
+    fresh = WorldState(w.arena, w.evaders, w.pursuers, w.step_count)
     for have, want in zip(w.offsets, fresh.offsets):
         assert have.shape == want.shape and have.tobytes() == want.tobytes()
 
@@ -520,7 +527,7 @@ class TestOffsets:
             if not live:
                 break
             actions = rng.uniform(-15.0, 15.0, (len(live), 2)).tolist()
-            w = step_world(w.take(live), [tuple(a) for a in actions], cfg)
+            w = step_world(w.take(live), [tuple(a) for a in actions])
             worlds.append(w)
         k = len(w.evaders)
         rows = rng.permutation(k)[:rng.integers(1, k + 1)].tolist()
@@ -534,6 +541,60 @@ class TestOffsets:
         assert_offsets_of_a_fresh_build(shifted)
         assert np.allclose(shifted.offsets[0],
                            w.offsets[0] - np.array([1.0, -0.5]), atol=1e-9)
+
+
+def assert_outcomes_of_a_fresh_build(w: WorldState) -> None:
+    """``w``'s outcomes equal the terminal test of the same arena, evaders,
+    pursuers and step built anew."""
+    fresh = WorldState(w.arena, w.evaders, w.pursuers, w.step_count)
+    assert w.outcomes == check_outcome(fresh)
+
+
+class TestOutcomes:
+    # A 10x10 arena with a 1 s budget: within its 10 steps a random walk
+    # escapes, is captured (at spawn, too) or times out.
+    CFG = ArenaConfig(half_width=5.0, half_height=5.0, spawn_half_extent=2.0,
+                      n_pursuers=3, capture_radius=1.5, r_p=2.0, t_max=1.0)
+
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+           draw_seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_every_builder_sets_the_outcomes_of_its_world(self, seeds,
+                                                          draw_seed):
+        # init_world, step_world, take, stack and replace each build a
+        # world whose outcomes are its own, up to the last step.
+        rng = np.random.default_rng(draw_seed)
+        w = WorldState.stack([init_world(self.CFG, s) for s in seeds])
+        worlds = [w]
+        while (live := [k for k, o in enumerate(w.outcomes) if o is None]):
+            actions = rng.uniform(-15.0, 15.0, (len(live), 2)).tolist()
+            worlds.append(w.take(live))
+            w = step_world(worlds[-1], [tuple(a) for a in actions])
+            worlds.append(w)
+        rows = rng.permutation(len(w.evaders)).tolist()
+        worlds += [w.take(rows), WorldState.stack([w.take(rows), w])]
+        # Evaders moved anywhere in and around the arena, from the spawn on.
+        for world in (worlds[0], w):
+            moved = [EvaderState(*rng.uniform(-7.0, 7.0, 2).tolist())
+                     for _ in world.evaders]
+            worlds.append(replace(world, evaders=moved))
+        for world in worlds:
+            assert_outcomes_of_a_fresh_build(world)
+        assert None not in w.outcomes
+
+    def test_a_replaced_evader_outside_the_arena_has_escaped(self):
+        # Before: replace kept the built world's outcomes, [None], and
+        # step_world stepped the escaped world.
+        w = replace(init_world(self.CFG, 0), evaders=[EvaderState(1e3, 0.0)])
+        assert w.outcomes == [OutcomeKind.ESCAPED]
+        with pytest.raises(RuntimeError, match="terminal world"):
+            step_world(w, [(0.0, 0.0)])
+
+    def test_stack_needs_one_arena(self):
+        # A batch's worlds are stepped and sensed in one arena.
+        other = replace(self.CFG, r_e=14.0)
+        with pytest.raises(ValueError, match="one arena"):
+            WorldState.stack([init_world(self.CFG, 0), init_world(other, 1)])
 
 
 class TestObjectiveValue:

@@ -115,7 +115,7 @@ class TestOutputBytes:
 def lone_episode(policy, cfg, arena, seed: int):
     """The outcome and per-step rewards of one episode of ``policy`` from
     ``init_world(arena, seed)``, run alone in a one-world stepper."""
-    stepper = EpisodeStepper(init_world(arena, seed), arena, cfg.sensing)
+    stepper = EpisodeStepper(init_world(arena, seed), cfg.sensing)
     policy.reset([seed])
     rewards = []
     (outcome,) = stepper.world.outcomes

@@ -26,7 +26,7 @@ def arena(**kw) -> ArenaConfig:
 def world_with(evader, rows, cfg):
     """A world holding ``evader`` and one pursuer per ``(x, y, speed,
     heading)`` row."""
-    return WorldState([evader], Pursuers.from_rows(rows))
+    return WorldState(cfg, [evader], Pursuers.from_rows(rows))
 
 
 def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
@@ -38,7 +38,7 @@ def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
                         lambda xy, a, c: np.asarray(boundary, dtype=float))
     w = init_world(cfg, 0)
     w.step_count = max_steps(cfg) if t_f == 0.0 else 0
-    return observe(w, np.asarray(lidar, dtype=float), cfg, scfg)
+    return observe(w, np.asarray(lidar, dtype=float), scfg)
 
 
 def full_cast(w, arena, cfg):
@@ -85,8 +85,8 @@ class TestCastRays:
         cfg = arena()
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0), [], cfg)
-        assert np.all(cast_rays(w, cfg, scfg) == cfg.r_e)
-        assert sense(w, cfg)[0].detections == []
+        assert np.all(cast_rays(w, scfg) == cfg.r_e)
+        assert sense(w)[0].detections == []
 
     def test_pursuer_on_ray_zero(self):
         # disc small enough that only ray 0 intersects it
@@ -94,8 +94,8 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         p = (5.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        (scan,) = cast_rays(w, cfg, scfg)
-        detections = sense(w, cfg)[0].detections
+        (scan,) = cast_rays(w, scfg)
+        detections = sense(w)[0].detections
         assert scan[0] < 5.0
         assert abs(scan[0] - (5.0 - cfg.capture_radius / 2)) < 1e-9
         assert np.all(scan[1:] == cfg.r_e)
@@ -105,7 +105,7 @@ class TestCastRays:
         cfg = arena()
         p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        assert sense(w, cfg)[0].detections == []
+        assert sense(w)[0].detections == []
 
     def test_occlusion_nearest_hit(self):
         cfg = arena()
@@ -113,16 +113,16 @@ class TestCastRays:
         near = (4.0, 0.0, 5.0, 0.0)
         far = (8.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [far, near], cfg)
-        (scan,) = cast_rays(w, cfg, scfg)
+        (scan,) = cast_rays(w, scfg)
         assert abs(scan[0] - (4.0 - cfg.capture_radius / 2)) < 1e-9
-        assert len(sense(w, cfg)[0].detections) == 2
+        assert len(sense(w)[0].detections) == 2
 
     def test_detection_theta_head_on(self):
         cfg = arena()
         # pursuer at (5, 0) heading west, straight at the evader
         p = (5.0, 0.0, 5.0, math.pi)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        detections = sense(w, cfg)[0].detections
+        detections = sense(w)[0].detections
         assert abs(detections[0].theta) < 1e-9
         assert abs(detections[0].bearing) < 1e-9
 
@@ -130,7 +130,7 @@ class TestCastRays:
         # No pursuer->evader line to measure an angle from: theta is 0.
         cfg = arena()
         w = world_with(EvaderState(3.0, 4.0), [(3.0, 4.0, 5.0, 1.0)], cfg)
-        (detection,) = sense(w, cfg)[0].detections
+        (detection,) = sense(w)[0].detections
         assert (detection.distance, detection.theta) == (0.0, 0.0)
 
     def test_lidar_monotone_in_distance(self):
@@ -140,7 +140,7 @@ class TestCastRays:
         for d in np.linspace(14.0, 2.0, 30):
             p = (d, 0.0, 5.0, 0.0)
             w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-            (scan,) = cast_rays(w, cfg, scfg)
+            (scan,) = cast_rays(w, scfg)
             assert scan[0] <= prev + 1e-12
             prev = scan[0]
 
@@ -152,14 +152,14 @@ class TestCastRays:
         pursuers = [(x, y, 5.0, 0.0) for x, y in pts
                     if math.hypot(x, y) > 3.0]
         w = world_with(EvaderState(0.0, 0.0), pursuers, cfg)
-        (scan,) = cast_rays(w, cfg, scfg)
+        (scan,) = cast_rays(w, scfg)
 
         step = 2 * math.pi / scfg.n_s
         c, s = math.cos(step), math.sin(step)
         rotated = [(c * x - s * y, s * x + c * y, 5.0, 0.0)
                    for x, y, _, _ in pursuers]
         w2 = world_with(EvaderState(0.0, 0.0), rotated, cfg)
-        (scan2,) = cast_rays(w2, cfg, scfg)
+        (scan2,) = cast_rays(w2, scfg)
         assert np.allclose(np.roll(scan, 1), scan2, atol=1e-9)
 
     def test_heading_does_not_affect_scan(self):
@@ -170,9 +170,9 @@ class TestCastRays:
         pursuers = [(6.0, 2.0, 5.0, 0.0),
                     (-4.0, -7.0, 5.0, 0.0)]
         w = world_with(EvaderState(0.0, 0.0, 3.0, 1.0), pursuers, cfg)
-        scan = cast_rays(w, cfg, scfg)
+        scan = cast_rays(w, scfg)
         w2 = world_with(EvaderState(0.0, 0.0, -2.0, -7.0), pursuers, cfg)
-        scan2 = cast_rays(w2, cfg, scfg)
+        scan2 = cast_rays(w2, scfg)
         assert np.array_equal(scan, scan2)
 
 
@@ -208,10 +208,10 @@ class TestRestrictedCast:
             rows = [(ex + r * math.cos(a), ey + r * math.sin(a), 5.0, 0.0)
                     for a, r in offsets]
             alone.append(world_with(EvaderState(ex, ey), rows, self.CFG))
-        batch = WorldState([w.evaders[0] for w in alone],
+        batch = WorldState(self.CFG, [w.evaders[0] for w in alone],
                            Pursuers.stack([w.pursuers for w in alone]))
         scfg = SensingConfig(n_s=n_s)
-        scan = cast_rays(batch, self.CFG, scfg)
+        scan = cast_rays(batch, scfg)
         assert scan.shape == (len(alone), n_s)
         for row, w in zip(scan, alone):
             assert np.array_equal(row, full_cast(w, self.CFG, scfg))
@@ -223,14 +223,14 @@ class TestRestrictedCast:
         for r in (11.0 - 1e-12, 11.0, self.CUT, 11.0 + 1e-9, 11.0 + 1e-6):
             w = world_with(EvaderState(0.0, 0.0), [(r, 0.0, 5.0, 0.0)],
                            self.CFG)
-            assert np.array_equal(cast_rays(w, self.CFG, scfg)[0],
+            assert np.array_equal(cast_rays(w, scfg)[0],
                                   full_cast(w, self.CFG, scfg))
 
     def test_none_near_gives_max_range(self):
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0), [(0.0, 12.0, 5.0, 0.0)],
                        self.CFG)
-        assert np.all(cast_rays(w, self.CFG, scfg) == self.CFG.r_e)
+        assert np.all(cast_rays(w, scfg) == self.CFG.r_e)
 
 
 class TestBatch:
@@ -248,16 +248,16 @@ class TestBatch:
         for w in worlds:
             w.step_count = steps
         batch = WorldState.stack(worlds)
-        frames = sense(batch, cfg)
-        lidars = cast_rays(batch, cfg, scfg)
-        observations = observe(batch, lidars, cfg, scfg)
+        frames = sense(batch)
+        lidars = cast_rays(batch, scfg)
+        observations = observe(batch, lidars, scfg)
         assert observations.shape == (len(worlds), scfg.n_s)
         for e, w in enumerate(worlds):
-            assert frames[e] == sense(w, cfg)[0]
-            lidar = cast_rays(w, cfg, scfg)
+            assert frames[e] == sense(w)[0]
+            lidar = cast_rays(w, scfg)
             assert np.array_equal(lidars[e], lidar[0])
             assert np.array_equal(observations[e],
-                                  observe(w, lidar, cfg, scfg)[0])
+                                  observe(w, lidar, scfg)[0])
 
     def test_take_keeps_the_chosen_worlds(self):
         cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
@@ -265,7 +265,7 @@ class TestBatch:
         worlds = [init_world(cfg, seed) for seed in range(4)]
         batch = WorldState.stack(worlds).take([3, 1])
         assert batch.evaders == [worlds[3].evaders[0], worlds[1].evaders[0]]
-        assert sense(batch, cfg) == sense(worlds[3], cfg) + sense(worlds[1], cfg)
+        assert sense(batch) == sense(worlds[3]) + sense(worlds[1])
 
     def test_stack_needs_one_step(self):
         cfg = arena(n_pursuers=3)
@@ -379,26 +379,26 @@ class TestTimeFactor:
 
     def test_start(self):
         cfg = desk_profile().arena
-        assert time_factor(world_at(cfg, 0), cfg) == 0.5
+        assert time_factor(world_at(cfg, 0)) == 0.5
 
     def test_halfway(self):
         # 500 steps of 0.1 s are half the desk arena's 100 s.
         cfg = desk_profile().arena
-        assert time_factor(world_at(cfg, 500), cfg) == 0.25
+        assert time_factor(world_at(cfg, 500)) == 0.25
 
     def test_timeout(self):
         cfg = arena(**self.OVERSHOOT)
         assert max_steps(cfg) == 4 and 4 * cfg.dt > cfg.t_max
-        assert time_factor(world_at(cfg, 4), cfg) == 0.0
+        assert time_factor(world_at(cfg, 4)) == 0.0
 
     @pytest.mark.parametrize("step", range(5))
     def test_sense_and_observe_read_it(self, step):
         cfg = arena(**self.OVERSHOOT)
         scfg = SensingConfig(n_s=8)
         w = world_at(cfg, step)
-        t_f = time_factor(w, cfg)
-        assert [f.t_f for f in sense(w, cfg)] == [t_f]
-        sv = observe(w, cast_rays(w, cfg, scfg), cfg, scfg)
+        t_f = time_factor(w)
+        assert [f.t_f for f in sense(w)] == [t_f]
+        sv = observe(w, cast_rays(w, scfg), scfg)
         assert np.all(sv == 0.0) == (step == max_steps(cfg))
 
 
@@ -429,6 +429,6 @@ class TestEncodeState:
         cfg = arena(n_pursuers=10)
         scfg = SensingConfig(n_s=36, r_b_norm=200.0)
         w = init_world(cfg, seed)
-        state = observe(w, cast_rays(w, cfg, scfg), cfg, scfg)
+        state = observe(w, cast_rays(w, scfg), scfg)
         assert np.all(state >= 0.0)
         assert np.all(state <= scfg.k_s / 2 + TOL)

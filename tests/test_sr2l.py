@@ -40,8 +40,8 @@ def reference_estimate(w: WorldState, frame: SenseFrame, action,
                                              p.unit[0].tolist())]
     pursuers = Pursuers(np.array(xy, dtype=float).reshape(p.xy.shape),
                         p.speed, p.unit, p.patrol_speed)
-    w_est = WorldState([evader], pursuers, step_count=w.step_count + 1)
-    (after,) = sense(w_est, cfg)
+    w_est = WorldState(cfg, [evader], pursuers, step_count=w.step_count + 1)
+    (after,) = sense(w_est)
     return -transition_reward(frame, after, cfg).r
 
 
@@ -60,7 +60,7 @@ def scenes(draw):
     detections), optionally moved to the last step before ``t_max``."""
     cfg = arena(draw(st.integers(0, 30)))
     stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))),
-                             cfg, SENSING)
+                             SENSING)
     (outcome,) = stepper.world.outcomes
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
@@ -79,9 +79,10 @@ class TestPredictNextState:
     @given(stepper=scenes(), action=actions)
     @settings(deadline=None, max_examples=150)
     def test_equals_full_pipeline(self, stepper, action):
-        w, cfg, (frame,) = stepper.world, stepper.arena, stepper.reward_frames
+        w, (frame,) = stepper.world, stepper.reward_frames
+        cfg = w.arena
         expected = reference_estimate(w, frame, action, cfg)
-        assert predict_next_state(w, frame, action, cfg) == expected
+        assert predict_next_state(w, frame, action) == expected
 
     @given(stepper=scenes(), action=actions)
     @settings(deadline=None, max_examples=50)
@@ -89,7 +90,7 @@ class TestPredictNextState:
         # The reward's earlier state is the frame handed in.
         w, (frame,) = stepper.world, stepper.reward_frames
         before = snapshot(w, frame)
-        predict_next_state(w, frame, action, stepper.arena)
+        predict_next_state(w, frame, action)
         assert snapshot(w, frame) == before
 
     @pytest.mark.parametrize("action", [(math.nan, 0.0), (math.inf, 0.0),
@@ -97,9 +98,9 @@ class TestPredictNextState:
     def test_non_finite_action_raises(self, action):
         cfg = arena(5)
         w = init_world(cfg, 0)
-        (frame,) = sense(w, cfg)
+        (frame,) = sense(w)
         with pytest.raises(ValueError, match="not finite"):
-            predict_next_state(w, frame, action, cfg)
+            predict_next_state(w, frame, action)
 
 
 # -- oracle: the scaffold decision as the two helpers it was split into
@@ -134,7 +135,7 @@ def arbitrate_with(monkeypatch, r_r: float, r_p: float,
     monkeypatch.setattr(sr2l, "predict_next_state",
                         lambda *args: next(estimates))
     cfg = arena(8)
-    stepper = EpisodeStepper(init_world(cfg, 4), cfg, SENSING)
+    stepper = EpisodeStepper(init_world(cfg, 4), SENSING)
     return stepper, arbitrate(stepper, NETS, np.random.default_rng(0),
                               scaffold, planner)
 
@@ -151,16 +152,17 @@ class TestArbitrate:
     def test_equals_its_parts(self, stepper, beta, seed):
         # beta None is the independent trainer.
         scaffold = None if beta is None else ScaffoldConfig(beta=beta)
-        w, cfg, (frame,) = stepper.world, stepper.arena, stepper.reward_frames
+        w, (frame,) = stepper.world, stepper.reward_frames
+        cfg = w.arena
         rng = np.random.default_rng(seed)
         (state,) = stepper.observations
         action = forward_actor(NETS.actor, state, rng)
         command = to_velocity(action, cfg)
-        reward = r_r = predict_next_state(w, frame, command, cfg)
+        reward = r_r = predict_next_state(w, frame, command)
         actor_ran = True
         if scaffold is not None:
             (a_p,) = PLANNER.act(stepper)
-            r_p = predict_next_state(w, frame, a_p, cfg)
+            r_p = predict_next_state(w, frame, a_p)
             actor_ran, reward = scaffold_select(
                 r_r, r_p, reward_gap(r_r, r_p, scaffold.epsilon), beta)
             if not actor_ran:
@@ -177,7 +179,7 @@ class TestArbitrate:
                              ids=["iac", "beta100"])
     def test_independent_trainer_never_asks_the_planner(self, scaffold):
         cfg = arena(8)
-        stepper = EpisodeStepper(init_world(cfg, 4), cfg, SENSING)
+        stepper = EpisodeStepper(init_world(cfg, 4), SENSING)
         rng = np.random.default_rng(0)
         (outcome,) = stepper.world.outcomes
         while outcome is None:
@@ -207,15 +209,15 @@ class TestResetRule:
         cfg = ArenaConfig()
         pursuers = Pursuers.from_rows([(12.0, 0.0, 5.0, math.pi / 2),
                                        (-60.0, 40.0, 5.0, 0.0)])
-        stepper = EpisodeStepper(WorldState([EvaderState(0.0, 0.0)],
-                                            pursuers), cfg, SENSING)
+        stepper = EpisodeStepper(WorldState(cfg, [EvaderState(0.0, 0.0)],
+                                            pursuers), SENSING)
         (spawn,) = stepper.frames
         (d_0,) = spawn.detections
         assert d_0.pursuer_id == 0 and d_0.distance == 12.0
         (before,) = stepper.reward_frames
         assert before.detections == [] and before.d_b == spawn.d_b
         still = (0.0, 0.0)
-        predicted = predict_next_state(stepper.world, before, still, cfg)
+        predicted = predict_next_state(stepper.world, before, still)
 
         (first,) = stepper.step_action([still])
         (outcome,) = stepper.world.outcomes
@@ -229,7 +231,7 @@ class TestResetRule:
 
         (after_first,) = stepper.reward_frames
         assert after_first is stepper.frames[0]
-        predicted = predict_next_state(stepper.world, after_first, still, cfg)
+        predicted = predict_next_state(stepper.world, after_first, still)
         (second,) = stepper.step_action([still])
         (outcome,) = stepper.world.outcomes
         assert outcome is None
@@ -284,7 +286,7 @@ class TestScaffoldSelect:
         stepper, (command, action, reward, ran) = arbitrate_with(
             monkeypatch, r_r, r_p, ScaffoldConfig(beta=25.0, epsilon=eps))
         assert (ran, reward) == (True, r_r)
-        assert command == to_velocity(action, stepper.arena)
+        assert command == to_velocity(action, stepper.world.arena)
 
         # D_f one ulp below -beta: the planner's action runs.
         below = float(np.nextafter(25.0, 0.0))
@@ -293,7 +295,8 @@ class TestScaffoldSelect:
         (a_p,) = PLANNER.act(stepper)
         assert (ran, reward) == (False, r_r - abs(r_p - r_r))
         assert command == a_p
-        assert np.array_equal(action, np.array(a_p) / stepper.arena.v_e_max)
+        assert np.array_equal(action,
+                              np.array(a_p) / stepper.world.arena.v_e_max)
 
 
 class TestDropEnded:
@@ -305,11 +308,11 @@ class TestDropEnded:
         worlds = [init_world(cfg, seed) for seed in range(20)]
         ended = next(w for w in worlds if w.outcomes[0] is not None)
         live = next(w for w in worlds if w.outcomes[0] is None)
-        stepper = EpisodeStepper(WorldState.stack([live, ended, live]), cfg,
+        stepper = EpisodeStepper(WorldState.stack([live, ended, live]),
                                  SENSING)
         assert stepper.observations.shape == (3, SENSING.n_s)
         assert stepper.drop_ended() == [(1, ended.outcomes[0])]
-        alone = EpisodeStepper(live, cfg, SENSING)
+        alone = EpisodeStepper(live, SENSING)
         assert np.array_equal(stepper.lidars, np.repeat(alone.lidars, 2, 0))
         assert np.array_equal(stepper.observations,
                               np.repeat(alone.observations, 2, 0))
