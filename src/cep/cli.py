@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness
+from .env import OutcomeKind
 from .neural import load_checkpoint
 
 
@@ -33,7 +34,7 @@ def _cmd_train(args) -> int:
     cfg = _run_config(args, mode=args.mode, seed=args.seed,
                       episodes=args.episodes)
     _, logs = harness.train(cfg, args.out)
-    escaped = sum(1 for log in logs if log.outcome == "escaped")
+    escaped = [log.outcome for log in logs].count(OutcomeKind.ESCAPED.value)
     print(f"trained {len(logs)} episodes ({cfg.mode}), "
           f"{escaped} escapes, outputs in {args.out}")
     return 0

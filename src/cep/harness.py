@@ -469,7 +469,7 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
         w = stepper.world
         (e,) = w.evaders
         (outcome,) = w.outcomes
-        detections = stepper.frames[0].detections
+        detections = stepper.frames[0].detections.values()
         obj = objective_value((e.x, e.y), [d.distance for d in detections],
                               arena, cfg.sensing.r_b_norm)
         values = [w.step_count, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .env import ArenaConfig, check_config
-from .sensing import Detection
+from .sensing import SenseFrame
 
 if TYPE_CHECKING:
     from .sr2l import EpisodeStepper
@@ -35,23 +35,22 @@ class PfmGains:
         check_config(self, ("k_p", "k_b", "singularity_floor"))
 
 
-def net_force(detections: list[Detection],
-              nearest_boundary: tuple[float, tuple[float, float]],
-              gains: PfmGains) -> tuple[float, float]:
-    """Sum of per-pursuer repulsions and the boundary attraction.
+def net_force(frame: SenseFrame, gains: PfmGains) -> tuple[float, float]:
+    """Sum of the repulsions from ``frame``'s detections, in ascending
+    pursuer-id order, and the attraction along ``frame.boundary_dir`` toward
+    the nearest wall, ``frame.d_b`` away.
 
-    ``nearest_boundary`` is (distance, unit direction toward the wall).
     Distances are floored at ``singularity_floor`` before squaring.
     """
     fx = fy = 0.0
-    for det in detections:
+    for det in frame.detections.values():
         d = max(det.distance, gains.singularity_floor)
         mag = gains.k_p / (d * d)
         # bearing points evader -> pursuer; repulsion points the other way
         fx -= mag * math.cos(det.bearing)
         fy -= mag * math.sin(det.bearing)
-    d_b, (bx, by) = nearest_boundary
-    d = max(d_b, gains.singularity_floor)
+    bx, by = frame.boundary_dir
+    d = max(frame.d_b, gains.singularity_floor)
     mag = gains.k_b / (d * d)
     fx += mag * bx
     fy += mag * by
@@ -80,6 +79,5 @@ class PfmPolicy:
 
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
         """One command per live episode, from its frame."""
-        return [pfm_action(net_force(f.detections, (f.d_b, f.boundary_dir),
-                                     self.gains), stepper.world.arena)
+        return [pfm_action(net_force(f, self.gains), stepper.world.arena)
                 for f in stepper.frames]

@@ -17,12 +17,12 @@ The ``(1 - sum W_i)`` coefficient is not clamped and goes negative with
 several close pursuers; episode telemetry counts those steps.
 
 The reward of a transition is a function of two frames, the one before and
-the one after it: ``d_i_prev`` is pursuer ``i``'s distance among the earlier
-frame's detections, or ``d_i_now`` (a zero delta) when it was not detected
-there, and ``d_b_prev`` is the earlier frame's ``d_b``.  At an episode's first
-step no pursuer has a previous distance, but ``d_b`` does: the stepper
-applies that reset rule to the frames it hands in
-(:attr:`cep.sr2l.EpisodeStepper.reward_frames`).
+the one after it, each with its detections keyed by pursuer id: ``d_i_prev``
+is the distance of the earlier frame's detection of pursuer ``i``, or
+``d_i_now`` (a zero delta) when it was not detected there, and ``d_b_prev``
+is the earlier frame's ``d_b``.  At an episode's first step no pursuer has a
+previous distance, but ``d_b`` does: the stepper applies that reset rule to
+the frames it hands in (:attr:`cep.sr2l.EpisodeStepper.reward_frames`).
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ def transition_reward(before: SenseFrame, after: SenseFrame,
                       cfg: ArenaConfig) -> RewardBreakdown:
     """The reward of one realized or predicted transition from frame
     ``before`` to frame ``after``; ``.reward`` is its signed value.  The
-    pursuer sum runs over ``after``'s detections in their (pursuer-id)
-    order."""
-    previous = {det.pursuer_id: det.distance for det in before.detections}
+    pursuer sum runs over ``after``'s detections in their ascending-id
+    order, each reading its earlier distance from ``before`` by id."""
     r_d = 0.0
     sum_w = 0.0
-    for det in after.detections:
+    for i, det in after.detections.items():
         d_now = det.distance
-        d_prev = previous.get(det.pursuer_id, d_now)
+        d_prev = before.detections.get(i, det).distance  # else a zero delta
         w_i = 1.0 - d_now / cfg.r_e
         v_rel_max = cfg.v_e_max - det.speed * math.cos(det.theta)
         r_d += w_i * (v_rel_max * cfg.dt - (d_now - d_prev))

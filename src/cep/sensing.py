@@ -1,7 +1,7 @@
 """Perception: the frame the reward and the planner read, and the actor's input.
 
 :func:`sense` returns each world's :class:`SenseFrame`: the detected
-pursuers, the nearest wall's distance and direction, and the time factor
+pursuers by id, the nearest wall's distance and direction, and the time factor
 ``t_f``.  It scans every world of a batch at once, in the batch's own arena;
 the per-detection angles and the nearest wall stay per world.  :func:`observe`
 builds every world's actor input, one row each, from the batch's lidar and
@@ -76,14 +76,14 @@ class SensingConfig:
 
 
 class Detection(NamedTuple):
-    """One pursuer within the evader's sensor range.
+    """One pursuer within the evader's sensor range, keyed by its id in
+    :attr:`SenseFrame.detections`.
 
     ``bearing`` is the world-frame angle of the evader->pursuer line;
     ``theta`` the angle between the pursuer's direction of travel and the
     pursuer->evader line (0 means head-on approach).
     """
 
-    pursuer_id: int
     distance: float
     bearing: float
     speed: float
@@ -92,11 +92,11 @@ class Detection(NamedTuple):
 
 @dataclass
 class SenseFrame:
-    """What the reward and the planner read at one instant: the detections,
-    the nearest-wall distance ``d_b`` and unit direction, and the time
-    factor ``t_f``."""
+    """What the reward and the planner read at one instant: the detections
+    by pursuer id, in ascending id order, the nearest-wall distance ``d_b``
+    and unit direction, and the time factor ``t_f``."""
 
-    detections: list[Detection]
+    detections: dict[int, Detection]
     d_b: float
     boundary_dir: tuple[float, float]
     t_f: float
@@ -121,11 +121,11 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sense(w: WorldState) -> list[SenseFrame]:
     """The frame of each world of ``w``, from one scan of the whole batch.
-    Detections list every pursuer whose center distance is within ``r_e``,
-    ordered by pursuer id."""
+    Detections map the id of every pursuer whose center distance is within
+    ``r_e`` to its :class:`Detection`, in ascending id order."""
     arena, (rel, dists) = w.arena, w.offsets
     t_f = time_factor(w)
-    frames = [SenseFrame([], *nearest_wall((e.x, e.y), arena), t_f)
+    frames = [SenseFrame({}, *nearest_wall((e.x, e.y), arena), t_f)
               for e in w.evaders]
     # Detections by flat index k = e * n + i: world by world, in id order.
     near = (dists <= arena.r_e).ravel().nonzero()[0].tolist()
@@ -143,8 +143,8 @@ def sense(w: WorldState) -> list[SenseFrame]:
                 theta = math.acos(min(1.0, max(-1.0, (c * -rx + s * -ry) / d)))
             else:
                 theta = 0.0
-            frames[e].detections.append(
-                Detection(i, d, bearing, float(speed[e, i]), theta))
+            frames[e].detections[i] = Detection(
+                d, bearing, float(speed[e, i]), theta)
     return frames
 
 

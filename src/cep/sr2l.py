@@ -131,7 +131,7 @@ class EpisodeStepper:
         reward sees a zero distance change) but ``d_b`` has one."""
         if self.world.step_count:
             return self.frames
-        return [replace(f, detections=[]) for f in self.frames]
+        return [replace(f, detections={}) for f in self.frames]
 
     @property
     def lidars(self) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cep
-from cep import config, env, harness, neural, pfm, rewards, sr2l
+from cep import config, env, harness, neural, pfm, rewards, sensing, sr2l
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cep.__path__))
 
@@ -67,6 +67,15 @@ def test_scaffold_choice_is_one_body():
     for name in ("Branch", "reward_gap", "scaffold_select"):
         assert not hasattr(sr2l, name)
         assert not hasattr(cep, name)
+
+
+def test_frame_is_read_as_sensed():
+    # A frame keys its detections by pursuer id, and the planner reads the
+    # frame whole.
+    assert sensing.Detection._fields == ("distance", "bearing", "speed",
+                                         "theta")
+    assert list(inspect.signature(pfm.net_force).parameters) == [
+        "frame", "gains"]
 
 
 def test_action_is_two_dimensional():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cep.env import ArenaConfig
 from cep.pfm import PfmGains, net_force, pfm_action
-from cep.sensing import Detection
+from cep.sensing import Detection, SenseFrame
 
 TOL = 1e-12
 
@@ -18,49 +18,56 @@ def cfg():
 
 
 def det(distance, bearing):
-    return Detection(0, distance, bearing, 5.0, 0.0)
+    return Detection(distance, bearing, 5.0, 0.0)
+
+
+def frame(dets, nearest_boundary):
+    """A frame of ``dets``, pursuers 0, 1, ... in order, with the nearest
+    wall ``nearest_boundary``: (distance, unit direction toward it)."""
+    d_b, boundary_dir = nearest_boundary
+    return SenseFrame(dict(enumerate(dets)), d_b, boundary_dir, 0.5)
 
 
 class TestNetForce:
     def test_single_pursuer_and_wall(self):
         gains = PfmGains(k_p=1.0, k_b=1.0)
         # pursuer 10 m ahead (+x), wall 50 m behind (-x)
-        f = net_force([det(10.0, 0.0)], (50.0, (-1.0, 0.0)), gains)
+        f = net_force(frame([det(10.0, 0.0)], (50.0, (-1.0, 0.0))), gains)
         assert abs(f[0] + 0.0104) < 1e-9
         assert abs(f[1]) < TOL
 
     def test_no_detections_along_boundary_dir(self):
         gains = PfmGains()
-        f = net_force([], (25.0, (0.6, 0.8)), gains)
+        f = net_force(frame([], (25.0, (0.6, 0.8))), gains)
         norm = math.hypot(*f)
         assert abs(f[0] / norm - 0.6) < TOL and abs(f[1] / norm - 0.8) < TOL
 
     def test_symmetric_pursuers_cancel_lateral(self):
         gains = PfmGains()
-        dets = [Detection(0, 8.0, math.pi / 3, 5.0, 0.0),
-                Detection(1, 8.0, -math.pi / 3, 5.0, 0.0)]
-        f = net_force(dets, (30.0, (1.0, 0.0)), gains)
+        dets = [Detection(8.0, math.pi / 3, 5.0, 0.0),
+                Detection(8.0, -math.pi / 3, 5.0, 0.0)]
+        f = net_force(frame(dets, (30.0, (1.0, 0.0))), gains)
         assert abs(f[1]) < TOL
 
     def test_singularity_floor(self):
         gains = PfmGains(singularity_floor=0.5)
-        f_close = net_force([det(1e-9, 0.0)], (50.0, (-1.0, 0.0)), gains)
-        f_floor = net_force([det(0.5, 0.0)], (50.0, (-1.0, 0.0)), gains)
+        nb = (50.0, (-1.0, 0.0))
+        f_close = net_force(frame([det(1e-9, 0.0)], nb), gains)
+        f_floor = net_force(frame([det(0.5, 0.0)], nb), gains)
         assert abs(f_close[0] - f_floor[0]) < TOL
 
     @given(phi=st.floats(-math.pi, math.pi))
     @settings(deadline=None, max_examples=50)
     def test_rotation_equivariance(self, phi):
         gains = PfmGains()
-        dets = [Detection(0, 6.0, 0.4, 5.0, 0.0),
-                Detection(1, 11.0, -1.2, 7.0, 0.0)]
+        dets = [Detection(6.0, 0.4, 5.0, 0.0),
+                Detection(11.0, -1.2, 7.0, 0.0)]
         nb = (20.0, (math.cos(0.9), math.sin(0.9)))
-        fx, fy = net_force(dets, nb, gains)
+        fx, fy = net_force(frame(dets, nb), gains)
 
-        rdets = [Detection(d.pursuer_id, d.distance, d.bearing + phi, d.speed,
-                           d.theta) for d in dets]
+        rdets = [d._replace(bearing=d.bearing + phi) for d in dets]
         rnb = (20.0, (math.cos(0.9 + phi), math.sin(0.9 + phi)))
-        gx, gy = net_force(rdets, rnb, gains)
+        gx, gy = net_force(frame(rdets, rnb), gains)
 
         c, s = math.cos(phi), math.sin(phi)
         assert abs(gx - (c * fx - s * fy)) < 1e-9
@@ -69,8 +76,8 @@ class TestNetForce:
     def test_added_pursuer_ahead_pushes_back(self):
         gains = PfmGains()
         nb = (40.0, (1.0, 0.0))
-        f_before = net_force([], nb, gains)
-        f_after = net_force([det(5.0, 0.0)], nb, gains)
+        f_before = net_force(frame([], nb), gains)
+        f_after = net_force(frame([det(5.0, 0.0)], nb), gains)
         assert f_after[0] < f_before[0]
 
 

@@ -19,11 +19,13 @@ def cfg():
 
 
 def det(pid, distance, speed=0.0, theta=0.0):
-    return Detection(pid, distance, 0.0, speed, theta)
+    """Pursuer ``pid``'s detection, as a ``(pid, Detection)`` entry."""
+    return pid, Detection(distance, 0.0, speed, theta)
 
 
 def frame(detections, d_b, t_f):
-    return SenseFrame(detections, d_b, (1.0, 0.0), t_f)
+    """A frame of the ``(pid, Detection)`` entries ``detections``."""
+    return SenseFrame(dict(detections), d_b, (1.0, 0.0), t_f)
 
 
 def step(before, after, cfg, d_b=(40.0, 40.0), t_f=0.5) -> RewardBreakdown:
@@ -46,12 +48,12 @@ def pursuer_weight(d_i: float, r_e: float) -> float:
 
 
 def reward_pursuers(before, after, cfg):
-    previous = {det.pursuer_id: det.distance for det in before}
+    previous = {pid: det.distance for pid, det in before.items()}
     r_d = 0.0
     sum_w = 0.0
-    for det in after:
+    for pid, det in after.items():
         d_now = det.distance
-        d_prev = previous.get(det.pursuer_id, d_now)
+        d_prev = previous.get(pid, d_now)
         w_i = pursuer_weight(d_now, cfg.r_e)
         v_rel_max = cfg.v_e_max - det.speed * math.cos(det.theta)
         r_d += w_i * (v_rel_max * cfg.dt - (d_now - d_prev))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from cep import sensing
 from cep.config import desk_profile
-from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
-                     init_world, max_steps, nearest_wall)
+from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
+                     WorldState, init_world, max_steps, nearest_wall)
 from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
                          cast_rays, observe, sense, time_factor)
 
@@ -36,8 +37,8 @@ def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
     cfg = arena()
     monkeypatch.setattr(sensing, "boundary_scan",
                         lambda xy, a, c: np.asarray(boundary, dtype=float))
-    w = init_world(cfg, 0)
-    w.step_count = max_steps(cfg) if t_f == 0.0 else 0
+    w = replace(init_world(cfg, 0),
+                step_count=max_steps(cfg) if t_f == 0.0 else 0)
     return observe(w, np.asarray(lidar, dtype=float), scfg)
 
 
@@ -86,7 +87,7 @@ class TestCastRays:
         scfg = SensingConfig(n_s=36)
         w = world_with(EvaderState(0.0, 0.0), [], cfg)
         assert np.all(cast_rays(w, scfg) == cfg.r_e)
-        assert sense(w)[0].detections == []
+        assert sense(w)[0].detections == {}
 
     def test_pursuer_on_ray_zero(self):
         # disc small enough that only ray 0 intersects it
@@ -105,7 +106,7 @@ class TestCastRays:
         cfg = arena()
         p = (cfg.r_e + 1.0, 0.0, 5.0, 0.0)
         w = world_with(EvaderState(0.0, 0.0), [p], cfg)
-        assert sense(w)[0].detections == []
+        assert sense(w)[0].detections == {}
 
     def test_occlusion_nearest_hit(self):
         cfg = arena()
@@ -130,7 +131,7 @@ class TestCastRays:
         # No pursuer->evader line to measure an angle from: theta is 0.
         cfg = arena()
         w = world_with(EvaderState(3.0, 4.0), [(3.0, 4.0, 5.0, 1.0)], cfg)
-        (detection,) = sense(w)[0].detections
+        (detection,) = sense(w)[0].detections.values()
         assert (detection.distance, detection.theta) == (0.0, 0.0)
 
     def test_lidar_monotone_in_distance(self):
@@ -244,9 +245,8 @@ class TestBatch:
         cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
                     n_pursuers=n)
         scfg = SensingConfig(n_s=36)
-        worlds = [init_world(cfg, seed) for seed in seeds]
-        for w in worlds:
-            w.step_count = steps
+        worlds = [replace(init_world(cfg, seed), step_count=steps)
+                  for seed in seeds]
         batch = WorldState.stack(worlds)
         frames = sense(batch)
         lidars = cast_rays(batch, scfg)
@@ -259,6 +259,22 @@ class TestBatch:
             assert np.array_equal(observations[e],
                                   observe(w, lidar, scfg)[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+           n=st.integers(0, 40))
+    def test_detections_keyed_by_id_in_order(self, seeds, n):
+        # Dict equality ignores order, so the order the reward's left fold
+        # runs in is pinned here: ascending ids, each within r_e.
+        cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
+                    n_pursuers=n)
+        w = WorldState.stack([init_world(cfg, seed) for seed in seeds])
+        dists = w.offsets[1]
+        for e, frame in enumerate(sense(w)):
+            assert list(frame.detections) == [
+                i for i in range(n) if dists[e, i] <= cfg.r_e]
+            for i, det in frame.detections.items():
+                assert det.distance == dists[e, i]
+
     def test_take_keeps_the_chosen_worlds(self):
         cfg = arena(half_width=20.0, half_height=20.0, spawn_half_extent=5.0,
                     n_pursuers=12)
@@ -269,8 +285,7 @@ class TestBatch:
 
     def test_stack_needs_one_step(self):
         cfg = arena(n_pursuers=3)
-        later = init_world(cfg, 1)
-        later.step_count = 1
+        later = replace(init_world(cfg, 1), step_count=1)
         with pytest.raises(ValueError, match="same step"):
             WorldState.stack([init_world(cfg, 0), later])
 
@@ -367,10 +382,8 @@ class TestBoundaryScan:
 
 
 def world_at(cfg, step):
-    """A world of ``cfg`` set to step ``step``."""
-    w = init_world(cfg, 0)
-    w.step_count = step
-    return w
+    """A world of ``cfg`` built at step ``step``."""
+    return replace(init_world(cfg, 0), step_count=step)
 
 
 class TestTimeFactor:
@@ -390,6 +403,7 @@ class TestTimeFactor:
         cfg = arena(**self.OVERSHOOT)
         assert max_steps(cfg) == 4 and 4 * cfg.dt > cfg.t_max
         assert time_factor(world_at(cfg, 4)) == 0.0
+        assert world_at(cfg, 4).outcomes == [OutcomeKind.TIMEOUT]
 
     @pytest.mark.parametrize("step", range(5))
     def test_sense_and_observe_read_it(self, step):

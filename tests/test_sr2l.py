@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def snapshot(w: WorldState, frame: SenseFrame):
     return ((e.x, e.y, e.vx, e.vy),
             [a.tolist() for a in (w.pursuers.xy, w.pursuers.speed,
                                   w.pursuers.unit, w.pursuers.patrol_speed)],
-            w.step_count, list(frame.detections), frame.d_b,
+            w.step_count, list(frame.detections.items()), frame.d_b,
             frame.boundary_dir, frame.t_f)
 
 
@@ -68,7 +69,7 @@ def scenes(draw):
         stepper.step_action(PLANNER.act(stepper))
         (outcome,) = stepper.world.outcomes
     if draw(st.booleans()):
-        stepper.world.step_count = max_steps(cfg) - 1
+        stepper.world = replace(stepper.world, step_count=max_steps(cfg) - 1)
     return stepper
 
 
@@ -212,17 +213,17 @@ class TestResetRule:
         stepper = EpisodeStepper(WorldState(cfg, [EvaderState(0.0, 0.0)],
                                             pursuers), SENSING)
         (spawn,) = stepper.frames
-        (d_0,) = spawn.detections
-        assert d_0.pursuer_id == 0 and d_0.distance == 12.0
+        ((pid, d_0),) = spawn.detections.items()
+        assert pid == 0 and d_0.distance == 12.0
         (before,) = stepper.reward_frames
-        assert before.detections == [] and before.d_b == spawn.d_b
+        assert before.detections == {} and before.d_b == spawn.d_b
         still = (0.0, 0.0)
         predicted = predict_next_state(stepper.world, before, still)
 
         (first,) = stepper.step_action([still])
         (outcome,) = stepper.world.outcomes
         assert outcome is None
-        (d_1,) = stepper.frames[0].detections
+        (d_1,) = stepper.frames[0].detections.values()
         assert d_1.distance > d_0.distance
         assert first.r_d == self.r_d(cfg, d_1, d_1.distance)
         assert first.r_d != self.r_d(cfg, d_1, d_0.distance)
@@ -235,7 +236,7 @@ class TestResetRule:
         (second,) = stepper.step_action([still])
         (outcome,) = stepper.world.outcomes
         assert outcome is None
-        (d_2,) = stepper.frames[0].detections
+        (d_2,) = stepper.frames[0].detections.values()
         assert second.r_d == self.r_d(cfg, d_2, d_1.distance)
         assert second.r_d != self.r_d(cfg, d_2, d_2.distance)
         assert predicted == second.reward
