@@ -7,13 +7,14 @@ say why in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cep.config import desk_profile
-from cep.harness import (evaluate_monte_carlo, make_policy, replay, train,
-                         write_eval_episodes)
+from cep.config import desk_profile, paper_profile
+from cep.harness import (evaluate_monte_carlo, make_policy, replay,
+                         sweep_arena, train, write_eval_episodes)
 from cep.sr2l import ScaffoldConfig
 
 SEED = 3
@@ -38,6 +39,14 @@ GOLDEN_TRAIN = {
 GOLDEN_PFM_EVAL = "057ef935a5162363c7a22dde8f3a1fb0027b8738"
 GOLDEN_ACTOR_EVAL = "784fead798445ca3de234c9217f218e46f07a16f"
 GOLDEN_REPLAY = "9edb3004f82f8aa6b39c5d31a342d0a5ef7abd78"
+# Full-precision PFM records of evaluations at the profiles' own seed, long
+# and crowded enough that pursuers lock on and capture often (the desk sweep
+# cell escapes 17.5%): name -> digest.
+GOLDEN_PFM_RECORDS = {
+    "paper": "6869b62e8c5eb9f05d6778cca356f90b92da5ff9",
+    "paper-100-pursuers": "b850c8dbf8ea48c6f03891830b15e8fea6b88d3b",
+    "desk-sweep-30-1-1": "5bb0f9efe690303072500d5757957f2834ef1ea7",
+}
 
 
 def sha1(data: bytes) -> str:
@@ -114,3 +123,25 @@ def test_replay_digest(trained, tmp_path):
     replay(make_policy("checkpoint", cfg, trained["sr2l"][0]), REPLAY_SEED,
            cfg, path)
     assert sha1(path.read_bytes()) == GOLDEN_REPLAY
+
+
+def pfm_records(name: str):
+    """The profile, arena and episode count of the evaluation ``name``."""
+    if name == "paper":
+        cfg = paper_profile()
+        return cfg, cfg.arena, 100
+    if name == "paper-100-pursuers":
+        cfg = paper_profile()
+        return cfg, replace(cfg.arena, n_pursuers=100), 20
+    cfg = desk_profile()
+    return cfg, sweep_arena(cfg.arena, 30, 1.0, 1.0), 200
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PFM_RECORDS))
+def test_pfm_records_digest(name):
+    cfg, arena, episodes = pfm_records(name)
+    report = evaluate_monte_carlo(make_policy("pfm", cfg), cfg, arena,
+                                  episodes)
+    records = "".join(f"{e.outcome},{e.steps},{e.cum_reward!r}\n"
+                      for e in report.episodes)
+    assert sha1(records.encode()) == GOLDEN_PFM_RECORDS[name]
