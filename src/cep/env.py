@@ -23,6 +23,16 @@ evader's speed clip) or per row (the angles of the rows that lock on or
 reflect).  :meth:`WorldState.take` keeps some worlds of a batch, so that a
 runner drops the finished episodes and steps only the live ones.
 
+The distances are scanned once per built world, into its ``near`` list of
+every pursuer within ``r_e`` or the lock reach ``L + 1e-9 * (L + half_width
++ half_height)``, ``L = r_p + v_e_max * dt``.  The capture test and the
+detections read that list (``capture_radius < r_p``).  The evader moves at
+most ``v_e_max * dt`` per step, so a pursuer beyond the lock reach before a
+step cannot be within ``r_p`` after it; the margin covers the speed clip's
+ulp (:func:`step_evader`) and the rounding of positions, which grows with
+the arena.  When the list holds none within the lock reach,
+:func:`step_world` skips the pursuers' range test.
+
 A pursuer's direction of travel is stored only as its unit vector ``unit``:
 where an angle ``h`` sets it (drawn at spawn, aimed at the evader on lock-on,
 reflected off a wall) it becomes ``(math.cos(h), math.sin(h))`` once, and a
@@ -32,7 +42,7 @@ step, the detections and the forward model all move along that vector.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 
@@ -175,13 +185,15 @@ class WorldState:
     holds without float drift.  Stepping is fully deterministic.
 
     Every builder (``init_world``, ``step_world``, ``take``, ``stack``,
-    ``dataclasses.replace``) computes two fields: ``offsets``, the
+    ``dataclasses.replace``) computes three fields: ``offsets``, the
     ``(E, n, 2)`` offsets from each world's evader to its pursuers and their
-    ``(E, n)`` lengths, the one distance pass that the capture test, the
-    detections and the lidar read; and ``outcomes``, :func:`check_outcome`
-    of the batch (None for a world that runs).  A batch holding a terminal
-    world is never stepped.  A builder that holds the evaders' ``(E, 1, 2)``
-    positions hands them in as ``evader_xy``.  No field is rebound once built.
+    ``(E, n)`` lengths, the one distance pass; ``near``, the ``(k, d)``
+    pairs, by ascending flat index ``k = e * n + i``, of the pursuers within
+    the reach of the module docstring, ``d`` a float; and ``outcomes``,
+    :func:`check_outcome` of the batch (None for a world that runs).  A
+    batch holding a terminal world is never stepped.  A builder that holds
+    the evaders' ``(E, 1, 2)`` positions hands them in as ``evader_xy``.  No
+    field is rebound once built.
     """
 
     arena: ArenaConfig
@@ -191,13 +203,20 @@ class WorldState:
     evader_xy: InitVar[np.ndarray | None] = None
     offsets: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
+    near: list[tuple[int, float]] = field(
+        init=False, repr=False, compare=False)
     outcomes: list[OutcomeKind | None] = field(init=False, compare=False)
 
     def __post_init__(self, evader_xy: np.ndarray | None) -> None:
         if evader_xy is None:
             evader_xy = _positions(self.evaders)
         rel = self.pursuers.xy - evader_xy
-        self.offsets = rel, np.hypot(rel[..., 0], rel[..., 1])
+        dists = np.hypot(rel[..., 0], rel[..., 1])
+        self.offsets = rel, dists
+        flat = dists.ravel()
+        reach = max(self.arena.r_e, _lock_reach(self.arena))
+        near = (flat <= reach).nonzero()[0].tolist()
+        self.near = list(zip(near, flat[near].tolist())) if near else []
         self.outcomes = check_outcome(self)
 
     @classmethod
@@ -231,10 +250,10 @@ def max_steps(cfg: ArenaConfig) -> int:
     return int(math.ceil(cfg.t_max / cfg.dt - 1e-9))
 
 
-def _doubles(rng: np.random.Generator, block: int) -> Iterator[float]:
-    """The generator's uniform doubles in [0, 1), drawn ``block`` at a time."""
-    while True:
-        yield from rng.random(block).tolist()
+def _lock_reach(cfg: ArenaConfig) -> float:
+    """The lock reach of the module docstring."""
+    lock = cfg.r_p + cfg.v_e_max * cfg.dt
+    return lock + 1e-9 * (lock + cfg.half_width + cfg.half_height)
 
 
 def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
@@ -247,43 +266,52 @@ def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
     episode of a run; only the seed changes.  Draw order is fixed, so
     identical seeds produce bit-identical worlds.  A uniform draw in
     ``[low, high)`` is ``low + (high - low) * u`` of the generator's next
-    double ``u``, as ``Generator.uniform`` computes it; the doubles are drawn
-    in blocks.  A spawn can be terminal outright (a pursuer just outside
-    Omega within capture radius), and the world's ``outcomes`` says so, as
-    every built world's does; escape and timeout cannot hold at spawn (Omega
-    lies inside the arena and ``t_max > dt``).
+    double ``u``, as ``Generator.uniform`` computes it (``high - low`` of a
+    range symmetric about 0 is ``2 * high``, exactly); the doubles are drawn
+    in blocks of ``8 + 4 * n_pursuers``, another whenever the rejection loop
+    runs short, and read by index.  A spawn can be terminal outright (a
+    pursuer just outside Omega within capture radius), and the world's
+    ``outcomes`` says so, as every built world's does; escape and timeout
+    cannot hold at spawn (Omega lies inside the arena and ``t_max > dt``).
     """
-    doubles = _doubles(np.random.default_rng(seed), 8 + 4 * cfg.n_pursuers)
+    rng, block = np.random.default_rng(seed), 8 + 4 * cfg.n_pursuers
+    u, j = rng.random(block).tolist(), 3
+    s, hw, hh = cfg.spawn_half_extent, cfg.half_width, cfg.half_height
+    evader = EvaderState(-s + 2 * s * u[0], -s + 2 * s * u[1])
+    # u[2] is an evader heading, which nothing reads: without it every
+    # pursuer draw after it would shift and every spawn change.
 
-    def uniform(low: float, high: float) -> float:
-        return low + (high - low) * next(doubles)
-
-    s = cfg.spawn_half_extent
-    evader = EvaderState(uniform(-s, s), uniform(-s, s))
-    # Draw and discard an evader heading, which nothing reads: without the
-    # draw every pursuer draw after it would shift and every spawn change.
-    next(doubles)
-
-    rows = []
+    xy, speed, unit = [], [], []
     for _ in range(cfg.n_pursuers):
         while True:
-            px = uniform(-cfg.half_width, cfg.half_width)
-            py = uniform(-cfg.half_height, cfg.half_height)
+            if len(u) - j < 4:  # a position, then a speed and a heading
+                u, j = u[j:] + rng.random(block).tolist(), 0
+            px, py = -hw + 2 * hw * u[j], -hh + 2 * hh * u[j + 1]
+            j += 2
             if not (abs(px) <= s and abs(py) <= s):
                 break
-        speed = uniform(cfg.v_p_min, cfg.v_p_max)
-        heading = uniform(-math.pi, math.pi)
-        rows.append((px, py, speed, heading))
+        xy += px, py
+        speed.append(cfg.v_p_min + (cfg.v_p_max - cfg.v_p_min) * u[j])
+        h = -math.pi + 2 * math.pi * u[j + 1]
+        unit += math.cos(h), math.sin(h)
+        j += 2
 
-    return WorldState(cfg, [evader], Pursuers.from_rows(rows))
+    n = cfg.n_pursuers
+    speeds = np.array(speed, dtype=float).reshape(1, n)
+    return WorldState(cfg, [evader], Pursuers(
+        np.array(xy, dtype=float).reshape(1, n, 2), speeds,
+        np.array(unit, dtype=float).reshape(1, n, 2), speeds.copy()))
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],
                 cfg: ArenaConfig) -> EvaderState:
     """Advance the evader by one step of the commanded velocity.
 
-    The command is norm-clipped to ``v_e_max``.  A NaN or infinite
-    component raises ``ValueError``: it has no direction to clip along.
+    The command is norm-clipped to ``v_e_max``.  The clip rounds, so the
+    clipped speed can exceed ``v_e_max`` by 1 ulp: action ``(1e200, 0)``
+    gives ``vx = 15.000000000000002`` at ``v_e_max = 15``, which the lock
+    reach's margin (module docstring) covers.  A NaN or infinite component
+    raises ``ValueError``: it has no direction to clip along.
     """
     vx, vy = float(action[0]), float(action[1])
     if not (math.isfinite(vx) and math.isfinite(vy)):
@@ -296,7 +324,8 @@ def step_evader(s: EvaderState, action: tuple[float, float],
     return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy)
 
 
-def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
+def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig,
+                  may_lock: bool = True) -> Pursuers:
     """Advance every pursuer of every world by ``dt``.
 
     ``evader_xy`` holds each world's evader position, ``E`` pairs in
@@ -307,15 +336,19 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
     offending wall(s) and re-integrates, preserving speed.  Directions change
     only on the rows that lock on or reflect, one row at a time through the
     angle ``h`` from ``math.atan2``; the move itself is one array expression.
+    ``may_lock=False`` skips the range test, for a caller that knows no
+    pursuer is within ``r_p`` (:func:`step_world`).
     """
-    ev = np.asarray(evader_xy, dtype=float).reshape(-1, 1, 2)
-    n = p.speed.shape[1]
-    rel = p.xy - ev
-    in_range = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
     unit, speed = p.unit, p.patrol_speed
-    # Rows are addressed by flat index k = e * n + i in (E * n, 2) views.
-    lock = in_range.ravel().nonzero()[0].tolist()
+    lock = []
+    if may_lock:
+        ev = np.asarray(evader_xy, dtype=float).reshape(-1, 1, 2)
+        rel = p.xy - ev
+        in_range = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
+        # Rows are addressed by flat index k = e * n + i in (E * n, 2) views.
+        lock = in_range.ravel().nonzero()[0].tolist()
     if lock:
+        n = p.speed.shape[1]
         unit = unit.copy()
         speed = np.where(in_range, cfg.v_p_max, speed)
         rows, evs = unit.reshape(-1, 2), ev.tolist()
@@ -352,11 +385,10 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig) -> Pursuers:
 
 def check_outcome(w: WorldState) -> list[OutcomeKind | None]:
     """Each world's terminal test in its arena; Escaped takes precedence over
-    Captured, which takes precedence over Timeout.  A built world holds it as
-    ``outcomes``."""
-    cfg, dists = w.arena, w.offsets[1]
-    hits = (dists <= cfg.capture_radius).ravel().nonzero()[0].tolist()
-    captured = {k // dists.shape[1] for k in hits} if hits else ()
+    Captured, which takes precedence over Timeout.  Captures are read from
+    ``w.near``.  A built world holds it as ``outcomes``."""
+    cfg, n = w.arena, w.pursuers.speed.shape[1]
+    captured = {k // n for k, d in w.near if d <= cfg.capture_radius}
     timeout = w.step_count >= max_steps(cfg)
     outcomes: list[OutcomeKind | None] = []
     for j, e in enumerate(w.evaders):
@@ -379,7 +411,8 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]]
 
     Returns the new batch, whose ``outcomes`` is where each world's outcome
     is read (None while it runs).  Stepping a batch that holds a terminal
-    world raises ``RuntimeError``.
+    world raises ``RuntimeError``.  The pursuers' range test is skipped when
+    no entry of ``w.near`` is within the lock reach (module docstring).
     """
     if w.outcomes.count(None) != len(w.outcomes):
         raise RuntimeError("step_world called on a terminal world")
@@ -388,7 +421,10 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]]
     cfg = w.arena
     evaders = [step_evader(e, a, cfg) for e, a in zip(w.evaders, actions)]
     evader_xy = _positions(evaders)
-    return WorldState(cfg, evaders, step_pursuers(w.pursuers, evader_xy, cfg),
+    lock = _lock_reach(cfg)
+    may_lock = any(d <= lock for _, d in w.near)
+    return WorldState(cfg, evaders,
+                      step_pursuers(w.pursuers, evader_xy, cfg, may_lock),
                       w.step_count + 1, evader_xy=evader_xy)
 
 

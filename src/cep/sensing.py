@@ -2,10 +2,12 @@
 
 :func:`sense` returns each world's :class:`SenseFrame`: the detected
 pursuers by id, the nearest wall's distance and direction, and the time factor
-``t_f``.  It scans every world of a batch at once, in the batch's own arena;
-the per-detection angles and the nearest wall stay per world.  :func:`observe`
-builds every world's actor input, one row each, from the batch's lidar and
-boundary scans; only the replay's ``min_lidar`` also reads a lidar scan.
+``t_f``.  It reads the pursuers within ``r_e`` of every world of a batch
+from the batch's ``near`` list (see :mod:`cep.env`), in the batch's own
+arena; the per-detection angles and the nearest wall stay per world.
+:func:`observe` builds every world's actor input, one row each, from the
+batch's lidar and boundary scans; only the replay's ``min_lidar`` also reads
+a lidar scan.
 
 Time factor: ``t_f = (1 - t/t_max) / 2`` at ``t = step_count * dt``, clamped
 to ``t_max``, from 0.5 at the start to 0 at the timeout.  :func:`time_factor`
@@ -120,22 +122,21 @@ def _ray_directions(n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sense(w: WorldState) -> list[SenseFrame]:
-    """The frame of each world of ``w``, from one scan of the whole batch.
-    Detections map the id of every pursuer whose center distance is within
-    ``r_e`` to its :class:`Detection`, in ascending id order."""
-    arena, (rel, dists) = w.arena, w.offsets
+    """The frame of each world of ``w``, read from the batch's ``near``
+    list.  Detections map the id of every pursuer whose center distance is
+    within ``r_e`` to its :class:`Detection`, in ascending id order."""
+    arena, rel = w.arena, w.offsets[0]
     t_f = time_factor(w)
     frames = [SenseFrame({}, *nearest_wall((e.x, e.y), arena), t_f)
               for e in w.evaders]
-    # Detections by flat index k = e * n + i: world by world, in id order.
-    near = (dists <= arena.r_e).ravel().nonzero()[0].tolist()
-    if near:
-        n = dists.shape[1]
-        unit, speed = w.pursuers.unit, w.pursuers.speed
-        for k in near:
+    # The near list runs by flat index k = e * n + i: world by world, in id
+    # order.
+    unit, speed = w.pursuers.unit, w.pursuers.speed
+    n = speed.shape[1]
+    for k, d in w.near:
+        if d <= arena.r_e:
             e, i = divmod(k, n)
             rx, ry = rel[e, i].tolist()
-            d = float(dists[e, i])
             bearing = math.atan2(ry, rx)
             if d > 0.0:
                 # -rx, -ry: the pursuer->evader line, exactly.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cep import env
 from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
                      WorldState, check_outcome, init_world, max_steps,
                      nearest_wall, objective_value, step_evader,
@@ -21,6 +22,20 @@ def small_arena(**kw) -> ArenaConfig:
                 n_pursuers=5, t_max=50.0)
     base.update(kw)
     return ArenaConfig(**base)
+
+
+def lock_reach(cfg: ArenaConfig) -> float:
+    """Farthest a pursuer can be from the evader before a step and lock on
+    in it: ``r_p`` plus the evader's largest move, with a 1e-9 margin of
+    that and of the arena's extent, which sets how coarse positions round."""
+    lock = cfg.r_p + cfg.v_e_max * cfg.dt
+    return lock + 1e-9 * (lock + cfg.half_width + cfg.half_height)
+
+
+def near_reach(cfg: ArenaConfig) -> float:
+    """The radius of a built world's ``near`` list: every pursuer that may be
+    sensed, captured or lock on in the next step."""
+    return max(cfg.r_e, lock_reach(cfg))
 
 
 def pursuer_rows(p: Pursuers, e: int = 0) -> list[tuple]:
@@ -231,7 +246,7 @@ class TestInitWorld:
         assert w.pursuers.speed.shape == (1, 7)
         assert w.pursuers.xy.shape == w.pursuers.unit.shape == (1, 7, 2)
 
-    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(0, 40),
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(0, 100),
            spawn=st.sampled_from([1.0, 10.0, 45.0]))
     @settings(deadline=None, max_examples=150)
     def test_equals_scalar_draws(self, seed, n, spawn):
@@ -263,12 +278,19 @@ class TestStepEvader:
         assert s.x == before.x and s.y == before.y
         assert s.vx == 0.0 and s.vy == 0.0
 
-    @given(vx=st.floats(-50, 50), vy=st.floats(-50, 50))
-    @settings(deadline=None, max_examples=50)
+    @given(vx=st.floats(allow_nan=False, allow_infinity=False),
+           vy=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(deadline=None, max_examples=200)
     def test_speed_bound(self, vx, vy):
+        # The clip overshoots v_e_max by at most 1 ulp, over the whole
+        # finite range: the lock-skip margin of step_world rests on it.
         cfg = small_arena()
         s = step_evader(EvaderState(0.0, 0.0), (vx, vy), cfg)
-        assert math.hypot(s.vx, s.vy) <= cfg.v_e_max + 1e-9
+        assert math.hypot(s.vx, s.vy) <= cfg.v_e_max * (1 + 2**-50)
+
+    def test_clip_overshoots_by_one_ulp(self):
+        s = step_evader(EvaderState(0.0, 0.0), (1e200, 0.0), small_arena())
+        assert s.vx == 15.000000000000002 == math.nextafter(15.0, math.inf)
 
     @pytest.mark.parametrize("action", [(math.nan, 0.0), (math.inf, 0.0),
                                         (-math.inf, math.inf)])
@@ -395,6 +417,61 @@ class TestStepPursuer:
                 assert pursuer_rows(batch, e) == pursuer_rows(p)
 
 
+# Pursuers at (r_p + v_e_max * dt) * (1 + f): on and around the lock bound
+# (f <= 0 can lock on), then beyond lock_reach, whose margin is 1e-8 to
+# 1.8e-8 of the bound in a 100 m arena: only there is the range test skipped.
+LOCK_FS = (-1e-12, 0.0, 1e-12, 1e-10, 2e-9, 1e-7)
+# The sweep's r_ratio 0.75 (r_p = 20 > r_e): the lock bound sets the reach.
+# In the 1e9 m arena a position rounds to ~1e-7 m, far beyond a margin of
+# 1e-9 of the lock bound alone.
+LOCK_ARENAS = (small_arena(), small_arena(r_p=20.0),
+               small_arena(half_width=1e9, half_height=1e9, r_p=3.0,
+                           capture_radius=1.0))
+
+
+@st.composite
+def lock_boundary_scenes(draw):
+    """An arena, a live one-world batch whose evader has pursuers at the
+    :data:`LOCK_FS` distances and at random ones, and a command of speed at
+    or above ``v_e_max``, up to 1e300 times it, toward, away from or across
+    the first pursuer, or in a random direction."""
+    cfg = draw(st.sampled_from(LOCK_ARENAS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lock = cfg.r_p + cfg.v_e_max * cfg.dt
+    room_x, room_y = cfg.half_width - 3 * lock, cfg.half_height - 3 * lock
+    ex, ey = rng.uniform(-room_x, room_x), rng.uniform(-room_y, room_y)
+    dists = [lock * (1 + f)
+             for f in draw(st.lists(st.sampled_from(LOCK_FS), max_size=3))]
+    dists += rng.uniform(1.001 * cfg.capture_radius, 3 * lock,
+                         draw(st.integers(0, 4))).tolist()
+    assume(dists)
+    rows, angles = [], rng.uniform(-math.pi, math.pi, len(dists)).tolist()
+    for d, a in zip(dists, angles):
+        rows.append((ex + d * math.cos(a), ey + d * math.sin(a),
+                     rng.uniform(cfg.v_p_min, cfg.v_p_max),
+                     rng.uniform(-math.pi, math.pi)))
+    turn = draw(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2,
+                                 None]))
+    heading = rng.uniform(-math.pi, math.pi) if turn is None \
+        else angles[0] + turn
+    speed = cfg.v_e_max * draw(st.sampled_from(
+        [1.0, 1.0 + 2**-52, 2.0, 1e10, 1e300]))
+    w = world_at(cfg, EvaderState(ex, ey), Pursuers.from_rows(rows))
+    return w, (speed * math.cos(heading), speed * math.sin(heading))
+
+
+def assert_steps_as_the_full_lock_test(w: WorldState, action) -> Pursuers:
+    """``step_world`` moves ``w``'s pursuers, bit for bit, as
+    ``step_pursuers`` with its range test does; returns them."""
+    stepped = step_world(w, [action])
+    (e,) = stepped.evaders
+    want = step_pursuers(w.pursuers, (e.x, e.y), w.arena)
+    for f in fields(Pursuers):
+        have = getattr(stepped.pursuers, f.name)
+        assert have.tobytes() == getattr(want, f.name).tobytes(), f.name
+    return stepped.pursuers
+
+
 class TestStepWorld:
     def test_escape(self):
         cfg = small_arena(n_pursuers=0)
@@ -483,6 +560,32 @@ class TestStepWorld:
         assert t1 == t2
         assert o1 == o2
 
+    @given(scene=lock_boundary_scenes())
+    @settings(deadline=None, max_examples=300)
+    def test_skipped_lock_test_moves_as_the_full_one(self, scene):
+        # step_world skips the range test when no pursuer of the stepped
+        # world is within lock_reach; the pursuers move as if it had run.
+        assert_steps_as_the_full_lock_test(*scene)
+
+    @pytest.mark.parametrize("cfg", LOCK_ARENAS[:2], ids=["r_e", "r_p=20"])
+    @pytest.mark.parametrize("f", LOCK_FS)
+    def test_lock_bound(self, cfg, f, monkeypatch):
+        # The evader runs at v_e_max straight at a pursuer at the lock bound
+        # times 1 + f: it locks on at f <= 0, and only beyond lock_reach is
+        # the range test skipped.
+        skips = []
+
+        def spy(p, evader_xy, cfg, may_lock=True):
+            skips.append(not may_lock)
+            return step_pursuers(p, evader_xy, cfg, may_lock)
+
+        monkeypatch.setattr(env, "step_pursuers", spy)
+        d = (cfg.r_p + cfg.v_e_max * cfg.dt) * (1 + f)
+        w = world_at(cfg, EvaderState(0.0, 0.0), one(d, 0.0, 5.0, 0.0))
+        moved = assert_steps_as_the_full_lock_test(w, (cfg.v_e_max, 0.0))
+        assert (moved.speed[0, 0] == cfg.v_p_max) == (f <= 0)
+        assert skips == [d > lock_reach(cfg)] == [f == LOCK_FS[-1]]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_termination_trichotomy_and_containment(self, seed):
         cfg = small_arena(t_max=20.0, n_pursuers=6)
@@ -504,21 +607,32 @@ class TestStepWorld:
 
 def assert_offsets_of_a_fresh_build(w: WorldState) -> None:
     """``w``'s distances equal, bit for bit, those of the same evaders and
-    pursuers built anew."""
+    pursuers built anew, and its ``near`` list is its own distances within
+    :func:`near_reach`, by flat index."""
     fresh = WorldState(w.arena, w.evaders, w.pursuers, w.step_count)
     for have, want in zip(w.offsets, fresh.offsets):
         assert have.shape == want.shape and have.tobytes() == want.tobytes()
+    reach = near_reach(w.arena)
+    assert w.near == [(k, d) for k, d in enumerate(w.offsets[1].ravel()
+                                                   .tolist()) if d <= reach]
 
 
 class TestOffsets:
-    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    ARENAS = (small_arena(n_pursuers=8),
+              # r_p = r_e / 0.75, as the sweep's r_ratio 0.75 sets it: the
+              # lock reach r_p + v_e_max * dt, not r_e, sets the near list's.
+              small_arena(half_width=40.0, half_height=40.0, n_pursuers=8,
+                          r_p=20.0))
+
+    @given(cfg=st.sampled_from(ARENAS),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
            steps=st.integers(0, 8), draw_seed=st.integers(0, 2**32 - 1))
-    @settings(deadline=None, max_examples=40)
-    def test_every_builder_sets_the_distances_of_its_world(self, seeds, steps,
-                                                           draw_seed):
+    @settings(deadline=None, max_examples=60)
+    def test_every_builder_sets_the_distances_of_its_world(self, cfg, seeds,
+                                                           steps, draw_seed):
         # init_world, step_world (which hands in its evader positions),
-        # take and stack each build a world whose distances are its own.
-        cfg = small_arena(n_pursuers=8)
+        # take, stack and replace each build a world whose distances and
+        # near list are its own.
         rng = np.random.default_rng(draw_seed)
         w = WorldState.stack([init_world(cfg, s) for s in seeds])
         worlds = [w]
