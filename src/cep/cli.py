@@ -80,6 +80,7 @@ def _cmd_replay(args) -> int:
     out = _out_path(args.out if args.out is not None
                     else f"trajectory_seed{args.seed}.csv")
     cfg = _run_config(args)  # --seed is the episode's seed, not cfg.seed
+    cfgmod.check_seed(args.seed)
     policy = harness.make_policy("checkpoint", cfg,
                                  load_checkpoint(args.checkpoint))
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -27,6 +27,7 @@ from .sr2l import ScaffoldConfig
 
 __all__ = [
     "RunConfig",
+    "check_seed",
     "desk_profile",
     "paper_profile",
     "load_config",
@@ -59,8 +60,13 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed: a run's, or the one episode's of a replay."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def desk_profile(**overrides) -> RunConfig:

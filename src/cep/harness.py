@@ -9,17 +9,17 @@ and evaluation never share draws.
 
 Every evaluation entry point (:func:`evaluate_monte_carlo`, :func:`sweep`,
 :func:`replay`) takes a policy, which :func:`make_policy` builds from one of
-``POLICY_KINDS``.  Monte-Carlo evaluation steps the episodes of a call in
-lockstep, up to ``_BLOCK_EPISODES`` at a time, in one
-:class:`~cep.sr2l.EpisodeStepper`; an episode leaves the batch when it ends,
-and its result is the one it would have on its own.  A policy acts on the
-batch: ``reset(episode_seeds)`` is called with the seeds of a batch's
-episodes, and ``act(stepper)`` returns one velocity command per live episode,
-in the order of ``stepper.live`` (their positions in that batch).  It reads
-what it needs from the stepper: the arena from ``world.arena``, the planner
-the ``frames``, the actor the ``observations``, one row per live episode,
-built for the whole batch (from ``lidars``) when read; the random walk keeps
-one generator per episode seed.
+``POLICY_KINDS``, and runs one lockstep loop: a block of episodes (up to
+``_BLOCK_EPISODES``; replay's one) in one :class:`~cep.sr2l.EpisodeStepper`,
+with an optional recorder of every step (replay's writes its rows).  An
+episode leaves the batch when it ends, with the result it has on its own.  A
+policy acts on the batch: ``reset(episode_seeds)`` is called with the seeds
+of a batch's episodes, and ``act(stepper)`` returns one velocity command per
+live episode, in the order of ``stepper.live`` (their positions in that
+batch).  It reads what it needs from the stepper: the arena from
+``world.arena``, the planner the ``frames``, the actor the ``observations``,
+one row per live episode, built for the whole batch (from ``lidars``) when
+read; the random walk keeps one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, save_config
-from .env import (ArenaConfig, OutcomeKind, WorldState, init_world, max_steps,
+from .config import RunConfig, check_seed, save_config
+from .env import (ArenaConfig, OutcomeKind, WorldState, init_world,
                   objective_value)
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, sac_update, save_checkpoint)
@@ -356,7 +356,8 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
     records: list[EvalEpisode] = []
     for first in range(0, n_episodes, _BLOCK_EPISODES):
         block = range(first, min(first + _BLOCK_EPISODES, n_episodes))
-        records += _evaluate_block(policy, cfg, arena, block)
+        seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in block]
+        records += _evaluate_block(policy, cfg, arena, block, seeds)
     buckets = [_summarize(f"bucket_{i}",
                           records[start:start + _BUCKET_EPISODES])
                for i, start in enumerate(range(0, n_episodes,
@@ -365,15 +366,21 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
 
 
 def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
-                    episodes: range) -> list[EvalEpisode]:
-    """Run ``episodes`` in lockstep; their records in episode order."""
-    seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in episodes]
+                    episodes: range, seeds: list[int],
+                    record=None) -> list[EvalEpisode]:
+    """Run ``episodes[k]`` from ``init_world(arena, seeds[k])``, in lockstep;
+    their records in order.  ``record(stepper, breakdowns)``, if given, runs
+    before the first step (no breakdowns) and after each (one per episode
+    live for it, in ``stepper.live`` order), before ended episodes leave."""
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
     stepper = EpisodeStepper(world, cfg.sensing)
     policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
+    breakdowns = []
     while True:
+        if record is not None:
+            record(stepper, breakdowns)
         steps = stepper.world.step_count
         for k, outcome in stepper.drop_ended():
             records[k] = EvalEpisode(episodes[k], outcome.value, steps,
@@ -446,7 +453,7 @@ def load_grid(path) -> list[tuple[int, float, float]]:
 
 def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
     """Run one episode of ``policy`` (see :func:`make_policy`) from
-    ``init_world(cfg.arena, seed)`` and write a per-step trajectory CSV.
+    ``init_world(cfg.arena, seed)`` and write its per-step trajectory CSV.
 
     Columns: step, t, evader pose/velocity, lidar minimum, detection count,
     reward breakdown (verbatim parts plus the signed reward), the running
@@ -454,40 +461,33 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
     Returns the number of data rows written.  A negative ``seed`` raises
     ``ValueError`` before any file is opened.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     arena = cfg.arena
-    stepper = EpisodeStepper(init_world(arena, seed), cfg.sensing)
-    policy.reset([seed])
-
     header = ["step", "t", "e_x", "e_y", "e_vx", "e_vy", "min_lidar",
               "n_detected", "sum_w", "r_d", "r_b", "reward", "objective",
               "outcome"]
     header += [f"p{i}_{c}" for i in range(arena.n_pursuers) for c in "xy"]
 
-    def row(r_d, r_b, sum_w, reward) -> list[str]:
+    def row(stepper: EpisodeStepper, breakdowns) -> None:
         w = stepper.world
         (e,) = w.evaders
         (outcome,) = w.outcomes
         detections = stepper.frames[0].detections.values()
         obj = objective_value((e.x, e.y), [d.distance for d in detections],
                               arena, cfg.sensing.r_b_norm)
+        sum_w, r_d, r_b, reward = next(((b.sum_w, b.r_d, b.r_b, b.reward)
+                                        for b in breakdowns), (0.0,) * 4)
         values = [w.step_count, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
                   float(np.min(stepper.lidars[0])), len(detections), sum_w,
                   r_d, r_b, reward, obj, outcome.value if outcome else ""]
         values += w.pursuers.xy.ravel().tolist()
-        return [_fmt(v) for v in values]
+        writer.writerow([_fmt(v) for v in values])
 
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerow(row(0.0, 0.0, 0.0, 0.0))
-        while stepper.world.outcomes[0] is None:
-            (bd,) = stepper.step_action(policy.act(stepper))
-            writer.writerow(row(bd.r_d, bd.r_b, bd.sum_w, bd.reward))
-    steps = stepper.world.step_count
-    assert steps <= max_steps(arena)
-    return steps + 1
+        (episode,) = _evaluate_block(policy, cfg, arena, range(1), [seed], row)
+    return episode.steps + 1
 
 
 # -- CSV writers ---------------------------------------------------------------

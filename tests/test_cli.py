@@ -330,12 +330,14 @@ def test_train_negative_seed_rejected(tmp_path, capsys):
 
 
 def test_replay_negative_seed_rejected(trained, tmp_path, capsys):
-    out = tmp_path / "trajectory.csv"
+    # Before: --out's directory was made before the seed was judged, so
+    # new/dir was left behind.
+    out = tmp_path / "new" / "dir" / "trajectory.csv"
     assert cli.main(["replay", "--checkpoint", str(trained[1]), "--seed", "-1",
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         "cep: error: seed must be >= 0, got -1\n"
-    assert not out.exists()
+    assert not (tmp_path / "new").exists()
 
 
 def test_train_out_dir_the_config_cannot_hold(tmp_path):

@@ -39,7 +39,7 @@ def small_bundle() -> PolicyBundle:
 def evaluate_records(monkeypatch, records: list[EvalEpisode]):
     """The report of an evaluation whose episodes end as ``records``."""
     monkeypatch.setattr(harness, "_evaluate_block",
-                        lambda policy, cfg, arena, block:
+                        lambda policy, cfg, arena, block, seeds:
                         [records[i] for i in block])
     return evaluate_monte_carlo(None, desk_profile(), episodes=len(records))
 
@@ -196,22 +196,81 @@ class TestLockstepEqualsSequential:
         assert blocks.episodes == whole.episodes
 
 
-@pytest.mark.parametrize("kind", ["pfm", "random"])
-def test_replay_runs_any_policy(tmp_path, kind):
+SMALL = small_arena(15.0, 6, 3.0)
+# init_world(SMALL, SPAWN_CAPTURED) is captured before its first step.
+SPAWN_CAPTURED = 38
+
+
+def test_recorder_reads_the_world_before_and_after_every_step():
+    # Replay writes its rows with this recorder: row 0 before the first
+    # step, then one per step, each before ended episodes leave the batch.
+    cfg = desk_profile(seed=0)
+    seeds = [harness._episode_seed(cfg.seed, harness._EVAL_TAG, i)
+             for i in range(12)]
+    calls, rewards = [], []
+
+    def record(stepper, breakdowns):
+        calls.append((stepper.world.step_count, len(breakdowns),
+                      list(stepper.live)))
+        rewards.append([bd.reward for bd in breakdowns])
+
+    block = harness._evaluate_block(policy_of("random", cfg), cfg, SMALL,
+                                    range(12), seeds, record)
+    assert block == harness._evaluate_block(policy_of("random", cfg), cfg,
+                                            SMALL, range(12), seeds)
+    steps = [e.steps for e in block]
+    assert 0 in steps and len(set(steps)) >= 4
+    # Call t follows step t (call 0 precedes the first): its episodes are
+    # those live for step t, each with one breakdown; no call follows the
+    # last step.
+    live = [[k for k in range(12) if steps[k] >= t]
+            for t in range(max(steps) + 1)]
+    assert calls == [(0, 0, list(range(12)))] + [
+        (t, len(live[t]), live[t]) for t in range(1, max(steps) + 1)]
+    # Breakdowns come in stepper.live order: each is its episode's own.
+    lone = [lone_episode(policy_of("random", cfg), cfg, SMALL, seed)[1]
+            for seed in seeds]
+    assert rewards == [[]] + [[lone[k][t - 1] for k in live[t]]
+                              for t in range(1, max(steps) + 1)]
+
+
+@pytest.mark.parametrize("kind,arena,seed,outcome", [
+    pytest.param("pfm", None, 11, "escaped", id="pfm"),
+    pytest.param("random", None, 11, "captured", id="random"),
+    pytest.param("checkpoint", None, 11, "captured", id="checkpoint"),
+    pytest.param("pfm", SMALL, 1, "escaped", id="small-pfm-escaped"),
+    pytest.param("pfm", SMALL, 25, "captured", id="small-pfm-captured"),
+    pytest.param("pfm", SMALL, 0, "timeout", id="small-pfm-timeout"),
+    pytest.param("random", SMALL, 2, "captured", id="small-random-captured"),
+    pytest.param("random", SMALL, 3, "timeout", id="small-random-timeout"),
+    pytest.param("checkpoint", SMALL, 2, "captured",
+                 id="small-checkpoint-captured"),
+    pytest.param("checkpoint", SMALL, 0, "timeout",
+                 id="small-checkpoint-timeout"),
+    *[pytest.param(kind, SMALL, SPAWN_CAPTURED, "captured",
+                   id=f"small-{kind}-spawn")
+      for kind in ("pfm", "random", "checkpoint")],
+])
+def test_replay_runs_any_policy(tmp_path, kind, arena, seed, outcome):
     # Before: replay took a bundle, so only an actor's episode could be
-    # written.
+    # written.  Replay is the evaluation loop with a row recorder: its rows
+    # are the lone episode's steps, however the episode ends.
     cfg = desk_profile(seed=3)
-    outcome, rewards = lone_episode(make_policy(kind, cfg), cfg, cfg.arena, 11)
+    cfg = replace(cfg, arena=arena) if arena is not None else cfg
+    lone, rewards = lone_episode(policy_of(kind, cfg), cfg, cfg.arena, seed)
+    assert lone.value == outcome
     path = tmp_path / "trajectory.csv"
-    assert replay(make_policy(kind, cfg), 11, cfg, path) == len(rewards) + 1
+    assert replay(policy_of(kind, cfg), seed, cfg, path) == len(rewards) + 1
     with open(path, newline="") as fh:
         data = list(csv.DictReader(fh))
-    assert [row["outcome"] for row in data] == [""] * len(rewards) + [
-        outcome.value]
+    assert [row["outcome"] for row in data] == [""] * len(rewards) + [outcome]
     # Row 0 is the initial state; each later row holds its step's reward at
     # the file's 9 significant digits.
     assert [row["reward"] for row in data] == ["0"] + [f"{r:.9g}"
                                                       for r in rewards]
+    if seed == SPAWN_CAPTURED:
+        # Row 0 only, already terminal.
+        assert rewards == [] and [row["step"] for row in data] == ["0"]
 
 
 class TestEpisodeCount:
