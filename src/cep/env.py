@@ -30,8 +30,8 @@ detections read that list (``capture_radius < r_p``).  The evader moves at
 most ``v_e_max * dt`` per step, so a pursuer beyond the lock reach before a
 step cannot be within ``r_p`` after it; the margin covers the speed clip's
 ulp (:func:`step_evader`) and the rounding of positions, which grows with
-the arena.  When the list holds none within the lock reach,
-:func:`step_world` skips the pursuers' range test.
+the arena.  So :func:`step_world` range-tests only the rows of the list
+within the lock reach, and none when it holds no such row.
 
 A pursuer's direction of travel is stored only as its unit vector ``unit``:
 where an angle ``h`` sets it (drawn at spawn, aimed at the evader on lock-on,
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -191,26 +191,29 @@ class WorldState:
     pairs, by ascending flat index ``k = e * n + i``, of the pursuers within
     the reach of the module docstring, ``d`` a float; and ``outcomes``,
     :func:`check_outcome` of the batch (None for a world that runs).  A
-    batch holding a terminal world is never stepped.  A builder that holds
-    the evaders' ``(E, 1, 2)`` positions hands them in as ``evader_xy``.  No
-    field is rebound once built.
+    batch holding a terminal world is never stepped.  No field is rebound
+    once built.  A batch needs one evader per world of its pursuers, and at
+    least one world to be stacked; either fault raises ``ValueError``.
     """
 
     arena: ArenaConfig
     evaders: list[EvaderState]
     pursuers: Pursuers
     step_count: int = 0
-    evader_xy: InitVar[np.ndarray | None] = None
     offsets: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
     near: list[tuple[int, float]] = field(
         init=False, repr=False, compare=False)
     outcomes: list[OutcomeKind | None] = field(init=False, compare=False)
 
-    def __post_init__(self, evader_xy: np.ndarray | None) -> None:
-        if evader_xy is None:
-            evader_xy = _positions(self.evaders)
-        rel = self.pursuers.xy - evader_xy
+    def __post_init__(self) -> None:
+        if len(self.evaders) != len(self.pursuers.speed):
+            raise ValueError(f"{len(self.evaders)} evaders for a batch of "
+                             f"{len(self.pursuers.speed)} worlds")
+        xy: list[float] = []
+        for e in self.evaders:
+            xy += e.x, e.y
+        rel = self.pursuers.xy - np.array(xy, dtype=float).reshape(-1, 1, 2)
         dists = np.hypot(rel[..., 0], rel[..., 1])
         self.offsets = rel, dists
         flat = dists.ravel()
@@ -223,6 +226,8 @@ class WorldState:
     def stack(cls, worlds: Sequence["WorldState"]) -> "WorldState":
         """The worlds of ``worlds``, in order, as one batch; they must share
         the arena and the step."""
+        if not worlds:
+            raise ValueError("a batch needs at least one world")
         arena, step_count = worlds[0].arena, worlds[0].step_count
         if any((w.arena, w.step_count) != (arena, step_count) for w in worlds):
             raise ValueError("a batch's worlds must share one arena and be at "
@@ -234,15 +239,6 @@ class WorldState:
         """The worlds ``rows`` of this batch, in that order."""
         return WorldState(self.arena, [self.evaders[k] for k in rows],
                           self.pursuers.take(rows), self.step_count)
-
-
-def _positions(evaders: Sequence[EvaderState]) -> np.ndarray:
-    """The evader positions as ``(E, 1, 2)``, to broadcast against the
-    pursuer arrays."""
-    xy: list[float] = []
-    for e in evaders:
-        xy += e.x, e.y
-    return np.array(xy, dtype=float).reshape(-1, 1, 2)
 
 
 def max_steps(cfg: ArenaConfig) -> int:
@@ -324,38 +320,40 @@ def step_evader(s: EvaderState, action: tuple[float, float],
     return EvaderState(s.x + vx * cfg.dt, s.y + vy * cfg.dt, vx, vy)
 
 
-def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig,
-                  may_lock: bool = True) -> Pursuers:
+def step_pursuers(p: Pursuers, evaders: Sequence[EvaderState],
+                  cfg: ArenaConfig, rows: list[int]) -> Pursuers:
     """Advance every pursuer of every world by ``dt``.
 
-    ``evader_xy`` holds each world's evader position, ``E`` pairs in
-    order; one ``(x, y)`` serves a one-world batch.  Within sensor range a pursuer
-    chases: direction locked on its evader, speed ``v_p_max``.  Otherwise it
-    patrols with its stored cruise speed and current direction.  A step that
-    would leave the arena reflects the direction specularly off the
+    ``evaders`` holds each world's moved evader, ``E`` in order.  Within
+    sensor range a pursuer chases: direction locked on its evader, speed
+    ``v_p_max``.  Otherwise it patrols with its stored cruise speed and
+    current direction.  Only the rows ``rows`` are range-tested, by flat
+    index ``k = e * n + i``; a row not listed is taken to be beyond ``r_p``
+    (:func:`step_world` lists the near rows within the lock reach).  A step
+    that would leave the arena reflects the direction specularly off the
     offending wall(s) and re-integrates, preserving speed.  Directions change
     only on the rows that lock on or reflect, one row at a time through the
     angle ``h`` from ``math.atan2``; the move itself is one array expression.
-    ``may_lock=False`` skips the range test, for a caller that knows no
-    pursuer is within ``r_p`` (:func:`step_world`).
     """
+    n_worlds, n = p.speed.shape
+    if len(evaders) != n_worlds:
+        raise ValueError(f"{len(evaders)} evaders for a batch of {n_worlds} "
+                         "worlds")
     unit, speed = p.unit, p.patrol_speed
-    lock = []
-    if may_lock:
-        ev = np.asarray(evader_xy, dtype=float).reshape(-1, 1, 2)
-        rel = p.xy - ev
-        in_range = np.hypot(rel[..., 0], rel[..., 1]) <= cfg.r_p
+    if rows:
         # Rows are addressed by flat index k = e * n + i in (E * n, 2) views.
-        lock = in_range.ravel().nonzero()[0].tolist()
-    if lock:
-        n = p.speed.shape[1]
-        unit = unit.copy()
-        speed = np.where(in_range, cfg.v_p_max, speed)
-        rows, evs = unit.reshape(-1, 2), ev.tolist()
-        for k, (x, y) in zip(lock, p.xy.reshape(-1, 2)[lock].tolist()):
-            ((ex, ey),) = evs[k // n]
-            h = math.atan2(ey - y, ex - x)
-            rows[k] = math.cos(h), math.sin(h)
+        ev = [evaders[k // n] for k in rows]
+        at = p.xy.reshape(-1, 2)[rows]
+        rel = at - [(e.x, e.y) for e in ev]
+        within = (np.hypot(rel[:, 0], rel[:, 1]) <= cfg.r_p).tolist()
+        if True in within:
+            unit, speed = unit.copy(), speed.copy()
+            units, speeds = unit.reshape(-1, 2), speed.reshape(-1)
+            for k, e, (x, y), hit in zip(rows, ev, at.tolist(), within):
+                if hit:
+                    h = math.atan2(e.y - y, e.x - x)
+                    units[k] = math.cos(h), math.sin(h)
+                    speeds[k] = cfg.v_p_max
 
     xy = p.xy + speed[..., None] * unit * cfg.dt
     # Per row: crossed a vertical wall (|x| too large), a horizontal one.
@@ -364,20 +362,20 @@ def step_pursuers(p: Pursuers, evader_xy, cfg: ArenaConfig,
     if hits:
         if unit is p.unit:
             unit = unit.copy()
-        rows, moved, flips = unit.reshape(-1, 2), xy.reshape(-1, 2), \
+        units, moved, flips = unit.reshape(-1, 2), xy.reshape(-1, 2), \
             crossed.reshape(-1, 2)
         start, speeds = p.xy.reshape(-1, 2), speed.ravel()
         # A corner crossing lists its row twice.
         for k in dict.fromkeys(h // 2 for h in hits):
             flip_x, flip_y = flips[k].tolist()
-            c, s = rows[k].tolist()
+            c, s = units[k].tolist()
             # Specular reflection: a vertical wall flips c = cos psi (psi ->
             # pi - psi), a horizontal wall flips s = sin psi (psi -> -psi).
             h = math.atan2(-s if flip_y else s, -c if flip_x else c)
             c, s = math.cos(h), math.sin(h)
             x, y = start[k].tolist()
             v = float(speeds[k])
-            rows[k] = c, s
+            units[k] = c, s
             moved[k] = x + v * c * cfg.dt, y + v * s * cfg.dt
 
     return Pursuers(xy, speed, unit, p.patrol_speed)
@@ -411,8 +409,9 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]]
 
     Returns the new batch, whose ``outcomes`` is where each world's outcome
     is read (None while it runs).  Stepping a batch that holds a terminal
-    world raises ``RuntimeError``.  The pursuers' range test is skipped when
-    no entry of ``w.near`` is within the lock reach (module docstring).
+    world raises ``RuntimeError``.  The pursuers' range test covers the rows
+    of ``w.near`` within the lock reach (module docstring), and none when it
+    holds no such row.
     """
     if w.outcomes.count(None) != len(w.outcomes):
         raise RuntimeError("step_world called on a terminal world")
@@ -420,12 +419,11 @@ def step_world(w: WorldState, actions: Sequence[tuple[float, float]]
         raise ValueError(f"{len(actions)} actions for {len(w.evaders)} worlds")
     cfg = w.arena
     evaders = [step_evader(e, a, cfg) for e, a in zip(w.evaders, actions)]
-    evader_xy = _positions(evaders)
     lock = _lock_reach(cfg)
-    may_lock = any(d <= lock for _, d in w.near)
+    rows = [k for k, d in w.near if d <= lock]
     return WorldState(cfg, evaders,
-                      step_pursuers(w.pursuers, evader_xy, cfg, may_lock),
-                      w.step_count + 1, evader_xy=evader_xy)
+                      step_pursuers(w.pursuers, evaders, cfg, rows),
+                      w.step_count + 1)
 
 
 def nearest_wall(pos: tuple[float, float],

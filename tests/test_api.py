@@ -101,3 +101,14 @@ def test_evaluation_summary_is_one_record():
 
 def test_config_file_loads_on_the_desk_profile():
     assert list(inspect.signature(config.load_config).parameters) == ["path"]
+
+
+def test_readme_python_api_block_runs():
+    # The ```python block under README's "Python API" heading runs as
+    # written and evaluates the two episodes it asks for.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(code, scope)
+    assert len(scope["report"].episodes) == 2

@@ -313,12 +313,19 @@ def one(x, y, speed, heading) -> Pursuers:
     return Pursuers.from_rows([(x, y, speed, heading)])
 
 
+def full_lock_test(p: Pursuers, positions, cfg: ArenaConfig) -> Pursuers:
+    """``step_pursuers`` with every row range-tested, the evader of world
+    ``e`` at ``positions[e]``: the full lock test."""
+    return step_pursuers(p, [EvaderState(x, y) for x, y in positions], cfg,
+                         list(range(p.speed.size)))
+
+
 class TestStepPursuer:
     def test_patrol_straight(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=0.0)
         # evader out of sensor range
-        p2 = step_pursuers(p, (50.0, 50.0), cfg)
+        p2 = full_lock_test(p, [(50.0, 50.0)], cfg)
         assert abs(p2.xy[0, 0, 0] - 0.5) < TOL and abs(p2.xy[0, 0, 1]) < TOL
         assert p2.speed[0, 0] == 5.0
         assert p2.unit[0, 0].tolist() == p.unit[0, 0].tolist()
@@ -326,14 +333,14 @@ class TestStepPursuer:
     def test_specular_reflection_vertical_wall(self):
         cfg = small_arena()
         p = one(99.9, 0.0, speed=5.0, heading=math.radians(30.0))
-        p2 = step_pursuers(p, (-50.0, -50.0), cfg)
+        p2 = full_lock_test(p, [(-50.0, -50.0)], cfg)
         assert abs(direction_deg(p2) - 150.0) < 1e-9
         assert p2.speed[0, 0] == 5.0
 
     def test_corner_double_reflection(self):
         cfg = small_arena()
         p = one(99.9, 99.9, speed=5.0, heading=math.radians(45.0))
-        p2 = step_pursuers(p, (-50.0, -50.0), cfg)
+        p2 = full_lock_test(p, [(-50.0, -50.0)], cfg)
         assert abs(direction_deg(p2) + 135.0) < 1e-9
         assert np.all(np.abs(p2.xy) <= 100.0)
 
@@ -345,7 +352,7 @@ class TestStepPursuer:
              rng.uniform(-cfg.half_height, cfg.half_height),
              rng.uniform(5, 10), rng.uniform(-math.pi, math.pi))
             for _ in range(200))
-        p2 = step_pursuers(p, (0.0, 0.0), cfg)
+        p2 = full_lock_test(p, [(0.0, 0.0)], cfg)
         chased = (np.hypot(p.xy[0, :, 0], p.xy[0, :, 1]) <= cfg.r_p).tolist()
         assert any(chased)
         for (x, y, speed, *_), before, chase in zip(pursuer_rows(p2),
@@ -358,14 +365,14 @@ class TestStepPursuer:
     def test_chase_on_detection(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=2.0)
-        p2 = step_pursuers(p, (cfg.r_p - 1e-6, 0.0), cfg)
+        p2 = full_lock_test(p, [(cfg.r_p - 1e-6, 0.0)], cfg)
         assert p2.speed[0, 0] == cfg.v_p_max
         assert abs(direction_deg(p2)) < 1e-6  # bearing to evader
 
     def test_no_chase_beyond_range(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=5.0, heading=0.0)
-        p2 = step_pursuers(p, (cfg.r_p + 1e-3, 0.0), cfg)
+        p2 = full_lock_test(p, [(cfg.r_p + 1e-3, 0.0)], cfg)
         assert p2.speed[0, 0] == 5.0
         assert p2.unit[0, 0].tolist() == p.unit[0, 0].tolist()
         assert abs(p2.xy[0, 0, 0] - 0.5) < TOL
@@ -373,10 +380,10 @@ class TestStepPursuer:
     def test_patrol_speed_restored_after_chase(self):
         cfg = small_arena()
         p = one(0.0, 0.0, speed=6.0, heading=0.5)
-        chased = step_pursuers(p, (1.0, 0.0), cfg)
+        chased = full_lock_test(p, [(1.0, 0.0)], cfg)
         assert chased.speed[0, 0] == cfg.v_p_max
         assert abs(direction_deg(chased)) < 1e-9  # aimed at the evader
-        released = step_pursuers(chased, (80.0, 80.0), cfg)
+        released = full_lock_test(chased, [(80.0, 80.0)], cfg)
         assert released.speed[0, 0] == 6.0
         assert released.unit[0, 0].tolist() == chased.unit[0, 0].tolist()
 
@@ -392,7 +399,7 @@ class TestStepPursuer:
                            - cfg.r_p) > 1e-12 for r in rows))
             before = pursuer_rows(p)
             rows = [reference_step(r, evader, cfg) for r in rows]
-            q = step_pursuers(p, evader, cfg)
+            q = full_lock_test(p, [evader], cfg)
             assert pursuer_rows(q) == [as_unit_row(r) for r in rows]
             # The step writes no array of the world it advanced.
             assert pursuer_rows(p) == before
@@ -410,8 +417,8 @@ class TestStepPursuer:
         for step in range(3):
             evaders = [path[min(step, len(path) - 1)]
                        for _, _, _, path in scenes]
-            batch = step_pursuers(Pursuers.stack(worlds), evaders, cfg)
-            worlds = [step_pursuers(p, evader, cfg)
+            batch = full_lock_test(Pursuers.stack(worlds), evaders, cfg)
+            worlds = [full_lock_test(p, [evader], cfg)
                       for p, evader in zip(worlds, evaders)]
             for e, p in enumerate(worlds):
                 assert pursuer_rows(batch, e) == pursuer_rows(p)
@@ -430,12 +437,13 @@ LOCK_ARENAS = (small_arena(), small_arena(r_p=20.0),
 
 
 @st.composite
-def lock_boundary_scenes(draw):
-    """An arena, a live one-world batch whose evader has pursuers at the
-    :data:`LOCK_FS` distances and at random ones, and a command of speed at
-    or above ``v_e_max``, up to 1e300 times it, toward, away from or across
-    the first pursuer, or in a random direction."""
-    cfg = draw(st.sampled_from(LOCK_ARENAS))
+def lock_boundary_scenes(draw, cfg=None, n=None):
+    """An arena (``cfg``, or one of :data:`LOCK_ARENAS`), a live one-world
+    batch whose evader has pursuers at the :data:`LOCK_FS` distances and at
+    random ones (``n`` in all, if given, at least 3), and a command of speed
+    at or above ``v_e_max``, up to 1e300 times it, toward, away from or
+    across the first pursuer, or in a random direction."""
+    cfg = draw(st.sampled_from(LOCK_ARENAS)) if cfg is None else cfg
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lock = cfg.r_p + cfg.v_e_max * cfg.dt
     room_x, room_y = cfg.half_width - 3 * lock, cfg.half_height - 3 * lock
@@ -443,7 +451,8 @@ def lock_boundary_scenes(draw):
     dists = [lock * (1 + f)
              for f in draw(st.lists(st.sampled_from(LOCK_FS), max_size=3))]
     dists += rng.uniform(1.001 * cfg.capture_radius, 3 * lock,
-                         draw(st.integers(0, 4))).tolist()
+                         draw(st.integers(0, 4)) if n is None
+                         else n - len(dists)).tolist()
     assume(dists)
     rows, angles = [], rng.uniform(-math.pi, math.pi, len(dists)).tolist()
     for d, a in zip(dists, angles):
@@ -460,12 +469,12 @@ def lock_boundary_scenes(draw):
     return w, (speed * math.cos(heading), speed * math.sin(heading))
 
 
-def assert_steps_as_the_full_lock_test(w: WorldState, action) -> Pursuers:
+def assert_steps_as_the_full_lock_test(w: WorldState, actions) -> Pursuers:
     """``step_world`` moves ``w``'s pursuers, bit for bit, as
-    ``step_pursuers`` with its range test does; returns them."""
-    stepped = step_world(w, [action])
-    (e,) = stepped.evaders
-    want = step_pursuers(w.pursuers, (e.x, e.y), w.arena)
+    :func:`full_lock_test` does; returns them."""
+    stepped = step_world(w, actions)
+    want = full_lock_test(w.pursuers, [(e.x, e.y) for e in stepped.evaders],
+                          w.arena)
     for f in fields(Pursuers):
         have = getattr(stepped.pursuers, f.name)
         assert have.tobytes() == getattr(want, f.name).tobytes(), f.name
@@ -563,9 +572,20 @@ class TestStepWorld:
     @given(scene=lock_boundary_scenes())
     @settings(deadline=None, max_examples=300)
     def test_skipped_lock_test_moves_as_the_full_one(self, scene):
-        # step_world skips the range test when no pursuer of the stepped
-        # world is within lock_reach; the pursuers move as if it had run.
-        assert_steps_as_the_full_lock_test(*scene)
+        # step_world range-tests only the near rows within lock_reach; the
+        # pursuers move as if every row had been tested.
+        w, action = scene
+        assert_steps_as_the_full_lock_test(w, [action])
+
+    @given(scenes=st.tuples(st.sampled_from(LOCK_ARENAS), st.integers(3, 7))
+           .flatmap(lambda cfg_n: st.lists(lock_boundary_scenes(*cfg_n),
+                                          min_size=2, max_size=5)))
+    @settings(deadline=None, max_examples=150)
+    def test_batched_lock_test_moves_as_the_full_one(self, scenes):
+        # World e's rows are flat indices e * n + i: the lock test of a
+        # world after the first finds its evader as the full test does.
+        w = WorldState.stack([w for w, _ in scenes])
+        assert_steps_as_the_full_lock_test(w, [a for _, a in scenes])
 
     @pytest.mark.parametrize("cfg", LOCK_ARENAS[:2], ids=["r_e", "r_p=20"])
     @pytest.mark.parametrize("f", LOCK_FS)
@@ -575,14 +595,14 @@ class TestStepWorld:
         # the range test skipped.
         skips = []
 
-        def spy(p, evader_xy, cfg, may_lock=True):
-            skips.append(not may_lock)
-            return step_pursuers(p, evader_xy, cfg, may_lock)
+        def spy(p, evaders, cfg, rows):
+            skips.append(not rows)
+            return step_pursuers(p, evaders, cfg, rows)
 
         monkeypatch.setattr(env, "step_pursuers", spy)
         d = (cfg.r_p + cfg.v_e_max * cfg.dt) * (1 + f)
         w = world_at(cfg, EvaderState(0.0, 0.0), one(d, 0.0, 5.0, 0.0))
-        moved = assert_steps_as_the_full_lock_test(w, (cfg.v_e_max, 0.0))
+        moved = assert_steps_as_the_full_lock_test(w, [(cfg.v_e_max, 0.0)])
         assert (moved.speed[0, 0] == cfg.v_p_max) == (f <= 0)
         assert skips == [d > lock_reach(cfg)] == [f == LOCK_FS[-1]]
 
@@ -709,6 +729,26 @@ class TestOutcomes:
         other = replace(self.CFG, r_e=14.0)
         with pytest.raises(ValueError, match="one arena"):
             WorldState.stack([init_world(self.CFG, 0), init_world(other, 1)])
+
+    def test_stack_needs_a_world(self):
+        with pytest.raises(ValueError, match="at least one world"):
+            WorldState.stack([])
+
+    def test_one_evader_per_world(self):
+        # Broadcast against one world's pursuers, a second evader would be
+        # measured against them as if they were its own.
+        cfg = ArenaConfig(n_pursuers=1)
+        p = Pursuers.from_rows([(30.0, 0.0, 5.0, 0.0)])
+        two = [EvaderState(0.0, 0.0), EvaderState(30.0, 5.0)]
+        with pytest.raises(ValueError, match="2 evaders for a batch of 1 "
+                                             "worlds"):
+            WorldState(cfg, two, p)
+        with pytest.raises(ValueError, match="2 evaders for a batch of 1 "
+                                             "worlds"):
+            step_pursuers(p, two, cfg, [0])
+        with pytest.raises(ValueError, match="0 evaders for a batch of 1 "
+                                             "worlds"):
+            step_pursuers(p, [], cfg, [])
 
 
 class TestObjectiveValue:
