@@ -79,10 +79,7 @@ def desk_profile(**overrides) -> RunConfig:
 
 def paper_profile(**overrides) -> RunConfig:
     """Published experiment scale: 200x200 arena, 30 pursuers, t_max=300."""
-    return RunConfig(ArenaConfig(half_width=100.0, half_height=100.0,
-                                 spawn_half_extent=10.0, n_pursuers=30,
-                                 t_max=300.0),
-                     SensingConfig(n_s=72, r_b_norm=200.0),
+    return RunConfig(ArenaConfig(), SensingConfig(),
                      **{"episodes": 1000, "eval_episodes": 1000, **overrides})
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "check_outcome",
     "max_steps",
     "nearest_wall",
-    "objective_value",
 ]
 
 
@@ -440,15 +439,3 @@ def nearest_wall(pos: tuple[float, float],
     i = dists.index(min(dists))  # the first minimum
     return max(dists[i], 0.0), dirs[i]
 
-
-def objective_value(pos: tuple[float, float], detection_distances,
-                    cfg: ArenaConfig, r_b_norm: float) -> float:
-    """Instantaneous objective at evader position ``pos``: pursuer-proximity
-    sum plus normalized boundary distance.  Used as an evaluation metric
-    only; the pursuer sum is 0 with no detections."""
-    d_b = nearest_wall(pos, cfg)[0]
-    m = len(detection_distances)
-    pursuer_term = 0.0
-    for d in detection_distances:  # a left fold, as in neural._descend
-        pursuer_term += (cfg.r_e - d) / (m * cfg.r_e)
-    return pursuer_term + d_b / r_b_norm

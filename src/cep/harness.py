@@ -18,8 +18,8 @@ of a batch's episodes, and ``act(stepper)`` returns one velocity command per
 live episode, in the order of ``stepper.live`` (their positions in that
 batch).  It reads what it needs from the stepper: the arena from
 ``world.arena``, the planner the ``frames``, the actor the ``observations``,
-one row per live episode, built for the whole batch (from ``lidars``) when
-read; the random walk keeps one generator per episode seed.
+one row per live episode, built for the whole batch when read; the random
+walk keeps one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -49,11 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, check_seed, save_config
-from .env import (ArenaConfig, OutcomeKind, WorldState, init_world,
-                  objective_value)
+from .env import ArenaConfig, OutcomeKind, WorldState, init_world
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, sac_update, save_checkpoint)
 from .pfm import PfmPolicy
+from .sensing import cast_rays, objective_value
 from .sr2l import EpisodeStepper, arbitrate, to_velocity
 
 __all__ = [
@@ -347,12 +347,13 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
     lockstep, ``_BLOCK_EPISODES`` at a time (see the module docstring).
     Reports the episodes' records, their summary and one summary per
     ``_BUCKET_EPISODES`` episodes.  Fewer than one episode raises
-    ``ValueError``.
+    ``ValueError``, as :class:`~cep.config.RunConfig` judges
+    ``eval_episodes``.
     """
     arena = arena if arena is not None else cfg.arena
-    n_episodes = episodes if episodes is not None else cfg.eval_episodes
-    if n_episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {n_episodes}")
+    if episodes is not None:
+        cfg = replace(cfg, eval_episodes=episodes)
+    n_episodes = cfg.eval_episodes
     records: list[EvalEpisode] = []
     for first in range(0, n_episodes, _BLOCK_EPISODES):
         block = range(first, min(first + _BLOCK_EPISODES, n_episodes))
@@ -455,9 +456,11 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
     """Run one episode of ``policy`` (see :func:`make_policy`) from
     ``init_world(cfg.arena, seed)`` and write its per-step trajectory CSV.
 
-    Columns: step, t, evader pose/velocity, lidar minimum, detection count,
-    reward breakdown (verbatim parts plus the signed reward), the running
-    outcome tag, then every pursuer position.  Row 0 is the initial state.
+    Columns: step, t, evader pose/velocity, the minimum of the row's
+    :func:`~cep.sensing.cast_rays` scan, detection count, reward breakdown
+    (verbatim parts plus the signed reward), the frame's
+    :func:`~cep.sensing.objective_value`, the running outcome tag, then
+    every pursuer position.  Row 0 is the initial state.
     Returns the number of data rows written.  A negative ``seed`` raises
     ``ValueError`` before any file is opened.
     """
@@ -472,14 +475,14 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
         w = stepper.world
         (e,) = w.evaders
         (outcome,) = w.outcomes
-        detections = stepper.frames[0].detections.values()
-        obj = objective_value((e.x, e.y), [d.distance for d in detections],
-                              arena, cfg.sensing.r_b_norm)
+        (frame,) = stepper.frames
         sum_w, r_d, r_b, reward = next(((b.sum_w, b.r_d, b.r_b, b.reward)
                                         for b in breakdowns), (0.0,) * 4)
         values = [w.step_count, w.step_count * arena.dt, e.x, e.y, e.vx, e.vy,
-                  float(np.min(stepper.lidars[0])), len(detections), sum_w,
-                  r_d, r_b, reward, obj, outcome.value if outcome else ""]
+                  float(np.min(cast_rays(w, cfg.sensing))),
+                  len(frame.detections), sum_w, r_d, r_b, reward,
+                  objective_value(frame, arena, cfg.sensing),
+                  outcome.value if outcome else ""]
         values += w.pursuers.xy.ravel().tolist()
         writer.writerow([_fmt(v) for v in values])
 

@@ -6,8 +6,8 @@ pursuers by id, the nearest wall's distance and direction, and the time factor
 from the batch's ``near`` list (see :mod:`cep.env`), in the batch's own
 arena; the per-detection angles and the nearest wall stay per world.
 :func:`observe` builds every world's actor input, one row each, from the
-batch's lidar and boundary scans; only the replay's ``min_lidar`` also reads
-a lidar scan.
+lidar and boundary scans it casts for the batch.  :func:`objective_value`
+reads a frame: the replay's ``objective`` column.
 
 Time factor: ``t_f = (1 - t/t_max) / 2`` at ``t = step_count * dt``, clamped
 to ``t_max``, from 0.5 at the start to 0 at the timeout.  :func:`time_factor`
@@ -54,6 +54,7 @@ __all__ = [
     "boundary_scan",
     "time_factor",
     "observe",
+    "objective_value",
 ]
 
 
@@ -204,13 +205,25 @@ def time_factor(w: WorldState) -> float:
     return (1.0 - min(w.step_count * w.arena.dt, t_max) / t_max) / 2.0
 
 
-def observe(w: WorldState, lidar: np.ndarray, cfg: SensingConfig
-            ) -> np.ndarray:
-    """The actor's input at each world of ``w`` given the :func:`cast_rays`
-    scan, one row per world: ``n_s`` scalars, each the weighted mean of the
-    encoded lidar and boundary ranges of one ray, times ``t_f``."""
+def observe(w: WorldState, cfg: SensingConfig) -> np.ndarray:
+    """The actor's input at each world of ``w``, one row per world: ``n_s``
+    scalars, each the weighted mean of the encoded :func:`cast_rays` and
+    :func:`boundary_scan` ranges of one ray, times ``t_f``."""
+    lidar = cast_rays(w, cfg)
     boundary = boundary_scan([(e.x, e.y) for e in w.evaders], w.arena, cfg)
     t_f = time_factor(w)
     return t_f * (cfg.w_l * (cfg.k_s * lidar / w.arena.r_e)
                   + cfg.w_b * (cfg.k_s * (1.0 - boundary / cfg.r_b_norm))
                   ) / (cfg.w_l + cfg.w_b)
+
+
+def objective_value(frame: SenseFrame, arena: ArenaConfig,
+                    cfg: SensingConfig) -> float:
+    """Instantaneous objective of ``frame``: pursuer-proximity sum plus the
+    nearest-wall distance ``d_b`` over ``r_b_norm``.  Used as an evaluation
+    metric only; the pursuer sum is 0 with no detections."""
+    m = len(frame.detections)
+    pursuer_term = 0.0
+    for d in frame.detections.values():  # a left fold, as in neural._descend
+        pursuer_term += (arena.r_e - d.distance) / (m * arena.r_e)
+    return pursuer_term + frame.d_b / cfg.r_b_norm

@@ -53,7 +53,7 @@ from .env import ArenaConfig, OutcomeKind, Pursuers, WorldState, \
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
-from .sensing import SenseFrame, SensingConfig, cast_rays, observe, sense
+from .sensing import SenseFrame, SensingConfig, observe, sense
 
 __all__ = [
     "ScaffoldConfig",
@@ -102,8 +102,7 @@ def predict_next_state(w: WorldState, frame: SenseFrame,
 class EpisodeStepper:
     """Owns a batch of episodes stepped in lockstep: the worlds, whose arena
     is ``world.arena``, and their frames, one entry per episode, and the
-    lidar scans and actor inputs of the whole batch, one row per episode,
-    built when read.
+    actor inputs of the whole batch, one row per episode, built when read.
 
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones, so each step works only on
@@ -117,7 +116,6 @@ class EpisodeStepper:
         self.world = world
         self.sensing_cfg = sensing_cfg
         self.frames = sense(world)
-        self._lidars: np.ndarray | None = None
         self._observations: np.ndarray | None = None
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius), so a runner reads world.outcomes,
@@ -134,20 +132,11 @@ class EpisodeStepper:
         return [replace(f, detections={}) for f in self.frames]
 
     @property
-    def lidars(self) -> np.ndarray:
-        """The lidar scans of the current worlds, one row per episode, cast
-        on first read and kept until the worlds change."""
-        if self._lidars is None:
-            self._lidars = cast_rays(self.world, self.sensing_cfg)
-        return self._lidars
-
-    @property
     def observations(self) -> np.ndarray:
         """The actor inputs at the current worlds, one row per episode, built
-        from :attr:`lidars` on first read and kept until the worlds change."""
+        on first read and kept until the worlds change."""
         if self._observations is None:
-            self._observations = observe(self.world, self.lidars,
-                                         self.sensing_cfg)
+            self._observations = observe(self.world, self.sensing_cfg)
         return self._observations
 
     def drop_ended(self) -> list[tuple[int, OutcomeKind]]:
@@ -161,7 +150,7 @@ class EpisodeStepper:
         self.world = self.world.take(keep)
         self.frames = [self.frames[j] for j in keep]
         self.live = [self.live[j] for j in keep]
-        self._lidars = self._observations = None
+        self._observations = None
         return ended
 
     def step_action(self, actions: list[tuple[float, float]]
@@ -171,7 +160,7 @@ class EpisodeStepper:
         before = self.reward_frames
         self.world = step_world(self.world, actions)
         self.frames = sense(self.world)
-        self._lidars = self._observations = None
+        self._observations = None
         return [transition_reward(b, a, self.world.arena)
                 for b, a in zip(before, self.frames)]
 

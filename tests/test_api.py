@@ -78,6 +78,16 @@ def test_frame_is_read_as_sensed():
         "frame", "gains"]
 
 
+def test_actor_input_is_one_call_on_a_world():
+    # observe casts its own rays: the stepper keeps no scan, and the
+    # objective reads a frame, so env holds only world code.
+    assert list(inspect.signature(sensing.observe).parameters) == ["w", "cfg"]
+    assert not hasattr(sr2l.EpisodeStepper, "lidars")
+    assert not hasattr(env, "objective_value")
+    assert list(inspect.signature(sensing.objective_value).parameters) == [
+        "frame", "arena", "cfg"]
+
+
 def test_action_is_two_dimensional():
     assert neural.ACTION_DIM == 2
     for constructor in (neural.ReplayBuffer.__init__,

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from cep import env
 from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
                      WorldState, check_outcome, init_world, max_steps,
-                     nearest_wall, objective_value, step_evader,
-                     step_pursuers, step_world)
+                     nearest_wall, step_evader, step_pursuers, step_world)
 from cep.sensing import SensingConfig
 from cep.sr2l import EpisodeStepper
 
@@ -749,31 +748,6 @@ class TestOutcomes:
         with pytest.raises(ValueError, match="0 evaders for a batch of 1 "
                                              "worlds"):
             step_pursuers(p, [], cfg, [])
-
-
-class TestObjectiveValue:
-    def test_no_detections_max_boundary(self):
-        cfg = small_arena()
-        # d_b = 100 at the center; r_b_norm = 100 -> 1.0
-        assert abs(objective_value((0.0, 0.0), [], cfg, 100.0) - 1.0) < TOL
-
-    def test_at_boundary_zero(self):
-        cfg = small_arena()
-        assert abs(objective_value((100.0, 0.0), [], cfg, 100.0)) < TOL
-
-    def test_single_far_detection(self):
-        cfg = small_arena()
-        # d_b = 50 = r_b_norm/2
-        assert abs(objective_value((50.0, 0.0), [cfg.r_e], cfg, 100.0)
-                   - 0.5) < TOL
-
-    def test_pursuer_term_is_a_left_fold(self, compensated_sum):
-        # Three terms whose left fold and compensated sum differ; d_b = 0.
-        cfg = small_arena()
-        d = math.nextafter(cfg.r_e, 0.0)
-        t0, t1, t2 = ((cfg.r_e - x) / (3 * cfg.r_e) for x in (0.0, d, d))
-        assert objective_value((100.0, 0.0), [0.0, d, d], cfg, 100.0) == \
-            t0 + t1 + t2
 
 
 class TestNearestWall:

@@ -560,10 +560,11 @@ class TestComputedOnlyWhenRead:
         assert scans == {"cast_rays": expected, "boundary_scan": expected}
 
     def test_replay_casts_once_per_row(self, scans, tmp_path):
-        # Row 0 and every step's row read the lidar; the actor's observation
-        # reuses the same scan, and the final world's is never built.
+        # Row 0 and every step's row cast their min_lidar scan; the actor's
+        # observation casts its own, and the final world's is never built.
         cfg = desk_profile(seed=3)
         rows = replay(policy_of("checkpoint", cfg), 11, cfg,
                       tmp_path / "trajectory.csv")
         assert rows > 1
-        assert scans == {"cast_rays": rows, "boundary_scan": rows - 1}
+        assert scans == {"cast_rays": rows + rows - 1,
+                         "boundary_scan": rows - 1}

@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cep import sensing
-from cep.config import desk_profile
+from cep.config import desk_profile, paper_profile
 from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
-                     WorldState, init_world, max_steps, nearest_wall)
-from cep.sensing import (SensingConfig, _ray_directions, boundary_scan,
-                         cast_rays, observe, sense, time_factor)
+                     WorldState, init_world, max_steps, nearest_wall,
+                     step_world)
+from cep.sensing import (Detection, SenseFrame, SensingConfig,
+                         _ray_directions, boundary_scan, cast_rays,
+                         objective_value, observe, sense, time_factor)
 
 TOL = 1e-12
 
@@ -32,14 +34,15 @@ def world_with(evader, rows, cfg):
 
 def observe_scans(monkeypatch, lidar, boundary, t_f, scfg):
     """``observe`` of a world at the time whose factor is ``t_f`` (0.5 or 0),
-    given the lidar ranges, with the boundary scan replaced by the given
-    ranges."""
+    with the lidar and boundary scans replaced by the given ranges."""
     cfg = arena()
+    monkeypatch.setattr(sensing, "cast_rays",
+                        lambda w, c: np.asarray(lidar, dtype=float))
     monkeypatch.setattr(sensing, "boundary_scan",
                         lambda xy, a, c: np.asarray(boundary, dtype=float))
     w = replace(init_world(cfg, 0),
                 step_count=max_steps(cfg) if t_f == 0.0 else 0)
-    return observe(w, np.asarray(lidar, dtype=float), scfg)
+    return observe(w, scfg)
 
 
 def full_cast(w, arena, cfg):
@@ -250,14 +253,12 @@ class TestBatch:
         batch = WorldState.stack(worlds)
         frames = sense(batch)
         lidars = cast_rays(batch, scfg)
-        observations = observe(batch, lidars, scfg)
+        observations = observe(batch, scfg)
         assert observations.shape == (len(worlds), scfg.n_s)
         for e, w in enumerate(worlds):
             assert frames[e] == sense(w)[0]
-            lidar = cast_rays(w, scfg)
-            assert np.array_equal(lidars[e], lidar[0])
-            assert np.array_equal(observations[e],
-                                  observe(w, lidar, scfg)[0])
+            assert np.array_equal(lidars[e], cast_rays(w, scfg)[0])
+            assert np.array_equal(observations[e], observe(w, scfg)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
@@ -412,7 +413,7 @@ class TestTimeFactor:
         w = world_at(cfg, step)
         t_f = time_factor(w)
         assert [f.t_f for f in sense(w)] == [t_f]
-        sv = observe(w, cast_rays(w, scfg), scfg)
+        sv = observe(w, scfg)
         assert np.all(sv == 0.0) == (step == max_steps(cfg))
 
 
@@ -443,6 +444,92 @@ class TestEncodeState:
         cfg = arena(n_pursuers=10)
         scfg = SensingConfig(n_s=36, r_b_norm=200.0)
         w = init_world(cfg, seed)
-        state = observe(w, cast_rays(w, scfg), scfg)
+        state = observe(w, scfg)
         assert np.all(state >= 0.0)
         assert np.all(state <= scfg.k_s / 2 + TOL)
+
+
+def frame_at(pos, distances, cfg):
+    """The frame of an evader at ``pos`` that detects pursuers at
+    ``distances``, ids in order."""
+    detections = {i: Detection(d, 0.0, 0.0, 0.0)
+                  for i, d in enumerate(distances)}
+    return SenseFrame(detections, *nearest_wall(pos, cfg), 0.5)
+
+
+class TestObjectiveValue:
+    SCFG = SensingConfig(r_b_norm=100.0)
+
+    def test_no_detections_max_boundary(self):
+        cfg = arena()
+        # d_b = 100 at the center; r_b_norm = 100 -> 1.0
+        frame = frame_at((0.0, 0.0), [], cfg)
+        assert abs(objective_value(frame, cfg, self.SCFG) - 1.0) < TOL
+
+    def test_at_boundary_zero(self):
+        cfg = arena()
+        frame = frame_at((100.0, 0.0), [], cfg)
+        assert abs(objective_value(frame, cfg, self.SCFG)) < TOL
+
+    def test_single_far_detection(self):
+        cfg = arena()
+        # d_b = 50 = r_b_norm/2
+        frame = frame_at((50.0, 0.0), [cfg.r_e], cfg)
+        assert abs(objective_value(frame, cfg, self.SCFG) - 0.5) < TOL
+
+    def test_pursuer_term_is_a_left_fold(self, compensated_sum):
+        # Three terms whose left fold and compensated sum differ; d_b = 0.
+        cfg = arena()
+        d = math.nextafter(cfg.r_e, 0.0)
+        t0, t1, t2 = ((cfg.r_e - x) / (3 * cfg.r_e) for x in (0.0, d, d))
+        frame = frame_at((100.0, 0.0), [0.0, d, d], cfg)
+        assert objective_value(frame, cfg, self.SCFG) == t0 + t1 + t2
+
+
+# The square's mirrors: the image of an (..., 2) array of points or vectors,
+# and the ray c of the map k -> (c - k) mod n_s that the mirror makes of the
+# ray angles 2*pi*k/n_s.
+MIRRORS = {
+    "y-mirror": (lambda v: v * (1.0, -1.0), lambda n_s: 0),
+    "x-mirror": (lambda v: v * (-1.0, 1.0), lambda n_s: n_s // 2),
+    "xy-swap": (lambda v: v[..., ::-1], lambda n_s: n_s // 4),
+}
+
+
+def mirrored(w, image):
+    """The one-world batch ``w`` seen in a mirror of its square arena."""
+    (e,) = w.evaders
+    p = w.pursuers
+    evader = EvaderState(*image(np.array([e.x, e.y])).tolist(),
+                         *image(np.array([e.vx, e.vy])).tolist())
+    return WorldState(w.arena, [evader], Pursuers(
+        image(p.xy), p.speed, image(p.unit), p.patrol_speed), w.step_count)
+
+
+class TestMirrors:
+    """The actor's input of a mirrored world is the input of the world with
+    its rays permuted as the mirror permutes their angles, to rounding."""
+
+    @pytest.mark.parametrize("mirror", MIRRORS)
+    @pytest.mark.parametrize("profile", [desk_profile, paper_profile],
+                             ids=lambda p: p.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 60),
+           heading=st.floats(-math.pi, math.pi))
+    def test_observe_permutes_its_rays(self, profile, mirror, seed, steps,
+                                       heading):
+        cfg = profile()
+        # About one pursuer per 100 square meters, so that rays hit.
+        area = 4.0 * cfg.arena.half_width * cfg.arena.half_height
+        w = init_world(replace(cfg.arena, n_pursuers=int(area / 100.0)), seed)
+        speed = w.arena.v_e_max
+        command = (speed * math.cos(heading), speed * math.sin(heading))
+        while w.step_count < steps and w.outcomes == [None]:
+            w = step_world(w, [command])
+        assume((cast_rays(w, cfg.sensing) < w.arena.r_e).any())
+        image, ray = MIRRORS[mirror]
+        n_s = cfg.sensing.n_s
+        (obs,) = observe(w, cfg.sensing)
+        (seen,) = observe(mirrored(w, image), cfg.sensing)
+        assert np.allclose(seen, obs[(ray(n_s) - np.arange(n_s)) % n_s],
+                           rtol=0.0, atol=1e-12)

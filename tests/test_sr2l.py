@@ -12,7 +12,7 @@ from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
 from cep.neural import PolicyBundle, TrainConfig, forward_actor
 from cep.pfm import PfmGains, PfmPolicy
 from cep.rewards import transition_reward
-from cep.sensing import SenseFrame, SensingConfig, sense
+from cep.sensing import SenseFrame, SensingConfig, cast_rays, sense
 from cep.sr2l import (EpisodeStepper, ScaffoldConfig, arbitrate,
                       predict_next_state, to_velocity)
 
@@ -314,6 +314,7 @@ class TestDropEnded:
         assert stepper.observations.shape == (3, SENSING.n_s)
         assert stepper.drop_ended() == [(1, ended.outcomes[0])]
         alone = EpisodeStepper(live, SENSING)
-        assert np.array_equal(stepper.lidars, np.repeat(alone.lidars, 2, 0))
+        assert np.array_equal(cast_rays(stepper.world, SENSING),
+                              np.repeat(cast_rays(live, SENSING), 2, 0))
         assert np.array_equal(stepper.observations,
                               np.repeat(alone.observations, 2, 0))
