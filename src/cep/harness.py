@@ -17,17 +17,19 @@ policy acts on the batch: ``reset(episode_seeds)`` is called with the seeds
 of a batch's episodes, and ``act(stepper)`` returns one velocity command per
 live episode, in the order of ``stepper.live`` (their positions in that
 batch).  It reads what it needs from the stepper: the arena from
-``world.arena``, the planner the ``frames``, the actor the ``observations``,
-one row per live episode, built for the whole batch when read; the random
-walk keeps one generator per episode seed.
+``world.arena``, the planner the ``frames``; the actor encodes its input from
+``world``, one row per live episode, with the sensing :func:`make_policy`
+checked it against; the random walk keeps one generator per episode seed.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
 before and after the step (the reset rule is the stepper's
 ``reward_frames``); its outcomes are read from ``stepper.world.outcomes``.
 Training steps a one-episode stepper the same way, with the command
-:func:`~cep.sr2l.arbitrate` chooses, and stores the observations before and
-after each step with the step's action, reward and end flag.
+:func:`~cep.sr2l.arbitrate` chooses, encodes each world state once with
+:func:`~cep.sensing.observe` under ``cfg.sensing``, and stores the
+observations before and after each step with the step's action, reward and
+end flag.
 
 Training always writes its run directory (see :func:`train`).  An
 evaluation reports records: an :class:`EvalEpisode` per episode, and an
@@ -53,7 +55,7 @@ from .env import ArenaConfig, OutcomeKind, WorldState, init_world
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
                      actor_mean_action, sac_update, save_checkpoint)
 from .pfm import PfmPolicy
-from .sensing import cast_rays, objective_value
+from .sensing import SensingConfig, cast_rays, objective_value, observe
 from .sr2l import EpisodeStepper, arbitrate, to_velocity
 
 __all__ = [
@@ -122,10 +124,13 @@ def _episode_seed(run_seed: int, tag: int, episode: int) -> int:
 
 
 class ActorPolicy:
-    """Deterministic evaluation policy: squashed mean action, full scale."""
+    """Deterministic evaluation policy: squashed mean action, full scale,
+    on the actor inputs ``sensing`` encodes (:func:`make_policy` checks that
+    the actor reads them)."""
 
-    def __init__(self, bundle: PolicyBundle):
+    def __init__(self, bundle: PolicyBundle, sensing: SensingConfig):
         self.bundle = bundle
+        self.sensing = sensing
 
     def reset(self, episode_seeds: list[int]) -> None:
         pass
@@ -135,7 +140,7 @@ class ActorPolicy:
         # bit differently.
         return [to_velocity(actor_mean_action(self.bundle.actor, obs),
                             stepper.world.arena)
-                for obs in stepper.observations]
+                for obs in observe(stepper.world, self.sensing)]
 
 
 class RandomWalkPolicy:
@@ -156,8 +161,9 @@ class RandomWalkPolicy:
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
     """The evaluation policy named ``kind``: ``"checkpoint"`` is the actor of
-    ``bundle``, which must read ``cfg.sensing.n_s`` inputs, one per ray;
-    ``"pfm"`` (planner) and ``"random"`` (random walk) take no bundle."""
+    ``bundle``, which must read ``cfg.sensing.n_s`` inputs, one per ray, and
+    is fed what ``cfg.sensing`` encodes; ``"pfm"`` (planner) and
+    ``"random"`` (random walk) take no bundle."""
     if kind not in POLICY_KINDS:
         raise ValueError(f"unknown policy kind {kind!r}; the kinds are "
                          f"{', '.join(POLICY_KINDS)}")
@@ -169,7 +175,7 @@ def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
             raise ValueError(f"the checkpoint's actor reads {n_in} inputs, but "
                              f"the config senses {cfg.sensing.n_s} rays "
                              f"(sensing.n_s)")
-        return ActorPolicy(bundle)
+        return ActorPolicy(bundle, cfg.sensing)
     if bundle is not None:
         raise ValueError(f"policy {kind!r} takes no checkpoint")
     return PfmPolicy(cfg.pfm) if kind == "pfm" else RandomWalkPolicy()
@@ -197,7 +203,8 @@ def train(cfg: RunConfig, out_dir: str | Path
     """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
 
     Per environment step: one stored transition (SR2L arbitrates against one
-    PFM planner per run), then (once the buffer holds a batch) one
+    PFM planner per run) between the observations ``cfg.sensing`` encodes,
+    each world state encoded once, then (once the buffer holds a batch) one
     :func:`~cep.neural.sac_update` of a sampled batch: a critic step, an
     actor step and a target soft update.  A non-finite loss halts training,
     and the bundle rolls back to the last completed episode.
@@ -239,7 +246,8 @@ def train(cfg: RunConfig, out_dir: str | Path
         for episode in range(cfg.episodes):
             world = init_world(cfg.arena,
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
-            stepper = EpisodeStepper(world, cfg.sensing)
+            stepper = EpisodeStepper(world)
+            (state,) = observe(world, cfg.sensing)
             cum_reward = 0.0
             actor_steps = 0
             neg_coeff = 0
@@ -248,12 +256,11 @@ def train(cfg: RunConfig, out_dir: str | Path
             (outcome,) = world.outcomes
             try:
                 while outcome is None:
-                    (state,) = stepper.observations
                     command, action, reward, actor_ran = arbitrate(
-                        stepper, bundle, step_rng, scaffold, planner)
+                        stepper, state, bundle, step_rng, scaffold, planner)
                     (realized,) = stepper.step_action([command])
                     (outcome,) = stepper.world.outcomes
-                    (next_state,) = stepper.observations
+                    (next_state,) = observe(stepper.world, cfg.sensing)
                     buffer.push(state, action, reward, next_state,
                                 outcome is not None)
                     cum_reward += reward
@@ -267,6 +274,7 @@ def train(cfg: RunConfig, out_dir: str | Path
                         closs_sum += closs
                         aloss_sum += aloss
                         updates += 1
+                    state = next_state
             except TrainingDiverged:
                 bundle = last_good
                 diverged = True
@@ -358,7 +366,7 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
     for first in range(0, n_episodes, _BLOCK_EPISODES):
         block = range(first, min(first + _BLOCK_EPISODES, n_episodes))
         seeds = [_episode_seed(cfg.seed, _EVAL_TAG, i) for i in block]
-        records += _evaluate_block(policy, cfg, arena, block, seeds)
+        records += _evaluate_block(policy, arena, block, seeds)
     buckets = [_summarize(f"bucket_{i}",
                           records[start:start + _BUCKET_EPISODES])
                for i, start in enumerate(range(0, n_episodes,
@@ -366,15 +374,15 @@ def evaluate_monte_carlo(policy, cfg: RunConfig,
     return EvalReport(records, _summarize("all", records), buckets)
 
 
-def _evaluate_block(policy, cfg: RunConfig, arena: ArenaConfig,
-                    episodes: range, seeds: list[int],
-                    record=None) -> list[EvalEpisode]:
-    """Run ``episodes[k]`` from ``init_world(arena, seeds[k])``, in lockstep;
-    their records in order.  ``record(stepper, breakdowns)``, if given, runs
+def _evaluate_block(policy, arena: ArenaConfig, episodes: range,
+                    seeds: list[int], record=None) -> list[EvalEpisode]:
+    """Run ``episodes[k]`` of ``policy``, which brings its own sensing, from
+    ``init_world(arena, seeds[k])``, in lockstep; their records in order.
+    ``record(stepper, breakdowns)``, if given, runs
     before the first step (no breakdowns) and after each (one per episode
     live for it, in ``stepper.live`` order), before ended episodes leave."""
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
-    stepper = EpisodeStepper(world, cfg.sensing)
+    stepper = EpisodeStepper(world)
     policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
@@ -489,7 +497,7 @@ def replay(policy, seed: int, cfg: RunConfig, out_path) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        (episode,) = _evaluate_block(policy, cfg, arena, range(1), [seed], row)
+        (episode,) = _evaluate_block(policy, arena, range(1), [seed], row)
     return episode.steps + 1
 
 

@@ -23,7 +23,8 @@ Both take their earlier frame from :attr:`EpisodeStepper.reward_frames`,
 where the reset rule lives: at an episode's first step no pursuer has a
 previous distance.  Rewards are signed (``RewardBreakdown.reward = -r``), so
 a larger estimate is a better action.
-Training picks each step's action with :func:`arbitrate` and executes it with
+Training encodes each world state once with :func:`~cep.sensing.observe`,
+picks the step's action from it with :func:`arbitrate` and executes it with
 :meth:`EpisodeStepper.step_action`, as evaluation and replay do.  With
 scaffolding disabled, or the threshold open, it is the independent trainer:
 the actor's action runs and the same one-step estimate is stored.
@@ -53,7 +54,7 @@ from .env import ArenaConfig, OutcomeKind, Pursuers, WorldState, \
 from .neural import PolicyBundle, forward_actor
 from .pfm import PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
-from .sensing import SenseFrame, SensingConfig, observe, sense
+from .sensing import SenseFrame, sense
 
 __all__ = [
     "ScaffoldConfig",
@@ -101,8 +102,8 @@ def predict_next_state(w: WorldState, frame: SenseFrame,
 
 class EpisodeStepper:
     """Owns a batch of episodes stepped in lockstep: the worlds, whose arena
-    is ``world.arena``, and their frames, one entry per episode, and the
-    actor inputs of the whole batch, one row per episode, built when read.
+    is ``world.arena``, and their frames, one entry per episode.  Whoever
+    acts on the batch encodes the actor's input from ``world`` itself.
 
     ``live`` holds the batch positions of the episodes still held;
     :meth:`drop_ended` removes the finished ones, so each step works only on
@@ -112,11 +113,9 @@ class EpisodeStepper:
     through it (training chooses its action with :func:`arbitrate`).
     """
 
-    def __init__(self, world: WorldState, sensing_cfg: SensingConfig):
+    def __init__(self, world: WorldState):
         self.world = world
-        self.sensing_cfg = sensing_cfg
         self.frames = sense(world)
-        self._observations: np.ndarray | None = None
         # A spawn can be terminal outright (pursuer just outside the origin
         # region within capture radius), so a runner reads world.outcomes,
         # or calls drop_ended, before the first step.
@@ -131,14 +130,6 @@ class EpisodeStepper:
             return self.frames
         return [replace(f, detections={}) for f in self.frames]
 
-    @property
-    def observations(self) -> np.ndarray:
-        """The actor inputs at the current worlds, one row per episode, built
-        on first read and kept until the worlds change."""
-        if self._observations is None:
-            self._observations = observe(self.world, self.sensing_cfg)
-        return self._observations
-
     def drop_ended(self) -> list[tuple[int, OutcomeKind]]:
         """Remove the episodes whose world is terminal; return their batch
         positions and outcome kinds.  They ended at ``world.step_count``."""
@@ -150,7 +141,6 @@ class EpisodeStepper:
         self.world = self.world.take(keep)
         self.frames = [self.frames[j] for j in keep]
         self.live = [self.live[j] for j in keep]
-        self._observations = None
         return ended
 
     def step_action(self, actions: list[tuple[float, float]]
@@ -160,22 +150,21 @@ class EpisodeStepper:
         before = self.reward_frames
         self.world = step_world(self.world, actions)
         self.frames = sense(self.world)
-        self._observations = None
         return [transition_reward(b, a, self.world.arena)
                 for b, a in zip(before, self.frames)]
 
 
-def arbitrate(stepper: EpisodeStepper, nets: PolicyBundle,
+def arbitrate(stepper: EpisodeStepper, state: np.ndarray, nets: PolicyBundle,
               rng: np.random.Generator, scaffold: ScaffoldConfig | None,
               planner: PfmPolicy
               ) -> tuple[tuple[float, float], np.ndarray, float, bool]:
-    """Choose the next step of the one-episode ``stepper``: sample the actor
-    and, with ``scaffold`` set and its threshold not open, arbitrate against
+    """Choose the next step of the one-episode ``stepper``, whose world the
+    actor input ``state`` encodes: sample the actor on ``state`` and, with
+    ``scaffold`` set and its threshold not open, arbitrate against
     ``planner``.  Returns the command to execute, the action (unit box) and
     reward to store with the observations before and after the step, and
     ``actor_ran``: whether the command is the actor's (False on the planner
     branch)."""
-    (state,) = stepper.observations
     (frame,) = stepper.reward_frames
     arena = stepper.world.arena
     a_r = forward_actor(nets.actor, state, rng)

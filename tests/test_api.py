@@ -5,6 +5,7 @@ import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cep
@@ -86,6 +87,25 @@ def test_actor_input_is_one_call_on_a_world():
     assert not hasattr(env, "objective_value")
     assert list(inspect.signature(sensing.objective_value).parameters) == [
         "frame", "arena", "cfg"]
+
+
+def test_stepper_holds_worlds_and_frames_only():
+    # Whoever acts encodes the actor's input: the stepper takes a world and
+    # keeps no sensing, training hands arbitrate the state it encoded, and
+    # the actor policy keeps the sensing make_policy checked.
+    assert list(inspect.signature(sr2l.EpisodeStepper.__init__).parameters) \
+        == ["self", "world"]
+    stepper = sr2l.EpisodeStepper(env.init_world(env.ArenaConfig(), 0))
+    for name in ("observations", "sensing_cfg", "_observations"):
+        assert not hasattr(stepper, name)
+    assert list(inspect.signature(sr2l.arbitrate).parameters) == [
+        "stepper", "state", "nets", "rng", "scaffold", "planner"]
+    cfg = config.desk_profile()
+    bundle = neural.PolicyBundle.create(cfg.sensing.n_s, cfg.train,
+                                        np.random.default_rng(0))
+    policy = harness.make_policy("checkpoint", cfg, bundle)
+    assert isinstance(policy, harness.ActorPolicy)
+    assert policy.sensing is cfg.sensing
 
 
 def test_action_is_two_dimensional():

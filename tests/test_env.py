@@ -10,7 +10,6 @@ from cep import env
 from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
                      WorldState, check_outcome, init_world, max_steps,
                      nearest_wall, step_evader, step_pursuers, step_world)
-from cep.sensing import SensingConfig
 from cep.sr2l import EpisodeStepper
 
 TOL = 1e-12
@@ -540,7 +539,7 @@ class TestStepWorld:
                           capture_radius=2.9, r_p=3.0)
         w = init_world(cfg, 0)
         assert w.outcomes == [OutcomeKind.CAPTURED]
-        stepper = EpisodeStepper(w, SensingConfig(n_s=8))
+        stepper = EpisodeStepper(w)
         with pytest.raises(RuntimeError):
             step_world(w, [(0.0, 0.0)])
         assert stepper.drop_ended() == [(0, w.outcomes[0])]

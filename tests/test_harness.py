@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def small_bundle() -> PolicyBundle:
 def evaluate_records(monkeypatch, records: list[EvalEpisode]):
     """The report of an evaluation whose episodes end as ``records``."""
     monkeypatch.setattr(harness, "_evaluate_block",
-                        lambda policy, cfg, arena, block, seeds:
+                        lambda policy, arena, block, seeds:
                         [records[i] for i in block])
     return evaluate_monte_carlo(None, desk_profile(), episodes=len(records))
 
@@ -115,7 +116,7 @@ class TestOutputBytes:
 def lone_episode(policy, cfg, arena, seed: int):
     """The outcome and per-step rewards of one episode of ``policy`` from
     ``init_world(arena, seed)``, run alone in a one-world stepper."""
-    stepper = EpisodeStepper(init_world(arena, seed), cfg.sensing)
+    stepper = EpisodeStepper(init_world(arena, seed))
     policy.reset([seed])
     rewards = []
     (outcome,) = stepper.world.outcomes
@@ -214,10 +215,10 @@ def test_recorder_reads_the_world_before_and_after_every_step():
                       list(stepper.live)))
         rewards.append([bd.reward for bd in breakdowns])
 
-    block = harness._evaluate_block(policy_of("random", cfg), cfg, SMALL,
+    block = harness._evaluate_block(policy_of("random", cfg), SMALL,
                                     range(12), seeds, record)
-    assert block == harness._evaluate_block(policy_of("random", cfg), cfg,
-                                            SMALL, range(12), seeds)
+    assert block == harness._evaluate_block(policy_of("random", cfg), SMALL,
+                                            range(12), seeds)
     steps = [e.steps for e in block]
     assert 0 in steps and len(set(steps)) >= 4
     # Call t follows step t (call 0 precedes the first): its episodes are
@@ -376,6 +377,25 @@ class TestMakePolicy:
                            match=f"policy '{kind}' takes no checkpoint"):
             make_policy(kind, desk_profile(), small_bundle())
 
+    def test_actor_encodes_with_the_sensing_it_was_checked_against(self):
+        # Before: evaluation encoded the actor's input with the config it was
+        # handed, whatever make_policy had checked.  Head weights x100 make
+        # the actor's action follow its input.
+        bundle = PolicyBundle.create(desk_profile().sensing.n_s,
+                                     TrainConfig(hidden=(8,)),
+                                     np.random.default_rng(5))
+        bundle.actor.weights[-1][...] *= 100.0
+        cfg = desk_profile(seed=0)
+        loud = replace(cfg, sensing=replace(cfg.sensing, k_s=20.0))
+        policy = make_policy("checkpoint", cfg, bundle)
+        records = evaluate_monte_carlo(policy, cfg, episodes=20).episodes
+        assert evaluate_monte_carlo(policy, loud, episodes=20).episodes \
+            == records
+        # The encoding matters: the actor checked against k_s = 20 plays
+        # differently.
+        assert evaluate_monte_carlo(make_policy("checkpoint", loud, bundle),
+                                    cfg, episodes=20).episodes != records
+
 
 class TestLoadGrid:
     def write(self, tmp_path, text: str):
@@ -418,6 +438,30 @@ class TestLoadGrid:
         path = self.write(tmp_path, "n_pursuers,v_ratio,r_ratio\n")
         with pytest.raises(ValueError, match="empty sweep grid"):
             load_grid(path)
+
+
+PROFILES = Path(__file__).resolve().parents[1] / "profiles"
+
+
+class TestHardProfile:
+    """The committed hard profile is the desk profile at the sweep cell
+    (30, 1.25, 1.0), and the hard grid its four candidate cells."""
+
+    def test_profile_is_the_desk_profile_at_a_sweep_cell(self):
+        cfg = load_config(PROFILES / "hard.txt")
+        desk = desk_profile()
+        assert cfg.arena == sweep_arena(desk.arena, 30, 1.25, 1.0)
+        assert cfg == replace(desk, arena=cfg.arena)
+
+    def test_grid_holds_the_four_cells(self):
+        assert load_grid(PROFILES / "hard_grid.csv") == [
+            (30, 1.0, 1.0), (20, 1.0, 1.0), (30, 1.0, 1.5), (30, 1.25, 1.0)]
+
+    def test_planner_escape_rate(self):
+        cfg = load_config(PROFILES / "hard.txt")
+        report = evaluate_monte_carlo(make_policy("pfm", cfg), cfg,
+                                      episodes=100)
+        assert report.overall.escape_pct == 59.0
 
 
 def test_divergence_rolls_back_to_the_last_episode(monkeypatch, tmp_path):

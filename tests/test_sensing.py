@@ -12,9 +12,11 @@ from cep.config import desk_profile, paper_profile
 from cep.env import (ArenaConfig, EvaderState, OutcomeKind, Pursuers,
                      WorldState, init_world, max_steps, nearest_wall,
                      step_world)
+from cep.pfm import PfmPolicy
 from cep.sensing import (Detection, SenseFrame, SensingConfig,
                          _ray_directions, boundary_scan, cast_rays,
                          objective_value, observe, sense, time_factor)
+from cep.sr2l import EpisodeStepper
 
 TOL = 1e-12
 
@@ -533,3 +535,31 @@ class TestMirrors:
         (seen,) = observe(mirrored(w, image), cfg.sensing)
         assert np.allclose(seen, obs[(ray(n_s) - np.arange(n_s)) % n_s],
                            rtol=0.0, atol=1e-12)
+
+
+class TestPfmMirror:
+    """A PFM episode on the y-mirrored world is the mirror of the original,
+    bit for bit: each frame's bearings and wall direction mirror exactly,
+    and so do the planner's commands and every step of the world."""
+
+    @pytest.mark.parametrize("profile", [desk_profile, paper_profile],
+                             ids=lambda p: p.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_episode_mirrors(self, profile, seed):
+        cfg = profile()
+        image, _ = MIRRORS["y-mirror"]
+        w = init_world(cfg.arena, seed)
+        original, mirror = EpisodeStepper(w), EpisodeStepper(mirrored(w, image))
+        planner = PfmPolicy(cfg.pfm)
+        while True:
+            assert mirror.world.outcomes == original.world.outcomes
+            (e,), (m,) = original.world.evaders, mirror.world.evaders
+            assert (m.x, m.y, m.vx, m.vy) == (e.x, -e.y, e.vx, -e.vy)
+            assert np.array_equal(mirror.world.pursuers.xy,
+                                  image(original.world.pursuers.xy))
+            if original.world.outcomes != [None]:
+                break
+            (step,) = original.step_action(planner.act(original))
+            (seen,) = mirror.step_action(planner.act(mirror))
+            assert seen.reward == step.reward

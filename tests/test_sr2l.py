@@ -12,7 +12,7 @@ from cep.env import (ArenaConfig, EvaderState, Pursuers, WorldState,
 from cep.neural import PolicyBundle, TrainConfig, forward_actor
 from cep.pfm import PfmGains, PfmPolicy
 from cep.rewards import transition_reward
-from cep.sensing import SenseFrame, SensingConfig, cast_rays, sense
+from cep.sensing import SenseFrame, SensingConfig, cast_rays, observe, sense
 from cep.sr2l import (EpisodeStepper, ScaffoldConfig, arbitrate,
                       predict_next_state, to_velocity)
 
@@ -60,8 +60,7 @@ def scenes(draw):
     """A stepper after a few planner steps (so the earlier frame holds
     detections), optionally moved to the last step before ``t_max``."""
     cfg = arena(draw(st.integers(0, 30)))
-    stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))),
-                             SENSING)
+    stepper = EpisodeStepper(init_world(cfg, draw(st.integers(0, 2**16))))
     (outcome,) = stepper.world.outcomes
     for _ in range(draw(st.integers(0, 4))):
         if outcome is not None:
@@ -136,9 +135,10 @@ def arbitrate_with(monkeypatch, r_r: float, r_p: float,
     monkeypatch.setattr(sr2l, "predict_next_state",
                         lambda *args: next(estimates))
     cfg = arena(8)
-    stepper = EpisodeStepper(init_world(cfg, 4), SENSING)
-    return stepper, arbitrate(stepper, NETS, np.random.default_rng(0),
-                              scaffold, planner)
+    stepper = EpisodeStepper(init_world(cfg, 4))
+    return stepper, arbitrate(stepper, observe(stepper.world, SENSING)[0],
+                              NETS, np.random.default_rng(0), scaffold,
+                              planner)
 
 
 class Refuses:
@@ -156,7 +156,7 @@ class TestArbitrate:
         w, (frame,) = stepper.world, stepper.reward_frames
         cfg = w.arena
         rng = np.random.default_rng(seed)
-        (state,) = stepper.observations
+        (state,) = observe(w, SENSING)
         action = forward_actor(NETS.actor, state, rng)
         command = to_velocity(action, cfg)
         reward = r_r = predict_next_state(w, frame, command)
@@ -170,7 +170,7 @@ class TestArbitrate:
                 command, action = a_p, np.array(a_p) / cfg.v_e_max
 
         own = np.random.default_rng(seed)
-        got = arbitrate(stepper, NETS, own, scaffold, PLANNER)
+        got = arbitrate(stepper, state, NETS, own, scaffold, PLANNER)
         assert (got[0], got[2], got[3]) == (command, reward, actor_ran)
         assert np.array_equal(got[1], action)
         # The same draws, in the same order.
@@ -180,12 +180,13 @@ class TestArbitrate:
                              ids=["iac", "beta100"])
     def test_independent_trainer_never_asks_the_planner(self, scaffold):
         cfg = arena(8)
-        stepper = EpisodeStepper(init_world(cfg, 4), SENSING)
+        stepper = EpisodeStepper(init_world(cfg, 4))
         rng = np.random.default_rng(0)
         (outcome,) = stepper.world.outcomes
         while outcome is None:
-            command, _, _, actor_ran = arbitrate(stepper, NETS, rng, scaffold,
-                                                 Refuses())
+            command, _, _, actor_ran = arbitrate(
+                stepper, observe(stepper.world, SENSING)[0], NETS, rng,
+                scaffold, Refuses())
             assert actor_ran
             stepper.step_action([command])
             (outcome,) = stepper.world.outcomes
@@ -211,7 +212,7 @@ class TestResetRule:
         pursuers = Pursuers.from_rows([(12.0, 0.0, 5.0, math.pi / 2),
                                        (-60.0, 40.0, 5.0, 0.0)])
         stepper = EpisodeStepper(WorldState(cfg, [EvaderState(0.0, 0.0)],
-                                            pursuers), SENSING)
+                                            pursuers))
         (spawn,) = stepper.frames
         ((pid, d_0),) = spawn.detections.items()
         assert pid == 0 and d_0.distance == 12.0
@@ -302,19 +303,18 @@ class TestScaffoldSelect:
 
 class TestDropEnded:
     def test_scans_follow_the_kept_worlds(self):
-        # Scans read before a world ends are rebuilt for the worlds kept.
+        # Once a world ends, the batch's scans and actor inputs are the
+        # kept worlds' own.
         cfg = ArenaConfig(half_width=20.0, half_height=20.0,
                           spawn_half_extent=0.5, n_pursuers=20,
                           capture_radius=2.9, r_p=3.0)
         worlds = [init_world(cfg, seed) for seed in range(20)]
         ended = next(w for w in worlds if w.outcomes[0] is not None)
         live = next(w for w in worlds if w.outcomes[0] is None)
-        stepper = EpisodeStepper(WorldState.stack([live, ended, live]),
-                                 SENSING)
-        assert stepper.observations.shape == (3, SENSING.n_s)
+        stepper = EpisodeStepper(WorldState.stack([live, ended, live]))
+        assert observe(stepper.world, SENSING).shape == (3, SENSING.n_s)
         assert stepper.drop_ended() == [(1, ended.outcomes[0])]
-        alone = EpisodeStepper(live, SENSING)
         assert np.array_equal(cast_rays(stepper.world, SENSING),
                               np.repeat(cast_rays(live, SENSING), 2, 0))
-        assert np.array_equal(stepper.observations,
-                              np.repeat(alone.observations, 2, 0))
+        assert np.array_equal(observe(stepper.world, SENSING),
+                              np.repeat(observe(live, SENSING), 2, 0))
