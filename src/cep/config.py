@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .env import ArenaConfig
+from .env import ArenaConfig, check_config, check_integer
 from .neural import TrainConfig
 from .pfm import PfmGains
 from .sensing import SensingConfig
@@ -54,6 +54,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_config(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("episodes", "eval_episodes"):
@@ -64,7 +65,9 @@ class RunConfig:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a negative seed: a run's, or the one episode's of a replay."""
+    """Reject a seed that is not an integer >= 0: a run's, or the one
+    episode's of a replay."""
+    check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 

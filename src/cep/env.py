@@ -42,6 +42,7 @@ step, the detections and the forward model all move along that vector.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -49,6 +50,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "check_integer",
     "check_config",
     "ArenaConfig",
     "Pursuers",
@@ -65,12 +67,22 @@ __all__ = [
 ]
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_config(cfg, positive: tuple[str, ...] = ()) -> None:
-    """Raise ``ValueError`` naming the first float field of the dataclass
-    ``cfg`` that is not finite, then the first field of ``positive`` that is
-    not > 0: every config section checks this first."""
+    """Raise ``ValueError`` naming the first field of the dataclass ``cfg``
+    that is annotated ``int`` but holds no integer, or is a float and not
+    finite, then the first field of ``positive`` that is not > 0: every
+    config section checks this first."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if f.type in (int, "int"):
+            check_integer(f.name, value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
     for name in positive:

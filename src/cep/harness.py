@@ -25,11 +25,9 @@ A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
 before and after the step (the reset rule is the stepper's
 ``reward_frames``); its outcomes are read from ``stepper.world.outcomes``.
-Training steps a one-episode stepper the same way, with the command
-:func:`~cep.sr2l.arbitrate` chooses, encodes each world state once with
-:func:`~cep.sensing.observe` under ``cfg.sensing``, and stores the
-observations before and after each step with the step's action, reward and
-end flag.
+Training steps a one-episode stepper the same way: it samples its actor on
+each world state, encoded once with :func:`~cep.sensing.observe`, and runs
+the command :func:`~cep.sr2l.arbitrate` picks after weighing that proposal.
 
 Training always writes its run directory (see :func:`train`).  An
 evaluation reports records: an :class:`EvalEpisode` per episode, and an
@@ -53,7 +51,8 @@ import numpy as np
 from .config import RunConfig, check_seed, save_config
 from .env import ArenaConfig, OutcomeKind, WorldState, init_world
 from .neural import (PolicyBundle, ReplayBuffer, TrainingDiverged,
-                     actor_mean_action, sac_update, save_checkpoint)
+                     actor_mean_action, forward_actor, sac_update,
+                     save_checkpoint)
 from .pfm import PfmPolicy
 from .sensing import SensingConfig, cast_rays, objective_value, observe
 from .sr2l import EpisodeStepper, arbitrate, to_velocity
@@ -186,6 +185,12 @@ def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
 
 @dataclass
 class EpisodeLog:
+    """One row of ``train_log.csv``.  ``cum_reward`` and its per-step mean
+    add up the *stored* rewards (the forward model's estimate, or the
+    planner branch's label), not the realized ones; ``actor_fraction`` is
+    the share of steps the actor's command ran (1.0 at 0 steps);
+    ``neg_coeff_steps`` counts realized steps with ``sum_w > 1``; the
+    losses are means over the episode's ``updates``, 0 with none."""
     episode: int
     outcome: str
     steps: int
@@ -202,9 +207,10 @@ def train(cfg: RunConfig, out_dir: str | Path
           ) -> tuple[PolicyBundle, list[EpisodeLog]]:
     """Run ``cfg.episodes`` training episodes in IAC or SR2L mode.
 
-    Per environment step: one stored transition (SR2L arbitrates against one
-    PFM planner per run) between the observations ``cfg.sensing`` encodes,
-    each world state encoded once, then (once the buffer holds a batch) one
+    Per environment step: one actor sample on the observation
+    ``cfg.sensing`` encodes (each world state encoded once), which
+    :func:`~cep.sr2l.arbitrate` weighs (SR2L against one PFM planner per
+    run), one stored transition, then (once the buffer holds a batch) one
     :func:`~cep.neural.sac_update` of a sampled batch: a critic step, an
     actor step and a target soft update.  A non-finite loss halts training,
     and the bundle rolls back to the last completed episode.
@@ -233,9 +239,8 @@ def train(cfg: RunConfig, out_dir: str | Path
     step_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 11)))
     buffer_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 12)))
 
-    state_dim = cfg.sensing.n_s
-    bundle = PolicyBundle.create(state_dim, cfg.train, net_rng)
-    buffer = ReplayBuffer(cfg.train.buffer_capacity, state_dim)
+    bundle = PolicyBundle.create(cfg.sensing.n_s, cfg.train, net_rng)
+    buffer = ReplayBuffer(cfg.train.buffer_capacity, cfg.sensing.n_s)
 
     logs: list[EpisodeLog] = []
     last_good = bundle.copy()
@@ -248,16 +253,14 @@ def train(cfg: RunConfig, out_dir: str | Path
                                _episode_seed(cfg.seed, _TRAIN_TAG, episode))
             stepper = EpisodeStepper(world)
             (state,) = observe(world, cfg.sensing)
-            cum_reward = 0.0
-            actor_steps = 0
-            neg_coeff = 0
-            closs_sum = aloss_sum = 0.0
-            updates = 0
+            cum_reward = closs_sum = aloss_sum = 0.0
+            actor_steps = neg_coeff = updates = 0
             (outcome,) = world.outcomes
             try:
                 while outcome is None:
+                    a_r = forward_actor(bundle.actor, state, step_rng)
                     command, action, reward, actor_ran = arbitrate(
-                        stepper, state, bundle, step_rng, scaffold, planner)
+                        stepper, a_r, scaffold, planner)
                     (realized,) = stepper.step_action([command])
                     (outcome,) = stepper.world.outcomes
                     (next_state,) = observe(stepper.world, cfg.sensing)
@@ -284,11 +287,9 @@ def train(cfg: RunConfig, out_dir: str | Path
             logs.append(EpisodeLog(
                 episode, outcome.value, steps, cum_reward,
                 cum_reward / steps if steps else 0.0,
-                actor_steps / steps if steps else 1.0,
-                neg_coeff,
+                actor_steps / steps if steps else 1.0, neg_coeff,
                 closs_sum / updates if updates else 0.0,
-                aloss_sum / updates if updates else 0.0,
-                updates))
+                aloss_sum / updates if updates else 0.0, updates))
             writer.writerow(_row(logs[-1]))
             log_file.flush()
             last_good = bundle.copy()

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import check_config
+from .env import check_config, check_integer
 
 __all__ = [
     "Mlp",
@@ -241,6 +241,8 @@ class TrainConfig:
             raise ValueError(f"batch_size {self.batch_size} must be <= "
                              f"buffer_capacity {self.buffer_capacity}, or "
                              f"the buffer never holds a batch to train on")
+        for width in self.hidden:
+            check_integer("each hidden width", width)
         if not all(width >= 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 

@@ -23,11 +23,11 @@ Both take their earlier frame from :attr:`EpisodeStepper.reward_frames`,
 where the reset rule lives: at an episode's first step no pursuer has a
 previous distance.  Rewards are signed (``RewardBreakdown.reward = -r``), so
 a larger estimate is a better action.
-Training encodes each world state once with :func:`~cep.sensing.observe`,
-picks the step's action from it with :func:`arbitrate` and executes it with
-:meth:`EpisodeStepper.step_action`, as evaluation and replay do.  With
-scaffolding disabled, or the threshold open, it is the independent trainer:
-the actor's action runs and the same one-step estimate is stored.
+Training samples its actor on each world state, encoded once with
+:func:`~cep.sensing.observe`; :func:`arbitrate` weighs that proposal, and
+:meth:`EpisodeStepper.step_action` executes the command it picks.  Without a
+scaffold, or with the threshold open, this is the independent trainer: the
+actor's action runs and the same one-step estimate is stored.
 
 The stored tuple, in both trainers, is ``(s, executed action, estimated
 reward, s', done)``: the reward is the forward model's estimate, and the
@@ -51,7 +51,6 @@ import numpy as np
 
 from .env import ArenaConfig, OutcomeKind, Pursuers, WorldState, \
     check_config, step_evader, step_world
-from .neural import PolicyBundle, forward_actor
 from .pfm import PfmPolicy
 from .rewards import RewardBreakdown, transition_reward
 from .sensing import SenseFrame, sense
@@ -110,7 +109,7 @@ class EpisodeStepper:
     live episodes.  :meth:`step_action` executes one chosen action per
     episode and returns the realized rewards, and a step's outcomes are
     read from ``world.outcomes``; evaluation, replay and training all step
-    through it (training chooses its action with :func:`arbitrate`).
+    through it (training has :func:`arbitrate` weigh its actor's sample).
     """
 
     def __init__(self, world: WorldState):
@@ -154,31 +153,28 @@ class EpisodeStepper:
                 for b, a in zip(before, self.frames)]
 
 
-def arbitrate(stepper: EpisodeStepper, state: np.ndarray, nets: PolicyBundle,
-              rng: np.random.Generator, scaffold: ScaffoldConfig | None,
-              planner: PfmPolicy
+def arbitrate(stepper: EpisodeStepper, a_r: np.ndarray,
+              scaffold: ScaffoldConfig | None, planner: PfmPolicy
               ) -> tuple[tuple[float, float], np.ndarray, float, bool]:
-    """Choose the next step of the one-episode ``stepper``, whose world the
-    actor input ``state`` encodes: sample the actor on ``state`` and, with
-    ``scaffold`` set and its threshold not open, arbitrate against
+    """Weigh the actor's proposal ``a_r`` (unit box, sampled by the trainer)
+    for the next step of the one-episode ``stepper``: estimate its reward
+    and, with ``scaffold`` set and its threshold not open, arbitrate against
     ``planner``.  Returns the command to execute, the action (unit box) and
-    reward to store with the observations before and after the step, and
-    ``actor_ran``: whether the command is the actor's (False on the planner
-    branch)."""
+    reward to store with the observations around the step, and ``actor_ran``
+    (False on the planner branch)."""
     (frame,) = stepper.reward_frames
     arena = stepper.world.arena
-    a_r = forward_actor(nets.actor, state, rng)
     command = to_velocity(a_r, arena)
     r_r = predict_next_state(stepper.world, frame, command)
-    if scaffold is None or scaffold.beta >= 100.0:
-        return command, a_r, r_r, True
-    (a_p,) = planner.act(stepper)
-    r_p = predict_next_state(stepper.world, frame, a_p)
-    denom = abs(r_p + scaffold.epsilon)
-    if denom == 0.0:
-        d_f = 0.0 if r_r == r_p else math.copysign(math.inf, r_r - r_p)
-    else:
-        d_f = 100.0 * (r_r - r_p) / denom
-    if d_f >= -scaffold.beta:
-        return command, a_r, r_r, True
-    return a_p, np.array(a_p) / arena.v_e_max, r_r - abs(r_p - r_r), False
+    if scaffold is not None and scaffold.beta < 100.0:
+        (a_p,) = planner.act(stepper)
+        r_p = predict_next_state(stepper.world, frame, a_p)
+        denom = abs(r_p + scaffold.epsilon)
+        if denom == 0.0:
+            d_f = 0.0 if r_r == r_p else math.copysign(math.inf, r_r - r_p)
+        else:
+            d_f = 100.0 * (r_r - r_p) / denom
+        if d_f < -scaffold.beta:
+            a_p_unit = np.array(a_p) / arena.v_e_max
+            return a_p, a_p_unit, r_r - abs(r_p - r_r), False
+    return command, a_r, r_r, True

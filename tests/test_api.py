@@ -90,16 +90,25 @@ def test_actor_input_is_one_call_on_a_world():
 
 
 def test_stepper_holds_worlds_and_frames_only():
-    # Whoever acts encodes the actor's input: the stepper takes a world and
-    # keeps no sensing, training hands arbitrate the state it encoded, and
-    # the actor policy keeps the sensing make_policy checked.
+    # Whoever acts encodes the actor's input and samples the actor: the
+    # stepper takes a world and keeps no sensing, training hands arbitrate
+    # the proposal it sampled, so sr2l imports nothing from neural, and the
+    # actor policy keeps the sensing make_policy checked.
     assert list(inspect.signature(sr2l.EpisodeStepper.__init__).parameters) \
         == ["self", "world"]
     stepper = sr2l.EpisodeStepper(env.init_world(env.ArenaConfig(), 0))
     for name in ("observations", "sensing_cfg", "_observations"):
         assert not hasattr(stepper, name)
     assert list(inspect.signature(sr2l.arbitrate).parameters) == [
-        "stepper", "state", "nets", "rng", "scaffold", "planner"]
+        "stepper", "a_r", "scaffold", "planner"]
+    # Every module and name an import in sr2l names: none is neural.
+    imported = [name for node in ast.walk(ast.parse(Path(sr2l.__file__)
+                                                    .read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]]
+    assert "PfmPolicy" in imported
+    assert [n for n in imported if n.split(".")[-1] == "neural"] == []
     cfg = config.desk_profile()
     bundle = neural.PolicyBundle.create(cfg.sensing.n_s, cfg.train,
                                         np.random.default_rng(0))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cep.config import (MODES, RunConfig, config_to_text, desk_profile,
-                        load_config, paper_profile, save_config)
+from cep.config import (MODES, RunConfig, check_seed, config_to_text,
+                        desk_profile, load_config, paper_profile, save_config)
+from cep.env import ArenaConfig
 from cep.neural import TrainConfig
 from cep.pfm import PfmGains
 from cep.sensing import SensingConfig
@@ -65,6 +66,42 @@ def test_non_finite_rejected(section, value):
     for name in names:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             section(**{name: value})
+
+
+INTEGER_FIELDS = [(section, f.name)
+                  for section in (ArenaConfig, SensingConfig, TrainConfig,
+                                  ScaffoldConfig, PfmGains, RunConfig)
+                  for f in fields(section) if f.type in (int, "int")]
+
+
+def test_integer_fields_are_the_counts_and_the_seed():
+    assert [(section.__name__, name) for section, name in INTEGER_FIELDS] == [
+        ("ArenaConfig", "n_pursuers"), ("SensingConfig", "n_s"),
+        ("TrainConfig", "batch_size"), ("TrainConfig", "buffer_capacity"),
+        ("TrainConfig", "checkpoint_every"), ("RunConfig", "episodes"),
+        ("RunConfig", "eval_episodes"), ("RunConfig", "seed")]
+
+
+@pytest.mark.parametrize("section,name", INTEGER_FIELDS,
+                         ids=[f"{s.__name__}.{n}" for s, n in INTEGER_FIELDS])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_integer_field_rejects_a_non_integer(section, name, value):
+    # Before: checkpoint_every = 2.5 wrote a checkpoint every 5 episodes,
+    # n_pursuers = True ran one pursuer, and n_pursuers = 5.5 failed late
+    # with a TypeError.
+    base = desk_profile() if section is RunConfig else section()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer, got {value!r}")):
+        replace(base, **{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_hidden_width_and_seed_reject_a_non_integer(value):
+    with pytest.raises(ValueError,
+                       match="^each hidden width must be an integer"):
+        TrainConfig(hidden=(64, value))
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        check_seed(value)
 
 
 @pytest.mark.parametrize("mode", ["pfm", "random", "IAC", ""])

@@ -288,6 +288,18 @@ class TestEpisodeCount:
             sweep(policy_of("checkpoint", cfg), cfg, [(5, 1.5, 1.5)],
                   episodes=0)
 
+    def test_counts_and_seeds_are_integers(self, tmp_path):
+        # Before, episodes=2.5 failed inside the episode loop and a replay
+        # seed of 2.5 inside SeedSequence, each with a TypeError.
+        cfg = desk_profile()
+        policy = make_policy("pfm", cfg)
+        with pytest.raises(ValueError,
+                           match="^eval_episodes must be an integer, got 2.5$"):
+            evaluate_monte_carlo(policy, cfg, episodes=2.5)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            replay(policy, 2.5, cfg, tmp_path / "trajectory.csv")
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 def test_sweep_checks_every_cell_before_evaluating(monkeypatch):
     # r_ratio = 10 at the desk profile gives r_p = 1.5 <= capture_radius.

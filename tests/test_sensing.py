@@ -563,3 +563,31 @@ class TestPfmMirror:
             (step,) = original.step_action(planner.act(original))
             (seen,) = mirror.step_action(planner.act(mirror))
             assert seen.reward == step.reward
+
+    @pytest.mark.parametrize("name", ["x-mirror", "xy-swap"])
+    @pytest.mark.parametrize("profile", [desk_profile, paper_profile],
+                             ids=lambda p: p.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_episode_mirrors_to_rounding(self, profile, name, seed):
+        # These maps send a bearing b to pi - b or pi/2 - b, which rounds,
+        # so the episodes agree in outcome exactly at every step, and in
+        # positions (m) and rewards within 1e-6.
+        cfg = profile()
+        image, _ = MIRRORS[name]
+        w = init_world(cfg.arena, seed)
+        original, mirror = EpisodeStepper(w), EpisodeStepper(mirrored(w, image))
+        planner = PfmPolicy(cfg.pfm)
+        while True:
+            assert mirror.world.outcomes == original.world.outcomes
+            (e,), (m,) = original.world.evaders, mirror.world.evaders
+            assert np.allclose((m.x, m.y), image(np.array([e.x, e.y])),
+                               rtol=0.0, atol=1e-6)
+            assert np.allclose(mirror.world.pursuers.xy,
+                               image(original.world.pursuers.xy),
+                               rtol=0.0, atol=1e-6)
+            if original.world.outcomes != [None]:
+                break
+            (step,) = original.step_action(planner.act(original))
+            (seen,) = mirror.step_action(planner.act(mirror))
+            assert abs(seen.reward - step.reward) <= 1e-6

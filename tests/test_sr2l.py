@@ -128,17 +128,17 @@ def scaffold_select(r_r: float, r_p: float, d_f: float,
 
 def arbitrate_with(monkeypatch, r_r: float, r_p: float,
                    scaffold: ScaffoldConfig, planner=PLANNER):
-    """A fixed scene's stepper and :func:`arbitrate`'s choice on it, with the
-    forward model estimating ``r_r`` for the actor's command and ``r_p`` for
-    the planner's."""
+    """A fixed scene's stepper and :func:`arbitrate`'s choice on it for a
+    sampled actor proposal, with the forward model estimating ``r_r`` for
+    the actor's command and ``r_p`` for the planner's."""
     estimates = iter([r_r, r_p])
     monkeypatch.setattr(sr2l, "predict_next_state",
                         lambda *args: next(estimates))
     cfg = arena(8)
     stepper = EpisodeStepper(init_world(cfg, 4))
-    return stepper, arbitrate(stepper, observe(stepper.world, SENSING)[0],
-                              NETS, np.random.default_rng(0), scaffold,
-                              planner)
+    a_r = forward_actor(NETS.actor, observe(stepper.world, SENSING)[0],
+                        np.random.default_rng(0))
+    return stepper, arbitrate(stepper, a_r, scaffold, planner)
 
 
 class Refuses:
@@ -155,9 +155,9 @@ class TestArbitrate:
         scaffold = None if beta is None else ScaffoldConfig(beta=beta)
         w, (frame,) = stepper.world, stepper.reward_frames
         cfg = w.arena
-        rng = np.random.default_rng(seed)
         (state,) = observe(w, SENSING)
-        action = forward_actor(NETS.actor, state, rng)
+        action = a_r = forward_actor(NETS.actor, state,
+                                     np.random.default_rng(seed))
         command = to_velocity(action, cfg)
         reward = r_r = predict_next_state(w, frame, command)
         actor_ran = True
@@ -169,12 +169,9 @@ class TestArbitrate:
             if not actor_ran:
                 command, action = a_p, np.array(a_p) / cfg.v_e_max
 
-        own = np.random.default_rng(seed)
-        got = arbitrate(stepper, state, NETS, own, scaffold, PLANNER)
+        got = arbitrate(stepper, a_r, scaffold, PLANNER)
         assert (got[0], got[2], got[3]) == (command, reward, actor_ran)
         assert np.array_equal(got[1], action)
-        # The same draws, in the same order.
-        assert own.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("scaffold", [None, ScaffoldConfig(beta=100.0)],
                              ids=["iac", "beta100"])
@@ -184,9 +181,10 @@ class TestArbitrate:
         rng = np.random.default_rng(0)
         (outcome,) = stepper.world.outcomes
         while outcome is None:
-            command, _, _, actor_ran = arbitrate(
-                stepper, observe(stepper.world, SENSING)[0], NETS, rng,
-                scaffold, Refuses())
+            a_r = forward_actor(NETS.actor, observe(stepper.world, SENSING)[0],
+                                rng)
+            command, _, _, actor_ran = arbitrate(stepper, a_r, scaffold,
+                                                 Refuses())
             assert actor_ran
             stepper.step_action([command])
             (outcome,) = stepper.world.outcomes

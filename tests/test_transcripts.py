@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cep.config import desk_profile, paper_profile
+from cep.config import desk_profile, load_config, paper_profile
 from cep.harness import (evaluate_monte_carlo, make_policy, replay,
                          sweep_arena, train, write_eval_episodes)
 from cep.sr2l import ScaffoldConfig
@@ -21,6 +21,7 @@ SEED = 3
 EPISODES = 3
 EVAL_EPISODES = 5
 REPLAY_SEED = 11
+PROFILES = Path(__file__).resolve().parents[1] / "profiles"
 
 GOLDEN_TRAIN = {
     "iac": {
@@ -41,11 +42,12 @@ GOLDEN_ACTOR_EVAL = "784fead798445ca3de234c9217f218e46f07a16f"
 GOLDEN_REPLAY = "9edb3004f82f8aa6b39c5d31a342d0a5ef7abd78"
 # Full-precision PFM records of evaluations at the profiles' own seed, long
 # and crowded enough that pursuers lock on and capture often (the desk sweep
-# cell escapes 17.5%): name -> digest.
+# cell escapes 17.5%, profiles/hard.txt 59%): name -> digest.
 GOLDEN_PFM_RECORDS = {
     "paper": "6869b62e8c5eb9f05d6778cca356f90b92da5ff9",
     "paper-100-pursuers": "b850c8dbf8ea48c6f03891830b15e8fea6b88d3b",
     "desk-sweep-30-1-1": "5bb0f9efe690303072500d5757957f2834ef1ea7",
+    "hard": "89370e201915165594438fd8a8ddff48c82cd2a3",
 }
 
 
@@ -133,6 +135,9 @@ def pfm_records(name: str):
     if name == "paper-100-pursuers":
         cfg = paper_profile()
         return cfg, replace(cfg.arena, n_pursuers=100), 20
+    if name == "hard":
+        cfg = load_config(PROFILES / "hard.txt")
+        return cfg, cfg.arena, 100
     cfg = desk_profile()
     return cfg, sweep_arena(cfg.arena, 30, 1.0, 1.0), 200
 
