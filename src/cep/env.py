@@ -76,13 +76,17 @@ def check_integer(name: str, value) -> None:
 
 def check_config(cfg, positive: tuple[str, ...] = ()) -> None:
     """Raise ``ValueError`` naming the first field of the dataclass ``cfg``
-    that is annotated ``int`` but holds no integer, or is a float and not
+    that is annotated ``int`` but holds no integer, is annotated ``float``
+    but holds no real number (a bool is neither), or is a float and not
     finite, then the first field of ``positive`` that is not > 0: every
     config section checks this first."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in (int, "int"):
             check_integer(f.name, value)
+        if f.type in (float, "float") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
     for name in positive:
@@ -153,13 +157,15 @@ class Pursuers:
                   ) -> "Pursuers":
         """One world's patrolling pursuers from ``(x, y, speed, heading)``
         rows."""
-        rows = list(rows)
-        n = len(rows)
-        table = np.array(rows, dtype=float).reshape(1, n, 4)
-        unit = np.array([(math.cos(h), math.sin(h))
-                         for h in table[0, :, 3].tolist()]).reshape(1, n, 2)
-        return cls(xy=table[..., :2].copy(), speed=table[..., 2].copy(),
-                   unit=unit, patrol_speed=table[..., 2].copy())
+        xy, speed, unit = [], [], []
+        for x, y, v, h in rows:
+            xy += x, y
+            speed.append(v)
+            unit += math.cos(h), math.sin(h)
+        n = len(speed)
+        speeds = np.array(speed, dtype=float).reshape(1, n)
+        return cls(np.array(xy, dtype=float).reshape(1, n, 2), speeds,
+                   np.array(unit, dtype=float).reshape(1, n, 2), speeds.copy())
 
     @classmethod
     def stack(cls, batches: Sequence["Pursuers"]) -> "Pursuers":
@@ -288,7 +294,7 @@ def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
     # u[2] is an evader heading, which nothing reads: without it every
     # pursuer draw after it would shift and every spawn change.
 
-    xy, speed, unit = [], [], []
+    rows = []
     for _ in range(cfg.n_pursuers):
         while True:
             if len(u) - j < 4:  # a position, then a speed and a heading
@@ -297,17 +303,10 @@ def init_world(cfg: ArenaConfig, seed: int) -> WorldState:
             j += 2
             if not (abs(px) <= s and abs(py) <= s):
                 break
-        xy += px, py
-        speed.append(cfg.v_p_min + (cfg.v_p_max - cfg.v_p_min) * u[j])
-        h = -math.pi + 2 * math.pi * u[j + 1]
-        unit += math.cos(h), math.sin(h)
+        rows.append((px, py, cfg.v_p_min + (cfg.v_p_max - cfg.v_p_min) * u[j],
+                     -math.pi + 2 * math.pi * u[j + 1]))
         j += 2
-
-    n = cfg.n_pursuers
-    speeds = np.array(speed, dtype=float).reshape(1, n)
-    return WorldState(cfg, [evader], Pursuers(
-        np.array(xy, dtype=float).reshape(1, n, 2), speeds,
-        np.array(unit, dtype=float).reshape(1, n, 2), speeds.copy()))
+    return WorldState(cfg, [evader], Pursuers.from_rows(rows))
 
 
 def step_evader(s: EvaderState, action: tuple[float, float],

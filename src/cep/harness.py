@@ -13,13 +13,13 @@ Every evaluation entry point (:func:`evaluate_monte_carlo`, :func:`sweep`,
 ``_BLOCK_EPISODES``; replay's one) in one :class:`~cep.sr2l.EpisodeStepper`,
 with an optional recorder of every step (replay's writes its rows).  An
 episode leaves the batch when it ends, with the result it has on its own.  A
-policy acts on the batch: ``reset(episode_seeds)`` is called with the seeds
-of a batch's episodes, and ``act(stepper)`` returns one velocity command per
+policy is its ``act(stepper)``, which returns one velocity command per
 live episode, in the order of ``stepper.live`` (their positions in that
-batch).  It reads what it needs from the stepper: the arena from
-``world.arena``, the planner the ``frames``; the actor encodes its input from
-``world``, one row per live episode, with the sensing :func:`make_policy`
-checked it against; the random walk keeps one generator per episode seed.
+batch), and keeps no state between calls.  It reads what it needs from the
+stepper: the arena from ``world.arena``, the planner the ``frames``; the
+actor encodes its input from ``world``, one row per live episode, with the
+sensing :func:`make_policy` checked it against; the random walk draws each
+command from its episode's world.
 
 A step's reward is ``RewardBreakdown.reward``, the negated composite of
 :mod:`cep.rewards` (higher is better play), taken over the stepper's frames
@@ -131,9 +131,6 @@ class ActorPolicy:
         self.bundle = bundle
         self.sensing = sensing
 
-    def reset(self, episode_seeds: list[int]) -> None:
-        pass
-
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
         # One 1-row forward per episode: a stacked matmul may round the last
         # bit differently.
@@ -143,19 +140,19 @@ class ActorPolicy:
 
 
 class RandomWalkPolicy:
-    """Uniform random commands in the unit box, scaled to full speed, from
-    one generator per episode seed."""
-
-    def __init__(self):
-        self.rngs: list[np.random.Generator] = []
-
-    def reset(self, episode_seeds: list[int]) -> None:
-        self.rngs = [np.random.default_rng(np.random.SeedSequence((seed, 77)))
-                     for seed in episode_seeds]
+    """Uniform random commands in the unit box, scaled to full speed.  Each
+    episode's command is drawn from a generator seeded with its world's
+    ``[step_count, x, y]``, the evader position's two doubles read as
+    ``uint64`` bit patterns: a function of that world alone, so a walk
+    repeats byte for byte and an episode commands the same alone or in a
+    batch."""
 
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
-        return [to_velocity(self.rngs[k].uniform(-1.0, 1.0, size=2),
-                            stepper.world.arena) for k in stepper.live]
+        w = stepper.world
+        seeds = ([w.step_count, *np.array([e.x, e.y]).view(np.uint64).tolist()]
+                 for e in w.evaders)
+        return [to_velocity(np.random.default_rng(seed).uniform(-1.0, 1.0, 2),
+                            w.arena) for seed in seeds]
 
 
 def make_policy(kind: str, cfg: RunConfig, bundle: PolicyBundle | None = None):
@@ -384,7 +381,6 @@ def _evaluate_block(policy, arena: ArenaConfig, episodes: range,
     live for it, in ``stepper.live`` order), before ended episodes leave."""
     world = WorldState.stack([init_world(arena, seed) for seed in seeds])
     stepper = EpisodeStepper(world)
-    policy.reset(seeds)
     cum = [0.0] * len(seeds)
     records: list[EvalEpisode] = [None] * len(seeds)
     breakdowns = []

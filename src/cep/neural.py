@@ -241,6 +241,8 @@ class TrainConfig:
             raise ValueError(f"batch_size {self.batch_size} must be <= "
                              f"buffer_capacity {self.buffer_capacity}, or "
                              f"the buffer never holds a batch to train on")
+        if not isinstance(self.hidden, tuple):
+            raise ValueError(f"hidden must be a tuple, got {self.hidden!r}")
         for width in self.hidden:
             check_integer("each hidden width", width)
         if not all(width >= 1 for width in self.hidden):

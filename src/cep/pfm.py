@@ -74,9 +74,6 @@ class PfmPolicy:
     def __init__(self, gains: PfmGains):
         self.gains = gains
 
-    def reset(self, episode_seeds: list[int]) -> None:
-        pass
-
     def act(self, stepper: EpisodeStepper) -> list[tuple[float, float]]:
         """One command per live episode, from its frame."""
         return [pfm_action(net_force(f, self.gains), stepper.world.arena)

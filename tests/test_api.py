@@ -117,6 +117,27 @@ def test_stepper_holds_worlds_and_frames_only():
     assert policy.sensing is cfg.sensing
 
 
+@pytest.mark.parametrize("kind", harness.POLICY_KINDS)
+def test_a_policy_is_its_act(kind):
+    # The evaluation loop only calls act: no policy is reset per batch.
+    cfg = config.desk_profile()
+    bundle = (neural.PolicyBundle.create(cfg.sensing.n_s, cfg.train,
+                                         np.random.default_rng(0))
+              if kind == "checkpoint" else None)
+    policy = harness.make_policy(kind, cfg, bundle)
+    assert callable(policy.act)
+    assert not hasattr(policy, "reset")
+
+
+def test_no_class_defines_reset():
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(f"cep.{name}").__file__)
+                         .read_text())
+        assert [(cls.name, node.name) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if getattr(node, "name", None) == "reset"] == []
+
+
 def test_action_is_two_dimensional():
     assert neural.ACTION_DIM == 2
     for constructor in (neural.ReplayBuffer.__init__,

@@ -46,7 +46,7 @@ def test_eval_pfm(tmp_path):
      "escape%=100 mean_escape_steps=41.636 mean_reward=-0.1323341 "
      "(250 episodes)"),
     (["--policy", "random", "--episodes", "3"],
-     "escape%=0 mean_escape_steps=nan mean_reward=-0.63709418 (3 episodes)"),
+     "escape%=0 mean_escape_steps=nan mean_reward=-0.589738092 (3 episodes)"),
 ], ids=["pfm", "random"])
 def test_eval_prints_the_overall_summary(tmp_path, capsys, argv, line):
     out = tmp_path / "eval"

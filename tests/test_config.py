@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,39 @@ def test_hidden_width_and_seed_reject_a_non_integer(value):
         TrainConfig(hidden=(64, value))
     with pytest.raises(ValueError, match="^seed must be an integer"):
         check_seed(value)
+
+
+FLOAT_FIELDS = [(section, f.name)
+                for section in (ArenaConfig, SensingConfig, TrainConfig,
+                                ScaffoldConfig, PfmGains)
+                for f in fields(section) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("section,name", FLOAT_FIELDS,
+                         ids=[f"{s.__name__}.{n}" for s, n in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [True, "1.0"])
+def test_float_field_rejects_a_bool_or_a_non_number(section, name, value):
+    # Before: dt = True ran 1-second steps, beta, gamma and tau took True,
+    # and half_width = "50" failed late with a TypeError.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a real number, got {value!r}")):
+        replace(section(), **{name: value})
+
+
+def test_float_field_takes_an_int_or_a_numpy_float():
+    # RunConfig holds no float; every other field but the counts and
+    # train.hidden is one.
+    assert len(FLOAT_FIELDS) == 26
+    arena = ArenaConfig(half_width=50, dt=np.float64(0.1))
+    assert (arena.half_width, arena.dt) == (50, 0.1)
+
+
+def test_hidden_must_be_a_tuple(tmp_path):
+    # Before: a list constructed, and the config.txt it wrote
+    # ("train.hidden = [8, 8]") failed to load.
+    with pytest.raises(ValueError, match=re.escape(
+            "hidden must be a tuple, got [8, 8]")):
+        TrainConfig(hidden=[8, 8])
 
 
 @pytest.mark.parametrize("mode", ["pfm", "random", "IAC", ""])
